@@ -1,10 +1,10 @@
 """Exact dense matrices over Q: incidence matrices, rank, null-space bases.
 
-Everything here is tolerance-free.  Rank is computed twice, by fraction-free
-(Bareiss) elimination on a denominator-cleared integer copy and by reduced
-row echelon form over ``Fraction``; the two must agree.  Null-space bases are
-read off the RREF, so the basis is deterministic, and every basis vector is
-re-multiplied through the matrix before being returned.
+Everything here is tolerance-free.  Rank and kernel come from one exact
+fraction-free Gauss-Jordan pass on a denominator-cleared integer copy, and the
+rank is cross-checked by a separate Bareiss elimination.  Null-space bases are
+the normalised RREF bases, so they are deterministic, and every basis vector is
+re-multiplied through the integer matrix before being returned.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
 from .hypergraph import Hypergraph, VertexVector
 
-# primes just above 2**20; large enough that rank mod p equals rank over Q
-# for every desk-scale 0/1 incidence matrix, small enough for fast arithmetic
+# primes just above 2**20.  A prime can divide every maximal non-zero minor, so the
+# rank mod p is only a lower bound on the rank over Q: a cheap check, not a proof
 ORACLE_PRIME_POOL = (
     1048583, 1048589, 1048601, 1048609, 1048613,
     1048627, 1048633, 1048661, 1048681, 1048703,
@@ -123,28 +123,36 @@ def vertex_edge_incidence(h: Hypergraph) -> RationalMatrix:
     return edge_vertex_incidence(h).transpose()
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _fraction_free_rref(rows: list[list[int]]) -> list[int]:
+    """In-place fraction-free Gauss-Jordan elimination; returns the pivot columns.
+
+    For each pivot (r, c) every other row, above and below, becomes
+    (piv * row - row[c] * pivot_row) // prev.  Entries stay minors of the input,
+    so every division is exact; at the end row r is d times RREF row r, where
+    d is the last pivot.
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
+        piv = top[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = piv
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return rows, pivots
+    return pivots
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -171,13 +179,12 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _cleared_integer_rows(m: RationalMatrix) -> list[list[int]]:
+def _cleared_integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators."""
     out = []
-    for row in m.entries:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
@@ -185,30 +192,32 @@ def rank_and_nullspace(m: RationalMatrix) -> NullspaceBasis:
     """Exact rank and a deterministic kernel basis.
 
     The basis vector for a free column f has 1 at f and, for each pivot
-    column, minus the RREF coefficient of f in that pivot's row.  Each vector
-    is verified by re-multiplication before being returned.
+    column, minus the RREF coefficient of f in that pivot's row.  The rank is
+    cross-checked by Bareiss elimination, and each vector, scaled by the last
+    pivot to integers, is re-multiplied through the cleared integer rows.
     """
-    rref_rows, pivots = _rref([row[:] for row in m.entries])
+    cleared = _cleared_integer_rows(m.entries)
+    reduced = [row[:] for row in cleared]
+    pivots = _fraction_free_rref(reduced)
     rank = len(pivots)
-    bareiss = _bareiss_rank(_cleared_integer_rows(m))
+    bareiss = _bareiss_rank(cleared)
     if bareiss != rank:
         raise ArithmeticError(
-            f"rank disagreement: Bareiss {bareiss} vs RREF {rank}"
+            f"rank disagreement: Bareiss {bareiss} vs fraction-free Gauss-Jordan {rank}"
         )
 
-    free_cols = [c for c in range(m.cols) if c not in set(pivots)]
+    d = reduced[rank - 1][pivots[-1]] if pivots else 1
+    sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in cleared]
+    pivot_set = set(pivots)
     vectors = []
-    for f in free_cols:
-        coords = {m.col_labels[f]: Fraction(1)}
+    for f in (c for c in range(m.cols) if c not in pivot_set):
+        scaled = {f: d}  # d times the basis vector, as integers
         for r, p in enumerate(pivots):
-            if rref_rows[r][f] != 0:
-                coords[m.col_labels[p]] = -rref_rows[r][f]
-        vectors.append(VertexVector(coords))
-
-    for vec in vectors:
-        product = matvec(m, vec)
-        if any(val != 0 for val in product.values()):
+            if reduced[r][f]:
+                scaled[p] = -reduced[r][f]
+        if any(sum(a * scaled.get(j, 0) for j, a in row) for row in sparse_rows):
             raise ArithmeticError("null-space basis vector failed re-multiplication")
+        vectors.append(VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()}))
     return NullspaceBasis(rank=rank, cols=m.cols, vectors=tuple(vectors))
 
 
@@ -239,9 +248,9 @@ def rank_modular_oracle(m: RationalMatrix, n_primes: int = 3, seed: int = 0) -> 
     """Rank over GF(p) for several primes > 2**20; returns the maximum.
 
     Only valid on integer matrices.  The modular rank never exceeds the
-    rational rank, so the maximum over a few primes is a cheap independent
-    cross-check that must coincide with rational elimination on incidence
-    matrices.
+    rational rank, and falls below it when p divides every maximal non-zero
+    minor, so the result is a lower bound: a cheap independent check, not a
+    proof of the rational rank.
     """
     if not m.is_integer():
         raise NonIntegerEntries("modular rank oracle requires integer entries")
@@ -282,17 +291,6 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
 def span_dimension(vectors: Iterable[VertexVector]) -> int:
     """Dimension of the span of rational sparse vectors (exact elimination)."""
     vecs = list(vectors)
-    if not vecs:
-        return 0
     labels = sorted({k for v in vecs for k in v.support()})
-    if not labels:
-        return 0
-    rows = [[Fraction(v.value(k)) for k in labels] for v in vecs]
-    _, pivots = _rref(rows)
-    return len(pivots)
-
-
-def stack_vectors(vectors: Sequence[VertexVector], col_labels: Sequence[str]) -> RationalMatrix:
-    """Rows = vectors over an explicit column label order."""
-    rows = [[Fraction(v.value(c)) for c in col_labels] for v in vectors]
-    return RationalMatrix(rows, [f"v{i}" for i in range(len(vectors))], col_labels)
+    rows = _cleared_integer_rows([Fraction(v.value(k)) for k in labels] for v in vecs)
+    return len(_fraction_free_rref(rows))

@@ -1,0 +1,167 @@
+"""``rank_and_nullspace`` against the slow ``Fraction`` RREF it replaced.
+
+``_rref`` below is the reduced-row-echelon routine that used to sit at the
+core of ``hyperinc.linalg``, kept verbatim as a test-only reference.  The
+fraction-free pass must return the same rank and the same basis vectors, in
+the same order, on random 0/1 and rational matrices of every shape.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hyperinc import RationalMatrix, VertexVector, rank_and_nullspace, span_dimension
+from hyperinc import linalg
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def reference_rank_and_nullspace(m: RationalMatrix) -> tuple[int, list[VertexVector]]:
+    """Rank and RREF kernel basis, read off as the old implementation did."""
+    rref_rows, pivots = _rref([row[:] for row in m.entries])
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in set(pivots)):
+        coords = {m.col_labels[f]: Fraction(1)}
+        for r, p in enumerate(pivots):
+            if rref_rows[r][f] != 0:
+                coords[m.col_labels[p]] = -rref_rows[r][f]
+        vectors.append(VertexVector(coords))
+    return len(pivots), vectors
+
+
+def _entry(rng: random.Random, rational: bool) -> Fraction:
+    if rng.random() < 0.4:
+        return Fraction(0)
+    if rational:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+    return Fraction(1)
+
+
+def random_matrix(rng: random.Random, rows: int, cols: int, rational: bool) -> RationalMatrix:
+    """Random matrix whose rank is often below min(rows, cols): some rows
+    repeat an earlier row (0/1) or combine two of them (rational), and some
+    columns are duplicated."""
+    entries = [[_entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
+    for i in range(2, rows):
+        if rng.random() < 0.3:
+            a, b = rng.sample(range(i), 2)
+            s, t = (rng.randint(-2, 2), rng.randint(-2, 2)) if rational else (1, 0)
+            entries[i] = [s * x + t * y for x, y in zip(entries[a], entries[b])]
+    if cols >= 2 and rng.random() < 0.5:
+        src, dst = rng.sample(range(cols), 2)
+        for row in entries:
+            row[dst] = row[src]
+    return RationalMatrix(
+        entries, [f"r{i}" for i in range(rows)], [str(j) for j in range(cols)]
+    )
+
+
+def random_cases(seed: int, count: int):
+    """(label, matrix) pairs: tall, wide, square and zero-row shapes, 0/1 and
+    rational, each followed by its transpose."""
+    rng = random.Random(seed)
+    shapes = ("tall", "wide", "square", "zero-row")
+    for index in range(count):
+        shape = shapes[index % len(shapes)]
+        rational = index % 3 == 0
+        if shape == "tall":
+            cols = rng.randint(1, 8)
+            rows = rng.randint(cols + 1, cols + 6)
+        elif shape == "wide":
+            rows = rng.randint(1, 8)
+            cols = rng.randint(rows + 1, rows + 6)
+        elif shape == "square":
+            rows = cols = rng.randint(1, 9)
+        else:
+            rows, cols = 0, rng.randint(1, 6)
+        m = random_matrix(rng, rows, cols, rational)
+        kind = f"{shape} {'rational' if rational else '0/1'} {rows}x{cols} #{index}"
+        yield kind, m
+        if rows:
+            yield kind + " transposed", m.transpose()
+
+
+def test_matches_fraction_rref_reference():
+    cases = list(random_cases(seed=2409, count=240))
+    assert len(cases) >= 400
+    assert any(m.rows == 0 for _, m in cases)
+    for label, m in cases:
+        ns = rank_and_nullspace(m)
+        rank, vectors = reference_rank_and_nullspace(m)
+        assert ns.rank == rank, label
+        assert list(ns.vectors) == vectors, label
+
+
+def test_span_dimension_matches_reference():
+    for label, m in random_cases(seed=16055, count=60):
+        if m.rows == 0:
+            continue
+        vectors = [
+            VertexVector({m.col_labels[j]: x for j, x in enumerate(row)}) for row in m.entries
+        ]
+        rank, _ = reference_rank_and_nullspace(m)
+        assert span_dimension(vectors) == rank, label
+
+
+def test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for label, m in random_cases(seed=7, count=60):
+        if m.rows == 0:
+            continue
+        exact = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]
+        )
+        ns = rank_and_nullspace(m)
+        assert ns.rank == exact.rank(), label
+        expected = [
+            VertexVector(
+                {m.col_labels[j]: Fraction(int(x.p), int(x.q)) for j, x in enumerate(vec)}
+            )
+            for vec in exact.nullspace()
+        ]
+        assert list(ns.vectors) == expected, label
+
+
+def test_bareiss_cross_check_is_wired_in(monkeypatch):
+    m = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
+    assert rank_and_nullspace(m).rank == 2
+    monkeypatch.setattr(linalg, "_bareiss_rank", lambda rows: 3)
+    with pytest.raises(ArithmeticError, match="rank disagreement"):
+        rank_and_nullspace(m)
+
+
+def test_re_multiplication_is_wired_in(monkeypatch):
+    m = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
+    eliminate = linalg._fraction_free_rref
+
+    def corrupted(rows):
+        pivots = eliminate(rows)
+        rows[0][1] += 1  # the coefficient of free column b in pivot row a
+        return pivots
+
+    monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
+    with pytest.raises(ArithmeticError, match="re-multiplication"):
+        rank_and_nullspace(m)
