@@ -305,18 +305,3 @@ def root_of_unity_vector(n: int, r: int, power: int) -> VertexVector:
     table = zeta_power_table(r)
     return VertexVector({str(i): table[(power * i) % r] for i in range(n)})
 
-
-def powers_pairwise_distinct(r: int, powers) -> bool:
-    """Vandermonde premise: the chosen powers of zeta_r are pairwise distinct.
-
-    Distinct nodes make the Vandermonde determinant non-zero, which certifies
-    linear independence of the corresponding root-of-unity vectors without
-    doing elimination over the extension field.
-    """
-    table = zeta_power_table(r)
-    chosen = [table[p % r] for p in powers]
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
-            if chosen[i] == chosen[j]:
-                return False
-    return True

@@ -34,14 +34,24 @@ ISO_BOUND_ENV_VAR = "HYPERINC_ISO_BOUND"
 
 
 def label_sort_key(label: str):
-    """Canonical ordering key: all-digit labels compare as integers."""
-    if label.isdigit():
+    """Canonical ordering key: decimal labels compare as integers."""
+    if label.isdecimal():
         return (0, int(label), label)
     return (1, 0, label)
 
 
 def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted((str(x) for x in labels), key=label_sort_key))
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask  # the lowest set bit; work per bit, not per width
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,9 +119,18 @@ class UnitPartition:
 
 
 class Hypergraph:
-    """Immutable hypergraph with canonically ordered vertices and named edges."""
+    """Immutable hypergraph with canonically ordered vertices and named edges.
 
-    __slots__ = ("vertices", "edges", "edge_labels", "_vindex", "_eindex")
+    The incidence relation is indexed once, at construction, as two tuples of
+    Python ints used as bitmasks: ``edge_masks[i]`` has bit j set when the
+    j-th canonical vertex lies in edge i, and ``star_masks[j]`` has bit i set
+    when edge i contains vertex j.  Stars, units, the dual, intersection
+    counts and both incidence matrices are read off these masks.
+    """
+
+    __slots__ = (
+        "vertices", "edges", "edge_labels", "edge_masks", "star_masks", "_vindex", "_eindex"
+    )
 
     def __init__(
         self,
@@ -127,20 +146,31 @@ class Hypergraph:
         self.vertices: tuple[str, ...] = canonical_labels(vlist)
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
 
-        edge_sets = []
+        edge_sets, edge_masks = [], []
+        seen: set[int] = set()
+        star_masks = [0] * len(self.vertices)
         for pos, e in enumerate(edges):
             members = frozenset(str(v) for v in e)
             if not members:
                 raise EmptyEdge(f"edge at position {pos} is empty")
-            unknown = members - set(self._vindex)
+            unknown = members - self._vindex.keys()
             if unknown:
                 raise UnknownVertexInEdge(
                     f"edge at position {pos} uses unknown vertices {sorted(unknown)}"
                 )
-            if members in edge_sets:
+            mask, bit = 0, 1 << pos
+            for v in members:
+                j = self._vindex[v]
+                mask |= 1 << j
+                star_masks[j] |= bit
+            if mask in seen:
                 raise DuplicateEdge(f"edge at position {pos} repeats an earlier edge")
+            seen.add(mask)
             edge_sets.append(members)
+            edge_masks.append(mask)
         self.edges: tuple[frozenset[str], ...] = tuple(edge_sets)
+        self.edge_masks: tuple[int, ...] = tuple(edge_masks)
+        self.star_masks: tuple[int, ...] = tuple(star_masks)
 
         if edge_labels is None:
             edge_labels = [f"e{i + 1}" for i in range(len(edge_sets))]
@@ -230,8 +260,7 @@ def uniform_cycle(n: int, k: int) -> Hypergraph:
 def star(h: Hypergraph, v: str) -> Star:
     """All hyperedges incident to ``v``, as a set of edge indices."""
     v = str(v)
-    h.vertex_index(v)
-    return Star(v, frozenset(i for i, e in enumerate(h.edges) if v in e))
+    return Star(v, frozenset(bit_indices(h.star_masks[h.vertex_index(v)])))
 
 
 def induced_subhypergraph(
@@ -279,17 +308,16 @@ def extend_vector(h: Hypergraph, u: Iterable[str], y: VertexVector) -> VertexVec
 def compute_units(h: Hypergraph) -> UnitPartition:
     """Partition V(H) into units: maximal groups of vertices with equal stars.
 
-    Grouping is by the star itself (a frozen set of edge indices), which is
-    exactly the equivalence relation; units are ordered by their smallest
-    member in the canonical vertex order.
+    Grouping is by the star mask itself, which is exactly the equivalence
+    relation; units are ordered by their smallest member in the canonical
+    vertex order.
     """
-    groups: dict[frozenset[int], list[str]] = {}
-    for v in h.vertices:
-        s = frozenset(i for i, e in enumerate(h.edges) if v in e)
+    groups: dict[int, list[str]] = {}
+    for v, s in zip(h.vertices, h.star_masks):
         groups.setdefault(s, []).append(v)
     units = [
-        Unit(tuple(members), generator)
-        for generator, members in groups.items()
+        Unit(tuple(members), frozenset(bit_indices(s)))
+        for s, members in groups.items()
     ]
     units.sort(key=lambda unit: label_sort_key(unit.members[0]))
     v2u = {v: i for i, unit in enumerate(units) for v in unit.members}
@@ -302,27 +330,17 @@ def unit_contraction(
     """Contract every unit to a single vertex.
 
     The contracted vertex for a unit is labelled by joining its members with
-    '+'.  Images of original edges are deduplicated (an edge meeting a unit
-    several times contains the contracted vertex once, and two original edges
-    with the same image become one edge).  Returns the contracted hypergraph,
-    the vertex map, and the surjective original-edge -> contracted-edge map.
+    '+'.  An edge meeting a unit contains all of it (its members share one
+    star), so distinct edges keep distinct images and every edge keeps its
+    label.  Returns the contracted hypergraph, the vertex map, and the
+    original-edge -> contracted-edge map, which is the identity on indices.
     """
     partition = compute_units(h)
     unit_label = ["+".join(unit.members) for unit in partition.units]
     vertex_map = {v: unit_label[partition.vertex_to_unit[v]] for v in h.vertices}
-
-    images: list[frozenset[str]] = []
-    labels: list[str] = []
-    where: dict[frozenset[str], int] = {}
-    edge_map: dict[int, int] = {}
-    for i, e in enumerate(h.edges):
-        img = frozenset(vertex_map[v] for v in e)
-        if img not in where:
-            where[img] = len(images)
-            images.append(img)
-            labels.append(h.edge_labels[i])
-        edge_map[i] = where[img]
-    return Hypergraph(unit_label, images, labels), vertex_map, edge_map
+    images = [{vertex_map[v] for v in e} for e in h.edges]
+    edge_map = {i: i for i in range(h.n_edges)}
+    return Hypergraph(unit_label, images, h.edge_labels), vertex_map, edge_map
 
 
 def dual(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
@@ -333,17 +351,16 @@ def dual(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
     returned map sends each original vertex to the dual edge index holding its
     star.  Dual edges are named after the first vertex producing them.
     """
-    stars: list[frozenset[str]] = []
+    stars: list[list[str]] = []
     labels: list[str] = []
-    where: dict[frozenset[str], int] = {}
+    where: dict[int, int] = {}
     vertex_map: dict[str, int] = {}
-    for v in h.vertices:
-        s = frozenset(h.edge_labels[i] for i, e in enumerate(h.edges) if v in e)
+    for v, s in zip(h.vertices, h.star_masks):
         if not s:
             raise IsolatedVertex(f"vertex {v!r} lies in no edge; dual undefined")
         if s not in where:
             where[s] = len(stars)
-            stars.append(s)
+            stars.append([h.edge_labels[i] for i in bit_indices(s)])
             labels.append(v)
         vertex_map[v] = where[s]
     return Hypergraph(h.edge_labels, stars, labels), vertex_map
@@ -359,6 +376,14 @@ def _iso_bound(explicit: Optional[int]) -> int:
         except ValueError:
             raise InvalidParameters(f"{ISO_BOUND_ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_ISO_BOUND
+
+
+def _incident_size_profile(h: Hypergraph) -> dict[str, tuple[int, ...]]:
+    """Per vertex, the sorted sizes of the edges containing it."""
+    return {
+        v: tuple(sorted(len(h.edges[i]) for i in bit_indices(s)))
+        for v, s in zip(h.vertices, h.star_masks)
+    }
 
 
 def are_isomorphic(
@@ -382,12 +407,7 @@ def are_isomorphic(
     if h1.edge_size_profile() != h2.edge_size_profile():
         return None
 
-    def profile(h: Hypergraph) -> dict[str, tuple[int, ...]]:
-        return {
-            v: tuple(sorted(len(e) for e in h.edges if v in e)) for v in h.vertices
-        }
-
-    prof1, prof2 = profile(h1), profile(h2)
+    prof1, prof2 = _incident_size_profile(h1), _incident_size_profile(h2)
     if sorted(prof1.values()) != sorted(prof2.values()):
         return None
 

@@ -26,11 +26,11 @@ from .errors import (
 from .hypergraph import (
     Hypergraph,
     VertexVector,
+    bit_indices,
     canonical_labels,
     compute_units,
     extend_vector,
     induced_subhypergraph,
-    star,
     unit_contraction,
 )
 from .linalg import (
@@ -199,9 +199,11 @@ def three_set_certificate(
 def general_combination_certificate(
     h: Hypergraph, parts: Sequence[tuple[Iterable[str], object]]
 ) -> KernelCertificate:
-    """sum(c_i * chi(U_i)) over pairwise disjoint U_i."""
+    """sum(c_i * chi(U_i)) over pairwise disjoint U_i, not all of them empty."""
     named = [(f"U{i + 1}", members) for i, (members, _) in enumerate(parts)]
     sets = _check_vertex_sets(h, named)
+    if not any(members for _, members in sets):
+        raise EmptySubset("a general combination needs at least one non-empty part")
     coeffs = tuple(Fraction(c) for _, c in parts)
     return KernelCertificate(GENERAL_COMBINATION, "B", sets, coeffs)
 
@@ -241,10 +243,6 @@ def dual_side_certificate(
     return KernelCertificate(kind, "I", sets, (Fraction(1), -r), ratio=r)
 
 
-# Backwards-friendly plural alias matching the operation name used elsewhere.
-dual_side_certificates = dual_side_certificate
-
-
 # -- verification -----------------------------------------------------------------
 
 
@@ -253,59 +251,62 @@ def _window_length(h: Hypergraph) -> Optional[int]:
     return k; otherwise None."""
     n = h.n_vertices
     try:
-        residues = sorted(int(v) for v in h.vertices)
+        residues = [int(v) for v in h.vertices]
     except ValueError:
         return None
-    if residues != list(range(n)):
+    if sorted(residues) != list(range(n)):
         return None
-    lengths = {len(e) for e in h.edges}
+    lengths = {mask.bit_count() for mask in h.edge_masks}
     if len(lengths) != 1:
         return None
     k = lengths.pop()
-    for e in h.edges:
-        members = frozenset(int(v) for v in e)
-        if not any(
-            members == frozenset((start + j) % n for j in range(k)) for start in members
-        ):
-            return None
-    return k
+    bit = [0] * n
+    for j, residue in enumerate(residues):
+        bit[residue] = 1 << j
+    windows = {sum(bit[(start + t) % n] for t in range(k)) for start in range(n)}
+    return k if all(mask in windows for mask in h.edge_masks) else None
+
+
+def _mask(index, labels: Iterable[str]) -> int:
+    """The bitmask of the positions ``index`` gives the labels."""
+    mask = 0
+    for label in labels:
+        mask |= 1 << index(label)
+    return mask
 
 
 def _combinatorial_side(h: Hypergraph, c: KernelCertificate) -> bool:
-    if c.kind in (EQUAL_EDGE_PARTITION, UNIT_PAIR):
-        u = set(c.sets[0][1])
-        v = set(c.sets[1][1])
-        if c.kind == UNIT_PAIR:
-            return star(h, c.sets[0][1][0]).edges == star(h, c.sets[1][1][0]).edges
-        return all(len(e & u) == len(e & v) for e in h.edges)
-    if c.kind == RATIO_EDGE_PARTITION:
-        u, v = set(c.sets[0][1]), set(c.sets[1][1])
-        return all(len(e & u) == c.ratio * len(e & v) for e in h.edges)
-    if c.kind == THREE_SET_RELATION:
-        u, v, w = (set(members) for _, members in c.sets)
-        return all(
-            len(e & u) - len(e & v) == c.ratio * len(e & w) for e in h.edges
-        )
-    if c.kind == GENERAL_COMBINATION:
-        parts = [(set(members), coeff) for (_, members), coeff in zip(c.sets, c.coefficients)]
-        return all(
-            sum(coeff * len(e & members) for members, coeff in parts) == 0
-            for e in h.edges
-        )
-    if c.kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
-        e_set, f_set = set(c.sets[0][1]), set(c.sets[1][1])
-        r = c.ratio if c.ratio is not None else Fraction(1)
-        for v in h.vertices:
-            sv = {h.edge_labels[i] for i in star(h, v).edges}
-            if len(sv & e_set) != r * len(sv & f_set):
-                return False
-        return True
+    if c.kind == UNIT_PAIR:
+        u, v = (h.star_masks[h.vertex_index(members[0])] for _, members in c.sets)
+        return u == v
     if c.kind == ROOT_OF_UNITY_CYCLE:
         k = _window_length(h)
         if k is None:
             return False
         n = h.n_vertices
         return k % c.order == 0 and n % c.order == 0 and c.power % c.order != 0
+    # per edge (side B) or per vertex (side I): how many members of each set it meets
+    if c.side == "B":
+        masks = [_mask(h.vertex_index, members) for _, members in c.sets]
+        rows = h.edge_masks
+    else:
+        masks = [_mask(h.edge_index, members) for _, members in c.sets]
+        rows = h.star_masks
+    counts = ([(row & mask).bit_count() for mask in masks] for row in rows)
+    if c.kind == EQUAL_EDGE_PARTITION:
+        return all(cu == cv for cu, cv in counts)
+    if c.kind == RATIO_EDGE_PARTITION:
+        return all(cu == c.ratio * cv for cu, cv in counts)
+    if c.kind == THREE_SET_RELATION:
+        return all(cu - cv == c.ratio * cw for cu, cv, cw in counts)
+    if c.kind == GENERAL_COMBINATION:
+        return all(
+            sum(coeff * n for coeff, n in zip(c.coefficients, row_counts)) == 0
+            for row_counts in counts
+        )
+    if c.kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
+        r = c.ratio if c.ratio is not None else Fraction(1)
+        return all(ce == r * cf for ce, cf in counts)
     raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
 
 
@@ -373,15 +374,16 @@ def sw_subspace(h: Hypergraph, w: Iterable[str]) -> SWReport:
     algebraic = all(
         all(value == 0 for value in matvec(b, x).values()) for x in basis
     )
-    base_star = star(h, base).edges
-    combinatorial = all(star(h, m).edges == base_star for m in members[1:])
+    stars = h.star_masks
+    base_star = stars[h.vertex_index(base)]
+    combinatorial = all(stars[h.vertex_index(m)] == base_star for m in members[1:])
     if combinatorial != algebraic:
         raise ArithmeticError("star equality and kernel membership disagree")
 
     contained = algebraic
     member_set = set(members)
     extendable = contained and any(
-        star(h, z).edges == base_star for z in h.vertices if z not in member_set
+        s == base_star for z, s in zip(h.vertices, stars) if z not in member_set
     )
     maximal = not extendable
 
@@ -501,101 +503,52 @@ def find_certificates_exhaustive(
     if bound is None:
         bound = DEFAULT_THREE_SET_BOUND if kind == THREE_SET_RELATION else DEFAULT_FINDER_BOUND
 
-    results: list[KernelCertificate] = []
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
-        ground = list(h.edge_labels)
-        if len(ground) > bound:
-            raise InstanceTooLarge(f"{len(ground)} edges exceeds the finder bound {bound}")
         # per-vertex counts against each candidate edge set
-        vertex_stars = [
-            frozenset(i for i, e in enumerate(h.edges) if v in e) for v in h.vertices
-        ]
-        for u_idx, v_idx in _pair_assignments(len(ground)):
-            u_set, v_set = frozenset(u_idx), frozenset(v_idx)
-            counts = ((len(s & u_set), len(s & v_set)) for s in vertex_stars)
-            if kind == EQUAL_VERTEX_PARTITION:
-                if all(a == b for a, b in counts):
-                    results.append(
-                        dual_side_certificate(
-                            h,
-                            [ground[i] for i in u_idx],
-                            [ground[i] for i in v_idx],
-                            1,
-                        )
-                    )
-            else:
-                r = _consistent_ratio(counts)
-                if r is not None:
-                    cert = dual_side_certificate(
-                        h, [ground[i] for i in u_idx], [ground[i] for i in v_idx], r
-                    )
-                    results.append(cert)
-        return results
-
-    ground = list(h.vertices)
+        ground, rows, noun = h.edge_labels, h.star_masks, "edges"
+    else:
+        # per-edge counts against each candidate vertex set
+        ground, rows, noun = h.vertices, h.edge_masks, "vertices"
     if len(ground) > bound:
-        raise InstanceTooLarge(f"{len(ground)} vertices exceeds the finder bound {bound}")
-    edge_positions = [
-        tuple(i for i, v in enumerate(ground) if v in e) for e in h.edges
-    ]
+        raise InstanceTooLarge(f"{len(ground)} {noun} exceeds the finder bound {bound}")
 
+    results: list[KernelCertificate] = []
     if kind == UNIT_PAIR:
         for unit in compute_units(h).units:
             for u, v in itertools.combinations(unit.members, 2):
                 results.append(unit_pair_certificate(h, u, v))
         return results
 
-    if kind in (EQUAL_EDGE_PARTITION, RATIO_EDGE_PARTITION):
-        for u_idx, v_idx in _pair_assignments(len(ground)):
-            u_set, v_set = set(u_idx), set(v_idx)
-
-            def pair_counts():
-                for positions in edge_positions:
-                    cu = sum(1 for p in positions if p in u_set)
-                    cv = sum(1 for p in positions if p in v_set)
-                    yield cu, cv
-
-            if kind == EQUAL_EDGE_PARTITION:
-                if all(cu == cv for cu, cv in pair_counts()):
-                    results.append(
-                        equal_partition_certificate(
-                            h, [ground[i] for i in u_idx], [ground[i] for i in v_idx]
-                        )
-                    )
-            else:
-                r = _consistent_ratio(pair_counts())
-                if r is not None:
-                    results.append(
-                        ratio_partition_certificate(
-                            h, [ground[i] for i in u_idx], [ground[i] for i in v_idx], r
-                        )
-                    )
+    if kind == THREE_SET_RELATION:
+        # 4-way assignment, all three sets non-empty
+        for assign in itertools.product((0, 1, 2, 3), repeat=len(ground)):
+            first = next((a for a in assign if a in (1, 2)), 0)
+            if first != 1 or 2 not in assign or 3 not in assign:
+                continue
+            u, v, w = (sum(1 << i for i, a in enumerate(assign) if a == s) for s in (1, 2, 3))
+            r = _consistent_ratio(
+                ((row & u).bit_count() - (row & v).bit_count(), (row & w).bit_count())
+                for row in rows
+            )
+            if r is not None:
+                u_set, v_set, w_set = ([ground[i] for i in bit_indices(m)] for m in (u, v, w))
+                results.append(three_set_certificate(h, u_set, v_set, w_set, r))
         return results
 
-    # three-set relation: 4-way assignment, all three sets non-empty
-    for assign in itertools.product((0, 1, 2, 3), repeat=len(ground)):
-        first = next((a for a in assign if a in (1, 2)), 0)
-        if first != 1 or 2 not in assign or 3 not in assign:
+    for u_idx, v_idx in _pair_assignments(len(ground)):
+        u, v = sum(1 << i for i in u_idx), sum(1 << i for i in v_idx)
+        counts = (((row & u).bit_count(), (row & v).bit_count()) for row in rows)
+        if kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION):
+            r = Fraction(1) if all(cu == cv for cu, cv in counts) else None
+        else:
+            r = _consistent_ratio(counts)
+        if r is None:
             continue
-        u_set = {i for i, a in enumerate(assign) if a == 1}
-        v_set = {i for i, a in enumerate(assign) if a == 2}
-        w_set = {i for i, a in enumerate(assign) if a == 3}
-        r = _consistent_ratio(
-            (
-                sum(1 for p in positions if p in u_set)
-                - sum(1 for p in positions if p in v_set),
-                sum(1 for p in positions if p in w_set),
-            )
-            for positions in edge_positions
-        )
-        if r is not None:
-            results.append(
-                three_set_certificate(
-                    h,
-                    [ground[i] for i in sorted(u_set)],
-                    [ground[i] for i in sorted(v_set)],
-                    [ground[i] for i in sorted(w_set)],
-                    r,
-                )
-            )
+        u_set, v_set = [ground[i] for i in u_idx], [ground[i] for i in v_idx]
+        if kind == EQUAL_EDGE_PARTITION:
+            results.append(equal_partition_certificate(h, u_set, v_set))
+        elif kind == RATIO_EDGE_PARTITION:
+            results.append(ratio_partition_certificate(h, u_set, v_set, r))
+        else:
+            results.append(dual_side_certificate(h, u_set, v_set, r))
     return results

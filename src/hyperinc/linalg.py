@@ -37,7 +37,8 @@ class RationalMatrix:
         row_labels: Sequence[str],
         col_labels: Sequence[str],
     ):
-        rows = [[Fraction(x) for x in row] for row in entries]
+        # Fractions are immutable, so given ones are shared rather than copied
+        rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in entries]
         cols = len(col_labels)
         if any(len(row) != cols for row in rows):
             raise DimensionMismatch("row length does not match column label count")
@@ -110,17 +111,24 @@ class NullspaceBasis:
         return len(self.vectors)
 
 
+def _mask_rows(masks: Sequence[int], width: int) -> list[list[Fraction]]:
+    """0/1 rows of ``width`` entries; entry j of a row is bit j of its mask."""
+    one, zero = Fraction(1), Fraction(0)
+    # a sentinel bit at ``width`` fixes the digit count: "0b1" then the row, reversed
+    return [
+        [one if bit == "1" else zero for bit in bin(mask | 1 << width)[:2:-1]]
+        for mask in masks
+    ]
+
+
 def edge_vertex_incidence(h: Hypergraph) -> RationalMatrix:
     """|E| x |V| 0/1 matrix; rows are hyperedges, columns are vertices."""
-    entries = [
-        [Fraction(1) if v in e else Fraction(0) for v in h.vertices] for e in h.edges
-    ]
-    return RationalMatrix(entries, h.edge_labels, h.vertices)
+    return RationalMatrix(_mask_rows(h.edge_masks, h.n_vertices), h.edge_labels, h.vertices)
 
 
 def vertex_edge_incidence(h: Hypergraph) -> RationalMatrix:
     """The transpose: rows are vertices, columns are hyperedges."""
-    return edge_vertex_incidence(h).transpose()
+    return RationalMatrix(_mask_rows(h.star_masks, h.n_edges), h.vertices, h.edge_labels)
 
 
 def _fraction_free_rref(rows: list[list[int]]) -> list[int]:

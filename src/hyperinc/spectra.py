@@ -26,6 +26,7 @@ from .hypergraph import (
     Hypergraph,
     UnitPartition,
     VertexVector,
+    bit_indices,
     compute_units,
     label_sort_key,
 )
@@ -115,12 +116,14 @@ def weighted_adjacency(h: Hypergraph, w: EdgeWeighting) -> WeightedAdjacency:
     if len(w.weights) != h.n_edges:
         raise InvalidParameters("weighting does not match the hypergraph's edges")
     n = h.n_vertices
-    stars = [frozenset(i for i, e in enumerate(h.edges) if v in e) for v in h.vertices]
+    stars = h.star_masks
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            total = sum((w.weight(k) for k in stars[i] & stars[j]), Fraction(0))
-            entries[i][j] = entries[j][i] = total
+            common = stars[i] & stars[j]
+            if common:
+                total = sum((w.weight(k) for k in bit_indices(common)), Fraction(0))
+                entries[i][j] = entries[j][i] = total
     matrix = RationalMatrix(entries, h.vertices, h.vertices)
     return WeightedAdjacency(matrix, w)
 
@@ -128,11 +131,8 @@ def weighted_adjacency(h: Hypergraph, w: EdgeWeighting) -> WeightedAdjacency:
 def column_inner_product(h: Hypergraph, u: str, v: str, w: EdgeWeighting) -> Fraction:
     """Weighted inner product of two incidence columns: sum of w(e) over the
     edges containing both vertices (the degree-like sum when u == v)."""
-    iu = h.vertex_index(u)
-    iv = h.vertex_index(v)
-    su = {i for i, e in enumerate(h.edges) if h.vertices[iu] in e}
-    sv = {i for i, e in enumerate(h.edges) if h.vertices[iv] in e}
-    return sum((w.weight(i) for i in su & sv), Fraction(0))
+    common = h.star_masks[h.vertex_index(u)] & h.star_masks[h.vertex_index(v)]
+    return sum((w.weight(i) for i in bit_indices(common)), Fraction(0))
 
 
 def _pair_difference(u: str, v: str) -> VertexVector:

@@ -97,6 +97,14 @@ class TestRank:
         report = json.loads(run_cli("rank", str(path), "--json").stdout)
         assert report["rank"] == "1"
 
+    def test_non_ascii_digit_label(self, tmp_path):
+        path = tmp_path / "sup.hg"
+        path.write_text("e1: ² 1\ne2: 1 2\n", encoding="utf-8")
+        for command in ("rank", "units"):
+            proc = run_cli(command, str(path), "--json")
+            assert proc.returncode == 0, proc.stderr
+        assert ["²"] in [unit["members"] for unit in json.loads(proc.stdout)["units"]]
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.hg"
         bad.write_text("no colon here\n")
@@ -222,6 +230,12 @@ class TestVerify:
         )
         proc = run_cli("verify", equal_file, "--certificate", str(cert))
         assert proc.returncode == 2
+
+    def test_empty_general_combination_exit_two(self, equal_file):
+        payload = json.dumps({"kind": "general_combination", "parts": []})
+        proc = run_cli("verify", equal_file, "--certificate", "-", "--json", stdin=payload)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "EmptySubset"
 
     def test_certificate_from_stdin(self, equal_file):
         payload = json.dumps(

@@ -14,7 +14,6 @@ from hyperinc import (
     uniform_cycle,
     zeta,
 )
-from hyperinc.cyclotomic import powers_pairwise_distinct
 from hyperinc.errors import InvalidParameters
 
 
@@ -90,10 +89,6 @@ class TestArithmetic:
             for j in range(1, r):
                 assert geometric_sum(r, j).is_zero()
             assert geometric_sum(r, r) == r
-
-    def test_powers_pairwise_distinct(self):
-        for r in range(2, 15):
-            assert powers_pairwise_distinct(r, range(1, r))
 
 
 class TestRootOfUnityVectors:

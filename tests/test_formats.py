@@ -68,6 +68,18 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_hypergraph_text("# nothing here\n")
 
+    def test_non_ascii_digit_labels_round_trip(self):
+        # "²" is a digit but not decimal, so it sorts as a word; "٣" is decimal 3
+        h = parse_hypergraph_text("e1: ² 1\ne2: 1 2 10\ne3: ٣ 2\n")
+        assert h.vertices == ("1", "2", "٣", "10", "²")
+        for serialize, parse in (
+            (serialize_hypergraph_text, parse_hypergraph_text),
+            (serialize_hypergraph_json, parse_hypergraph_json),
+        ):
+            text = serialize(h)
+            assert parse(text) == h
+            assert serialize(parse(text)) == text
+
 
 class TestJsonFormat:
     def test_parse_and_round_trip(self, unit_example):

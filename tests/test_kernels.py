@@ -157,6 +157,11 @@ class TestGeneralCombination:
         assert check.valid
         assert cert.induced_vector(combination_example).is_zero()
 
+    def test_empty_combination_rejected(self, combination_example):
+        for parts in ([], [([], 1)], [([], 1), ([], -2)]):
+            with pytest.raises(EmptySubset):
+                general_combination_certificate(combination_example, parts)
+
     def test_unit_example_combination(self, unit_example):
         cert = general_combination_certificate(
             unit_example,
