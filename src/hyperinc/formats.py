@@ -51,6 +51,15 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad fraction {text!r}: {exc}") from None
 
 
+def parse_labels(value, what: str) -> list[str]:
+    """A JSON array of string or integer labels, as strings."""
+    if not isinstance(value, list) or not all(
+        isinstance(x, (str, int)) and not isinstance(x, bool) for x in value
+    ):
+        raise ParseError(f"{what}: expected an array of string or integer labels, got {value!r}")
+    return [str(x) for x in value]
+
+
 # -- hypergraph files ---------------------------------------------------------
 
 
@@ -105,14 +114,11 @@ def parse_hypergraph_json(text: str) -> Hypergraph:
     if not isinstance(edges_obj, dict):
         raise ParseError("'edges' must map edge names to vertex lists")
     names = list(edges_obj)
-    for name in names:
-        if not isinstance(edges_obj[name], list):
-            raise ParseError(f"edge {name!r} must be a list of vertex labels")
-    edges = [edges_obj[n] for n in names]
+    edges = [parse_labels(edges_obj[name], f"edge {name!r}") for name in names]
     vertices = data.get("vertices")
     if vertices is None:
-        vertices = sorted({str(v) for e in edges for v in e})
-    return build_hypergraph(vertices, edges, names)
+        vertices = sorted({v for e in edges for v in e})
+    return build_hypergraph(parse_labels(vertices, "'vertices'"), edges, names)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -174,52 +180,59 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
         raise ParseError("certificate JSON needs a 'kind' field")
     kind = data["kind"]
     sets = data.get("sets", {})
+    if not isinstance(sets, dict):
+        raise ParseError("'sets' must map set names to label arrays")
 
     def need(name: str) -> list[str]:
         if name not in sets:
             raise ParseError(f"certificate kind {kind!r} needs set {name!r}")
-        return [str(x) for x in sets[name]]
+        return parse_labels(sets[name], f"set {name!r}")
 
     if kind == EQUAL_EDGE_PARTITION:
         return equal_partition_certificate(h, need("U"), need("V"))
     if kind == RATIO_EDGE_PARTITION:
         return ratio_partition_certificate(h, need("U"), need("V"), parse_fraction(data.get("ratio", "1")))
     if kind == THREE_SET_RELATION:
-        return three_set_certificate(
-            h, sets.get("U", []), sets.get("V", []), need("W"), parse_fraction(data.get("ratio", "1"))
-        )
+        u, v = (need(name) if name in sets else [] for name in ("U", "V"))
+        return three_set_certificate(h, u, v, need("W"), parse_fraction(data.get("ratio", "1")))
     if kind == GENERAL_COMBINATION:
         parts = data.get("parts")
         pairs = []
         if parts is not None:
-            for item in parts:
-                if isinstance(item, dict):
-                    pairs.append((item["set"], parse_fraction(item["coefficient"])))
-                else:
+            if not isinstance(parts, list):
+                raise ParseError("'parts' must be an array")
+            for i, item in enumerate(parts):
+                if isinstance(item, dict) and {"set", "coefficient"} <= item.keys():
+                    members, coeff = item["set"], item["coefficient"]
+                elif isinstance(item, list) and len(item) == 2:
                     members, coeff = item
-                    pairs.append((members, parse_fraction(coeff)))
+                else:
+                    raise ParseError(
+                        f"part {i} must be [members, coefficient] or an object with "
+                        "'set' and 'coefficient'"
+                    )
+                pairs.append((parse_labels(members, f"part {i}"), parse_fraction(coeff)))
         else:
             coefficients = data.get("coefficients")
-            if not sets or coefficients is None:
+            if not sets or not isinstance(coefficients, dict):
                 raise ParseError(
                     "general combination needs 'parts' or 'sets' with 'coefficients'"
                 )
-            for name, members in sets.items():
+            for name in sets:
                 if name not in coefficients:
                     raise ParseError(f"missing coefficient for set {name!r}")
-                pairs.append((members, parse_fraction(coefficients[name])))
+                pairs.append((need(name), parse_fraction(coefficients[name])))
         return general_combination_certificate(h, pairs)
     if kind == UNIT_PAIR:
-        u = data.get("u") or (need("u")[0] if "u" in sets else None)
-        v = data.get("v") or (need("v")[0] if "v" in sets else None)
-        if u is None or v is None:
-            raise ParseError("unit pair needs 'u' and 'v'")
-        return unit_pair_certificate(h, u, v)
+        u, v = ([data[n]] if n in data else need(n) if n in sets else [] for n in ("u", "v"))
+        if len(u) != 1 or len(v) != 1:
+            raise ParseError("unit pair needs one vertex 'u' and one vertex 'v'")
+        return unit_pair_certificate(h, *parse_labels(u + v, "unit pair 'u' and 'v'"))
     if kind == ROOT_OF_UNITY_CYCLE:
-        try:
-            return root_of_unity_certificate(h, int(data["order"]), int(data["power"]))
-        except KeyError as exc:
-            raise ParseError(f"root-of-unity certificate needs {exc}") from None
+        order, power = data.get("order"), data.get("power")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (order, power)):
+            raise ParseError("root-of-unity certificate needs integer 'order' and 'power'")
+        return root_of_unity_certificate(h, order, power)
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
         r = parse_fraction(data.get("ratio", "1"))
         return dual_side_certificate(h, need("E"), need("F"), r)

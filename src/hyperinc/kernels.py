@@ -10,6 +10,7 @@ two must always agree; a disagreement would be a bug, not a data error.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -67,8 +68,8 @@ class KernelCertificate:
     ``side`` is "B" when the induced vector lives on vertices (certifying the
     edge-vertex incidence matrix) and "I" when it lives on edges (certifying
     the transpose).  The induced vector is always the signed combination
-    sum(coefficients[i] * chi(sets[i])), except for the root-of-unity kind,
-    which stores the root order and power instead.
+    sum(coefficients[i] * chi(sets[i])) of pairwise disjoint sets, except for
+    the root-of-unity kind, which stores the root order and power instead.
     """
 
     kind: str
@@ -86,11 +87,9 @@ class KernelCertificate:
             return VertexVector(
                 {str(i): table[(self.power * i) % self.order] for i in range(n)}
             )
-        acc: dict[str, Fraction] = {}
-        for (name, members), coeff in zip(self.sets, self.coefficients):
-            for m in members:
-                acc[m] = acc.get(m, Fraction(0)) + coeff
-        return VertexVector(acc)
+        return VertexVector(
+            {m: coeff for (_, members), coeff in zip(self.sets, self.coefficients) for m in members}
+        )
 
     def named_set(self, name: str) -> tuple[str, ...]:
         for set_name, members in self.sets:
@@ -134,26 +133,20 @@ class NullityDecomposition:
 # -- constructors --------------------------------------------------------------
 
 
-def _check_vertex_sets(h: Hypergraph, named: Sequence[tuple[str, Iterable[str]]]):
+def _check_sets(h: Hypergraph, side: str, named: Sequence[tuple[str, Iterable[str]]]):
+    """Resolve named label sets against the vertices (side "B") or the edges
+    (side "I"), members ordered by index (for vertices, the canonical order).
+    Unknown labels, a label repeated within a set and sets that share a label
+    are rejected."""
+    index, labels = (h.vertex_index, h.vertices) if side == "B" else (h.edge_index, h.edge_labels)
     out = []
     seen: set[str] = set()
     for name, members in named:
-        members = canonical_labels(members)
-        for v in members:
-            h.vertex_index(v)
-        overlap = seen.intersection(members)
-        if overlap:
-            raise OverlappingSets(f"sets overlap on {sorted(overlap)}")
-        seen.update(members)
-        out.append((name, members))
-    return tuple(out)
-
-
-def _check_edge_sets(h: Hypergraph, named: Sequence[tuple[str, Iterable[str]]]):
-    out = []
-    seen: set[str] = set()
-    for name, members in named:
-        members = tuple(sorted((str(m) for m in members), key=h.edge_index))
+        positions = sorted(index(m) for m in members)
+        repeated = {labels[a] for a, b in zip(positions, positions[1:]) if a == b}
+        if repeated:
+            raise OverlappingSets(f"set {name!r} repeats {sorted(repeated)}")
+        members = tuple(labels[i] for i in positions)
         overlap = seen.intersection(members)
         if overlap:
             raise OverlappingSets(f"sets overlap on {sorted(overlap)}")
@@ -164,7 +157,7 @@ def _check_edge_sets(h: Hypergraph, named: Sequence[tuple[str, Iterable[str]]]):
 
 def equal_partition_certificate(h: Hypergraph, u: Iterable[str], v: Iterable[str]) -> KernelCertificate:
     """chi(U) - chi(V); in the kernel of B_H iff |e & U| = |e & V| for all e."""
-    sets = _check_vertex_sets(h, [("U", u), ("V", v)])
+    sets = _check_sets(h, "B", [("U", u), ("V", v)])
     if not sets[0][1] or not sets[1][1]:
         raise EmptySubset("equal partitions need two non-empty sets")
     return KernelCertificate(EQUAL_EDGE_PARTITION, "B", sets, (Fraction(1), Fraction(-1)))
@@ -175,7 +168,7 @@ def ratio_partition_certificate(
 ) -> KernelCertificate:
     """chi(U) - r*chi(V); in the kernel iff |e & U| : |e & V| = r on every edge."""
     r = Fraction(r)
-    sets = _check_vertex_sets(h, [("U", u), ("V", v)])
+    sets = _check_sets(h, "B", [("U", u), ("V", v)])
     if not sets[0][1] or not sets[1][1]:
         raise EmptySubset("ratio partitions need two non-empty sets")
     return KernelCertificate(RATIO_EDGE_PARTITION, "B", sets, (Fraction(1), -r), ratio=r)
@@ -188,7 +181,7 @@ def three_set_certificate(
     (|e & U| - |e & V|) : |e & W| = r edge by edge (edges missing W must
     balance U against V).  U or V may be empty; W may not."""
     r = Fraction(r)
-    sets = _check_vertex_sets(h, [("U", u), ("V", v), ("W", w)])
+    sets = _check_sets(h, "B", [("U", u), ("V", v), ("W", w)])
     if not sets[2][1]:
         raise EmptySubset("the scaled set W must be non-empty")
     return KernelCertificate(
@@ -201,7 +194,7 @@ def general_combination_certificate(
 ) -> KernelCertificate:
     """sum(c_i * chi(U_i)) over pairwise disjoint U_i, not all of them empty."""
     named = [(f"U{i + 1}", members) for i, (members, _) in enumerate(parts)]
-    sets = _check_vertex_sets(h, named)
+    sets = _check_sets(h, "B", named)
     if not any(members for _, members in sets):
         raise EmptySubset("a general combination needs at least one non-empty part")
     coeffs = tuple(Fraction(c) for _, c in parts)
@@ -213,7 +206,7 @@ def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
     u, v = str(u), str(v)
     if u == v:
         raise InvalidParameters("unit pair needs two distinct vertices")
-    sets = _check_vertex_sets(h, [("u", [u]), ("v", [v])])
+    sets = _check_sets(h, "B", [("u", [u]), ("v", [v])])
     return KernelCertificate(UNIT_PAIR, "B", sets, (Fraction(1), Fraction(-1)))
 
 
@@ -236,7 +229,7 @@ def dual_side_certificate(
     iff every vertex sees the two edge sets in the ratio r (r = 1 is the equal
     partition of vertices)."""
     r = Fraction(r)
-    sets = _check_edge_sets(h, [("E", e), ("F", f)])
+    sets = _check_sets(h, "I", [("E", e), ("F", f)])
     if not sets[0][1] or not sets[1][1]:
         raise EmptySubset("edge-side partitions need two non-empty edge sets")
     kind = EQUAL_VERTEX_PARTITION if r == 1 else RATIO_VERTEX_PARTITION
@@ -267,57 +260,32 @@ def _window_length(h: Hypergraph) -> Optional[int]:
     return k if all(mask in windows for mask in h.edge_masks) else None
 
 
-def _mask(index, labels: Iterable[str]) -> int:
-    """The bitmask of the positions ``index`` gives the labels."""
-    mask = 0
-    for label in labels:
-        mask |= 1 << index(label)
-    return mask
-
-
 def _combinatorial_side(h: Hypergraph, c: KernelCertificate) -> bool:
-    if c.kind == UNIT_PAIR:
-        u, v = (h.star_masks[h.vertex_index(members[0])] for _, members in c.sets)
-        return u == v
     if c.kind == ROOT_OF_UNITY_CYCLE:
         k = _window_length(h)
         if k is None:
             return False
         n = h.n_vertices
         return k % c.order == 0 and n % c.order == 0 and c.power % c.order != 0
-    # per edge (side B) or per vertex (side I): how many members of each set it meets
-    if c.side == "B":
-        masks = [_mask(h.vertex_index, members) for _, members in c.sets]
-        rows = h.edge_masks
-    else:
-        masks = [_mask(h.edge_index, members) for _, members in c.sets]
-        rows = h.star_masks
-    counts = ([(row & mask).bit_count() for mask in masks] for row in rows)
-    if c.kind == EQUAL_EDGE_PARTITION:
-        return all(cu == cv for cu, cv in counts)
-    if c.kind == RATIO_EDGE_PARTITION:
-        return all(cu == c.ratio * cv for cu, cv in counts)
-    if c.kind == THREE_SET_RELATION:
-        return all(cu - cv == c.ratio * cw for cu, cv, cw in counts)
-    if c.kind == GENERAL_COMBINATION:
-        return all(
-            sum(coeff * n for coeff, n in zip(c.coefficients, row_counts)) == 0
-            for row_counts in counts
-        )
-    if c.kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
-        r = c.ratio if c.ratio is not None else Fraction(1)
-        return all(ce == r * cf for ce, cf in counts)
-    raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
+    if c.kind not in ALL_KINDS:
+        raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
+    # sum(c_i * |row & S_i|) = 0 on every edge (side B) or every vertex (side I),
+    # with the coefficients scaled to integers once
+    index, rows = (h.vertex_index, h.edge_masks) if c.side == "B" else (h.edge_index, h.star_masks)
+    masks = [sum(1 << index(m) for m in members) for _, members in c.sets]
+    scale = math.lcm(*(q.denominator for q in c.coefficients))
+    weights = [q.numerator * (scale // q.denominator) for q in c.coefficients]
+    return all(
+        sum(w * (row & mask).bit_count() for w, mask in zip(weights, masks)) == 0
+        for row in rows
+    )
 
 
 def _resolve_sets(h: Hypergraph, c: KernelCertificate) -> None:
     if c.kind == ROOT_OF_UNITY_CYCLE:
         root_of_unity_certificate(h, c.order, c.power)
-        return
-    if c.side == "B":
-        _check_vertex_sets(h, c.sets)
     else:
-        _check_edge_sets(h, c.sets)
+        _check_sets(h, c.side, c.sets)
 
 
 def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
@@ -360,11 +328,9 @@ def sw_subspace(h: Hypergraph, w: Iterable[str]) -> SWReport:
     is a star comparison.  The conjunction holds exactly on units of size >= 2
     (asserted against the unit partition).
     """
-    members = canonical_labels(w)
+    ((_, members),) = _check_sets(h, "B", [("W", w)])
     if len(members) < 2:
         raise SubsetTooSmall("S_W needs at least two vertices")
-    for v in members:
-        h.vertex_index(v)
     base = members[0]
     basis = tuple(
         VertexVector({m: Fraction(1), base: Fraction(-1)}) for m in members[1:]
@@ -447,18 +413,26 @@ def extension_theorem_check(h: Hypergraph, u: Iterable[str]) -> bool:
 # -- exhaustive finders ----------------------------------------------------------------
 
 
-def _pair_assignments(n: int):
-    """All (U, V) index pairs over range(n), disjoint, non-empty, with the
-    smallest assigned index in U (one orientation per unordered pair)."""
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        first = next((a for a in assign if a), 0)
-        if first != 1:
-            continue
-        if 2 not in assign:
-            continue
-        u = tuple(i for i, a in enumerate(assign) if a == 1)
-        v = tuple(i for i, a in enumerate(assign) if a == 2)
-        yield u, v
+def _disjoint_families(n: int, k: int):
+    """Every k-tuple of bitmasks of pairwise disjoint, non-empty subsets of
+    range(n) whose smallest element of S1 | S2 lies in S1 (one orientation
+    per unordered pair), in the lexicographic order of the assignments
+    range(n) -> {0 (unused), 1..k}.  A prefix that puts an element in S2
+    before any in S1 is cut, not completed and discarded."""
+
+    def extend(i: int, masks: tuple[int, ...]):
+        if i == n:
+            if all(masks):
+                yield masks
+            return
+        yield from extend(i + 1, masks)
+        bit = 1 << i
+        for s in range(k):
+            if s == 1 and not masks[0]:
+                continue
+            yield from extend(i + 1, masks[:s] + (masks[s] | bit,) + masks[s + 1:])
+
+    return extend(0, (0,) * k)
 
 
 def _consistent_ratio(counts) -> Optional[Fraction]:
@@ -468,18 +442,16 @@ def _consistent_ratio(counts) -> Optional[Fraction]:
     to 1 (any value would do).  Accepts a lazy iterable and stops at the
     first contradiction.
     """
-    r: Optional[Fraction] = None
+    r_num, r_den = 1, 0  # r = r_num / r_den once a pair with den != 0 fixed it
     for num, den in counts:
         if den == 0:
             if num != 0:
                 return None
-            continue
-        candidate = Fraction(num, den)
-        if r is None:
-            r = candidate
-        elif r != candidate:
+        elif r_den == 0:
+            r_num, r_den = num, den
+        elif num * r_den != r_num * den:
             return None
-    return Fraction(1) if r is None else r
+    return Fraction(r_num, r_den) if r_den else Fraction(1)
 
 
 def find_certificates_exhaustive(
@@ -519,36 +491,24 @@ def find_certificates_exhaustive(
                 results.append(unit_pair_certificate(h, u, v))
         return results
 
-    if kind == THREE_SET_RELATION:
-        # 4-way assignment, all three sets non-empty
-        for assign in itertools.product((0, 1, 2, 3), repeat=len(ground)):
-            first = next((a for a in assign if a in (1, 2)), 0)
-            if first != 1 or 2 not in assign or 3 not in assign:
-                continue
-            u, v, w = (sum(1 << i for i, a in enumerate(assign) if a == s) for s in (1, 2, 3))
-            r = _consistent_ratio(
-                ((row & u).bit_count() - (row & v).bit_count(), (row & w).bit_count())
-                for row in rows
-            )
-            if r is not None:
-                u_set, v_set, w_set = ([ground[i] for i in bit_indices(m)] for m in (u, v, w))
-                results.append(three_set_certificate(h, u_set, v_set, w_set, r))
-        return results
-
-    for u_idx, v_idx in _pair_assignments(len(ground)):
-        u, v = sum(1 << i for i in u_idx), sum(1 << i for i in v_idx)
-        counts = (((row & u).bit_count(), (row & v).bit_count()) for row in rows)
-        if kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION):
-            r = Fraction(1) if all(cu == cv for cu, cv in counts) else None
-        else:
-            r = _consistent_ratio(counts)
-        if r is None:
+    # pairs test |row & U| = r * |row & V|; the three-set kind tests
+    # |row & U| - |row & V| = r * |row & W|; an equal kind needs r = 1
+    k = 3 if kind == THREE_SET_RELATION else 2
+    for masks in _disjoint_families(len(ground), k):
+        plus, minus, scaled = masks if k == 3 else (masks[0], 0, masks[1])
+        r = _consistent_ratio(
+            ((row & plus).bit_count() - (row & minus).bit_count(), (row & scaled).bit_count())
+            for row in rows
+        )
+        if r is None or (r != 1 and kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION)):
             continue
-        u_set, v_set = [ground[i] for i in u_idx], [ground[i] for i in v_idx]
-        if kind == EQUAL_EDGE_PARTITION:
-            results.append(equal_partition_certificate(h, u_set, v_set))
+        sets = [[ground[i] for i in bit_indices(m)] for m in masks]
+        if kind == THREE_SET_RELATION:
+            results.append(three_set_certificate(h, *sets, r))
+        elif kind == EQUAL_EDGE_PARTITION:
+            results.append(equal_partition_certificate(h, *sets))
         elif kind == RATIO_EDGE_PARTITION:
-            results.append(ratio_partition_certificate(h, u_set, v_set, r))
+            results.append(ratio_partition_certificate(h, *sets, r))
         else:
-            results.append(dual_side_certificate(h, u_set, v_set, r))
+            results.append(dual_side_certificate(h, *sets, r))
     return results

@@ -75,11 +75,15 @@ def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequenc
         missing = [name for name in h.edge_labels if name not in weights]
         if missing:
             raise InvalidParameters(f"missing weights for edges {missing}")
-        values = tuple(Fraction(weights[name]) for name in h.edge_labels)
+        raw = [weights[name] for name in h.edge_labels]
     else:
         if len(weights) != h.n_edges:
             raise InvalidParameters("weight sequence length does not match edge count")
-        values = tuple(Fraction(x) for x in weights)
+        raw = list(weights)
+    try:
+        values = tuple(Fraction(x) for x in raw)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidParameters(f"weights must be finite rationals: {exc}") from None
     return EdgeWeighting(CUSTOM_WEIGHTING, values)
 
 

@@ -1,10 +1,20 @@
-"""End-to-end CLI tests, run through the installed entry point."""
+"""End-to-end CLI tests, run as `python -m hyperinc` child processes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import hyperinc
+
+# the child process imports the same hyperinc as this one, installed or not
+SRC = str(Path(hyperinc.__file__).resolve().parents[1])
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+)
 
 UNIT_EXAMPLE_FILE = """\
 vertices: 1 2 3 4 5 6 7 8 9 10 11
@@ -37,6 +47,7 @@ def run_cli(*args, stdin=None):
         capture_output=True,
         text=True,
         input=stdin,
+        env=CHILD_ENV,
     )
 
 
@@ -236,6 +247,46 @@ class TestVerify:
         proc = run_cli("verify", equal_file, "--certificate", "-", "--json", stdin=payload)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"] == "EmptySubset"
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            {"kind": "equal_edge_partition", "sets": {"U": ["1", "1"], "V": ["2"]}},
+            {"kind": "equal_vertex_partition", "sets": {"E": ["e1", "e1"], "F": ["e2"]}},
+        ],
+    )
+    def test_repeated_label_exit_two(self, tmp_path, sets):
+        path = tmp_path / "two.hg"
+        path.write_text("e1: 1 2 3\ne2: 1 2\n")
+        proc = run_cli("verify", str(path), "--certificate", "-", "--json", stdin=json.dumps(sets))
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "OverlappingSets"
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "equal_edge_partition", "sets": {"U": "15", "V": ["2", "3", "4"]}},
+            {"kind": "general_combination", "parts": [{"coefficient": "1"}]},
+            {"kind": "general_combination", "parts": [[["1"]]]},
+            {"kind": "equal_edge_partition", "sets": ["U"]},
+            {"kind": "root_of_unity_cycle", "order": "x", "power": 1},
+        ],
+    )
+    def test_malformed_certificate_exit_two(self, equal_file, payload):
+        proc = run_cli(
+            "verify", equal_file, "--certificate", "-", "--json", stdin=json.dumps(payload)
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "ParseError"
+        assert "Traceback" not in proc.stderr
+
+    def test_malformed_hypergraph_json_exit_two(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": "abc", "edges": {"e1": ["a"]}}))
+        proc = run_cli("rank", str(path), "--json")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "ParseError"
 
     def test_certificate_from_stdin(self, equal_file):
         payload = json.dumps(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hyperinc import (
+    custom_weighting,
     equal_partition_certificate,
     general_combination_certificate,
     root_of_unity_certificate,
@@ -12,7 +13,7 @@ from hyperinc import (
     unit_pair_certificate,
     verify_certificate,
 )
-from hyperinc.errors import BadWeightFile, ParseError
+from hyperinc.errors import BadWeightFile, InvalidParameters, ParseError
 from hyperinc.formats import (
     certificate_from_json,
     certificate_to_json,
@@ -101,6 +102,22 @@ class TestJsonFormat:
         with pytest.raises(ParseError):
             parse_hypergraph_json('{"vertices": ["1"]}')
 
+    def test_vertices_string_rejected(self):
+        # a string is not read as the list of its characters
+        with pytest.raises(ParseError, match="vertices"):
+            parse_hypergraph_json('{"vertices": "abc", "edges": {"e1": ["a"]}}')
+
+    def test_nested_edge_member_rejected(self):
+        # ["a"] is not stringified into the label "['a']"
+        with pytest.raises(ParseError, match="e1"):
+            parse_hypergraph_json('{"vertices": ["a"], "edges": {"e1": [["a"]]}}')
+        with pytest.raises(ParseError, match="e2"):
+            parse_hypergraph_json('{"edges": {"e1": ["a"], "e2": "ab"}}')
+
+    def test_integer_labels_accepted(self):
+        h = parse_hypergraph_json('{"vertices": [1, 2, "x"], "edges": {"e1": [1, "x"]}}')
+        assert h.vertices == ("1", "2", "x") and h.edges == (frozenset({"1", "x"}),)
+
 
 class TestCertificateJson:
     def round_trip(self, h, cert):
@@ -148,6 +165,55 @@ class TestCertificateJson:
         with pytest.raises(ParseError):
             certificate_from_json(unit_example, {"kind": "nonsense"})
 
+    def test_set_given_as_string_rejected(self, unit_example):
+        # "12" is not read as the set {1, 2}
+        data = {"kind": "equal_edge_partition", "sets": {"U": "12", "V": ["3"]}}
+        with pytest.raises(ParseError, match="'U'"):
+            certificate_from_json(unit_example, data)
+
+    def test_part_without_set_rejected(self, unit_example):
+        data = {"kind": "general_combination", "parts": [{"coefficient": "1"}]}
+        with pytest.raises(ParseError, match="part 0"):
+            certificate_from_json(unit_example, data)
+
+    def test_one_element_part_rejected(self, unit_example):
+        data = {"kind": "general_combination", "parts": [[["1"], "1"], [["2"]]]}
+        with pytest.raises(ParseError, match="part 1"):
+            certificate_from_json(unit_example, data)
+
+    def test_sets_as_array_rejected(self, unit_example):
+        data = {"kind": "equal_edge_partition", "sets": ["U"]}
+        with pytest.raises(ParseError, match="'sets'"):
+            certificate_from_json(unit_example, data)
+
+    def test_non_integer_order_rejected(self, unit_example):
+        for order in ("x", 2.5, None, True):
+            data = {"kind": "root_of_unity_cycle", "order": order, "power": 1}
+            with pytest.raises(ParseError, match="order"):
+                certificate_from_json(uniform_cycle(8, 4), data)
+
+    def test_accepted_part_shapes(self, unit_example):
+        pairs = [[["1", "10"], "-2/3"], [["11"], 1]]
+        objects = [{"set": members, "coefficient": coeff} for members, coeff in pairs]
+        named = {
+            "sets": {"A": ["1", "10"], "B": ["11"]},
+            "coefficients": {"A": "-2/3", "B": "1"},
+        }
+        expected = general_combination_certificate(
+            unit_example, [(["1", "10"], Fraction(-2, 3)), (["11"], 1)]
+        )
+        for data in ({"parts": pairs}, {"parts": objects}, named):
+            rebuilt = certificate_from_json(unit_example, {"kind": "general_combination", **data})
+            assert rebuilt == expected
+
+    def test_unit_pair_shapes(self, unit_example):
+        expected = unit_pair_certificate(unit_example, "1", "2")
+        for data in ({"u": "1", "v": 2}, {"sets": {"u": ["1"], "v": ["2"]}}):
+            assert certificate_from_json(unit_example, {"kind": "unit_pair", **data}) == expected
+        for data in ({"u": ["1"], "v": "2"}, {"sets": {"u": [], "v": ["2"]}}, {"u": "1"}):
+            with pytest.raises(ParseError):
+                certificate_from_json(unit_example, {"kind": "unit_pair", **data})
+
 
 class TestWeightFiles:
     def test_load(self, tmp_path, unit_example):
@@ -173,3 +239,10 @@ class TestWeightFiles:
         path.write_text(json.dumps({"e1": "1"}))
         with pytest.raises(BadWeightFile):
             load_weighting(unit_example, str(path))
+
+    def test_non_finite_custom_weights_rejected(self, unit_example):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameters):
+                custom_weighting(unit_example, [1, 1, bad, 1, 1])
+            with pytest.raises(InvalidParameters):
+                custom_weighting(unit_example, {f"e{i}": bad for i in range(1, 6)})

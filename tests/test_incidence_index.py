@@ -29,6 +29,7 @@ from hyperinc import (
     three_set_certificate,
     uniform_cycle,
     unit_contraction,
+    unit_pair_certificate,
     vertex_edge_incidence,
     weighted_adjacency,
 )
@@ -241,13 +242,18 @@ def test_window_length():
 
 
 def test_counting_side():
-    """The mask counts of every linear certificate kind equal the set counts."""
+    """The mask counts of every linear certificate kind equal the set counts;
+    a unit pair holds exactly when the two stars are equal."""
     rng = random.Random(11)
-    verdicts = set()
+    verdicts, unit_pair_verdicts = set(), set()
     for h in INSTANCES:
         for c in random_certificates(rng, h):
             counts = ref_counts(h, c)
-            if c.kind == "general_combination":
+            if c.kind == "unit_pair":
+                (_, (u,)), (_, (v,)) = c.sets
+                expected = ref_star(h, u) == ref_star(h, v)
+                unit_pair_verdicts.add(expected)
+            elif c.kind == "general_combination":
                 expected = all(
                     sum(a * n for a, n in zip(c.coefficients, row)) == 0 for row in counts
                 )
@@ -259,7 +265,7 @@ def test_counting_side():
                 expected = all(ce == c.ratio * cf for ce, cf in counts)
             assert _combinatorial_side(h, c) == expected
             verdicts.add(expected)
-    assert verdicts == {True, False}
+    assert verdicts == unit_pair_verdicts == {True, False}
 
 
 def random_certificates(rng, h):
@@ -278,6 +284,12 @@ def random_certificates(rng, h):
         rng.shuffle(names)
         cut = rng.randint(1, len(names) - 1)
         yield dual_side_certificate(h, names[:cut], names[cut:], ratio)
+    if h.n_vertices >= 2:
+        # often two members of one unit, so that equal stars come up
+        unit = rng.choice(compute_units(h).units).members
+        pool = unit if len(unit) >= 2 and rng.random() < 0.5 else h.vertices
+        u, v = rng.sample(pool, 2)
+        yield unit_pair_certificate(h, u, v)
 
 
 def test_duplicate_edge_names_its_position():

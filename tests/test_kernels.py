@@ -39,6 +39,7 @@ from hyperinc.kernels import (
     RATIO_VERTEX_PARTITION,
     THREE_SET_RELATION,
     UNIT_PAIR,
+    KernelCertificate,
 )
 from conftest import random_instance
 
@@ -97,6 +98,17 @@ class TestEqualPartition:
     def test_overlap_rejected(self, equal_partition_example):
         with pytest.raises(OverlappingSets):
             equal_partition_certificate(equal_partition_example, ["1", "2"], ["2", "3"])
+
+    def test_repeated_label_rejected(self):
+        # unchecked, the counting side would see "1" once and the vector twice
+        h = build_hypergraph(["1", "2", "3"], [["1", "2", "3"], ["1", "2"]])
+        with pytest.raises(OverlappingSets, match="'1'"):
+            equal_partition_certificate(h, ["1", "1"], ["2"])
+        built = KernelCertificate(
+            EQUAL_EDGE_PARTITION, "B", (("U", ("1", "1")), ("V", ("2",))), (1, -1)
+        )
+        with pytest.raises(OverlappingSets, match="'1'"):
+            verify_certificate(h, built)
 
 
 class TestRatioPartition:
@@ -241,6 +253,11 @@ class TestDualSide:
         cert = dual_side_certificate(k4_graph, ["e1"], ["e2"], 1)
         assert not verify_certificate(k4_graph, cert).valid
 
+    def test_repeated_edge_rejected(self):
+        h = build_hypergraph(["1", "2", "3"], [["1", "2", "3"], ["1", "2"]])
+        with pytest.raises(OverlappingSets, match="'e1'"):
+            dual_side_certificate(h, ["e1", "e1"], ["e2"], 1)
+
 
 class TestSWSubspace:
     def test_unit_of_size_three(self, unit_example):
@@ -264,6 +281,10 @@ class TestSWSubspace:
     def test_too_small(self, unit_example):
         with pytest.raises(SubsetTooSmall):
             sw_subspace(unit_example, ["5"])
+
+    def test_repeated_label_rejected(self, unit_example):
+        with pytest.raises(OverlappingSets, match="'5'"):
+            sw_subspace(unit_example, ["5", "5"])
 
     def test_basis_shape(self, unit_example):
         report = sw_subspace(unit_example, ["8", "9"])
