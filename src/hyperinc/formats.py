@@ -17,8 +17,8 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadWeightFile, ParseError
-from .hypergraph import Hypergraph, build_hypergraph, canonical_labels
+from .errors import BadWeightFile, InvalidParameters, ParseError
+from .hypergraph import Hypergraph, build_hypergraph
 from .kernels import (
     GENERAL_COMBINATION,
     ROOT_OF_UNITY_CYCLE,
@@ -136,8 +136,8 @@ def load_hypergraph(path: str) -> Hypergraph:
 
 def serialize_hypergraph_text(h: Hypergraph) -> str:
     lines = ["vertices: " + " ".join(h.vertices)]
-    for name, e in zip(h.edge_labels, h.edges):
-        lines.append(f"{name}: " + " ".join(canonical_labels(e)))
+    for name, mask in zip(h.edge_labels, h.edge_masks):
+        lines.append(f"{name}: " + " ".join(h.mask_labels(mask)))
     return "\n".join(lines) + "\n"
 
 
@@ -145,7 +145,7 @@ def serialize_hypergraph_json(h: Hypergraph) -> str:
     data = {
         "vertices": list(h.vertices),
         "edges": {
-            name: list(canonical_labels(e)) for name, e in zip(h.edge_labels, h.edges)
+            name: h.mask_labels(mask) for name, mask in zip(h.edge_labels, h.edge_masks)
         },
     }
     return json.dumps(data, indent=2) + "\n"
@@ -252,7 +252,8 @@ def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:
 
 
 def load_weighting(h: Hypergraph, path: str) -> EdgeWeighting:
-    """JSON mapping edge name -> positive fraction string (or number)."""
+    """JSON mapping edge name -> positive fraction string (or integer); only the
+    file rules (an object, no floats, no booleans) are checked here."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -260,20 +261,12 @@ def load_weighting(h: Hypergraph, path: str) -> EdgeWeighting:
             raise BadWeightFile(f"bad JSON: {exc}") from None
     if not isinstance(data, dict):
         raise BadWeightFile("weight file must be a JSON object of edge -> weight")
-    weights = {}
     for name, value in data.items():
-        if isinstance(value, float):
+        if isinstance(value, (float, bool)):
             raise BadWeightFile(
-                f"weight for {name!r} is a float; use an exact fraction string"
+                f"weight for {name!r} is a {type(value).__name__}; use an exact fraction string"
             )
-        try:
-            w = Fraction(str(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadWeightFile(f"bad weight for {name!r}: {exc}") from None
-        if w <= 0:
-            raise BadWeightFile(f"weight for {name!r} must be positive")
-        weights[name] = w
     try:
-        return custom_weighting(h, weights)
-    except Exception as exc:
+        return custom_weighting(h, data)
+    except InvalidParameters as exc:
         raise BadWeightFile(str(exc)) from None

@@ -3,14 +3,14 @@
 A hypergraph is a non-empty vertex set together with a list of hyperedges,
 each a non-empty subset of the vertices.  Edge collections have set
 semantics: two edges that are equal as sets are the same edge, and feeding
-duplicates to the constructor is an error.  Vertex labels are opaque strings;
-they are kept in a canonical order (numeric labels sort numerically, others
-lexicographically) so that matrix rows and columns are reproducible.
+duplicates to the constructor is an error.  Labels are opaque strings the text
+form can carry (``_check_labels``); vertices are kept in a canonical order
+(numeric labels sort numerically, others lexicographically) so that matrix
+rows and columns are reproducible.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -30,7 +30,6 @@ from .errors import (
 )
 
 DEFAULT_ISO_BOUND = 12
-ISO_BOUND_ENV_VAR = "HYPERINC_ISO_BOUND"
 
 
 def label_sort_key(label: str):
@@ -42,6 +41,16 @@ def label_sort_key(label: str):
 
 def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted((str(x) for x in labels), key=label_sort_key))
+
+
+def _check_labels(labels: Iterable[str], what: str) -> None:
+    """One rule for vertex and edge labels, so that the text form carries them
+    (its parser splits on ``str.isspace`` whitespace, '#' and ':')."""
+    for x in labels:
+        if not x or x == "vertices" or any(c.isspace() or c in "#:" for c in x):
+            raise InvalidParameters(
+                f"{what} label {x!r} is empty, contains whitespace, '#' or ':', or is 'vertices'"
+            )
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -121,16 +130,14 @@ class UnitPartition:
 class Hypergraph:
     """Immutable hypergraph with canonically ordered vertices and named edges.
 
-    The incidence relation is indexed once, at construction, as two tuples of
+    The incidence relation is stored once, at construction, as two tuples of
     Python ints used as bitmasks: ``edge_masks[i]`` has bit j set when the
     j-th canonical vertex lies in edge i, and ``star_masks[j]`` has bit i set
-    when edge i contains vertex j.  Stars, units, the dual, intersection
-    counts and both incidence matrices are read off these masks.
+    when edge i contains vertex j.  Everything else, ``edges`` included, is
+    read off these masks.
     """
 
-    __slots__ = (
-        "vertices", "edges", "edge_labels", "edge_masks", "star_masks", "_vindex", "_eindex"
-    )
+    __slots__ = ("vertices", "edge_labels", "edge_masks", "star_masks", "_vindex", "_eindex")
 
     def __init__(
         self,
@@ -143,10 +150,11 @@ class Hypergraph:
             raise EmptyVertexSet("a hypergraph needs at least one vertex")
         if len(set(vlist)) != len(vlist):
             raise InvalidParameters("duplicate vertex labels")
+        _check_labels(vlist, "vertex")
         self.vertices: tuple[str, ...] = canonical_labels(vlist)
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
 
-        edge_sets, edge_masks = [], []
+        edge_masks = []
         seen: set[int] = set()
         star_masks = [0] * len(self.vertices)
         for pos, e in enumerate(edges):
@@ -166,20 +174,19 @@ class Hypergraph:
             if mask in seen:
                 raise DuplicateEdge(f"edge at position {pos} repeats an earlier edge")
             seen.add(mask)
-            edge_sets.append(members)
             edge_masks.append(mask)
-        self.edges: tuple[frozenset[str], ...] = tuple(edge_sets)
         self.edge_masks: tuple[int, ...] = tuple(edge_masks)
         self.star_masks: tuple[int, ...] = tuple(star_masks)
 
         if edge_labels is None:
-            edge_labels = [f"e{i + 1}" for i in range(len(edge_sets))]
+            edge_labels = [f"e{i + 1}" for i in range(len(edge_masks))]
         else:
             edge_labels = [str(x) for x in edge_labels]
-            if len(edge_labels) != len(edge_sets):
+            if len(edge_labels) != len(edge_masks):
                 raise InvalidParameters("edge_labels length does not match edges")
             if len(set(edge_labels)) != len(edge_labels):
                 raise InvalidParameters("duplicate edge labels")
+            _check_labels(edge_labels, "edge")
         self.edge_labels: tuple[str, ...] = tuple(edge_labels)
         self._eindex = {name: i for i, name in enumerate(self.edge_labels)}
 
@@ -191,7 +198,16 @@ class Hypergraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_masks)
+
+    @property
+    def edges(self) -> tuple[frozenset[str], ...]:
+        """Each edge as a frozenset of vertex labels, derived from the masks."""
+        return tuple(frozenset(self.mask_labels(m)) for m in self.edge_masks)
+
+    def mask_labels(self, mask: int) -> list[str]:
+        """The labels of the vertices whose bits are set in ``mask``, in canonical order."""
+        return [self.vertices[j] for j in bit_indices(mask)]
 
     def vertex_index(self, v: str) -> int:
         try:
@@ -205,18 +221,15 @@ class Hypergraph:
         except KeyError:
             raise UnknownEdge(f"unknown edge {name!r}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return str(v) in self._vindex
-
     def edge_size_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(len(e) for e in self.edges))
+        return tuple(sorted(m.bit_count() for m in self.edge_masks))
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
         return (
             self.vertices == other.vertices
-            and self.edges == other.edges
+            and self.edge_masks == other.edge_masks
             and self.edge_labels == other.edge_labels
         )
 
@@ -268,27 +281,28 @@ def induced_subhypergraph(
 ) -> tuple[Hypergraph, dict[int, int]]:
     """Sub-hypergraph induced by the vertex set ``u``.
 
-    Edges are the non-empty traces e & u, deduplicated (set semantics).  Also
-    returns the surjective map from original edge index to induced edge index
-    for every original edge with a non-empty trace.
+    Edges are the non-empty traces e & u (as masks), deduplicated (set
+    semantics).  Also returns the surjective map from original edge index to
+    induced edge index for every original edge with a non-empty trace.
     """
     uset = frozenset(str(x) for x in u)
     if not uset:
         raise EmptySubset("inducing vertex set is empty")
+    umask = 0
     for v in uset:
-        h.vertex_index(v)
+        umask |= 1 << h.vertex_index(v)
 
-    traces: list[frozenset[str]] = []
+    traces: list[list[str]] = []
     labels: list[str] = []
-    where: dict[frozenset[str], int] = {}
+    where: dict[int, int] = {}
     edge_map: dict[int, int] = {}
-    for i, e in enumerate(h.edges):
-        t = e & uset
+    for i, e in enumerate(h.edge_masks):
+        t = e & umask
         if not t:
             continue
         if t not in where:
             where[t] = len(traces)
-            traces.append(t)
+            traces.append(h.mask_labels(t))
             labels.append(h.edge_labels[i])
         edge_map[i] = where[t]
     return Hypergraph(uset, traces, labels), edge_map
@@ -330,15 +344,24 @@ def unit_contraction(
     """Contract every unit to a single vertex.
 
     The contracted vertex for a unit is labelled by joining its members with
-    '+'.  An edge meeting a unit contains all of it (its members share one
-    star), so distinct edges keep distinct images and every edge keeps its
-    label.  Returns the contracted hypergraph, the vertex map, and the
-    original-edge -> contracted-edge map, which is the identity on indices.
+    '+'; a joined label already taken by a singleton unit or an earlier unit
+    gets "'" appended until it is free.  An edge meeting a unit contains all
+    of it (its members share one star), so distinct edges keep distinct images
+    and every edge keeps its label.  Returns the contracted hypergraph, the
+    vertex map, and the original-edge -> contracted-edge map, which is the
+    identity on indices.
     """
     partition = compute_units(h)
-    unit_label = ["+".join(unit.members) for unit in partition.units]
+    used = {unit.members[0] for unit in partition.units if len(unit.members) == 1}
+    unit_label = []
+    for unit in partition.units:
+        label = "+".join(unit.members)
+        while len(unit.members) > 1 and label in used:
+            label += "'"
+        used.add(label)
+        unit_label.append(label)
     vertex_map = {v: unit_label[partition.vertex_to_unit[v]] for v in h.vertices}
-    images = [{vertex_map[v] for v in e} for e in h.edges]
+    images = [{vertex_map[v] for v in h.mask_labels(m)} for m in h.edge_masks]
     edge_map = {i: i for i in range(h.n_edges)}
     return Hypergraph(unit_label, images, h.edge_labels), vertex_map, edge_map
 
@@ -366,22 +389,10 @@ def dual(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
     return Hypergraph(h.edge_labels, stars, labels), vertex_map
 
 
-def _iso_bound(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(ISO_BOUND_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameters(f"{ISO_BOUND_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_ISO_BOUND
-
-
 def _incident_size_profile(h: Hypergraph) -> dict[str, tuple[int, ...]]:
     """Per vertex, the sorted sizes of the edges containing it."""
     return {
-        v: tuple(sorted(len(h.edges[i]) for i in bit_indices(s)))
+        v: tuple(sorted(h.edge_masks[i].bit_count() for i in bit_indices(s)))
         for v, s in zip(h.vertices, h.star_masks)
     }
 
@@ -392,11 +403,11 @@ def are_isomorphic(
     """Search for a vertex bijection carrying E(h1) exactly onto E(h2).
 
     Backtracking over vertices with incident-edge-size-profile pruning; meant
-    for desk-scale instances, so anything above the vertex bound (default 12,
-    or the HYPERINC_ISO_BOUND environment variable) is rejected.  Returns a
-    witnessing mapping, or None when no isomorphism exists.
+    for desk-scale instances, so anything above ``max_vertices`` (default
+    ``DEFAULT_ISO_BOUND``) is rejected.  Returns a witnessing mapping, or None
+    when no isomorphism exists.
     """
-    bound = _iso_bound(max_vertices)
+    bound = DEFAULT_ISO_BOUND if max_vertices is None else max_vertices
     if h1.n_vertices > bound or h2.n_vertices > bound:
         raise InstanceTooLarge(
             f"isomorphism search limited to {bound} vertices "
@@ -411,7 +422,7 @@ def are_isomorphic(
     if sorted(prof1.values()) != sorted(prof2.values()):
         return None
 
-    edge_set2 = set(h2.edges)
+    edges1, edge_set2 = h1.edges, set(h2.edges)
     candidates = {
         u: [v for v in h2.vertices if prof2[v] == prof1[u]] for u in h1.vertices
     }
@@ -420,7 +431,7 @@ def are_isomorphic(
     # so each edge is checked exactly once, as soon as it is fully mapped
     rank_of = {u: i for i, u in enumerate(order)}
     edges_closing_at: list[list[frozenset[str]]] = [[] for _ in order]
-    for e in h1.edges:
+    for e in edges1:
         edges_closing_at[max(rank_of[u] for u in e)].append(e)
 
     mapping: dict[str, str] = {}

@@ -25,9 +25,11 @@ ORACLE_PRIME_POOL = (
     1048627, 1048633, 1048661, 1048681, 1048703,
 )
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class RationalMatrix:
-    """Dense labelled matrix with ``Fraction`` entries."""
+    """Dense labelled matrix with exact rational entries (``int`` or ``Fraction``)."""
 
     __slots__ = ("entries", "row_labels", "col_labels")
 
@@ -37,8 +39,11 @@ class RationalMatrix:
         row_labels: Sequence[str],
         col_labels: Sequence[str],
     ):
-        # Fractions are immutable, so given ones are shared rather than copied
-        rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in entries]
+        # ints and Fractions are immutable, so given ones are kept; others are converted
+        rows = [
+            [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+            for row in entries
+        ]
         cols = len(col_labels)
         if any(len(row) != cols for row in rows):
             raise DimensionMismatch("row length does not match column label count")
@@ -46,7 +51,7 @@ class RationalMatrix:
             raise DimensionMismatch("entry rows do not match row label count")
         if len(set(row_labels)) != len(row_labels) or len(set(col_labels)) != len(col_labels):
             raise InvalidParameters("matrix labels must be unique")
-        self.entries: list[list[Fraction]] = rows
+        self.entries: list[list[int | Fraction]] = rows
         self.row_labels: tuple[str, ...] = tuple(str(x) for x in row_labels)
         self.col_labels: tuple[str, ...] = tuple(str(x) for x in col_labels)
 
@@ -111,14 +116,11 @@ class NullspaceBasis:
         return len(self.vectors)
 
 
-def _mask_rows(masks: Sequence[int], width: int) -> list[list[Fraction]]:
-    """0/1 rows of ``width`` entries; entry j of a row is bit j of its mask."""
-    one, zero = Fraction(1), Fraction(0)
-    # a sentinel bit at ``width`` fixes the digit count: "0b1" then the row, reversed
-    return [
-        [one if bit == "1" else zero for bit in bin(mask | 1 << width)[:2:-1]]
-        for mask in masks
-    ]
+def _mask_rows(masks: Sequence[int], width: int) -> list[list[int]]:
+    """0/1 int rows of ``width`` entries; entry j of a row is bit j of its mask."""
+    # a sentinel bit at ``width`` fixes the digit count: "0b1" then the row, reversed;
+    # the digits are translated to the bytes 0 and 1, and a list of bytes is a list of ints
+    return [list(bin(mask | 1 << width)[:2:-1].encode().translate(_BIT_BYTES)) for mask in masks]
 
 
 def edge_vertex_incidence(h: Hypergraph) -> RationalMatrix:
@@ -273,25 +275,22 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
 
     ``x`` may be a ``VertexVector`` or a plain mapping; its support must be
     covered by the column labels.  Entries may be rational or cyclotomic; the
-    result lives in whichever scalar domain the inputs span.
+    result lives in whichever scalar domain the inputs span.  Each row is read
+    only at the vector's non-zero support, in column order.
     """
     entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
-    col_set = set(m.col_labels)
-    outside = [k for k, v in entries.items() if v != 0 and k not in col_set]
+    col_index = {c: j for j, c in enumerate(m.col_labels)}
+    outside = [k for k, v in entries.items() if v != 0 and k not in col_index]
     if outside:
         raise DimensionMismatch(f"vector support outside matrix columns: {sorted(outside)}")
+    support = sorted((col_index[k], v) for k, v in entries.items() if v != 0)
     result: dict[str, object] = {}
-    for i, rlabel in enumerate(m.row_labels):
-        row = m.entries[i]
+    for rlabel, row in zip(m.row_labels, m.entries):
         total = Fraction(0)
-        for j, clabel in enumerate(m.col_labels):
+        for j, val in support:
             coeff = row[j]
-            if coeff == 0:
-                continue
-            val = entries.get(clabel, 0)
-            if val == 0:
-                continue
-            total = total + coeff * val if coeff != 1 else total + val
+            if coeff:
+                total = total + val if coeff == 1 else total + coeff * val
         result[rlabel] = total
     return result
 

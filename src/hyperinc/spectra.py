@@ -54,27 +54,27 @@ class EdgeWeighting:
 
 def unit_weighting(h: Hypergraph) -> EdgeWeighting:
     """w(e) = 1 for every edge."""
-    return EdgeWeighting(UNIT_WEIGHTING, tuple(Fraction(1) for _ in h.edges))
+    return EdgeWeighting(UNIT_WEIGHTING, (Fraction(1),) * h.n_edges)
 
 
 def banerjee_weighting(h: Hypergraph) -> EdgeWeighting:
     """w(e) = 1/(|e| - 1); needs every edge to have at least two vertices."""
-    for i, e in enumerate(h.edges):
-        if len(e) < 2:
-            raise SingletonEdgeWithBanerjeeWeight(
-                f"edge {h.edge_labels[i]!r} has a single vertex"
-            )
-    return EdgeWeighting(
-        BANERJEE_WEIGHTING, tuple(Fraction(1, len(e) - 1) for e in h.edges)
-    )
+    sizes = [m.bit_count() for m in h.edge_masks]
+    for name, size in zip(h.edge_labels, sizes):
+        if size < 2:
+            raise SingletonEdgeWithBanerjeeWeight(f"edge {name!r} has a single vertex")
+    return EdgeWeighting(BANERJEE_WEIGHTING, tuple(Fraction(1, size - 1) for size in sizes))
 
 
 def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequence[object]]) -> EdgeWeighting:
     """Explicit weights, either per edge name or as a sequence in edge order."""
     if isinstance(weights, Mapping):
         missing = [name for name in h.edge_labels if name not in weights]
-        if missing:
-            raise InvalidParameters(f"missing weights for edges {missing}")
+        unknown = sorted(weights.keys() - h.edge_labels, key=str)
+        if missing or unknown:
+            raise InvalidParameters(
+                f"missing weights for edges {missing}, weights for unknown edges {unknown}"
+            )
         raw = [weights[name] for name in h.edge_labels]
     else:
         if len(weights) != h.n_edges:
@@ -158,15 +158,11 @@ def _eigenpair_for_class(
             if u != v and -column_inner_product(h, u, v, w) != eigenvalue:
                 raise ArithmeticError("eigenvalue is not well-defined on the class")
     vectors = tuple(_pair_difference(m, base) for m in members[1:])
-    verified = True
-    for x in vectors:
-        product = matvec(adjacency, x)
-        for label in adjacency.row_labels:
-            if product.get(label, 0) != eigenvalue * x.value(label):
-                verified = False
-                break
-        if not verified:
-            break
+    verified = all(
+        value == eigenvalue * x.value(label)
+        for x in vectors
+        for label, value in matvec(adjacency, x).items()
+    )
     if span_dimension(vectors) != len(members) - 1:
         raise ArithmeticError("eigenvectors are not linearly independent")
     return PredictedEigenpair(

@@ -1,11 +1,20 @@
 """Shared example hypergraphs used across the test modules."""
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import hyperinc
 from hyperinc import build_hypergraph
 from hyperinc.generators import random_hypergraph
+
+# a child process imports the same hyperinc as this one, installed or not
+SRC = str(Path(hyperinc.__file__).resolve().parents[1])
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+)
 
 
 def random_instance(rng, max_vertices=10, max_edges=8):

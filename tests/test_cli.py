@@ -1,20 +1,12 @@
 """End-to-end CLI tests, run as `python -m hyperinc` child processes."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hyperinc
-
-# the child process imports the same hyperinc as this one, installed or not
-SRC = str(Path(hyperinc.__file__).resolve().parents[1])
-CHILD_ENV = dict(
-    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-)
+from conftest import CHILD_ENV
 
 UNIT_EXAMPLE_FILE = """\
 vertices: 1 2 3 4 5 6 7 8 9 10 11
@@ -181,6 +173,21 @@ class TestUnitsContract:
         assert report["contraction_nullity"] == "1"
         assert report["units_deficiency"] == "5"
         assert report["failures"] == []
+
+    def test_contract_joined_label_collision(self, tmp_path):
+        # the unit {1, 2} joins to "1+2", the label of the singleton unit {1+2}
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps({"vertices": ["1", "2", "1+2"], "edges": {"e1": ["1", "2"], "e2": ["1+2"]}}))
+        out = tmp_path / "contracted.hg"
+        proc = run_cli("contract", str(path), "--json", "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["failures"] == []
+        assert report["rank"] == report["contraction_rank"] == "2"
+        assert report["nullity"] == "1" and report["contraction_nullity"] == "0"
+        assert report["units"] == "2" and report["units_deficiency"] == "1"
+        assert report["vertex_map"] == {"1": "1+2'", "2": "1+2'", "1+2": "1+2"}
+        assert json.loads(run_cli("rank", str(out), "--json").stdout)["rank"] == "2"
 
     def test_contract_non_contractible_reports_isomorphism(self, tmp_path):
         path = tmp_path / "c63.hg"

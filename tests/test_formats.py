@@ -234,11 +234,27 @@ class TestWeightFiles:
         with pytest.raises(BadWeightFile):
             load_weighting(unit_example, str(path))
 
+    def test_boolean_weight_rejected(self, tmp_path, unit_example):
+        # Fraction(True) is 1, so a boolean would otherwise pass as a weight
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({f"e{i}": True for i in range(1, 6)}))
+        with pytest.raises(BadWeightFile):
+            load_weighting(unit_example, str(path))
+
     def test_missing_edge_rejected(self, tmp_path, unit_example):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"e1": "1"}))
         with pytest.raises(BadWeightFile):
             load_weighting(unit_example, str(path))
+
+    def test_unknown_edge_rejected(self, tmp_path, unit_example):
+        # a weight for an edge the hypergraph lacks is not silently dropped
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({**{f"e{i}": "1" for i in range(1, 6)}, "e9": "-1"}))
+        with pytest.raises(BadWeightFile, match="e9"):
+            load_weighting(unit_example, str(path))
+        with pytest.raises(InvalidParameters):
+            custom_weighting(unit_example, {**{f"e{i}": 1 for i in range(1, 6)}, "e9": 1})
 
     def test_non_finite_custom_weights_rejected(self, unit_example):
         for bad in (float("nan"), float("inf"), float("-inf")):

@@ -49,6 +49,12 @@ class TestBuild:
         assert unit_example.n_edges == 5
         assert unit_example.vertices == tuple(str(i) for i in range(1, 12))
 
+    def test_edges_derived_from_masks(self, unit_example):
+        assert "edges" not in type(unit_example).__slots__
+        assert unit_example.edges[1] == frozenset({"1", "2", "3", "4"})
+        # canonical order: numeric labels sort numerically
+        assert unit_example.mask_labels(unit_example.edge_masks[2]) == ["3", "4", "10"]
+
     def test_minimal_hypergraph(self):
         h = build_hypergraph(["v"], [["v"]])
         assert h.n_vertices == 1 and h.n_edges == 1
@@ -202,6 +208,17 @@ class TestContraction:
         assert images == set(hc.edges)
         assert sorted(edge_map) == [0, 1, 2, 3, 4]
 
+    def test_joined_label_colliding_with_a_vertex_label(self):
+        # the unit {1, 2} joins to "1+2", which the singleton unit {1+2} already holds
+        h = build_hypergraph(["1", "2", "1+2"], [["1", "2"], ["1+2"]])
+        hc, vertex_map, _ = unit_contraction(h)
+        assert vertex_map == {"1": "1+2'", "2": "1+2'", "1+2": "1+2"}
+        assert set(hc.edges) == {frozenset({"1+2'"}), frozenset({"1+2"})}
+        # two joins that collide with each other: {a, b+c} and {a+b, c}
+        h = build_hypergraph(["a", "b+c", "a+b", "c"], [["a", "b+c"], ["a+b", "c"]])
+        _, vertex_map, _ = unit_contraction(h)
+        assert vertex_map == {"a": "a+b+c", "b+c": "a+b+c", "a+b": "a+b+c'", "c": "a+b+c'"}
+
     def test_non_contractible_isomorphic(self):
         h = build_hypergraph(["1", "2", "3"], [["1", "2"], ["2", "3"]])
         hc, _, _ = unit_contraction(h)
@@ -269,10 +286,9 @@ class TestIsomorphism:
         with pytest.raises(InstanceTooLarge):
             are_isomorphic(big, big)
 
-    def test_env_override(self, monkeypatch):
+    def test_explicit_bound_override(self):
         big = uniform_cycle(13, 2)
-        monkeypatch.setenv("HYPERINC_ISO_BOUND", "14")
-        assert are_isomorphic(big, big) is not None
+        assert are_isomorphic(big, big, max_vertices=14) is not None
 
     def test_non_isomorphic_same_profile(self):
         # same degree/size profiles, different structure: C6 vs two triangles

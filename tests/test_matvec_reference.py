@@ -1,0 +1,154 @@
+"""The support-only ``matvec`` checked against the dense one it replaced.
+
+``reference_matvec`` is the earlier dense product, kept verbatim: it scans
+every column of every row by label.  ``linalg.matvec`` reads each row only at
+the vector's non-zero support.  On seeded 0/1 and rational matrices, with
+rational, cyclotomic and mixed vectors (some with explicit zeros), both must
+give the same keys in the same order, equal values and identical ``str()``
+for every entry.  The reference runs on the matrix as it used to be built,
+with every cell a ``Fraction``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hyperinc import VertexVector, edge_vertex_incidence, vertex_edge_incidence
+from hyperinc.cyclotomic import CyclotomicNumber, zeta
+from hyperinc.errors import DimensionMismatch
+from hyperinc.linalg import RationalMatrix, matvec
+
+from conftest import random_instance
+
+
+def reference_matvec(m: RationalMatrix, x) -> dict[str, object]:
+    """Exact matrix-vector product, keyed by row labels.
+
+    ``x`` may be a ``VertexVector`` or a plain mapping; its support must be
+    covered by the column labels.  Entries may be rational or cyclotomic; the
+    result lives in whichever scalar domain the inputs span.
+    """
+    entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
+    col_set = set(m.col_labels)
+    outside = [k for k, v in entries.items() if v != 0 and k not in col_set]
+    if outside:
+        raise DimensionMismatch(f"vector support outside matrix columns: {sorted(outside)}")
+    result: dict[str, object] = {}
+    for i, rlabel in enumerate(m.row_labels):
+        row = m.entries[i]
+        total = Fraction(0)
+        for j, clabel in enumerate(m.col_labels):
+            coeff = row[j]
+            if coeff == 0:
+                continue
+            val = entries.get(clabel, 0)
+            if val == 0:
+                continue
+            total = total + coeff * val if coeff != 1 else total + val
+        result[rlabel] = total
+    return result
+
+
+def as_fraction_matrix(m: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix(
+        [[Fraction(x) for x in row] for row in m.entries], m.row_labels, m.col_labels
+    )
+
+
+def random_rational_matrix(rng):
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    pool = [0, 0, 0, 1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    entries = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+    return RationalMatrix(
+        entries, [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)]
+    )
+
+
+def random_scalar(rng, order):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 2:
+        return zeta(order, rng.randrange(order))
+    return CyclotomicNumber(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)])
+
+
+def random_vector(rng, labels, domain):
+    """A vector over some of ``labels``: rational, cyclotomic or mixed, as a
+    ``VertexVector`` or as a plain mapping that may keep explicit zeros."""
+    order = rng.choice([3, 4, 5, 6, 12])
+    chosen = rng.sample(labels, rng.randint(0, len(labels)))
+    entries = {}
+    for k in chosen:
+        if domain == "rational":
+            entries[k] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        elif domain == "cyclotomic":
+            entries[k] = zeta(order, rng.randrange(order)) * rng.randint(-2, 2)
+        else:
+            entries[k] = random_scalar(rng, order)
+    if rng.random() < 0.5:
+        return VertexVector(entries)
+    for k in rng.sample(labels, rng.randint(0, len(labels))):
+        if rng.random() < 0.3:
+            entries[k] = rng.choice([0, Fraction(0), CyclotomicNumber.zero(order)])
+    if rng.random() < 0.3:
+        entries["not-a-column"] = Fraction(0)  # an explicit zero off the columns is allowed
+    return entries
+
+
+def assert_same_product(m, x):
+    expected = reference_matvec(as_fraction_matrix(m), x)
+    got = matvec(m, x)
+    assert list(got) == list(expected)
+    for k, value in expected.items():
+        assert got[k] == value
+        assert str(got[k]) == str(value)
+        assert type(got[k]) is type(value)
+
+
+def test_agrees_with_dense_reference_on_seeded_cases():
+    rng = random.Random(20261018)
+    cases = 0
+    for _ in range(60):
+        h = random_instance(rng, max_vertices=9, max_edges=8)
+        matrices = [edge_vertex_incidence(h), vertex_edge_incidence(h), random_rational_matrix(rng)]
+        for m in matrices:
+            for domain in ("rational", "cyclotomic", "mixed"):
+                assert_same_product(m, random_vector(rng, list(m.col_labels), domain))
+                cases += 1
+    assert cases >= 200
+
+
+def test_zero_and_empty_vectors():
+    m = random_rational_matrix(random.Random(1))
+    for x in ({}, VertexVector({}), {c: 0 for c in m.col_labels}):
+        assert_same_product(m, x)
+        assert all(type(v) is Fraction and v == 0 for v in matvec(m, x).values())
+
+
+def test_incidence_cells_are_ints():
+    h = random_instance(random.Random(3))
+    for m in (edge_vertex_incidence(h), vertex_edge_incidence(h)):
+        assert all(type(x) is int and x in (0, 1) for row in m.entries for x in row)
+
+
+def test_matrix_keeps_ints_and_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+    m = RationalMatrix([[1, half, "3/4", 2.5, True]], ["r"], list("abcde"))
+    (row,) = m.entries
+    assert row[0] == 1 and type(row[0]) is int
+    assert row[1] is half
+    assert [type(x) for x in row[2:]] == [Fraction] * 3
+    assert row[2:] == [Fraction(3, 4), Fraction(5, 2), Fraction(1)]
+
+
+@pytest.mark.parametrize("x", [{"z": 1}, VertexVector({"a": 1, "z": Fraction(-1, 2)})])
+def test_support_outside_columns_raises(x):
+    m = RationalMatrix([[1, 0], [0, 1]], ["r1", "r2"], ["a", "b"])
+    with pytest.raises(DimensionMismatch):
+        reference_matvec(m, x)
+    with pytest.raises(DimensionMismatch):
+        matvec(m, x)
