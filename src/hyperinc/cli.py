@@ -34,6 +34,7 @@ from .hypergraph import (
 )
 from .kernels import (
     ALL_KINDS,
+    EDGE_SIDE_KINDS,
     find_certificates_exhaustive,
     nullity_decomposition,
     verify_certificate,
@@ -248,10 +249,13 @@ def render_verify(report) -> list[str]:
 def cmd_find(args) -> dict:
     h = load_hypergraph(args.file)
     certs = find_certificates_exhaustive(h, args.kind, args.max_ground)
+    # one kind certifies one side, so one incidence matrix checks every certificate
+    incidence = vertex_edge_incidence if args.kind in EDGE_SIDE_KINDS else edge_vertex_incidence
+    matrix = incidence(h) if certs else None
     failures = []
     serialized = []
     for cert in certs:
-        check = verify_certificate(h, cert)
+        check = verify_certificate(h, cert, matrix=matrix)
         if not check.valid:
             failures.append(f"found certificate failed verification: {cert}")
         serialized.append(certificate_to_json(cert, check))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from typing import Optional, Union
@@ -25,7 +27,8 @@ def random_hypergraph(
     seed: RandomSource = None,
 ) -> Hypergraph:
     """Distinct random hyperedges drawn uniformly among the non-empty vertex
-    subsets of size <= max_size (rejection sampling keeps the draw uniform).
+    subsets of size <= max_size: a size s with weight C(n, s), then a uniform
+    s-subset; a repeated edge is drawn again.
 
     Vertices are labelled "1".."n"; isolated vertices are allowed and simply
     stay uncovered.  Raises when more distinct edges are requested than exist.
@@ -37,7 +40,8 @@ def random_hypergraph(
     max_size = min(max_size, n_vertices)
     if max_size < 1:
         raise InvalidParameters("max edge size must be at least 1")
-    n_subsets = sum(math.comb(n_vertices, s) for s in range(1, max_size + 1))
+    cumulative = list(itertools.accumulate(math.comb(n_vertices, s) for s in range(1, max_size + 1)))
+    n_subsets = cumulative[-1]
     if n_edges > n_subsets:
         raise InvalidParameters(
             f"cannot draw {n_edges} distinct edges from {n_subsets} subsets"
@@ -47,8 +51,10 @@ def random_hypergraph(
     chosen: list[frozenset[str]] = []
     seen: set[frozenset[str]] = set()
     while len(chosen) < n_edges:
-        edge = frozenset(v for v in vertices if rng.random() < 0.5)
-        if not edge or len(edge) > max_size or edge in seen:
+        # integer weights keep the size draw exact
+        size = bisect.bisect_right(cumulative, rng.randrange(n_subsets)) + 1
+        edge = frozenset(rng.sample(vertices, size))
+        if edge in seen:
             continue
         seen.add(edge)
         chosen.append(edge)

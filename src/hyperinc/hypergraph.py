@@ -33,10 +33,22 @@ DEFAULT_ISO_BOUND = 12
 
 
 def label_sort_key(label: str):
-    """Canonical ordering key: decimal labels compare as integers."""
+    """Canonical ordering key: decimal labels first, in the order of their
+    integer values, then the others as strings.
+
+    A decimal label is compared by its digit count without leading zeros,
+    then by its digits, so no length limit of ``int`` applies; equal values
+    fall back to the label itself.
+    """
     if label.isdecimal():
-        return (0, int(label), label)
-    return (1, 0, label)
+        digits = label
+        if not label.isascii():
+            import unicodedata  # here, not at the top: loading it adds ~0.4 MiB to a process
+
+            digits = "".join(str(unicodedata.decimal(c)) for c in label)
+        digits = digits.lstrip("0")
+        return (0, len(digits), digits, label)
+    return (1, 0, "", label)
 
 
 def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:

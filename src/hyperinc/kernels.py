@@ -35,6 +35,8 @@ from .hypergraph import (
     unit_contraction,
 )
 from .linalg import (
+    RationalMatrix,
+    checked_echelon,
     edge_vertex_incidence,
     matvec,
     rank_and_nullspace,
@@ -288,18 +290,22 @@ def _resolve_sets(h: Hypergraph, c: KernelCertificate) -> None:
         _check_sets(h, c.side, c.sets)
 
 
-def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
+def verify_certificate(
+    h: Hypergraph, c: KernelCertificate, *, matrix: Optional[RationalMatrix] = None
+) -> CertificateCheck:
     """Check a certificate against a hypergraph, both ways.
 
     The algebraic side multiplies the induced vector through the certified
-    incidence matrix; the combinatorial side replays the counting condition.
-    For the if-and-only-if kinds the two sides must agree exactly (a mismatch
-    raises).  For root-of-unity certificates the counting premise is only
-    sufficient, so it is required to imply the algebraic side but not
-    conversely.
+    incidence matrix (``matrix``, built from ``h`` when not given, so a caller
+    checking many certificates of one side builds it once); the combinatorial
+    side replays the counting condition.  For the if-and-only-if kinds the two
+    sides must agree exactly (a mismatch raises).  For root-of-unity
+    certificates the counting premise is only sufficient, so it is required to
+    imply the algebraic side but not conversely.
     """
     _resolve_sets(h, c)
-    matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
+    if matrix is None:
+        matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
     vec = c.induced_vector(h)
     residual = matvec(matrix, vec)
     algebraic = all(value == 0 for value in residual.values())
@@ -413,56 +419,179 @@ def extension_theorem_check(h: Hypergraph, u: Iterable[str]) -> bool:
 # -- exhaustive finders ----------------------------------------------------------------
 
 
-def _disjoint_families(n: int, k: int):
-    """Every k-tuple of bitmasks of pairwise disjoint, non-empty subsets of
-    range(n) whose smallest element of S1 | S2 lies in S1 (one orientation
-    per unordered pair), in the lexicographic order of the assignments
-    range(n) -> {0 (unused), 1..k}.  A prefix that puts an element in S2
-    before any in S1 is cut, not completed and discarded."""
+# A finder assigns each ground element a code: 0 (unused) or i + 1 for the
+# i-th set.  As a symbol, code s stands for the coordinate value a + b*r of
+# its pair (a, b); a kernel vector is fixed by its values at the free columns.
+_SIGNED = ((0, 0), (1, 0), (-1, 0))  # unused 0, U = 1, V = -1
+_RATIO = ((0, 0), (1, 0), (0, -1))  # unused 0, U = 1, V = -r
+_THREE_SET = ((0, 0), (1, 0), (-1, 0), (0, -1))  # unused 0, U = 1, V = -1, W = -r
 
-    def extend(i: int, masks: tuple[int, ...]):
-        if i == n:
-            if all(masks):
-                yield masks
+
+def _patterns(echelon, free, symbols):
+    """Every assignment of ``symbols`` to the free columns, with the pivot
+    values it forces: yields (codes, a, b), where codes[i] is the symbol at
+    free[i] and the kernel vector is (a[p] + b[p]*r) / d at the p-th pivot."""
+    pivots, reduced, _ = echelon
+    columns = [[-row[f] for row in reduced[:len(pivots)]] for f in free]
+
+    def walk(i, codes, a_sums, b_sums):
+        if i == len(columns):
+            yield codes, a_sums, b_sums
             return
-        yield from extend(i + 1, masks)
-        bit = 1 << i
-        for s in range(k):
-            if s == 1 and not masks[0]:
-                continue
-            yield from extend(i + 1, masks[:s] + (masks[s] | bit,) + masks[s + 1:])
+        column = columns[i]
+        for s, (a, b) in enumerate(symbols):
+            yield from walk(
+                i + 1,
+                codes + (s,),
+                [x + a * c for x, c in zip(a_sums, column)] if a else a_sums,
+                [x + b * c for x, c in zip(b_sums, column)] if b else b_sums,
+            )
 
-    return extend(0, (0,) * k)
+    return walk(0, (), [0] * len(pivots), [0] * len(pivots))
 
 
-def _consistent_ratio(counts) -> Optional[Fraction]:
-    """The unique r with num = r * den across all count pairs, if any.
+def _masks(echelon, free, free_codes, pivot_codes, n_sets):
+    masks = [0] * (n_sets + 1)
+    for j, s in itertools.chain(zip(free, free_codes), zip(echelon[0], pivot_codes)):
+        masks[s] |= 1 << j
+    return tuple(masks[1:])
 
-    Pairs with den = 0 force num = 0; if no pair determines r it defaults
-    to 1 (any value would do).  Accepts a lazy iterable and stops at the
-    first contradiction.
+
+def _signed_vectors(echelon, free) -> list[tuple[int, int]]:
+    """(plus, minus) masks of every {0, 1, -1} kernel vector with both signs."""
+    d = echelon[2]
+    code = {0: 0, d: 1, -d: 2}
+    out = []
+    for free_codes, a_sums, _ in _patterns(echelon, free, _SIGNED):
+        pivot_codes = [code.get(x) for x in a_sums]
+        if None not in pivot_codes:
+            plus, minus = _masks(echelon, free, free_codes, pivot_codes, 2)
+            if plus and minus:
+                out.append((plus, minus))
+    return out
+
+
+def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:
+    """The r at which the first pivot that pins r takes a symbol's value.
+
+    Pivot p takes symbol (a, b) where (a_p - d*a) + (b_p - d*b) * r = 0.  A
+    pivot that takes one symbol at every r pins nothing; when no pivot pins
+    r, the vector lies in the kernel at every r and the list is empty.
     """
-    r_num, r_den = 1, 0  # r = r_num / r_den once a pair with den != 0 fixed it
-    for num, den in counts:
-        if den == 0:
-            if num != 0:
-                return None
-        elif r_den == 0:
-            r_num, r_den = num, den
-        elif num * r_den != r_num * den:
-            return None
-    return Fraction(r_num, r_den) if r_den else Fraction(1)
+    for x, y in zip(a_sums, b_sums):
+        roots = []
+        for a, b in symbols:
+            k0, k1 = x - d * a, y - d * b
+            if k1:
+                roots.append(Fraction(-k0, k1))
+            elif not k0:
+                break
+        else:
+            return roots
+    return []
+
+
+def _pinned_vectors(echelon, free, symbols, accept):
+    """(masks, r) for every kernel vector whose coordinates all take symbol
+    values at one r that a pivot pins and ``accept`` admits."""
+    d = echelon[2]
+    for free_codes, a_sums, b_sums in _patterns(echelon, free, symbols):
+        for r in _pinned_ratios(a_sums, b_sums, d, symbols):
+            if not accept(r):
+                continue
+            # every value scaled by d * r.denominator, so the test is on integers
+            num, den = r.numerator, r.denominator
+            code = {d * (a * den + b * num): s for s, (a, b) in enumerate(symbols)}
+            pivot_codes = [code.get(x * den + y * num) for x, y in zip(a_sums, b_sums)]
+            if None not in pivot_codes:
+                yield _masks(echelon, free, free_codes, pivot_codes, len(symbols) - 1), r
+
+
+def _submasks(mask: int):
+    """The non-empty submasks of ``mask``."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _leads(u: int, v: int) -> bool:
+    """The smallest element of U | V lies in U (one orientation per pair)."""
+    return bool((u | v) & -(u | v) & u)
+
+
+def _assignment_key(masks: tuple[int, ...], n: int) -> list[int]:
+    """The order of the assignments range(n) -> {0 (unused), 1..k}, element 0
+    most significant."""
+    code = [0] * n
+    for s, mask in enumerate(masks, start=1):
+        for j in bit_indices(mask):
+            code[j] = s
+    return code
+
+
+def _pair_hits(echelon, free, zero, n, ratio: bool):
+    """(U, V) with chi(U) - r*chi(V) in the kernel, U and V non-empty,
+    disjoint and led by U; r = 1 unless ``ratio``.
+
+    r is the ratio the counts fix: |row & U| / |row & V| on a row meeting V,
+    and 1 when no row meets V (then none meets U).  So r = 1 is an equal
+    partition, r = 0 is U inside the zero columns ``zero`` against any V
+    meeting a row, and any other r > 0 is pinned by a pivot.
+    """
+    hits = [((u, v), Fraction(1)) for u, v in _signed_vectors(echelon, free) if _leads(u, v)]
+    if not ratio:
+        return hits
+    full = (1 << n) - 1
+    for u in _submasks(zero):
+        low = u & -u
+        above = full & ~u & ~(2 * low - 1)  # V lies above min(U)
+        hits.extend(((u, v), Fraction(0)) for v in _submasks(above) if v & ~zero)
+    for (u, v), r in _pinned_vectors(echelon, free, _RATIO, lambda r: r > 0 and r != 1):
+        if u and v and _leads(u, v):
+            hits.append(((u, v), r))
+    return hits
+
+
+def _three_set_hits(echelon, free, zero, n):
+    """(U, V, W), all non-empty, disjoint and led by U among U | V, with
+    |row & U| - |row & V| = r * |row & W| on every row.
+
+    r is fixed by a row meeting W, and is 1 when no row meets W.  Where -r
+    coincides with 0, 1 or -1 the sets come from the {0, 1, -1} kernel vectors:
+    W anywhere outside U | V (r = 0, or 1 inside the zero columns), W split off
+    the -1 set (r = 1) or off the +1 set (r = -1).  Any other r is pinned.
+    """
+    full = (1 << n) - 1
+    hits = []
+    for plus, minus in _signed_vectors(echelon, free):
+        if _leads(plus, minus):
+            for w in _submasks(full & ~(plus | minus)):
+                hits.append(((plus, minus, w), Fraction(0) if w & ~zero else Fraction(1)))
+        for w in _submasks(minus):
+            if w != minus and w & ~zero and _leads(plus, minus ^ w):
+                hits.append(((plus, minus ^ w, w), Fraction(1)))
+        for w in _submasks(plus):
+            if w != plus and w & ~zero and _leads(plus ^ w, minus):
+                hits.append(((plus ^ w, minus, w), Fraction(-1)))
+    for (u, v, w), r in _pinned_vectors(echelon, free, _THREE_SET, lambda r: r not in (0, 1, -1)):
+        if u and v and w and _leads(u, v):
+            hits.append(((u, v, w), r))
+    return hits
 
 
 def find_certificates_exhaustive(
     h: Hypergraph, kind: str, max_ground: Optional[int] = None
 ) -> list[KernelCertificate]:
-    """Enumerate every certificate of one kind over all disjoint set families.
+    """Every certificate of one kind, in the order of the set assignments.
 
-    This is an oracle for property tests, not a scalable search: the ground
-    set (vertices for edge-partition kinds, edges for vertex-partition kinds)
-    is capped at 12 elements by default (10 for the three-set kind, whose
-    enumeration is 4-way).  Output order is deterministic.
+    The certificates are kernel vectors of the incidence matrix, so the
+    search enumerates the values at the free columns of one checked echelon
+    form (``checked_echelon``: rank proven by Bareiss, basis re-multiplied):
+    3^nullity candidates (4^nullity for the three-set kind) plus the output.
+    The ground set (vertices for edge-partition kinds, edges for
+    vertex-partition kinds) is capped at 12 elements by default (10 for the
+    three-set kind).  Output order is deterministic.
     """
     if kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {kind!r}")
@@ -477,10 +606,10 @@ def find_certificates_exhaustive(
 
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
         # per-vertex counts against each candidate edge set
-        ground, rows, noun = h.edge_labels, h.star_masks, "edges"
+        ground, rows, noun, incidence = h.edge_labels, h.star_masks, "edges", vertex_edge_incidence
     else:
         # per-edge counts against each candidate vertex set
-        ground, rows, noun = h.vertices, h.edge_masks, "vertices"
+        ground, rows, noun, incidence = h.vertices, h.edge_masks, "vertices", edge_vertex_incidence
     if len(ground) > bound:
         raise InstanceTooLarge(f"{len(ground)} {noun} exceeds the finder bound {bound}")
 
@@ -491,17 +620,21 @@ def find_certificates_exhaustive(
                 results.append(unit_pair_certificate(h, u, v))
         return results
 
-    # pairs test |row & U| = r * |row & V|; the three-set kind tests
-    # |row & U| - |row & V| = r * |row & W|; an equal kind needs r = 1
-    k = 3 if kind == THREE_SET_RELATION else 2
-    for masks in _disjoint_families(len(ground), k):
-        plus, minus, scaled = masks if k == 3 else (masks[0], 0, masks[1])
-        r = _consistent_ratio(
-            ((row & plus).bit_count() - (row & minus).bit_count(), (row & scaled).bit_count())
-            for row in rows
-        )
-        if r is None or (r != 1 and kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION)):
-            continue
+    n = len(ground)
+    echelon = checked_echelon(incidence(h).entries)
+    pivot_set = set(echelon[0])
+    free = [j for j in range(n) if j not in pivot_set]
+    zero = (1 << n) - 1  # the elements that meet no row: zero columns, always free
+    for row in rows:
+        zero &= ~row
+    if kind == THREE_SET_RELATION:
+        hits = _three_set_hits(echelon, free, zero, n)
+    else:
+        ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
+        hits = _pair_hits(echelon, free, zero, n, ratio)
+    hits.sort(key=lambda hit: _assignment_key(hit[0], n))
+
+    for masks, r in hits:
         sets = [[ground[i] for i in bit_indices(m)] for m in masks]
         if kind == THREE_SET_RELATION:
             results.append(three_set_certificate(h, *sets, r))

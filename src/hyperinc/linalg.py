@@ -198,37 +198,64 @@ def _cleared_integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]
     return out
 
 
+def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """Fraction-free Gauss-Jordan on a copy of integer ``rows``: the pivot
+    columns, the reduced rows (row r is d times RREF row r) and d, the last
+    pivot (1 when there is none)."""
+    reduced = [row[:] for row in rows]
+    pivots = _fraction_free_rref(reduced)
+    d = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return pivots, reduced, d
+
+
+def checked_echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """``_echelon`` of integer ``rows`` with its rank and kernel proven.
+
+    The rank is cross-checked by Bareiss elimination, and every kernel
+    basis vector, scaled by d to integers, is re-multiplied through ``rows``.
+    So the kernel is exactly the span of the vectors the reduced rows give the
+    free columns: a kernel vector is fixed by its free coordinates.
+    """
+    pivots, reduced, d = _echelon(rows)
+    bareiss = _bareiss_rank(rows)
+    if bareiss != len(pivots):
+        raise ArithmeticError(
+            f"rank disagreement: Bareiss {bareiss} vs fraction-free Gauss-Jordan {len(pivots)}"
+        )
+    sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    for scaled in _scaled_basis(pivots, reduced, d, len(rows[0]) if rows else 0):
+        if any(sum(a * scaled.get(j, 0) for j, a in row) for row in sparse_rows):
+            raise ArithmeticError("null-space basis vector failed re-multiplication")
+    return pivots, reduced, d
+
+
+def _scaled_basis(pivots, reduced, d, n_cols):
+    """d times the RREF kernel basis vector of each free column f, as an
+    integer dict: d at f and, for each pivot column, minus the reduced entry
+    of f in that pivot's row."""
+    pivot_set = set(pivots)
+    for f in range(n_cols):
+        if f not in pivot_set:
+            scaled = {f: d}
+            for r, p in enumerate(pivots):
+                if reduced[r][f]:
+                    scaled[p] = -reduced[r][f]
+            yield scaled
+
+
 def rank_and_nullspace(m: RationalMatrix) -> NullspaceBasis:
     """Exact rank and a deterministic kernel basis.
 
     The basis vector for a free column f has 1 at f and, for each pivot
-    column, minus the RREF coefficient of f in that pivot's row.  The rank is
-    cross-checked by Bareiss elimination, and each vector, scaled by the last
-    pivot to integers, is re-multiplied through the cleared integer rows.
+    column, minus the RREF coefficient of f in that pivot's row.  The rank and
+    every basis vector are checked by ``checked_echelon``.
     """
-    cleared = _cleared_integer_rows(m.entries)
-    reduced = [row[:] for row in cleared]
-    pivots = _fraction_free_rref(reduced)
-    rank = len(pivots)
-    bareiss = _bareiss_rank(cleared)
-    if bareiss != rank:
-        raise ArithmeticError(
-            f"rank disagreement: Bareiss {bareiss} vs fraction-free Gauss-Jordan {rank}"
-        )
-
-    d = reduced[rank - 1][pivots[-1]] if pivots else 1
-    sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in cleared]
-    pivot_set = set(pivots)
-    vectors = []
-    for f in (c for c in range(m.cols) if c not in pivot_set):
-        scaled = {f: d}  # d times the basis vector, as integers
-        for r, p in enumerate(pivots):
-            if reduced[r][f]:
-                scaled[p] = -reduced[r][f]
-        if any(sum(a * scaled.get(j, 0) for j, a in row) for row in sparse_rows):
-            raise ArithmeticError("null-space basis vector failed re-multiplication")
-        vectors.append(VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()}))
-    return NullspaceBasis(rank=rank, cols=m.cols, vectors=tuple(vectors))
+    pivots, reduced, d = checked_echelon(_cleared_integer_rows(m.entries))
+    vectors = tuple(
+        VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()})
+        for scaled in _scaled_basis(pivots, reduced, d, m.cols)
+    )
+    return NullspaceBasis(rank=len(pivots), cols=m.cols, vectors=vectors)
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -300,4 +327,4 @@ def span_dimension(vectors: Iterable[VertexVector]) -> int:
     vecs = list(vectors)
     labels = sorted({k for v in vecs for k in v.support()})
     rows = _cleared_integer_rows([Fraction(v.value(k)) for k in labels] for v in vecs)
-    return len(_fraction_free_rref(rows))
+    return len(_echelon(rows)[0])

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import CHILD_ENV
+from hyperinc.cli import main
+from hyperinc.formats import parse_hypergraph_text
 
 UNIT_EXAMPLE_FILE = """\
 vertices: 1 2 3 4 5 6 7 8 9 10 11
@@ -139,11 +142,34 @@ class TestGenerate:
             assert proc.returncode == 0
         assert a.read_text() == b.read_text()
 
+    def test_sparse_random_draw_returns(self, tmp_path):
+        """Small edges among many vertices: a size is drawn first, so no
+        draw waits for a rare small subset."""
+        out = tmp_path / "sparse.hg"
+        start = time.perf_counter()
+        assert main(["generate", "random", "40", "10", "--max-size", "3", "--seed", "1",
+                     "-o", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        h = parse_hypergraph_text(out.read_text())
+        assert h.n_edges == 10 and all(1 <= len(e) <= 3 for e in h.edges)
+
     def test_generated_file_round_trips(self, tmp_path):
         out = tmp_path / "r.hg"
         run_cli("generate", "random", "6", "4", "--seed", "3", "-o", str(out))
         proc = run_cli("rank", str(out))
         assert proc.returncode == 0
+
+
+class TestLongLabel:
+    def test_label_past_int_digit_limit(self, tmp_path):
+        """A 5000-digit decimal label is ordered without int(), so no
+        command escapes with a traceback."""
+        path = tmp_path / "long.hg"
+        path.write_text(f"vertices: {'1' * 5000} 2\ne1: 2\n")
+        for command in (["rank"], ["units"], ["find", "--kind", "ratio_edge_partition"]):
+            proc = run_cli(command[0], str(path), *command[1:], "--json")
+            assert proc.returncode in (0, 2), proc.stderr
+            assert "Traceback" not in proc.stderr
 
 
 class TestUnitsContract:

@@ -1,15 +1,17 @@
-"""The exhaustive finder against the enumerator it replaced.
+"""The kernel-vector finder against the two enumerators it replaced.
 
 ``find_certificates_exhaustive``, ``_pair_assignments`` and
-``_consistent_ratio`` below are the finder as it was before one
-``_disjoint_families`` enumerator served every kind: all 3^n (4^n for the
+``_fraction_ratio`` below are the first finder: all 3^n (4^n for the
 three-set kind) assignments are built and the ones with the wrong
 orientation are discarded, and ratios are compared as ``Fraction`` values.
-They are the slow reference.  The finder must return the identical list
-(the same certificates in the same order) on 60 seeded instances with 1 to
-8 ground elements, isolated vertices, singleton edges, twin vertices and
-planted partitions, plus an edgeless instance and K4, so it is checked for
-completeness as well as soundness.
+``find_certificates_pruned`` with ``_disjoint_families`` and
+``_consistent_ratio`` is the second: one pruned enumerator of the disjoint
+set families.  The finder must return the identical list (the same
+certificates in the same order) as the first on 60 seeded instances with 1
+to 8 ground elements, isolated vertices, singleton edges, twin vertices and
+planted partitions, plus an edgeless instance and K4, and as the second on
+the benchmark's planted shapes with 8 to 11 ground elements, so it is
+checked for completeness as well as soundness.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from typing import Optional
 import pytest
 
 from hyperinc import Hypergraph
-from hyperinc import kernels
+from hyperinc import kernels, linalg
 from hyperinc.errors import InstanceTooLarge, InvalidParameters
 from hyperinc.hypergraph import bit_indices, compute_units
 from hyperinc.kernels import (
@@ -64,7 +66,7 @@ def _pair_assignments(n: int):
         yield u, v
 
 
-def _consistent_ratio(counts) -> Optional[Fraction]:
+def _fraction_ratio(counts) -> Optional[Fraction]:
     """The unique r with num = r * den across all count pairs, if any.
 
     Pairs with den = 0 force num = 0; if no pair determines r it defaults
@@ -129,7 +131,7 @@ def find_certificates_exhaustive(
             if first != 1 or 2 not in assign or 3 not in assign:
                 continue
             u, v, w = (sum(1 << i for i, a in enumerate(assign) if a == s) for s in (1, 2, 3))
-            r = _consistent_ratio(
+            r = _fraction_ratio(
                 ((row & u).bit_count() - (row & v).bit_count(), (row & w).bit_count())
                 for row in rows
             )
@@ -144,7 +146,7 @@ def find_certificates_exhaustive(
         if kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION):
             r = Fraction(1) if all(cu == cv for cu, cv in counts) else None
         else:
-            r = _consistent_ratio(counts)
+            r = _fraction_ratio(counts)
         if r is None:
             continue
         u_set, v_set = [ground[i] for i in u_idx], [ground[i] for i in v_idx]
@@ -154,6 +156,114 @@ def find_certificates_exhaustive(
             results.append(ratio_partition_certificate(h, u_set, v_set, r))
         else:
             results.append(dual_side_certificate(h, u_set, v_set, r))
+    return results
+
+
+# -- the pruned reference ------------------------------------------------------------
+
+# ``find_certificates_pruned``, ``_disjoint_families`` and ``_consistent_ratio``
+# are the finder before it enumerated kernel vectors: one pruned enumerator of
+# the disjoint set families, each tested by integer cross-multiplication.
+
+
+def _disjoint_families(n: int, k: int):
+    """Every k-tuple of bitmasks of pairwise disjoint, non-empty subsets of
+    range(n) whose smallest element of S1 | S2 lies in S1 (one orientation
+    per unordered pair), in the lexicographic order of the assignments
+    range(n) -> {0 (unused), 1..k}.  A prefix that puts an element in S2
+    before any in S1 is cut, not completed and discarded."""
+
+    def extend(i: int, masks: tuple[int, ...]):
+        if i == n:
+            if all(masks):
+                yield masks
+            return
+        yield from extend(i + 1, masks)
+        bit = 1 << i
+        for s in range(k):
+            if s == 1 and not masks[0]:
+                continue
+            yield from extend(i + 1, masks[:s] + (masks[s] | bit,) + masks[s + 1:])
+
+    return extend(0, (0,) * k)
+
+
+def _consistent_ratio(counts) -> Optional[Fraction]:
+    """The unique r with num = r * den across all count pairs, if any.
+
+    Pairs with den = 0 force num = 0; if no pair determines r it defaults
+    to 1 (any value would do).  Accepts a lazy iterable and stops at the
+    first contradiction.
+    """
+    r_num, r_den = 1, 0  # r = r_num / r_den once a pair with den != 0 fixed it
+    for num, den in counts:
+        if den == 0:
+            if num != 0:
+                return None
+        elif r_den == 0:
+            r_num, r_den = num, den
+        elif num * r_den != r_num * den:
+            return None
+    return Fraction(r_num, r_den) if r_den else Fraction(1)
+
+
+def find_certificates_pruned(
+    h: Hypergraph, kind: str, max_ground: Optional[int] = None
+) -> list[KernelCertificate]:
+    """Enumerate every certificate of one kind over all disjoint set families.
+
+    This is an oracle for property tests, not a scalable search: the ground
+    set (vertices for edge-partition kinds, edges for vertex-partition kinds)
+    is capped at 12 elements by default (10 for the three-set kind, whose
+    enumeration is 4-way).  Output order is deterministic.
+    """
+    if kind not in ALL_KINDS:
+        raise InvalidParameters(f"unknown certificate kind {kind!r}")
+    if kind in (GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE):
+        raise InvalidParameters(
+            f"kind {kind!r} has no finite certificate family to enumerate"
+        )
+
+    bound = max_ground
+    if bound is None:
+        bound = DEFAULT_THREE_SET_BOUND if kind == THREE_SET_RELATION else DEFAULT_FINDER_BOUND
+
+    if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
+        # per-vertex counts against each candidate edge set
+        ground, rows, noun = h.edge_labels, h.star_masks, "edges"
+    else:
+        # per-edge counts against each candidate vertex set
+        ground, rows, noun = h.vertices, h.edge_masks, "vertices"
+    if len(ground) > bound:
+        raise InstanceTooLarge(f"{len(ground)} {noun} exceeds the finder bound {bound}")
+
+    results: list[KernelCertificate] = []
+    if kind == UNIT_PAIR:
+        for unit in compute_units(h).units:
+            for u, v in itertools.combinations(unit.members, 2):
+                results.append(unit_pair_certificate(h, u, v))
+        return results
+
+    # pairs test |row & U| = r * |row & V|; the three-set kind tests
+    # |row & U| - |row & V| = r * |row & W|; an equal kind needs r = 1
+    k = 3 if kind == THREE_SET_RELATION else 2
+    for masks in _disjoint_families(len(ground), k):
+        plus, minus, scaled = masks if k == 3 else (masks[0], 0, masks[1])
+        r = _consistent_ratio(
+            ((row & plus).bit_count() - (row & minus).bit_count(), (row & scaled).bit_count())
+            for row in rows
+        )
+        if r is None or (r != 1 and kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION)):
+            continue
+        sets = [[ground[i] for i in bit_indices(m)] for m in masks]
+        if kind == THREE_SET_RELATION:
+            results.append(three_set_certificate(h, *sets, r))
+        elif kind == EQUAL_EDGE_PARTITION:
+            results.append(equal_partition_certificate(h, *sets))
+        elif kind == RATIO_EDGE_PARTITION:
+            results.append(ratio_partition_certificate(h, *sets, r))
+        else:
+            results.append(dual_side_certificate(h, *sets, r))
     return results
 
 
@@ -229,6 +339,52 @@ INSTANCES = [random_instance(_rng, 1 + i % 8) for i in range(60)] + [
 ]
 
 
+# The benchmark's planted shapes, larger than the corpus: U = {1,2} against
+# V = {3,4} (equal), {5,6} against {7} (ratio 2) and twins 8 and 9, every
+# edge a disjoint union of atoms that keeps all three; and U = {1,2},
+# V = {3}, W = {4} (three-set, r = 1).  Vertices "0" and "a" meet no edge.
+PAIR_ATOMS = ("13", "24", "14", "23", "89", "567")
+THREE_SET_PATTERNS = ("", "13", "23", "14", "24", "1234")
+ISOLATED = ("0", "a")
+
+
+def pair_shape_instance(rng, n_free, n_isolated):
+    free = [str(10 + i) for i in range(n_free)]
+    atoms = [frozenset(a) for a in PAIR_ATOMS] + [frozenset([v]) for v in free]
+    edges: dict[frozenset, None] = {}
+    n_edges = rng.randint(7, 10)
+    while len(edges) < n_edges:
+        chosen = rng.sample(atoms, rng.randint(1, 3))
+        e = frozenset().union(*chosen)
+        if len(e) == sum(map(len, chosen)) and len(e) >= 2:
+            edges[e] = None
+    vertices = [str(v) for v in range(1, 10)] + free + list(ISOLATED[:n_isolated])
+    return Hypergraph(vertices, list(edges))
+
+
+def three_set_shape_instance(rng, n_vertices, n_isolated):
+    free = [str(v) for v in range(5, n_vertices + 1)]
+    edges: dict[frozenset, None] = {}
+    for _ in range(n_vertices):
+        e = frozenset(rng.choice(THREE_SET_PATTERNS)) | {v for v in free if rng.random() < 0.4}
+        if len(e) >= 2:
+            edges[e] = None
+    vertices = [str(v) for v in range(1, n_vertices + 1)] + list(ISOLATED[:n_isolated])
+    return Hypergraph(vertices, list(edges))
+
+
+_bench_rng = random.Random(9110)
+PAIR_SHAPES = [
+    pair_shape_instance(_bench_rng, n_free, n_isolated)
+    for n_free, n_isolated in ((0, 0), (1, 0), (2, 0), (0, 2), (1, 1), (2, 0))
+]
+THREE_SET_SHAPES = [
+    three_set_shape_instance(_bench_rng, 8, 0),
+    three_set_shape_instance(_bench_rng, 6, 2),
+    Hypergraph([str(v) for v in range(1, 9)], []),
+]
+
+
 # -- agreement --------------------------------------------------------------------
 
 
@@ -253,6 +409,61 @@ def test_finder_matches_reference():
     assert all(hits.values()), hits
 
 
+def test_bench_shapes_match_pruned_reference():
+    """Same certificates in the same order as the pruned enumerator, on the
+    benchmark's shapes: zero columns exercise the r = 0 ratio hits, the
+    edgeless instance the default r = 1 ones."""
+    assert {h.n_vertices for h in PAIR_SHAPES} == {9, 10, 11}
+    assert any(h.star_masks.count(0) == 2 for h in PAIR_SHAPES)  # two isolated vertices
+    assert any(h.star_masks.count(0) == 2 for h in THREE_SET_SHAPES[:2])
+    ratio_hits = 0
+    for h in PAIR_SHAPES + THREE_SET_SHAPES:
+        for kind in ENUMERABLE_KINDS:
+            if kind == THREE_SET_RELATION and h.n_vertices > DEFAULT_THREE_SET_BOUND - 2:
+                continue
+            expected = find_certificates_pruned(h, kind)
+            found = kernels.find_certificates_exhaustive(h, kind)
+            assert found == expected, (h, kind)
+            ratio_hits += sum(c.ratio not in (None, 1) for c in found)
+    assert ratio_hits
+
+
+def test_bench_shapes_match_reference():
+    """The slow reference too, where it takes well under a second: the
+    nine-vertex pair shape and both three-set shapes with edges."""
+    for h in [PAIR_SHAPES[0], *THREE_SET_SHAPES[:2]]:
+        for kind in ENUMERABLE_KINDS:
+            assert kernels.find_certificates_exhaustive(h, kind) == find_certificates_exhaustive(h, kind)
+
+
+@pytest.mark.parametrize("fault", ["extra_pivot", "missing_pivot", "wrong_entry"])
+def test_echelon_faults_are_caught(monkeypatch, fault):
+    """A wrong echelon form raises instead of returning a shorter list: a
+    pivot too many or too few fails the Bareiss rank, a wrong reduced entry
+    fails the re-multiplication of its basis vector."""
+    h = PAIR_SHAPES[0]
+    echelon = linalg._echelon
+
+    def faulty(rows):
+        pivots, reduced, d = echelon(rows)
+        if fault == "extra_pivot":
+            pivots = pivots + [next(c for c in range(len(rows[0])) if c not in pivots)]
+        elif fault == "missing_pivot":
+            pivots = pivots[:-1]
+        else:
+            free = next(c for c in range(len(rows[0])) if c not in pivots)
+            reduced[0][free] += 1
+        return pivots, reduced, d
+
+    for kind in (EQUAL_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION):
+        assert kernels.find_certificates_exhaustive(h, kind)
+    monkeypatch.setattr(linalg, "_echelon", faulty)
+    for kind in (EQUAL_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION):
+        message = "re-multiplication" if fault == "wrong_entry" else "rank disagreement"
+        with pytest.raises(ArithmeticError, match=message):
+            kernels.find_certificates_exhaustive(h, kind)
+
+
 def test_disjoint_families_order():
     """The assignment order of itertools.product, minus wrong orientations
     and empty sets."""
@@ -264,9 +475,9 @@ def test_disjoint_families_order():
                 if next((a for a in assign if a in (1, 2)), 0) == 1
                 and all(s in assign for s in range(2, k + 1))
             ]
-            assert list(kernels._disjoint_families(n, k)) == expected
+            assert list(_disjoint_families(n, k)) == expected
     assert list(_pair_assignments(5)) == [
-        tuple(tuple(bit_indices(m)) for m in masks) for masks in kernels._disjoint_families(5, 2)
+        tuple(tuple(bit_indices(m)) for m in masks) for masks in _disjoint_families(5, 2)
     ]
 
 
@@ -274,8 +485,8 @@ def test_consistent_ratio_matches_reference():
     rng = random.Random(7)
     for _ in range(2000):
         counts = [(rng.randint(-3, 4), rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
-        got = kernels._consistent_ratio(counts)
-        assert got == _consistent_ratio(counts)
+        got = _consistent_ratio(counts)
+        assert got == _fraction_ratio(counts)
         assert got is None or type(got) is Fraction
 
 

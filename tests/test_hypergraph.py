@@ -26,6 +26,7 @@ from hyperinc.errors import (
     SupportOutsideSubset,
     UnknownVertexInEdge,
 )
+from hyperinc.hypergraph import label_sort_key
 from conftest import random_instance
 
 
@@ -298,3 +299,32 @@ class TestIsomorphism:
             [["0", "1"], ["1", "2"], ["0", "2"], ["3", "4"], ["4", "5"], ["3", "5"]],
         )
         assert are_isomorphic(c6, two_triangles) is None
+
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth zeros; each script's digits follow its zero
+DIGIT_ZEROS = ("0", "٠", "०", "０")
+
+
+class TestLabelOrder:
+    @staticmethod
+    def int_key(label):
+        """The key as it was: decimal labels by their int() value."""
+        return (0, int(label), label) if label.isdecimal() else (1, 0, label)
+
+    def test_matches_integer_order(self):
+        """Decimal labels order as their integer values, with leading zeros
+        and non-ASCII digits, and words after them, as int() ordered them."""
+        rng = random.Random(5)
+        labels = ["a", "x10", "²", "b", "10a"]
+        for _ in range(500):
+            value = str(rng.choice([rng.randint(0, 30), rng.randint(0, 10 ** rng.randint(1, 40))]))
+            digits = "0" * rng.choice([0, 0, 1, 3]) + value
+            labels.append("".join(chr(ord(rng.choice(DIGIT_ZEROS)) + int(c)) for c in digits))
+        assert len(set(map(label_sort_key, labels))) == len(set(labels))
+        assert sorted(labels, key=label_sort_key) == sorted(labels, key=self.int_key)
+
+    def test_label_longer_than_int_limit(self):
+        long_label = "1" * 5000
+        h = build_hypergraph([long_label, "2", "0" + long_label], [["2"]])
+        # equal values fall back to the label itself, as with int()
+        assert h.vertices == ("2", "0" + long_label, long_label)
