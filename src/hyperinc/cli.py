@@ -10,13 +10,14 @@ errors exit with 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import __version__
 from .errors import HyperincError, InstanceTooLarge, InvalidParameters
 from .formats import (
-    certificate_from_json,
+    certificate_from_json,  # unused here; bench/spans.py wraps it under this name
     certificate_to_json,
     format_fraction,
     load_certificate,
@@ -24,6 +25,7 @@ from .formats import (
     load_weighting,
     serialize_hypergraph_json,
     serialize_hypergraph_text,
+    write_text,
 )
 from .generators import random_hypergraph
 from .hypergraph import (
@@ -123,6 +125,8 @@ def cmd_generate(args) -> dict:
     else:
         raise InvalidParameters(f"unknown generator {args.kind!r}")
     content = serialize_hypergraph_json(h) if args.json else serialize_hypergraph_text(h)
+    if args.output:
+        write_text(args.output, content)
     return {"command": "generate", "content": content, "output": args.output}
 
 
@@ -192,8 +196,7 @@ def cmd_contract(args) -> dict:
         if not iso:
             failures.append("non-contractible hypergraph not isomorphic to its contraction")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_hypergraph_text(contracted))
+        write_text(args.output, serialize_hypergraph_text(contracted))
     return report
 
 
@@ -215,11 +218,7 @@ def render_contract(report) -> list[str]:
 
 def cmd_verify(args) -> dict:
     h = load_hypergraph(args.file)
-    if args.certificate == "-":
-        data = json.load(sys.stdin)
-        cert = certificate_from_json(h, data)
-    else:
-        cert = load_certificate(h, args.certificate)
+    cert = load_certificate(h, args.certificate)
     check = verify_certificate(h, cert)
     failures = [] if check.valid else ["certificate is not in the kernel"]
     return {
@@ -359,7 +358,9 @@ _RENDERERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyperinc",
         description="Exact rank, null-space certificates, units, and adjacency "
@@ -435,10 +436,7 @@ def main(argv=None) -> int:
         return 2
 
     if report["command"] == "generate":
-        if report["output"]:
-            with open(report["output"], "w", encoding="utf-8") as fh:
-                fh.write(report["content"])
-        else:
+        if not report["output"]:
             sys.stdout.write(report["content"])
         return 0
 

@@ -103,6 +103,10 @@ class BadWeightFile(HyperincError):
 
 # -- file formats ----------------------------------------------------------------
 
+class FileAccessError(HyperincError):
+    """A file that cannot be opened, read, decoded as UTF-8 or written."""
+
+
 class ParseError(HyperincError):
     """Malformed hypergraph/certificate/weight file.
 

@@ -14,10 +14,11 @@ declaration order), so parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadWeightFile, InvalidParameters, ParseError
+from .errors import BadWeightFile, FileAccessError, InvalidParameters, ParseError
 from .hypergraph import Hypergraph, build_hypergraph
 from .kernels import (
     GENERAL_COMBINATION,
@@ -58,6 +59,28 @@ def parse_labels(value, what: str) -> list[str]:
     ):
         raise ParseError(f"{what}: expected an array of string or integer labels, got {value!r}")
     return [str(x) for x in value]
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``, or of standard input for "-".
+    A file that cannot be opened, read or decoded raises FileAccessError."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileAccessError(f"cannot read {path}: {exc}") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8; a file that cannot be written raises
+    FileAccessError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileAccessError(f"cannot write {path}: {exc}") from None
 
 
 # -- hypergraph files ---------------------------------------------------------
@@ -130,8 +153,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 
 def load_hypergraph(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read())
+    return parse_hypergraph(read_text(path))
 
 
 def serialize_hypergraph_text(h: Hypergraph) -> str:
@@ -240,11 +262,10 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
 
 
 def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad certificate JSON: {exc}", line=exc.lineno) from None
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad certificate JSON: {exc}", line=exc.lineno) from None
     return certificate_from_json(h, data)
 
 
@@ -254,11 +275,10 @@ def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:
 def load_weighting(h: Hypergraph, path: str) -> EdgeWeighting:
     """JSON mapping edge name -> positive fraction string (or integer); only the
     file rules (an object, no floats, no booleans) are checked here."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadWeightFile(f"bad JSON: {exc}") from None
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise BadWeightFile(f"bad JSON: {exc}") from None
     if not isinstance(data, dict):
         raise BadWeightFile("weight file must be a JSON object of edge -> weight")
     for name, value in data.items():

@@ -458,16 +458,14 @@ def _masks(echelon, free, free_codes, pivot_codes, n_sets):
 
 
 def _signed_vectors(echelon, free) -> list[tuple[int, int]]:
-    """(plus, minus) masks of every {0, 1, -1} kernel vector with both signs."""
+    """(plus, minus) masks of every {0, 1, -1} kernel vector, zero included."""
     d = echelon[2]
     code = {0: 0, d: 1, -d: 2}
     out = []
     for free_codes, a_sums, _ in _patterns(echelon, free, _SIGNED):
         pivot_codes = [code.get(x) for x in a_sums]
         if None not in pivot_codes:
-            plus, minus = _masks(echelon, free, free_codes, pivot_codes, 2)
-            if plus and minus:
-                out.append((plus, minus))
+            out.append(_masks(echelon, free, free_codes, pivot_codes, 2))
     return out
 
 
@@ -530,54 +528,49 @@ def _assignment_key(masks: tuple[int, ...], n: int) -> list[int]:
     return code
 
 
-def _pair_hits(echelon, free, zero, n, ratio: bool):
-    """(U, V) with chi(U) - r*chi(V) in the kernel, U and V non-empty,
-    disjoint and led by U; r = 1 unless ``ratio``.
-
-    r is the ratio the counts fix: |row & U| / |row & V| on a row meeting V,
-    and 1 when no row meets V (then none meets U).  So r = 1 is an equal
-    partition, r = 0 is U inside the zero columns ``zero`` against any V
-    meeting a row, and any other r > 0 is pinned by a pivot.
-    """
-    hits = [((u, v), Fraction(1)) for u, v in _signed_vectors(echelon, free) if _leads(u, v)]
-    if not ratio:
-        return hits
-    full = (1 << n) - 1
-    for u in _submasks(zero):
-        low = u & -u
-        above = full & ~u & ~(2 * low - 1)  # V lies above min(U)
-        hits.extend(((u, v), Fraction(0)) for v in _submasks(above) if v & ~zero)
-    for (u, v), r in _pinned_vectors(echelon, free, _RATIO, lambda r: r > 0 and r != 1):
-        if u and v and _leads(u, v):
-            hits.append(((u, v), r))
-    return hits
+# A core is a certificate's sets cut to the elements that meet a row, with
+# its r.  No non-empty set of those elements has its indicator in the kernel.
 
 
-def _three_set_hits(echelon, free, zero, n):
-    """(U, V, W), all non-empty, disjoint and led by U among U | V, with
-    |row & U| - |row & V| = r * |row & W| on every row.
+def _pair_cores(echelon, free, nonzero, zero, ratio: bool):
+    """(U, V) cores of chi(U) - r*chi(V): every {0, 1, -1} kernel vector at
+    r = 1; for ``ratio``, U empty (only zero columns can fill it) against any
+    V at r = 0, and every r > 0 other than 1 that a pivot pins."""
+    cores = [(masks, Fraction(1)) for masks in _signed_vectors(echelon, free)]
+    if ratio:
+        if zero:
+            cores.extend(((0, v), Fraction(0)) for v in _submasks(nonzero))
+        cores.extend(_pinned_vectors(echelon, free, _RATIO, lambda r: r > 0 and r != 1))
+    return cores
 
-    r is fixed by a row meeting W, and is 1 when no row meets W.  Where -r
-    coincides with 0, 1 or -1 the sets come from the {0, 1, -1} kernel vectors:
-    W anywhere outside U | V (r = 0, or 1 inside the zero columns), W split off
-    the -1 set (r = 1) or off the +1 set (r = -1).  Any other r is pinned.
-    """
-    full = (1 << n) - 1
-    hits = []
+
+def _three_set_cores(echelon, free, nonzero):
+    """(U, V, W) cores of |row & U| - |row & V| = r * |row & W|.  Where -r
+    is 0, 1 or -1 they come from a {0, 1, -1} kernel vector (plus, minus): W
+    empty (no row meets W, so r = 1), W outside plus | minus (r = 0), split
+    off minus (r = 1) or off plus (r = -1).  Any other r is pinned."""
+    cores = []
     for plus, minus in _signed_vectors(echelon, free):
-        if _leads(plus, minus):
-            for w in _submasks(full & ~(plus | minus)):
-                hits.append(((plus, minus, w), Fraction(0) if w & ~zero else Fraction(1)))
-        for w in _submasks(minus):
-            if w != minus and w & ~zero and _leads(plus, minus ^ w):
-                hits.append(((plus, minus ^ w, w), Fraction(1)))
-        for w in _submasks(plus):
-            if w != plus and w & ~zero and _leads(plus ^ w, minus):
-                hits.append(((plus ^ w, minus, w), Fraction(-1)))
-    for (u, v, w), r in _pinned_vectors(echelon, free, _THREE_SET, lambda r: r not in (0, 1, -1)):
-        if u and v and w and _leads(u, v):
-            hits.append(((u, v, w), r))
-    return hits
+        cores.append(((plus, minus, 0), Fraction(1)))
+        cores.extend(((plus, minus, w), Fraction(0)) for w in _submasks(nonzero ^ plus ^ minus))
+        cores.extend(((plus, minus ^ w, w), Fraction(1)) for w in _submasks(minus))
+        cores.extend(((plus ^ w, minus, w), Fraction(-1)) for w in _submasks(plus))
+    cores.extend(_pinned_vectors(echelon, free, _THREE_SET, lambda r: r not in (0, 1, -1)))
+    return cores
+
+
+def _spread(cores, zero):
+    """Every core with each zero column added to no set or to one of its
+    sets (a zero column changes no count, so r stays), kept when every set
+    is non-empty and U leads U | V."""
+    bits = [1 << j for j in bit_indices(zero)]
+    for core, r in cores:
+        family = [core]
+        for bit in bits:
+            family += [m[:i] + (m[i] | bit,) + m[i + 1:] for m in family for i in range(len(m))]
+        for masks in family:
+            if all(masks) and _leads(masks[0], masks[1]):
+                yield masks, r
 
 
 def find_certificates_exhaustive(
@@ -587,11 +580,13 @@ def find_certificates_exhaustive(
 
     The certificates are kernel vectors of the incidence matrix, so the
     search enumerates the values at the free columns of one checked echelon
-    form (``checked_echelon``: rank proven by Bareiss, basis re-multiplied):
-    3^nullity candidates (4^nullity for the three-set kind) plus the output.
-    The ground set (vertices for edge-partition kinds, edges for
-    vertex-partition kinds) is capped at 12 elements by default (10 for the
-    three-set kind).  Output order is deterministic.
+    form (``checked_echelon``: rank proven by Bareiss, basis re-multiplied).
+    Zero columns Z, the elements that meet no row, are free and change no
+    count, so they are left out of that walk and spread over each hit after
+    it: 3^(nullity - |Z|) candidates (4^(nullity - |Z|) for the three-set
+    kind) plus the output.  The ground set (vertices for edge-partition
+    kinds, edges for vertex-partition kinds) is capped at 12 elements by
+    default (10 for the three-set kind).  Output order is deterministic.
     """
     if kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {kind!r}")
@@ -604,12 +599,11 @@ def find_certificates_exhaustive(
     if bound is None:
         bound = DEFAULT_THREE_SET_BOUND if kind == THREE_SET_RELATION else DEFAULT_FINDER_BOUND
 
+    # the ground elements are the columns: edges (I_H) or vertices (B_H)
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
-        # per-vertex counts against each candidate edge set
-        ground, rows, noun, incidence = h.edge_labels, h.star_masks, "edges", vertex_edge_incidence
+        ground, columns, noun, incidence = h.edge_labels, h.edge_masks, "edges", vertex_edge_incidence
     else:
-        # per-edge counts against each candidate vertex set
-        ground, rows, noun, incidence = h.vertices, h.edge_masks, "vertices", edge_vertex_incidence
+        ground, columns, noun, incidence = h.vertices, h.star_masks, "vertices", edge_vertex_incidence
     if len(ground) > bound:
         raise InstanceTooLarge(f"{len(ground)} {noun} exceeds the finder bound {bound}")
 
@@ -622,17 +616,15 @@ def find_certificates_exhaustive(
 
     n = len(ground)
     echelon = checked_echelon(incidence(h).entries)
-    pivot_set = set(echelon[0])
-    free = [j for j in range(n) if j not in pivot_set]
-    zero = (1 << n) - 1  # the elements that meet no row: zero columns, always free
-    for row in rows:
-        zero &= ~row
+    zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
+    nonzero = ((1 << n) - 1) ^ zero
+    free = [j for j in bit_indices(nonzero) if j not in echelon[0]]
     if kind == THREE_SET_RELATION:
-        hits = _three_set_hits(echelon, free, zero, n)
+        cores = _three_set_cores(echelon, free, nonzero)
     else:
         ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
-        hits = _pair_hits(echelon, free, zero, n, ratio)
-    hits.sort(key=lambda hit: _assignment_key(hit[0], n))
+        cores = _pair_cores(echelon, free, nonzero, zero, ratio)
+    hits = sorted(_spread(cores, zero), key=lambda hit: _assignment_key(hit[0], n))
 
     for masks, r in hits:
         sets = [[ground[i] for i in bit_indices(m)] for m in masks]

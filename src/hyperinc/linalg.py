@@ -66,12 +66,6 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i])
-
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.entries]
-
     def transpose(self) -> "RationalMatrix":
         flipped = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return RationalMatrix(flipped, self.col_labels, self.row_labels)

@@ -74,6 +74,11 @@ class TestRank:
         assert "rank(B_H) = 5" in proc.stdout
         assert "nullity(B_H) = 6" in proc.stdout
 
+    def test_file_from_stdin(self, unit_file):
+        from_file = json.loads(run_cli("rank", unit_file, "--json").stdout)
+        from_stdin = json.loads(run_cli("rank", "-", "--json", stdin=UNIT_EXAMPLE_FILE).stdout)
+        assert from_stdin == {**from_file, "file": "-"}
+
     def test_json_report(self, unit_file):
         proc = run_cli("rank", unit_file, "--json")
         report = json.loads(proc.stdout)
@@ -394,3 +399,66 @@ class TestSpectra:
         path.write_text("e1: 1\ne2: 1 2\n")
         proc = run_cli("spectra", str(path), "--weighting", "banerjee")
         assert proc.returncode == 2
+
+
+class TestUnreadableInput:
+    """A file that cannot be read, decoded or written exits 2 with an error
+    report, never with a traceback."""
+
+    @staticmethod
+    def assert_error_report(proc, error):
+        assert proc.returncode == 2
+        report = json.loads(proc.stdout)
+        assert set(report) == {"error", "message"}
+        assert report["error"] == error
+        assert "Traceback" not in proc.stderr
+
+    def test_missing_file(self, tmp_path):
+        proc = run_cli("rank", str(tmp_path / "missing.txt"), "--json")
+        self.assert_error_report(proc, "FileAccessError")
+
+    def test_directory(self, tmp_path):
+        proc = run_cli("rank", str(tmp_path), "--json")
+        self.assert_error_report(proc, "FileAccessError")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.hg"
+        path.write_bytes("e1: caf\xe9 1\n".encode("latin-1"))
+        proc = run_cli("rank", str(path), "--json")
+        self.assert_error_report(proc, "FileAccessError")
+
+    def test_truncated_certificate_on_stdin(self, equal_file):
+        payload = json.dumps({"kind": "unit_pair", "u": "1", "v": "5"})[:-5]
+        proc = run_cli("verify", equal_file, "--certificate", "-", "--json", stdin=payload)
+        self.assert_error_report(proc, "ParseError")
+
+    def test_missing_certificate_and_weight_files(self, equal_file, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        proc = run_cli("verify", equal_file, "--certificate", missing, "--json")
+        self.assert_error_report(proc, "FileAccessError")
+        proc = run_cli("spectra", equal_file, "--weighting", missing, "--json")
+        self.assert_error_report(proc, "FileAccessError")
+
+    def test_unwritable_output(self, equal_file, tmp_path):
+        out = str(tmp_path / "no_such_dir" / "out.hg")
+        proc = run_cli("generate", "cycle", "5", "2", "-o", out, "--json")
+        self.assert_error_report(proc, "FileAccessError")
+        proc = run_cli("contract", equal_file, "-o", out, "--json")
+        self.assert_error_report(proc, "FileAccessError")
+
+
+class TestParserReuse:
+    """The parser is built once per process; a second call in the same
+    process must not inherit the options of the first."""
+
+    def test_second_call_keeps_defaults(self, equal_file, unit_file, capsys):
+        argv = ["find", equal_file, "--kind", "equal_edge_partition", "--json"]
+        assert main([*argv, "--max-ground", "3"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InstanceTooLarge"
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["count"] > 0
+
+        assert main(["spectra", unit_file, "--matrix", "--json"]) == 0
+        assert "adjacency" in json.loads(capsys.readouterr().out)
+        assert main(["spectra", unit_file, "--json"]) == 0
+        assert "adjacency" not in json.loads(capsys.readouterr().out)

@@ -10,8 +10,9 @@ set families.  The finder must return the identical list (the same
 certificates in the same order) as the first on 60 seeded instances with 1
 to 8 ground elements, isolated vertices, singleton edges, twin vertices and
 planted partitions, plus an edgeless instance and K4, and as the second on
-the benchmark's planted shapes with 8 to 11 ground elements, so it is
-checked for completeness as well as soundness.
+the benchmark's planted shapes with 8 to 11 ground elements and on an
+instance with three isolated vertices, so it is checked for completeness as
+well as soundness.
 """
 
 import itertools
@@ -385,6 +386,16 @@ THREE_SET_SHAPES = [
 ]
 
 
+# Five vertices with planted edges and three isolated ones, "0" first in the
+# order so that r = 0 ratio hits (U isolated) lead: the zero core spreads into
+# U, V and W from the isolated vertices alone.
+_isolated_rng = random.Random(3196)
+ISOLATED_INSTANCE = Hypergraph(
+    ["0", "1", "2", "3", "4", "5", "6", "7"],
+    [e for e in dict.fromkeys(planted_edges(_isolated_rng, ["1", "2", "3", "4", "5"])) if e],
+)
+
+
 # -- agreement --------------------------------------------------------------------
 
 
@@ -502,3 +513,53 @@ def test_bounds_and_kinds_match_reference():
         for finder in (kernels.find_certificates_exhaustive, find_certificates_exhaustive):
             with pytest.raises(InvalidParameters):
                 finder(h, kind)
+
+
+def test_isolated_vertices_match_pruned_reference():
+    """Three isolated vertices next to planted edges, on every kind: r = 0,
+    pinned and r = 1 hits, and three-set hits made of isolated vertices."""
+    h = ISOLATED_INSTANCE
+    assert h.n_edges and h.star_masks.count(0) == 3
+    found = {kind: kernels.find_certificates_exhaustive(h, kind) for kind in ENUMERABLE_KINDS}
+    for kind in ENUMERABLE_KINDS:
+        assert found[kind] == find_certificates_pruned(h, kind), kind
+    ratios = {c.ratio for kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION) for c in found[kind]}
+    assert {0, 1} < ratios  # r = 0, r = 1 and at least one pinned ratio
+    isolated = {"0", "6", "7"}
+    assert any(
+        all(set(members) <= isolated for _, members in c.sets) for c in found[THREE_SET_RELATION]
+    )
+
+
+def test_patterns_walk_only_columns_that_meet_a_row(monkeypatch):
+    """The walk gets no zero column and visits len(symbols)^(nullity - |Z|)
+    patterns: one, not 4^8, on the edgeless eight-vertex instance."""
+    walks = []
+    patterns = kernels._patterns
+
+    def counting(echelon, free, symbols):
+        walked = list(patterns(echelon, free, symbols))
+        walks.append((free, len(symbols), len(walked)))
+        return iter(walked)
+
+    monkeypatch.setattr(kernels, "_patterns", counting)
+    edgeless = THREE_SET_SHAPES[2]
+    for h in [*INSTANCES, PAIR_SHAPES[3], THREE_SET_SHAPES[1], ISOLATED_INSTANCE]:
+        for kind in sorted(set(ENUMERABLE_KINDS) - {UNIT_PAIR}):
+            if kind == THREE_SET_RELATION and h.n_vertices > DEFAULT_THREE_SET_BOUND:
+                continue
+            edge_side = kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION)
+            incidence = linalg.vertex_edge_incidence if edge_side else linalg.edge_vertex_incidence
+            columns = h.edge_masks if edge_side else h.star_masks
+            zero = {j for j, column in enumerate(columns) if not column}
+            nullity = linalg.rank_and_nullspace(incidence(h)).nullity
+            walks.clear()
+            kernels.find_certificates_exhaustive(h, kind)
+            assert walks
+            for free, n_symbols, n_walked in walks:
+                assert not zero.intersection(free)
+                assert len(free) == nullity - len(zero)
+                assert n_walked == n_symbols ** len(free)
+    walks.clear()
+    assert len(kernels.find_certificates_exhaustive(edgeless, THREE_SET_RELATION)) == 23310
+    assert [n_walked for *_, n_walked in walks] == [1, 1]
