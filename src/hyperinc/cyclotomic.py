@@ -1,13 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_r).
 
-Elements are rational polynomials in zeta_r reduced modulo the r-th
-cyclotomic polynomial.  This is enough to check root-of-unity kernel
-identities (sums of powers of zeta_r vanishing) as exact statements instead
-of floating-point approximations.
+Elements are sums of powers of zeta_r, kept as exponent counts modulo
+x^r - 1 and reduced modulo the r-th cyclotomic polynomial only to compare,
+hash or print.  This is enough to check root-of-unity kernel identities
+(sums of powers of zeta_r vanishing) as exact statements instead of
+floating-point approximations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,23 +99,88 @@ def euler_phi(r: int) -> int:
     return cyclotomic_polynomial(r).degree
 
 
-class CyclotomicNumber:
-    """Element of Q(zeta_r): a rational polynomial of degree < phi(r).
+def _rational(c) -> Rationalish:
+    """``c`` as an int when its denominator is 1, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    Coefficients are stored low degree first with trailing zeros trimmed, so
-    structural equality is field equality.  Mixed arithmetic with ints and
-    Fractions treats them as constants of the same order.
+
+def _add_term(terms: dict, e: int, c: Rationalish) -> None:
+    """Add c * x**e to ``terms`` in place, dropping a coefficient that cancels."""
+    total = terms.get(e, 0) + c
+    if total:
+        terms[e] = _rational(total)
+    else:
+        del terms[e]
+
+
+def _reduce(order: int, terms: dict) -> tuple[Fraction, ...]:
+    """sum(c * x**e) modulo Phi_order: Fractions low degree first, trimmed.
+
+    Every exponent lies in 0..order-1.  Long division by the monic Phi_order
+    only touches its non-zero coefficients below the leading one.
+    """
+    phi = _phi_coeffs(order)
+    degree = len(phi) - 1
+    tail = [(j, p) for j, p in enumerate(phi[:-1]) if p]
+    poly = [0] * order
+    for e, c in terms.items():
+        poly[e] = c
+    for e in range(max(terms, default=0), degree - 1, -1):
+        c = poly[e]
+        if c:
+            shift = e - degree
+            for j, p in tail:
+                poly[shift + j] -= c * p
+    out = poly[:degree]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(Fraction(c) for c in out)
+
+
+class CyclotomicNumber:
+    """Element of Q(zeta_r), stored as a sum of powers of zeta_r.
+
+    The stored form maps each exponent in 0..r-1 to its non-zero rational
+    coefficient (an int when its denominator is 1), a polynomial modulo
+    x^r - 1: adding zeta_r**m to a sum updates one count.  That form is not
+    unique, because Phi_r is a proper factor of x^r - 1.  ``coeffs``, the
+    reduction modulo Phi_r (a trimmed tuple of Fractions, low degree first),
+    is, so equality, hashing and printing go through it; it is computed on
+    first use and kept.  Mixed arithmetic with ints and Fractions treats them
+    as constants of the same order.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_terms", "_coeffs")
 
     def __init__(self, order: int, coeffs):
-        phi = _phi_coeffs(order)
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) >= len(phi):
-            _, coeffs = _poly_divmod(coeffs, [Fraction(c) for c in phi])
+        if order < 1:
+            raise InvalidParameters(f"cyclotomic order must be >= 1, got {order}")
+        terms: dict[int, Rationalish] = {}
+        for i, c in enumerate(coeffs):
+            c = _rational(c)
+            if c:
+                _add_term(terms, i % order, c)
         self.order = order
-        self.coeffs = tuple(_poly_trim(coeffs))
+        self._terms = terms
+        self._coeffs = None
+
+    @classmethod
+    def _of_terms(cls, order: int, terms: dict) -> "CyclotomicNumber":
+        """Wrap a terms map as it stands; it is never mutated afterwards."""
+        x = object.__new__(cls)
+        x.order = order
+        x._terms = terms
+        x._coeffs = None
+        return x
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = _reduce(self.order, self._terms)
+        return self._coeffs
 
     # -- constructors --------------------------------------------------------
 
@@ -127,27 +194,32 @@ class CyclotomicNumber:
 
     @staticmethod
     def constant(order: int, value: Rationalish) -> "CyclotomicNumber":
-        return CyclotomicNumber(order, [Fraction(value)])
+        return CyclotomicNumber(order, [value])
 
     def _coerce(self, other):
+        """``other``'s terms at this order, or None when it is not a number of
+        this field (or is a non-constant of another order while this one is a
+        constant)."""
         if isinstance(other, CyclotomicNumber):
             if other.order == self.order:
-                return other
+                return other._terms
             if other.is_constant():
-                return CyclotomicNumber(self.order, other.coeffs)
+                value = other.rational_value()
+                return {0: _rational(value)} if value else {}
             if self.is_constant():
-                return None  # handled by caller swapping orders
+                return None
             raise InvalidParameters(
                 f"mixing cyclotomic orders {self.order} and {other.order}"
             )
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.constant(self.order, other)
+            return {0: _rational(other)} if other else {}
         return None
 
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        # a single term c * zeta**e with c != 0 is a unit, never zero
+        return not self._terms if len(self._terms) < 2 else not self.coeffs
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -159,38 +231,46 @@ class CyclotomicNumber:
 
     # -- arithmetic --------------------------------------------------------------
 
+    def _plus(self, terms: dict, sign: int) -> "CyclotomicNumber":
+        if not terms:
+            return self
+        out = dict(self._terms)
+        for e, c in terms.items():
+            _add_term(out, e, sign * c)
+        return CyclotomicNumber._of_terms(self.order, out)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        a, b = list(self.coeffs), list(o.coeffs)
-        n = max(len(a), len(b))
-        a += [Fraction(0)] * (n - len(a))
-        b += [Fraction(0)] * (n - len(b))
-        return CyclotomicNumber(self.order, [x + y for x, y in zip(a, b)])
+        return self._plus(terms, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return CyclotomicNumber._of_terms(self.order, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(terms, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return o + (-self)
+        return (-self)._plus(terms, 1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return CyclotomicNumber(self.order, _poly_mul(list(self.coeffs), list(o.coeffs)))
+        order, out = self.order, {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in terms.items():
+                _add_term(out, (e1 + e2) % order, c1 * c2)
+        return CyclotomicNumber._of_terms(order, out)
 
     __rmul__ = __mul__
 
@@ -217,7 +297,8 @@ class CyclotomicNumber:
         s0, s1 = [Fraction(1)], []
         while r1:
             q, rem = _poly_divmod(r0, r1)
-            s_new = _poly_trim([a - b for a, b in _zip_pad(s0, _poly_mul(q, s1))])
+            qs1 = _poly_mul(q, s1)
+            s_new = _poly_trim(a - b for a, b in itertools.zip_longest(s0, qs1, fillvalue=0))
             r0, r1 = r1, rem
             s0, s1 = s1, s_new
         if len(r0) != 1:
@@ -233,7 +314,9 @@ class CyclotomicNumber:
                 return self.coeffs == other.coeffs
             return False
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.rational_value() == Fraction(other)
+            if not other:
+                return self.is_zero()
+            return self.is_constant() and self.rational_value() == other
         return NotImplemented
 
     def __hash__(self):
@@ -257,30 +340,16 @@ class CyclotomicNumber:
         return "Cyc(" + " + ".join(terms) + ")"
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
-
-
 def zeta(r: int, power: int = 1) -> CyclotomicNumber:
-    """zeta_r**power as a reduced element of Q(zeta_r)."""
+    """zeta_r**power: one term, at exponent power mod r."""
     if r < 1:
         raise InvalidParameters(f"order must be >= 1, got {r}")
-    power %= r
-    coeffs = [Fraction(0)] * power + [Fraction(1)]
-    return CyclotomicNumber(r, coeffs)
+    return CyclotomicNumber._of_terms(r, {power % r: 1})
 
 
 def zeta_power_table(r: int) -> list[CyclotomicNumber]:
-    """zeta_r**m for m = 0..r-1 (each reduced mod Phi_r)."""
-    one = CyclotomicNumber.one(r)
-    table = [one]
-    z = zeta(r)
-    for _ in range(r - 1):
-        table.append(table[-1] * z)
-    return table
+    """zeta_r**m for m = 0..r-1, each built as its one term."""
+    return [zeta(r, m) for m in range(r)]
 
 
 def geometric_sum(r: int, j: int) -> CyclotomicNumber:

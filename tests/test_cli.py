@@ -333,6 +333,23 @@ class TestVerify:
         proc = run_cli("verify", equal_file, "--certificate", "-", stdin=payload)
         assert proc.returncode == 0
 
+    def test_large_root_order(self, tmp_path, capsys):
+        """A root of order 2000 on a 12-vertex cycle builds one term per power
+        of zeta, not a degree-800 polynomial: the report says invalid (exit 1)
+        within a second."""
+        cycle = tmp_path / "c12.hg"
+        assert main(["generate", "cycle", "12", "8", "-o", str(cycle)]) == 0
+        cert = tmp_path / "root.json"
+        cert.write_text(json.dumps({"kind": "root_of_unity_cycle", "order": 2000, "power": 3}))
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["verify", str(cycle), "--certificate", str(cert), "--json"])
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err
+        report = json.loads(out)["certificate"]
+        assert report["valid"] is False and len(report["residual"]) == 12
+
 
 class TestFind:
     def test_equal_partitions(self, equal_file):

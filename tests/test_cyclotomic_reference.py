@@ -1,0 +1,416 @@
+"""The sparse exponent-count ``CyclotomicNumber`` against the slow reference.
+
+The reference below is the earlier dense implementation, kept verbatim: every
+element is reduced modulo Phi_r on construction, and every addition pads both
+coefficient lists and rebuilds through the constructor.  Both classes run on
+the same seeded operands at several orders, and every observable result
+(arithmetic, equality, hashing, printing, the reduced coefficients and the
+rational value) must agree exactly, as must the residual strings of
+``verify_certificate`` on uniform cycles.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Union
+
+import pytest
+
+import hyperinc.cyclotomic as fast
+from hyperinc import VertexVector, edge_vertex_incidence, matvec, uniform_cycle
+from hyperinc.cyclotomic import _phi_coeffs
+from hyperinc.errors import InvalidParameters
+from hyperinc.kernels import root_of_unity_certificate, verify_certificate
+
+Rationalish = Union[int, Fraction]
+
+ORDERS = (1, 2, 3, 4, 5, 6, 12, 30, 60)
+
+
+# -- the reference: dense coefficients, reduced modulo Phi_r on construction ----
+
+
+
+
+def _poly_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(num, den):
+    """Polynomial division; ``den`` must be monic in its leading coefficient."""
+    num = list(num)
+    q = [0] * max(0, len(num) - len(den) + 1)
+    lead = den[-1]
+    for i in range(len(num) - len(den), -1, -1):
+        coeff = num[i + len(den) - 1]
+        if coeff == 0:
+            continue
+        factor = coeff / lead if lead != 1 else coeff
+        q[i] = factor
+        for j, d in enumerate(den):
+            num[i + j] -= factor * d
+    return _poly_trim(q), _poly_trim(num)
+
+
+
+
+class CyclotomicNumber:
+    """Element of Q(zeta_r): a rational polynomial of degree < phi(r).
+
+    Coefficients are stored low degree first with trailing zeros trimmed, so
+    structural equality is field equality.  Mixed arithmetic with ints and
+    Fractions treats them as constants of the same order.
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs):
+        phi = _phi_coeffs(order)
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) >= len(phi):
+            _, coeffs = _poly_divmod(coeffs, [Fraction(c) for c in phi])
+        self.order = order
+        self.coeffs = tuple(_poly_trim(coeffs))
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def zero(order: int) -> "CyclotomicNumber":
+        return CyclotomicNumber(order, [])
+
+    @staticmethod
+    def one(order: int) -> "CyclotomicNumber":
+        return CyclotomicNumber(order, [1])
+
+    @staticmethod
+    def constant(order: int, value: Rationalish) -> "CyclotomicNumber":
+        return CyclotomicNumber(order, [Fraction(value)])
+
+    def _coerce(self, other):
+        if isinstance(other, CyclotomicNumber):
+            if other.order == self.order:
+                return other
+            if other.is_constant():
+                return CyclotomicNumber(self.order, other.coeffs)
+            if self.is_constant():
+                return None  # handled by caller swapping orders
+            raise InvalidParameters(
+                f"mixing cyclotomic orders {self.order} and {other.order}"
+            )
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicNumber.constant(self.order, other)
+        return None
+
+    # -- predicates ------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def rational_value(self) -> Fraction:
+        if not self.is_constant():
+            raise InvalidParameters("not a rational constant")
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    # -- arithmetic --------------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = list(self.coeffs), list(o.coeffs)
+        n = max(len(a), len(b))
+        a += [Fraction(0)] * (n - len(a))
+        b += [Fraction(0)] * (n - len(b))
+        return CyclotomicNumber(self.order, [x + y for x, y in zip(a, b)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return CyclotomicNumber(self.order, _poly_mul(list(self.coeffs), list(o.coeffs)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = CyclotomicNumber.one(self.order)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def inverse(self) -> "CyclotomicNumber":
+        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        if self.is_zero():
+            raise ZeroDivisionError("zero has no inverse")
+        phi = [Fraction(c) for c in _phi_coeffs(self.order)]
+        # extended gcd of self.coeffs and phi; phi is irreducible so the gcd
+        # is a non-zero constant, and s0 tracks the Bezout factor of self
+        r0, r1 = list(self.coeffs), phi
+        s0, s1 = [Fraction(1)], []
+        while r1:
+            q, rem = _poly_divmod(r0, r1)
+            s_new = _poly_trim([a - b for a, b in _zip_pad(s0, _poly_mul(q, s1))])
+            r0, r1 = r1, rem
+            s0, s1 = s1, s_new
+        if len(r0) != 1:
+            raise ArithmeticError("element shares a factor with the cyclotomic modulus")
+        unit = r0[0]
+        return CyclotomicNumber(self.order, [c / unit for c in s0])
+
+    def __eq__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            if other.order == self.order:
+                return self.coeffs == other.coeffs
+            if self.is_constant() and other.is_constant():
+                return self.coeffs == other.coeffs
+            return False
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.rational_value() == Fraction(other)
+        return NotImplemented
+
+    def __hash__(self):
+        if self.is_constant():
+            return hash(self.rational_value())
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self):
+        if self.is_zero():
+            return "Cyc(0)"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif i == 1:
+                terms.append(f"{c}*z{self.order}")
+            else:
+                terms.append(f"{c}*z{self.order}^{i}")
+        return "Cyc(" + " + ".join(terms) + ")"
+
+
+def _zip_pad(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return zip(a, b)
+
+
+def zeta(r: int, power: int = 1) -> CyclotomicNumber:
+    """zeta_r**power as a reduced element of Q(zeta_r)."""
+    if r < 1:
+        raise InvalidParameters(f"order must be >= 1, got {r}")
+    power %= r
+    coeffs = [Fraction(0)] * power + [Fraction(1)]
+    return CyclotomicNumber(r, coeffs)
+
+
+def zeta_power_table(r: int) -> list[CyclotomicNumber]:
+    """zeta_r**m for m = 0..r-1 (each reduced mod Phi_r)."""
+    one = CyclotomicNumber.one(r)
+    table = [one]
+    z = zeta(r)
+    for _ in range(r - 1):
+        table.append(table[-1] * z)
+    return table
+
+
+# -- seeded operands --------------------------------------------------------------
+
+
+def random_coeffs(rng: random.Random, r: int) -> list:
+    """Mostly zero coefficients, ints and Fractions, sometimes longer than r."""
+    length = rng.randint(0, 2 * r + 3)
+    out = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.5:
+            out.append(0)
+        elif roll < 0.8:
+            out.append(rng.randint(-3, 3))
+        else:
+            out.append(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return out
+
+
+def root_sum_coeffs(rng: random.Random, r: int) -> list:
+    """Counts of a sum of powers of zeta_r: whole cycles over a subgroup (which
+    vanish unless the subgroup is trivial) plus a few stray powers."""
+    counts = [0] * r
+    step = rng.choice([d for d in range(1, r + 1) if r % d == 0])
+    for _ in range(rng.randint(1, 3)):
+        shift = rng.randrange(r)
+        for e in range(0, r, step):
+            counts[(e + shift) % r] += 1
+    for _ in range(rng.randint(0, 2)):
+        counts[rng.randrange(r)] += rng.choice([-1, 1])
+    return counts
+
+
+def operands(r: int, seed: int, count: int = 12):
+    """Pairs (new, reference) built from the same coefficient lists."""
+    rng = random.Random(f"cyclotomic:{r}:{seed}")
+    out = []
+    for i in range(count):
+        coeffs = random_coeffs(rng, r) if i % 2 else root_sum_coeffs(rng, r)
+        out.append((fast.CyclotomicNumber(r, coeffs), CyclotomicNumber(r, coeffs)))
+    out.append((fast.zeta(r, 0), zeta(r, 0)))
+    m = rng.randrange(r)
+    out.append((fast.zeta(r, m), zeta(r, m)))
+    return out
+
+
+def assert_same(new, ref):
+    """Every observable of one element agrees with the reference."""
+    assert isinstance(new, fast.CyclotomicNumber)
+    assert new.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in new.coeffs)
+    assert str(new) == str(ref)
+    assert hash(new) == hash(ref)
+    assert new.is_zero() == ref.is_zero()
+    assert new.is_constant() == ref.is_constant()
+    if ref.is_constant():
+        assert new.rational_value() == ref.rational_value()
+        assert type(new.rational_value()) is Fraction
+    else:
+        with pytest.raises(InvalidParameters):
+            new.rational_value()
+
+
+# -- agreement -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", ORDERS)
+def test_construction_and_observables_agree(r):
+    for new, ref in operands(r, seed=1):
+        assert_same(new, ref)
+        assert (new == 0) == (ref == 0)
+        assert (new == Fraction(1, 2)) == (ref == Fraction(1, 2))
+
+
+@pytest.mark.parametrize("r", ORDERS)
+def test_arithmetic_agrees(r):
+    rng = random.Random(f"arithmetic:{r}")
+    ops = operands(r, seed=2)
+    for (a, ra), (b, rb) in zip(ops, ops[1:] + ops[:1]):
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert_same(a * b, ra * rb)
+        assert_same(-a, -ra)
+        assert (a == b) == (ra == rb)
+        assert (a == a + 0) and (a == a * 1)
+        k = rng.randint(-3, 3)
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for scalar in (k, q):
+            assert_same(a * scalar, ra * scalar)
+            assert_same(scalar * a, scalar * ra)
+            assert_same(a + scalar, ra + scalar)
+            assert_same(scalar + a, scalar + ra)
+            assert_same(a - scalar, ra - scalar)
+            assert_same(scalar - a, scalar - ra)
+            assert (a == scalar) == (ra == scalar)
+
+
+@pytest.mark.parametrize("r", ORDERS)
+def test_sums_of_table_entries_agree(r):
+    """The matvec pattern: a running total plus one power of zeta at a time."""
+    rng = random.Random(f"table:{r}")
+    table, ref_table = fast.zeta_power_table(r), zeta_power_table(r)
+    assert len(table) == len(ref_table) == r
+    for new, ref in zip(table, ref_table):
+        assert_same(new, ref)
+    for _ in range(6):
+        total, ref_total = Fraction(0), Fraction(0)
+        for _ in range(rng.randint(1, 3 * r)):
+            m = rng.randrange(r)
+            total, ref_total = total + table[m], ref_total + ref_table[m]
+        assert_same(total, ref_total)
+    # a whole cycle of powers is zero for r >= 2, yet stored as r counts
+    cycle, ref_cycle = sum(table, Fraction(0)), sum(ref_table, Fraction(0))
+    assert_same(cycle, ref_cycle)
+    for new, ref in operands(r, seed=4, count=4):
+        assert (new + cycle == new) == (ref + ref_cycle == ref)
+        assert hash(new + cycle) == hash(ref + ref_cycle)
+
+
+@pytest.mark.parametrize("r", (2, 3, 4, 5, 6, 12))
+def test_powers_and_inverses_agree(r):
+    for new, ref in operands(r, seed=3, count=6):
+        assert_same(new ** 3, ref ** 3)
+        if not ref.is_zero():
+            assert_same(new.inverse(), ref.inverse())
+            assert_same(new ** -2, ref ** -2)
+
+
+def test_constants_compare_across_orders():
+    for r, s in ((3, 5), (4, 12), (1, 60), (6, 2)):
+        for value in (0, 2, Fraction(-3, 4)):
+            new = fast.CyclotomicNumber.constant(r, value) == fast.CyclotomicNumber.constant(s, value)
+            ref = CyclotomicNumber.constant(r, value) == CyclotomicNumber.constant(s, value)
+            assert new and ref
+        assert fast.zeta(4) != fast.zeta(6) and zeta(4) != zeta(6)
+        # zeta_2 is -1 whatever order it is compared at
+        assert (fast.zeta(2) == fast.CyclotomicNumber.constant(r, -1)) == (
+            zeta(2) == CyclotomicNumber.constant(r, -1)
+        )
+        assert hash(fast.zeta(2)) == hash(zeta(2)) == hash(-1)
+        assert_same(fast.zeta(r) + fast.zeta(2), zeta(r) + zeta(2))
+
+
+@pytest.mark.parametrize(
+    "n, k, r, power",
+    [(12, 8, 4, 1), (12, 8, 4, 4), (12, 8, 5, 2), (12, 8, 6, 6), (36, 24, 12, 5), (36, 24, 12, 12),
+     (36, 24, 7, 3), (30, 15, 30, 7), (60, 30, 60, 60), (60, 30, 60, 7), (24, 18, 6, 3)],
+)
+def test_verify_residual_strings_agree(n, k, r, power):
+    """``verify_certificate`` residuals print exactly as the reference's matvec."""
+    h = uniform_cycle(n, k)
+    check = verify_certificate(h, root_of_unity_certificate(h, r, power))
+    table = zeta_power_table(r)
+    ref_vector = VertexVector({str(i): table[(power * i) % r] for i in range(n)})
+    ref_residual = matvec(edge_vertex_incidence(h), ref_vector)
+    assert {e: str(v) for e, v in check.residual.items()} == {
+        e: str(v) for e, v in ref_residual.items()
+    }
+    assert check.valid == all(v == 0 for v in ref_residual.values())
