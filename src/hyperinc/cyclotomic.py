@@ -116,30 +116,6 @@ def _add_term(terms: dict, e: int, c: Rationalish) -> None:
         del terms[e]
 
 
-def _reduce(order: int, terms: dict) -> tuple[Fraction, ...]:
-    """sum(c * x**e) modulo Phi_order: Fractions low degree first, trimmed.
-
-    Every exponent lies in 0..order-1.  Long division by the monic Phi_order
-    only touches its non-zero coefficients below the leading one.
-    """
-    phi = _phi_coeffs(order)
-    degree = len(phi) - 1
-    tail = [(j, p) for j, p in enumerate(phi[:-1]) if p]
-    poly = [0] * order
-    for e, c in terms.items():
-        poly[e] = c
-    for e in range(max(terms, default=0), degree - 1, -1):
-        c = poly[e]
-        if c:
-            shift = e - degree
-            for j, p in tail:
-                poly[shift + j] -= c * p
-    out = poly[:degree]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(Fraction(c) for c in out)
-
-
 class CyclotomicNumber:
     """Element of Q(zeta_r), stored as a sum of powers of zeta_r.
 
@@ -179,7 +155,11 @@ class CyclotomicNumber:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
-            self._coeffs = _reduce(self.order, self._terms)
+            poly = [0] * self.order
+            for e, c in self._terms.items():
+                poly[e] = c
+            remainder = _poly_divmod(poly, _phi_coeffs(self.order))[1]
+            self._coeffs = tuple(Fraction(c) for c in remainder)
         return self._coeffs
 
     # -- constructors --------------------------------------------------------

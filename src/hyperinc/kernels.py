@@ -562,19 +562,14 @@ def _three_set_cores(echelon, free, nonzero):
 def _spread(cores, zero):
     """Every core with each zero column added to no set or to one of its
     sets (a zero column changes no count, so r stays), kept when every set
-    is non-empty and U leads U | V.  Zero columns are placed lowest first,
-    and a partial spread is dropped as soon as U cannot lead any more: when
-    it fails to lead even with every column still to place added to U."""
+    is non-empty and U leads U | V."""
     bits = [1 << j for j in bit_indices(zero)]
     for core, r in cores:
-        rest = zero
-        family = [core] if _leads(core[0] | rest, core[1]) else []
+        family = [core]
         for bit in bits:
-            rest ^= bit
             family += [m[:i] + (m[i] | bit,) + m[i + 1:] for m in family for i in range(len(m))]
-            family = [m for m in family if _leads(m[0] | rest, m[1])]
         for masks in family:
-            if all(masks):
+            if all(masks) and _leads(masks[0], masks[1]):
                 yield masks, r
 
 

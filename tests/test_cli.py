@@ -8,6 +8,7 @@ import time
 import pytest
 
 from conftest import CHILD_ENV
+from hyperinc import cyclotomic
 from hyperinc.cli import main
 from hyperinc.formats import parse_hypergraph_text
 
@@ -333,22 +334,29 @@ class TestVerify:
         proc = run_cli("verify", equal_file, "--certificate", "-", stdin=payload)
         assert proc.returncode == 0
 
-    def test_large_root_order(self, tmp_path, capsys):
+    def test_large_root_order(self, tmp_path, capsys, monkeypatch):
         """A root of order 2000 on a 12-vertex cycle builds one term per power
-        of zeta, not a degree-800 polynomial: the report says invalid (exit 1)
-        within a second."""
+        of zeta, not a degree-800 polynomial: the report says invalid (exit 1),
+        and Phi_2000 divides only residual entries, never a single power."""
         cycle = tmp_path / "c12.hg"
         assert main(["generate", "cycle", "12", "8", "-o", str(cycle)]) == 0
         cert = tmp_path / "root.json"
         cert.write_text(json.dumps({"kind": "root_of_unity_cycle", "order": 2000, "power": 3}))
+        cyclotomic.cyclotomic_polynomial(2000)  # Phi_2000 itself is cached
+        divide, dividends = cyclotomic._poly_divmod, []
+
+        def counting_divmod(num, den):
+            dividends.append(sum(1 for c in num if c))
+            return divide(num, den)
+
+        monkeypatch.setattr(cyclotomic, "_poly_divmod", counting_divmod)
         capsys.readouterr()
-        start = time.perf_counter()
         code = main(["verify", str(cycle), "--certificate", str(cert), "--json"])
-        assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
         assert code == 1 and "Traceback" not in err
         report = json.loads(out)["certificate"]
         assert report["valid"] is False and len(report["residual"]) == 12
+        assert 0 < len(dividends) <= 12 and min(dividends) >= 2
 
 
 class TestFind:

@@ -563,39 +563,3 @@ def test_patterns_walk_only_columns_that_meet_a_row(monkeypatch):
     walks.clear()
     assert len(kernels.find_certificates_exhaustive(edgeless, THREE_SET_RELATION)) == 23310
     assert [n_walked for *_, n_walked in walks] == [1, 1]
-
-
-def test_spread_cuts_spreads_that_cannot_lead(monkeypatch):
-    """Zero columns are placed lowest first, and a partial spread is dropped
-    once U cannot lead U | V: on 1, 2 and the isolated x, y, z (last in the
-    order) an r = 0 core (U empty, V inside {1, 2}) is cut at once, and
-    every spread that is completed passes ``_leads``."""
-    h = Hypergraph(["1", "2", "x", "y", "z"], [["1", "2"]])
-    spread, leads = kernels._spread, kernels._leads
-    evaluations, per_core = [], []
-
-    def counting_leads(u, v):
-        evaluations.append((u, v))
-        return leads(u, v)
-
-    def core_by_core(cores, zero):
-        assert zero == 0b11100
-        for core, r in cores:
-            before = len(evaluations)
-            spreads = list(spread([(core, r)], zero))
-            per_core.append((r, len(evaluations) - before, spreads))
-            yield from spreads
-
-    monkeypatch.setattr(kernels, "_leads", counting_leads)
-    monkeypatch.setattr(kernels, "_spread", core_by_core)
-    for kind in (RATIO_EDGE_PARTITION, EQUAL_EDGE_PARTITION, THREE_SET_RELATION):
-        per_core.clear()
-        found = kernels.find_certificates_exhaustive(h, kind)
-        assert found == find_certificates_exhaustive(h, kind) == find_certificates_pruned(h, kind)
-        completed = [masks for _, _, spreads in per_core for masks, _ in spreads]
-        assert len(completed) == len(found)
-        assert all(all(masks) and leads(masks[0], masks[1]) for masks in completed)
-    per_core.clear()
-    kernels.find_certificates_exhaustive(h, RATIO_EDGE_PARTITION)
-    zero_ratio = [(visits, spreads) for r, visits, spreads in per_core if r == 0]
-    assert zero_ratio and all(visits == 1 and not spreads for visits, spreads in zero_ratio)
