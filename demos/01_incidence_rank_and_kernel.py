@@ -37,7 +37,7 @@ for name, row in zip(b.row_labels, b.entries):
 
 ns = rank_and_nullspace(b)
 print(f"\nrank(B_H) = {ns.rank}, nullity = {ns.nullity}  (rank + nullity = {b.cols} columns)")
-print(f"independent cross-check, rank over GF(p): {rank_modular_oracle(b)}")
+print(f"independent cross-check, exact rank over Q from ranks over GF(p): {rank_modular_oracle(b)}")
 
 print("\nKernel basis (each vector re-multiplied through B_H):")
 for vec in ns.vectors:

@@ -126,7 +126,8 @@ class CyclotomicNumber:
     reduction modulo Phi_r (a trimmed tuple of Fractions, low degree first),
     is, so equality, hashing and printing go through it; it is computed on
     first use and kept.  Mixed arithmetic with ints and Fractions treats them
-    as constants of the same order.
+    as constants of the same order, and a constant of another order is
+    re-expressed at the other operand's.
     """
 
     __slots__ = ("order", "_terms", "_coeffs")
@@ -177,23 +178,23 @@ class CyclotomicNumber:
         return CyclotomicNumber(order, [value])
 
     def _coerce(self, other):
-        """``other``'s terms at this order, or None when it is not a number of
-        this field (or is a non-constant of another order while this one is a
-        constant)."""
+        """``self`` and ``other``'s terms at one order, or (None, None) when
+        ``other`` is not a number.  A constant takes the other operand's
+        order; two non-constants of different orders do not mix."""
         if isinstance(other, CyclotomicNumber):
             if other.order == self.order:
-                return other._terms
+                return self, other._terms
             if other.is_constant():
                 value = other.rational_value()
-                return {0: _rational(value)} if value else {}
+                return self, {0: _rational(value)} if value else {}
             if self.is_constant():
-                return None
+                return CyclotomicNumber(other.order, [self.rational_value()]), other._terms
             raise InvalidParameters(
                 f"mixing cyclotomic orders {self.order} and {other.order}"
             )
         if isinstance(other, (int, Fraction)):
-            return {0: _rational(other)} if other else {}
-        return None
+            return self, {0: _rational(other)} if other else {}
+        return None, None
 
     # -- predicates ------------------------------------------------------------
 
@@ -220,10 +221,10 @@ class CyclotomicNumber:
         return CyclotomicNumber._of_terms(self.order, out)
 
     def __add__(self, other):
-        terms = self._coerce(other)
-        if terms is None:
+        x, terms = self._coerce(other)
+        if x is None:
             return NotImplemented
-        return self._plus(terms, 1)
+        return x._plus(terms, 1)
 
     __radd__ = __add__
 
@@ -231,23 +232,23 @@ class CyclotomicNumber:
         return CyclotomicNumber._of_terms(self.order, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        terms = self._coerce(other)
-        if terms is None:
+        x, terms = self._coerce(other)
+        if x is None:
             return NotImplemented
-        return self._plus(terms, -1)
+        return x._plus(terms, -1)
 
     def __rsub__(self, other):
-        terms = self._coerce(other)
-        if terms is None:
+        x, terms = self._coerce(other)
+        if x is None:
             return NotImplemented
-        return (-self)._plus(terms, 1)
+        return (-x)._plus(terms, 1)
 
     def __mul__(self, other):
-        terms = self._coerce(other)
-        if terms is None:
+        x, terms = self._coerce(other)
+        if x is None:
             return NotImplemented
-        order, out = self.order, {}
-        for e1, c1 in self._terms.items():
+        order, out = x.order, {}
+        for e1, c1 in x._terms.items():
             for e2, c2 in terms.items():
                 _add_term(out, (e1 + e2) % order, c1 * c2)
         return CyclotomicNumber._of_terms(order, out)

@@ -88,8 +88,7 @@ def write_text(path: str, text: str) -> None:
 
 def parse_hypergraph_text(text: str) -> Hypergraph:
     vertices: Optional[list[str]] = None
-    edges: list[list[str]] = []
-    names: list[str] = []
+    edges: dict[str, list[str]] = {}  # edge name -> members, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,13 +105,12 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
                 raise ParseError("duplicate 'vertices:' header", line=lineno)
             vertices = members
             continue
-        if name in names:
+        if name in edges:
             raise ParseError(f"duplicate edge name {name!r}", line=lineno)
         if not members:
             raise ParseError(f"edge {name!r} has no vertices", line=lineno)
-        names.append(name)
-        edges.append(members)
-    inferred = {v for e in edges for v in e}
+        edges[name] = members
+    inferred = {v for e in edges.values() for v in e}
     if vertices is None:
         vertices = sorted(inferred)
     else:
@@ -123,7 +121,7 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
             )
     if not vertices:
         raise ParseError("no vertices found")
-    return build_hypergraph(vertices, edges, names)
+    return build_hypergraph(vertices, list(edges.values()), list(edges))
 
 
 def parse_hypergraph_json(text: str) -> Hypergraph:

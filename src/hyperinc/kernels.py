@@ -580,7 +580,7 @@ def find_certificates_exhaustive(
 
     The certificates are kernel vectors of the incidence matrix, so the
     search enumerates the values at the free columns of one checked echelon
-    form (``checked_echelon``: rank proven by Bareiss, basis re-multiplied).
+    form (``checked_echelon``: basis re-multiplied, rank proven mod primes).
     Zero columns Z, the elements that meet no row, are free and change no
     count, so they are left out of that walk and spread over each hit after
     it: 3^(nullity - |Z|) candidates (4^(nullity - |Z|) for the three-set

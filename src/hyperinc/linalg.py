@@ -1,29 +1,22 @@
 """Exact dense matrices over Q: incidence matrices, rank, null-space bases.
 
 Everything here is tolerance-free.  Rank and kernel come from one exact
-fraction-free Gauss-Jordan pass on a denominator-cleared integer copy, and the
-rank is cross-checked by a separate Bareiss elimination.  Null-space bases are
-the normalised RREF bases, so they are deterministic, and every basis vector is
-re-multiplied through the integer matrix before being returned.
+fraction-free Gauss-Jordan pass on a denominator-cleared integer copy.
+Null-space bases are the normalised RREF bases, so they are deterministic, and
+every basis vector is re-multiplied through the integer matrix before being
+returned, which bounds the rank above; ranks modulo primes bound it below.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import count
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
 from .hypergraph import Hypergraph, VertexVector
-
-# primes just above 2**20.  A prime can divide every maximal non-zero minor, so the
-# rank mod p is only a lower bound on the rank over Q: a cheap check, not a proof
-ORACLE_PRIME_POOL = (
-    1048583, 1048589, 1048601, 1048609, 1048613,
-    1048627, 1048633, 1048661, 1048681, 1048703,
-)
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -69,16 +62,6 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         flipped = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return RationalMatrix(flipped, self.col_labels, self.row_labels)
-
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -159,30 +142,6 @@ def _fraction_free_rref(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Fraction-free integer elimination; all divisions are exact."""
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        rank += 1
-        r += 1
-        if r == n_rows:
-            break
-    return rank
-
-
 def _cleared_integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     """Each row times the lcm of its denominators."""
     out = []
@@ -205,16 +164,18 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
 def checked_echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
     """``_echelon`` of integer ``rows`` with its rank and kernel proven.
 
-    The rank is cross-checked by Bareiss elimination, and every kernel
-    basis vector, scaled by d to integers, is re-multiplied through ``rows``.
-    So the kernel is exactly the span of the vectors the reduced rows give the
-    free columns: a kernel vector is fixed by its free coordinates.
+    Every kernel basis vector, scaled by d to integers, is re-multiplied
+    through ``rows``; the vectors are independent, one per free column, so
+    the rank is at most r, the pivot count.  ``_modular_rank`` proves it is
+    at least r.  So the kernel is exactly the span of the vectors the reduced
+    rows give the free columns: a kernel vector is fixed by its free
+    coordinates.
     """
     pivots, reduced, d = _echelon(rows)
-    bareiss = _bareiss_rank(rows)
-    if bareiss != len(pivots):
+    modular = _modular_rank(rows, len(pivots))
+    if modular != len(pivots):
         raise ArithmeticError(
-            f"rank disagreement: Bareiss {bareiss} vs fraction-free Gauss-Jordan {len(pivots)}"
+            f"rank disagreement: modular {modular} vs fraction-free Gauss-Jordan {len(pivots)}"
         )
     sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
     for scaled in _scaled_basis(pivots, reduced, d, len(rows[0]) if rows else 0):
@@ -252,10 +213,24 @@ def rank_and_nullspace(m: RationalMatrix) -> NullspaceBasis:
     return NullspaceBasis(rank=len(pivots), cols=m.cols, vectors=vectors)
 
 
+_PRIMES: list[int] = []  # the primes above 2**20 in order, as far as ``_prime`` needed
+
+
+def _prime(i: int) -> int:
+    """The i-th prime above 2**20, counting from 0, found by trial division."""
+    while len(_PRIMES) <= i:
+        n = _PRIMES[-1] + 2 if _PRIMES else 2**20 + 1
+        while any(n % q == 0 for q in range(3, isqrt(n) + 1, 2)):
+            n += 2
+        _PRIMES.append(n)
+    return _PRIMES[i]
+
+
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank of integer ``rows`` over GF(p); each step touches only the
+    columns after its pivot."""
     m = [[x % p for x in row] for row in rows]
     n_rows, n_cols = len(m), len(m[0]) if m else 0
-    rank = 0
     r = 0
     for c in range(n_cols):
         pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
@@ -263,32 +238,52 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
+        tail = [x * inv % p for x in m[r][c + 1:]]
         for i in range(r + 1, n_rows):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        rank += 1
+            f = m[i][c]
+            if f:
+                m[i][c + 1:] = [(a - f * b) % p for a, b in zip(m[i][c + 1:], tail)]
         r += 1
         if r == n_rows:
             break
-    return rank
+    return r
 
 
-def rank_modular_oracle(m: RationalMatrix, n_primes: int = 3, seed: int = 0) -> int:
-    """Rank over GF(p) for several primes > 2**20; returns the maximum.
+def _modular_rank(rows: list[list[int]], ceiling: int) -> int:
+    """The rank over Q of integer ``rows``, known to be at most ``ceiling``.
 
-    Only valid on integer matrices.  The modular rank never exceeds the
-    rational rank, and falls below it when p divides every maximal non-zero
-    minor, so the result is a lower bound: a cheap independent check, not a
-    proof of the rational rank.
+    The rank mod p never exceeds the rational rank, so the primes above
+    2**20 are tried in order until one reaches ``ceiling``.  A prime falls
+    short only when it divides every maximal non-zero minor, and Hadamard
+    bounds such a minor by the product of the row norms; so once the primes'
+    product exceeds that bound (compared squared, in integers) the largest
+    rank seen is the rational rank.  A rank above ``ceiling`` is returned as
+    soon as it is seen.
     """
-    if not m.is_integer():
+    best, product, bound = 0, 1, None
+    for i in count():
+        p = _prime(i)
+        rank = _rank_mod_p(rows, p)
+        if rank >= ceiling:
+            return rank
+        best = max(best, rank)
+        if bound is None:
+            bound = prod(max(1, sum(a * a for a in row)) for row in rows)
+        product *= p * p
+        if product > bound:
+            return best
+
+
+def rank_modular_oracle(m: RationalMatrix) -> int:
+    """The exact rank over Q of an integer matrix, from ranks over GF(p).
+
+    An elimination independent of ``rank_and_nullspace``: ``_modular_rank``
+    with the trivial ceiling min(rows, cols).
+    """
+    if any(x.denominator != 1 for row in m.entries for x in row):
         raise NonIntegerEntries("modular rank oracle requires integer entries")
     rows = [[int(x) for x in row] for row in m.entries]
-    rng = random.Random(seed)
-    primes = rng.sample(ORACLE_PRIME_POOL, min(n_primes, len(ORACLE_PRIME_POOL)))
-    return max(_rank_mod_p(rows, p) for p in primes)
+    return _modular_rank(rows, min(m.rows, m.cols))
 
 
 def matvec(m: RationalMatrix, x) -> dict[str, object]:

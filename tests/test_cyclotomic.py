@@ -79,6 +79,23 @@ class TestArithmetic:
         assert (z + Fraction(1, 2)) - z == Fraction(1, 2)
         assert Fraction(2) * z == z + z
 
+    def test_constant_of_another_order_in_either_position(self):
+        c, z = CyclotomicNumber.constant(5, 2), zeta(3)
+        expected = {
+            "+": CyclotomicNumber(3, [2, 1]),
+            "-": CyclotomicNumber(3, [2, -1]),
+            "*": CyclotomicNumber(3, [0, 2]),
+        }
+        assert c + z == z + c == expected["+"]
+        assert c - z == -(z - c) == expected["-"]
+        assert c * z == z * c == expected["*"]
+        for result in (c + z, z + c, c - z, z - c, c * z, z * c):
+            assert result.order == 3
+        for left, right in ((zeta(5), z), (z, zeta(5))):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(InvalidParameters):
+                    op(left, right)
+
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             CyclotomicNumber.zero(4).inverse()

@@ -11,7 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from hyperinc import RationalMatrix, VertexVector, rank_and_nullspace, span_dimension
+from hyperinc import (
+    EQUAL_EDGE_PARTITION,
+    RationalMatrix,
+    VertexVector,
+    build_hypergraph,
+    find_certificates_exhaustive,
+    rank_and_nullspace,
+    rank_modular_oracle,
+    span_dimension,
+)
 from hyperinc import linalg
 
 
@@ -145,12 +154,69 @@ def test_matches_sympy():
         assert list(ns.vectors) == expected, label
 
 
-def test_bareiss_cross_check_is_wired_in(monkeypatch):
+def _count_rank_mod_p_calls(monkeypatch, shift: int = 0) -> list:
+    """Patch ``_rank_mod_p`` to log its primes and add ``shift`` to its
+    answer; more than ten calls fail."""
+    primes = []
+    rank_mod_p = linalg._rank_mod_p
+
+    def counted(rows, p):
+        primes.append(p)
+        assert len(primes) <= 10, "the modular rank did not stop"
+        return rank_mod_p(rows, p) + shift
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", counted)
+    return primes
+
+
+def test_rank_cross_check_is_wired_in(monkeypatch):
+    """A modular rank one too high fails at once; one too low on every prime
+    fails once the primes pass the Hadamard bound."""
     m = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
+    h = build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]])
     assert rank_and_nullspace(m).rank == 2
-    monkeypatch.setattr(linalg, "_bareiss_rank", lambda rows: 3)
-    with pytest.raises(ArithmeticError, match="rank disagreement"):
-        rank_and_nullspace(m)
+    assert find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
+    for shift in (1, -1):
+        with monkeypatch.context() as patch:
+            _count_rank_mod_p_calls(patch, shift)
+            with pytest.raises(ArithmeticError, match="rank disagreement"):
+                rank_and_nullspace(m)
+            with pytest.raises(ArithmeticError, match="rank disagreement"):
+                find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
+
+
+def test_generated_primes_are_the_primes_above_2_20():
+    limit = linalg._prime(39) + 1
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    expected = [n for n in range(2**20, limit) if sieve[n]]
+    assert [linalg._prime(i) for i in range(40)] == expected
+    assert len(expected) == 40
+
+
+@pytest.mark.parametrize("n_primes", [1, 2])
+def test_prime_falling_short_falls_back(monkeypatch, n_primes):
+    """Determinant p0 (or p0 * p1): the first prime (or two) gives rank 1, the
+    Hadamard bound is not yet passed, and the next prime proves rank 2."""
+    det = linalg._prime(0) * (linalg._prime(1) if n_primes == 2 else 1)
+    m = RationalMatrix([[1, 1], [1, 1 + det]], ["r1", "r2"], ["a", "b"])
+    primes = _count_rank_mod_p_calls(monkeypatch)
+    assert rank_and_nullspace(m).rank == 2
+    assert primes == [linalg._prime(i) for i in range(n_primes + 1)]
+    primes.clear()
+    assert rank_modular_oracle(m) == 2
+    assert len(primes) == n_primes + 1
+
+
+def test_hadamard_bound_stops_a_rank_deficient_oracle(monkeypatch):
+    """Rank 1 below the ceiling 2: one prime passes the Hadamard bound 2."""
+    m = RationalMatrix([[1, 1], [1, 1]], ["r1", "r2"], ["a", "b"])
+    primes = _count_rank_mod_p_calls(monkeypatch)
+    assert rank_modular_oracle(m) == 1
+    assert len(primes) == 1
 
 
 def test_re_multiplication_is_wired_in(monkeypatch):

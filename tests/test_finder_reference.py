@@ -450,7 +450,7 @@ def test_bench_shapes_match_reference():
 @pytest.mark.parametrize("fault", ["extra_pivot", "missing_pivot", "wrong_entry"])
 def test_echelon_faults_are_caught(monkeypatch, fault):
     """A wrong echelon form raises instead of returning a shorter list: a
-    pivot too many or too few fails the Bareiss rank, a wrong reduced entry
+    pivot too many or too few fails the modular rank, a wrong reduced entry
     fails the re-multiplication of its basis vector."""
     h = PAIR_SHAPES[0]
     echelon = linalg._echelon

@@ -15,6 +15,7 @@ from hyperinc import (
     uniform_cycle,
     vertex_edge_incidence,
 )
+from hyperinc import linalg
 from hyperinc.errors import DimensionMismatch, NonIntegerEntries
 from conftest import random_instance
 
@@ -141,6 +142,34 @@ class TestModularOracle:
             h = random_instance(rng, max_vertices=9, max_edges=7)
             b = edge_vertex_incidence(h)
             assert rank_modular_oracle(b) == rank_and_nullspace(b).rank
+
+    def test_matches_sympy_on_large_entries(self):
+        """X * diag(d) * Y with d drawn from products of the first primes
+        above 2**20, so single primes often fall short, and plain random
+        matrices with entries up to 10**12."""
+        sympy = pytest.importorskip("sympy")
+        p = [linalg._prime(i) for i in range(3)]
+        diagonal = [1, p[0], p[0] * p[1], p[0] * p[1] * p[2], p[1] ** 2, 0]
+        rng = random.Random(4177)
+        cases = [[[1, 1], [1, 1 + p[0]]], [[1, 1], [1, 1 + p[0] * p[1]]]]
+        for _ in range(30):
+            n, k, c = rng.randint(1, 6), rng.randint(1, 5), rng.randint(1, 6)
+            x = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+            d = [rng.choice(diagonal) for _ in range(k)]
+            y = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+            cases.append(
+                [[sum(x[i][t] * d[t] * y[t][j] for t in range(k)) for j in range(c)] for i in range(n)]
+            )
+            cases.append([[rng.randint(-(10**12), 10**12) for _ in range(c)] for _ in range(n)])
+        deficient = 0
+        for rows in cases:
+            expected = sympy.Matrix(rows).rank()
+            deficient += expected < min(len(rows), len(rows[0]))
+            rlabels = [f"r{i}" for i in range(len(rows))]
+            m = RationalMatrix(rows, rlabels, [f"c{j}" for j in range(len(rows[0]))])
+            assert rank_modular_oracle(m) == expected, rows
+            assert rank_and_nullspace(m).rank == expected, rows
+        assert deficient
 
 
 class TestMatvec:
