@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, prod
+from operator import sub
 from typing import Union
 
 from .errors import InvalidParameters
@@ -70,26 +72,37 @@ class CyclotomicPoly:
 
 @lru_cache(maxsize=None)
 def _phi_coeffs(r: int) -> tuple[int, ...]:
+    """Phi_r, low degree first, as Phi_m(x^(r/m)) with m = rad(r) and, for m > 1,
+    Phi_m = prod over d | m of (1 - x^d)^mu(m/d) as an integer power series cut
+    after degree phi(m): a factor 1 - x^d is one subtraction pass, its inverse
+    a prefix sum with stride d."""
     if r == 1:
         return (-1, 1)
-    num = [-1] + [0] * (r - 1) + [1]  # x^r - 1
-    den = [1]
-    for d in range(1, r):
-        if r % d == 0:
-            den = _poly_mul(den, _phi_coeffs(d))
-    q, rem = _poly_divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
-    if rem:
-        raise ArithmeticError(f"cyclotomic division left a remainder at r={r}")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer cyclotomic coefficient at r={r}")
-        out.append(int(c))
-    return tuple(out)
+    primes, rest = [], r
+    for p in range(2, isqrt(r) + 1):
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        primes.append(rest)
+    degree = prod(p - 1 for p in primes)
+    series = [1] + [0] * degree
+    for size in range(len(primes) + 1):
+        for d in map(prod, itertools.combinations(primes, size)):
+            if (len(primes) - size) % 2 == 0:  # mu(m/d) = 1; a no-op for d > phi(m)
+                series[d:] = map(sub, series[d:], series[:-d])
+            else:
+                for s in range(min(d, degree)):
+                    series[s::d] = itertools.accumulate(series[s::d])
+    step = r // prod(primes)
+    spread = [0] * (degree * step + 1)
+    spread[::step] = series
+    return tuple(spread)
 
 
 def cyclotomic_polynomial(r: int) -> CyclotomicPoly:
-    """Phi_r, computed by exact division of x^r - 1 by the proper-divisor Phi_d."""
+    """Phi_r, from the binomials 1 - x^d over the divisors d of rad(r)."""
     if r < 1:
         raise InvalidParameters(f"cyclotomic order must be >= 1, got {r}")
     return CyclotomicPoly(r, _phi_coeffs(r))

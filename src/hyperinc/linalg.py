@@ -1,7 +1,8 @@
 """Exact dense matrices over Q: incidence matrices, rank, null-space bases.
 
 Everything here is tolerance-free.  Rank and kernel come from one exact
-fraction-free Gauss-Jordan pass on a denominator-cleared integer copy.
+fraction-free elimination (Bareiss forward, then back-substitution on the
+free columns) on a denominator-cleared integer copy.
 Null-space bases are the normalised RREF bases, so they are deterministic, and
 every basis vector is re-multiplied through the integer matrix before being
 returned, which bounds the rank above; ranks modulo primes bound it below.
@@ -111,12 +112,14 @@ def vertex_edge_incidence(h: Hypergraph) -> RationalMatrix:
 
 
 def _fraction_free_rref(rows: list[list[int]]) -> list[int]:
-    """In-place fraction-free Gauss-Jordan elimination; returns the pivot columns.
+    """In-place fraction-free elimination; returns the pivot columns.
 
-    For each pivot (r, c) every other row, above and below, becomes
-    (piv * row - row[c] * pivot_row) // prev.  Entries stay minors of the input,
-    so every division is exact; at the end row r is d times RREF row r, where
-    d is the last pivot.
+    Forward (Bareiss): for pivot (r, c) each row below r becomes (piv * row -
+    row[c] * pivot_row) // prev after c and 0 at c; rows with row[c] = 0 are
+    still scaled, so entries stay minors and every division is exact.  Then,
+    from the last pivot row k up, free column f becomes (d * U[k][f] - sum over
+    later pivots l of U[k][p_l] * R[l][f]) // U[k][p_k], d the last pivot, and
+    pivot columns d on the diagonal, else 0: row k is d times RREF row k.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
@@ -128,17 +131,32 @@ def _fraction_free_rref(rows: list[list[int]]) -> list[int]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top = rows[r]
-        piv = top[c]
-        for i in range(n_rows):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], top)]
+        piv = rows[r][c]
+        top = rows[r][c + 1:]
+        for row in rows[r + 1:]:
+            f, row[c] = row[c], 0
+            if f:
+                row[c + 1:] = [(piv * a - f * b) // prev for a, b in zip(row[c + 1:], top)]
+            elif piv != prev:
+                row[c + 1:] = [piv * a // prev for a in row[c + 1:]]
         prev = piv
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
+    free = sorted(set(range(n_cols)).difference(pivots))
+    reduced: list[list[int]] = [[]] * r  # row k's free-column entries of R
+    for k in range(r - 1, -1, -1):
+        row = rows[k]
+        acc = [prev * row[f] for f in free]
+        for l in range(k + 1, r):
+            if w := row[pivots[l]]:
+                acc = [a - w * b for a, b in zip(acc, reduced[l])]
+        reduced[k] = [a // row[pivots[k]] for a in acc]
+        rows[k] = [0] * n_cols
+        for f, x in zip(free, reduced[k]):
+            rows[k][f] = x
+        rows[k][pivots[k]] = prev
     return pivots
 
 
@@ -152,7 +170,7 @@ def _cleared_integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]
 
 
 def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
-    """Fraction-free Gauss-Jordan on a copy of integer ``rows``: the pivot
+    """Fraction-free elimination on a copy of integer ``rows``: the pivot
     columns, the reduced rows (row r is d times RREF row r) and d, the last
     pivot (1 when there is none)."""
     reduced = [row[:] for row in rows]
@@ -175,7 +193,7 @@ def checked_echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], 
     modular = _modular_rank(rows, len(pivots))
     if modular != len(pivots):
         raise ArithmeticError(
-            f"rank disagreement: modular {modular} vs fraction-free Gauss-Jordan {len(pivots)}"
+            f"rank disagreement: modular {modular} vs fraction-free elimination {len(pivots)}"
         )
     sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
     for scaled in _scaled_basis(pivots, reduced, d, len(rows[0]) if rows else 0):
@@ -292,7 +310,8 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     ``x`` may be a ``VertexVector`` or a plain mapping; its support must be
     covered by the column labels.  Entries may be rational or cyclotomic; the
     result lives in whichever scalar domain the inputs span.  Each row is read
-    only at the vector's non-zero support, in column order.
+    only at the vector's non-zero support, in column order; a rational vector
+    is summed in integers.
     """
     entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
     col_index = {c: j for j, c in enumerate(m.col_labels)}
@@ -300,6 +319,14 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     if outside:
         raise DimensionMismatch(f"vector support outside matrix columns: {sorted(outside)}")
     support = sorted((col_index[k], v) for k, v in entries.items() if v != 0)
+    if all(isinstance(v, (int, Fraction)) for _, v in support):
+        # rational: clear the vector's denominators once, then one Fraction per row
+        scale = lcm(*(v.denominator for _, v in support))
+        cleared = [(j, v.numerator * (scale // v.denominator)) for j, v in support]
+        return {
+            label: Fraction(sum(row[j] * v for j, v in cleared if row[j]), scale)
+            for label, row in zip(m.row_labels, m.entries)
+        }
     result: dict[str, object] = {}
     for rlabel, row in zip(m.row_labels, m.entries):
         total = Fraction(0)

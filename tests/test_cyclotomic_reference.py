@@ -2,8 +2,10 @@
 
 The reference below is the earlier dense implementation, kept verbatim: every
 element is reduced modulo Phi_r on construction, and every addition pads both
-coefficient lists and rebuilds through the constructor.  Both classes run on
-the same seeded operands at several orders, and every observable result
+coefficient lists and rebuilds through the constructor.  Its Phi_r is the
+earlier ``_phi_coeffs``, which divides x^r - 1 by the product of every Phi_d
+(d | r, d < r); the live one must give the same coefficients.  Both classes
+run on the same seeded operands at several orders, and every observable result
 (arithmetic, equality, hashing, printing, the reduced coefficients and the
 rational value) must agree exactly, as must the residual strings of
 ``verify_certificate`` on uniform cycles.
@@ -13,13 +15,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import pytest
 
 import hyperinc.cyclotomic as fast
 from hyperinc import VertexVector, edge_vertex_incidence, matvec, uniform_cycle
-from hyperinc.cyclotomic import _phi_coeffs
 from hyperinc.errors import InvalidParameters
 from hyperinc.kernels import root_of_unity_certificate, verify_certificate
 
@@ -68,6 +70,24 @@ def _poly_divmod(num, den):
     return _poly_trim(q), _poly_trim(num)
 
 
+@lru_cache(maxsize=None)
+def _phi_coeffs(r: int) -> tuple[int, ...]:
+    if r == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (r - 1) + [1]  # x^r - 1
+    den = [1]
+    for d in range(1, r):
+        if r % d == 0:
+            den = _poly_mul(den, _phi_coeffs(d))
+    q, rem = _poly_divmod([Fraction(c) for c in num], [Fraction(c) for c in den])
+    if rem:
+        raise ArithmeticError(f"cyclotomic division left a remainder at r={r}")
+    out = []
+    for c in q:
+        if c.denominator != 1:
+            raise ArithmeticError(f"non-integer cyclotomic coefficient at r={r}")
+        out.append(int(c))
+    return tuple(out)
 
 
 class CyclotomicNumber:
@@ -414,3 +434,21 @@ def test_verify_residual_strings_agree(n, k, r, power):
         e: str(v) for e, v in ref_residual.items()
     }
     assert check.valid == all(v == 0 for v in ref_residual.values())
+
+
+def test_phi_coeffs_agree():
+    for r in [*range(1, 200), 360, 1001, 2000, 4096]:
+        assert fast._phi_coeffs(r) == _phi_coeffs(r), r
+
+
+def test_phi_coeffs_do_no_division(monkeypatch):
+    """Phi_15015 (15015 = 3*5*7*11*13) comes from the binomials over the
+    divisors, with no polynomial division; counted instead of timed."""
+    calls = []
+    divmod_ = fast._poly_divmod
+    monkeypatch.setattr(fast, "_poly_divmod", lambda *a: calls.append(a) or divmod_(*a))
+    fast._phi_coeffs.cache_clear()
+    phi = fast._phi_coeffs(15015)
+    assert len(phi) - 1 == 5760
+    assert (phi[0], phi[-1]) == (1, 1)
+    assert calls == []

@@ -4,6 +4,12 @@
 core of ``hyperinc.linalg``, kept verbatim as a test-only reference.  The
 fraction-free pass must return the same rank and the same basis vectors, in
 the same order, on random 0/1 and rational matrices of every shape.
+
+``_gauss_jordan_reference`` is the fraction-free Gauss-Jordan pass that
+followed it, also kept verbatim: every pivot rewrote every other row at every
+column.  ``linalg._echelon`` (forward elimination, then back-substitution on
+the free columns) must give the same pivots, the same d and the same reduced
+rows in every cell, zero rows included.
 """
 
 import random
@@ -46,6 +52,38 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == n_rows:
             break
     return rows, pivots
+
+
+def _gauss_jordan_reference(rows: list[list[int]]) -> list[int]:
+    """In-place fraction-free Gauss-Jordan elimination; returns the pivot columns.
+
+    For each pivot (r, c) every other row, above and below, becomes
+    (piv * row - row[c] * pivot_row) // prev.  Entries stay minors of the input,
+    so every division is exact; at the end row r is d times RREF row r, where
+    d is the last pivot.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        piv = top[c]
+        for i in range(n_rows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
 
 
 def reference_rank_and_nullspace(m: RationalMatrix) -> tuple[int, list[VertexVector]]:
@@ -231,3 +269,63 @@ def test_re_multiplication_is_wired_in(monkeypatch):
     monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         rank_and_nullspace(m)
+
+
+def _dense_01(rng: random.Random, rows: int, base: int, clones: int) -> list[list[int]]:
+    """Random 0/1 rows on ``base`` columns, then ``clones`` columns that copy
+    a random base column (a unit of B_H)."""
+    out = [[int(rng.random() < 0.5) for _ in range(base)] for _ in range(rows)]
+    for _ in range(clones):
+        src = rng.randrange(base)
+        for row in out:
+            row.append(row[src])
+    return out
+
+
+def _deficient(rng: random.Random, rows: int, cols: int, rank: int) -> list[list[int]]:
+    """Integer rows of rank at most ``rank``: combinations of ``rank`` random rows."""
+    basis = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+    return [
+        [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(cols)] for _ in range(rows)
+    ]
+
+
+def _echelon_cases(seed: int):
+    """(label, integer rows) for each shape, each followed by its transpose."""
+    rng = random.Random(seed)
+    cases = []
+    for index in range(3):
+        cases += [
+            (f"0/1 30x50 #{index}", _dense_01(rng, 30, 40, 10)),
+            (f"0/1 36x46 #{index}", _dense_01(rng, 36, 46, 0)),
+            (f"0/1 44x62 with 20 duplicate columns #{index}", _dense_01(rng, 44, 42, 20)),
+        ]
+    for index in range(40):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = random_matrix(rng, rows, cols, rational=True)
+        cleared = linalg._cleared_integer_rows(m.entries)
+        cases.append((f"cleared rational {rows}x{cols} #{index}", cleared))
+        rank = rng.randint(0, min(rows, cols))
+        cases.append((f"rank <= {rank} {rows}x{cols} #{index}", _deficient(rng, rows, cols, rank)))
+        m = _deficient(rng, rows + 2, cols + 2, rng.randint(1, min(rows, cols)))
+        zero_row, zero_col = rng.randrange(rows + 2), rng.randrange(cols + 2)
+        m[zero_row] = [0] * (cols + 2)
+        for row in m:
+            row[zero_col] = 0
+        cases.append((f"zero row {zero_row} and column {zero_col} #{index}", m))
+    for label, rows in cases:
+        yield label, rows
+        if rows:
+            yield label + " transposed", [list(col) for col in zip(*rows)]
+    yield "no rows", []
+    yield "3x0", [[], [], []]
+
+
+def test_echelon_matches_gauss_jordan_reference():
+    cases = list(_echelon_cases(seed=1717))
+    assert len(cases) >= 250
+    for label, rows in cases:
+        expected = [row[:] for row in rows]
+        pivots = _gauss_jordan_reference(expected)
+        d = expected[len(pivots) - 1][pivots[-1]] if pivots else 1
+        assert linalg._echelon(rows) == (pivots, expected, d), label

@@ -152,3 +152,19 @@ def test_support_outside_columns_raises(x):
         reference_matvec(m, x)
     with pytest.raises(DimensionMismatch):
         matvec(m, x)
+
+
+def test_rational_vector_on_mixed_int_and_fraction_cells():
+    """The integer-sum path: int and Fraction cells in one row, against a vector
+    mixing ints, Fractions with different denominators and a zero."""
+    m = RationalMatrix(
+        [[1, Fraction(1, 2), 0, -3], [Fraction(-2, 3), 2, 1, 0], [0, 0, 0, 0]],
+        ["r1", "r2", "r3"],
+        list("abcd"),
+    )
+    for x in (
+        {"a": 2, "b": Fraction(-3, 4), "c": 0, "d": Fraction(5, 6)},
+        VertexVector({"a": Fraction(1, 3), "b": Fraction(2, 3), "d": 7}),
+        {"b": Fraction(4, 2), "c": -1},
+    ):
+        assert_same_product(m, x)
