@@ -63,7 +63,7 @@ fan = build_hypergraph(
     ["1", "2", "3", "4"],
     [["1", "2", "3"], ["1", "3", "4"], ["1", "4", "2"]],
 )
-a = weighted_adjacency(fan, unit_weighting(fan)).matrix
+a = weighted_adjacency(fan, unit_weighting(fan))
 classes = matrix_equivalence(a)
 print("adjacency of the 3-edge fan over {1,2,3,4}:")
 for label, row in zip(a.row_labels, a.entries):

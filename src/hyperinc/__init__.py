@@ -14,8 +14,6 @@ from .cyclotomic import (
     CyclotomicNumber,
     CyclotomicPoly,
     cyclotomic_polynomial,
-    euler_phi,
-    geometric_sum,
     root_of_unity_vector,
     zeta,
 )
@@ -33,7 +31,6 @@ from .hypergraph import (
     dual,
     extend_vector,
     induced_subhypergraph,
-    is_non_contractible,
     star,
     uniform_cycle,
     unit_contraction,
@@ -79,7 +76,6 @@ from .spectra import (
     EdgeWeighting,
     MatrixEquivalence,
     PredictedEigenpair,
-    WeightedAdjacency,
     banerjee_weighting,
     column_inner_product,
     custom_weighting,

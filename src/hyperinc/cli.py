@@ -317,7 +317,7 @@ def cmd_spectra(args) -> dict:
         "failures": failures,
     }
     if args.matrix:
-        adjacency = weighted_adjacency(h, w).matrix
+        adjacency = weighted_adjacency(h, w)
         report["adjacency"] = {
             "labels": list(adjacency.row_labels),
             "rows": [[format_fraction(x) for x in row] for row in adjacency.entries],

@@ -108,10 +108,6 @@ def cyclotomic_polynomial(r: int) -> CyclotomicPoly:
     return CyclotomicPoly(r, _phi_coeffs(r))
 
 
-def euler_phi(r: int) -> int:
-    return cyclotomic_polynomial(r).degree
-
-
 def _rational(c) -> Rationalish:
     """``c`` as an int when its denominator is 1, as a Fraction otherwise."""
     if type(c) is int:
@@ -346,15 +342,6 @@ def zeta_power_table(r: int) -> list[CyclotomicNumber]:
     return [zeta(r, m) for m in range(r)]
 
 
-def geometric_sum(r: int, j: int) -> CyclotomicNumber:
-    """Sum of (zeta_r**j)**s for s = 0..r-1; zero exactly when r does not divide j."""
-    table = zeta_power_table(r)
-    total = CyclotomicNumber.zero(r)
-    for s in range(r):
-        total = total + table[(j * s) % r]
-    return total
-
-
 def root_of_unity_vector(n: int, r: int, power: int) -> VertexVector:
     """The vector on residues 0..n-1 whose i-th entry is (zeta_r**power)**i.
 
@@ -365,6 +352,5 @@ def root_of_unity_vector(n: int, r: int, power: int) -> VertexVector:
         raise InvalidParameters(f"root order must be >= 2, got {r}")
     if not 1 <= power <= r:
         raise InvalidParameters(f"power must lie in 1..{r}, got {power}")
-    table = zeta_power_table(r)
-    return VertexVector({str(i): table[(power * i) % r] for i in range(n)})
+    return VertexVector({str(i): zeta(r, power * i) for i in range(n)})
 

@@ -14,6 +14,7 @@ declaration order), so parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -45,9 +46,17 @@ def format_fraction(x) -> str:
     return str(Fraction(x))
 
 
+# optional sign, digits, then optional /digits or .digits; no exponent, which
+# would let a short string such as "1e-10000000" stall Fraction()
+_FRACTION = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")
+
+
 def parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(str(text).strip())
+        s = str(text).strip()
+        if not _FRACTION.fullmatch(s):
+            raise ValueError(f"Invalid literal for Fraction: {s!r}")
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad fraction {text!r}: {exc}") from None
 
@@ -71,6 +80,19 @@ def read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileAccessError(f"cannot read {path}: {exc}") from None
+
+
+def _parse_json(text: str, what: str, error=ParseError):
+    """``text`` as JSON.  Any ValueError (malformed JSON, or an integer past
+    Python's digit limit for int()) raises ``error`` with "bad <what>: ...",
+    a ParseError also with the JSON line when there is one."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        message = f"bad {what}: {exc}"
+        if error is ParseError:
+            raise ParseError(message, line=getattr(exc, "lineno", None)) from None
+        raise error(message) from None
 
 
 def write_text(path: str, text: str) -> None:
@@ -125,10 +147,7 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
 
 
 def parse_hypergraph_json(text: str) -> Hypergraph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}", line=exc.lineno) from None
+    data = _parse_json(text, "JSON")
     if not isinstance(data, dict) or "edges" not in data:
         raise ParseError("expected an object with 'vertices' and 'edges'")
     edges_obj = data["edges"]
@@ -260,10 +279,7 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
 
 
 def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad certificate JSON: {exc}", line=exc.lineno) from None
+    data = _parse_json(read_text(path), "certificate JSON")
     return certificate_from_json(h, data)
 
 
@@ -272,11 +288,9 @@ def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:
 
 def load_weighting(h: Hypergraph, path: str) -> EdgeWeighting:
     """JSON mapping edge name -> positive fraction string (or integer); only the
-    file rules (an object, no floats, no booleans) are checked here."""
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise BadWeightFile(f"bad JSON: {exc}") from None
+    file rules (an object, no floats, no booleans, strings read by
+    ``parse_fraction``) are checked here."""
+    data = _parse_json(read_text(path), "JSON", BadWeightFile)
     if not isinstance(data, dict):
         raise BadWeightFile("weight file must be a JSON object of edge -> weight")
     for name, value in data.items():
@@ -284,6 +298,11 @@ def load_weighting(h: Hypergraph, path: str) -> EdgeWeighting:
             raise BadWeightFile(
                 f"weight for {name!r} is a {type(value).__name__}; use an exact fraction string"
             )
+        if isinstance(value, str):
+            try:
+                data[name] = parse_fraction(value)
+            except ParseError as exc:
+                raise BadWeightFile(f"weight for {name!r}: {exc}") from None
     try:
         return custom_weighting(h, data)
     except InvalidParameters as exc:

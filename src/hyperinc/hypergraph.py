@@ -472,8 +472,3 @@ def are_isomorphic(
         # cardinality forces image == E(h2)
         return dict(mapping)
     return None
-
-
-def is_non_contractible(h: Hypergraph) -> bool:
-    """True when every unit is a singleton (contraction changes nothing)."""
-    return len(compute_units(h)) == h.n_vertices

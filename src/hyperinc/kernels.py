@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import zeta_power_table
+from .cyclotomic import (
+    root_of_unity_vector,
+    zeta_power_table,  # unused here; bench/spans.py wraps it under this name
+)
 from .errors import (
     EmptySubset,
     InstanceTooLarge,
@@ -84,11 +87,7 @@ class KernelCertificate:
 
     def induced_vector(self, h: Hypergraph) -> VertexVector:
         if self.kind == ROOT_OF_UNITY_CYCLE:
-            table = zeta_power_table(self.order)
-            n = h.n_vertices
-            return VertexVector(
-                {str(i): table[(self.power * i) % self.order] for i in range(n)}
-            )
+            return root_of_unity_vector(h.n_vertices, self.order, self.power)
         return VertexVector(
             {m: coeff for (_, members), coeff in zip(self.sets, self.coefficients) for m in members}
         )

@@ -88,12 +88,6 @@ def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequenc
 
 
 @dataclass(frozen=True)
-class WeightedAdjacency:
-    matrix: RationalMatrix
-    weighting: EdgeWeighting
-
-
-@dataclass(frozen=True)
 class PredictedEigenpair:
     """An eigenvalue with its certified eigenvectors and multiplicity bound."""
 
@@ -114,22 +108,33 @@ class MatrixEquivalence:
         return tuple(frozenset(c) for c in self.classes)
 
 
-def weighted_adjacency(h: Hypergraph, w: EdgeWeighting) -> WeightedAdjacency:
-    """|V| x |V| symmetric matrix with zero diagonal; entry (u,v) sums the
-    weights of edges containing both u and v."""
+def _check_weighting(h: Hypergraph, w: EdgeWeighting) -> None:
+    """InvalidParameters unless ``w`` has one weight per edge of ``h``."""
     if len(w.weights) != h.n_edges:
         raise InvalidParameters("weighting does not match the hypergraph's edges")
-    n = h.n_vertices
-    stars = h.star_masks
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = stars[i] & stars[j]
-            if common:
-                total = sum((w.weight(k) for k in bit_indices(common)), Fraction(0))
-                entries[i][j] = entries[j][i] = total
-    matrix = RationalMatrix(entries, h.vertices, h.vertices)
-    return WeightedAdjacency(matrix, w)
+
+
+def _adjacency_columns(h: Hypergraph, w: EdgeWeighting, members: Sequence[str]) -> RationalMatrix:
+    """The |V| x |members| block of the weighted adjacency: column v adds w(e)
+    at every other vertex of each edge e in v's star."""
+    columns = []
+    for v in members:
+        i = h.vertex_index(v)
+        column = [0] * h.n_vertices
+        for k in bit_indices(h.star_masks[i]):
+            weight = w.weight(k)
+            for u in bit_indices(h.edge_masks[k] & ~(1 << i)):
+                # a first weight is stored as it is: adding it to 0 would cost a Fraction sum
+                column[u] = column[u] + weight if column[u] else weight
+        columns.append(column)
+    return RationalMatrix(list(zip(*columns)), h.vertices, members)
+
+
+def weighted_adjacency(h: Hypergraph, w: EdgeWeighting) -> RationalMatrix:
+    """|V| x |V| symmetric matrix with zero diagonal; entry (u,v) sums the
+    weights of edges containing both u and v."""
+    _check_weighting(h, w)
+    return _adjacency_columns(h, w, h.vertices)
 
 
 def column_inner_product(h: Hypergraph, u: str, v: str, w: EdgeWeighting) -> Fraction:
@@ -144,11 +149,10 @@ def _pair_difference(u: str, v: str) -> VertexVector:
 
 
 def _eigenpair_for_class(
-    h: Hypergraph,
-    adjacency: RationalMatrix,
-    w: EdgeWeighting,
-    members: Sequence[str],
+    h: Hypergraph, w: EdgeWeighting, members: Sequence[str]
 ) -> PredictedEigenpair:
+    """The class's pair differences e_m - e_base, each checked by exact
+    A*x = lambda*x on every row through the class's own adjacency columns."""
     members = tuple(members)
     base = members[0]
     eigenvalue = -column_inner_product(h, base, members[1], w)
@@ -158,6 +162,7 @@ def _eigenpair_for_class(
             if u != v and -column_inner_product(h, u, v, w) != eigenvalue:
                 raise ArithmeticError("eigenvalue is not well-defined on the class")
     vectors = tuple(_pair_difference(m, base) for m in members[1:])
+    adjacency = _adjacency_columns(h, w, members)
     verified = all(
         value == eigenvalue * x.value(label)
         for x in vectors
@@ -180,12 +185,12 @@ def predict_unit_eigenpairs(h: Hypergraph, w: EdgeWeighting) -> list[PredictedEi
     The eigenvalue is minus the weighted inner product of any two columns in
     the unit, which equals minus the total weight of the unit's generator.
     """
-    adjacency = weighted_adjacency(h, w).matrix
+    _check_weighting(h, w)
     out = []
     for unit in compute_units(h).units:
         if len(unit.members) < 2:
             continue
-        pair = _eigenpair_for_class(h, adjacency, w, unit.members)
+        pair = _eigenpair_for_class(h, w, unit.members)
         generator_total = sum((w.weight(i) for i in unit.generator), Fraction(0))
         if pair.eigenvalue != -generator_total:
             raise ArithmeticError("eigenvalue does not match the generator weight sum")
@@ -282,8 +287,7 @@ def predict_class_eigenpairs(
     ground = frozenset().union(*blocks) if blocks else frozenset()
     if ground != frozenset(h.vertices):
         raise GroundSetMismatch("partition does not cover the vertex set")
-    adjacency = weighted_adjacency(h, w).matrix
-    classes = matrix_equivalence(adjacency)
+    classes = matrix_equivalence(weighted_adjacency(h, w))
     if not is_finer(blocks, classes):
         raise PartitionNotFiner(
             "partition is not finer than the adjacency's equivalence classes"
@@ -294,5 +298,5 @@ def predict_class_eigenpairs(
         if len(block) < 2:
             continue
         members = tuple(sorted(block, key=label_sort_key))
-        out.append(_eigenpair_for_class(h, adjacency, w, members))
+        out.append(_eigenpair_for_class(h, w, members))
     return out

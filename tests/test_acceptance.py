@@ -351,7 +351,7 @@ def test_criterion_6_property_suite():
         units = compute_units(h)
         for _ in range(3):
             weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in h.edges]
-            adjacency = weighted_adjacency(h, custom_weighting(h, weights)).matrix
+            adjacency = weighted_adjacency(h, custom_weighting(h, weights))
             if not is_finer(units, matrix_equivalence(adjacency)):
                 failures["g"] += 1
 

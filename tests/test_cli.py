@@ -472,6 +472,66 @@ class TestUnreadableInput:
         self.assert_error_report(proc, "FileAccessError")
 
 
+class TestMalformedNumbers:
+    """Numbers the JSON or fraction readers cannot take exit 2 with an error
+    report: integers past Python's int() digit limit, and fraction strings
+    with an exponent (``Fraction("1e-10000000")`` alone takes seconds)."""
+
+    LONG = "1" * 5000
+
+    @staticmethod
+    def assert_error(proc, error, message):
+        assert proc.returncode == 2
+        report = json.loads(proc.stdout)
+        assert report["error"] == error
+        assert report["message"].startswith(message)
+        assert "Traceback" not in proc.stderr
+
+    def test_long_integer_in_hypergraph_json(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"vertices": ["1", %s], "edges": {"e1": ["1"]}}' % self.LONG)
+        proc = run_cli("rank", str(path), "--json")
+        self.assert_error(proc, "ParseError", "bad JSON: Exceeds the limit")
+
+    def test_long_integer_in_certificate_order(self, equal_file):
+        payload = '{"kind": "root_of_unity_cycle", "order": %s, "power": 1}' % self.LONG
+        proc = run_cli("verify", equal_file, "--certificate", "-", "--json", stdin=payload)
+        self.assert_error(proc, "ParseError", "bad certificate JSON: Exceeds the limit")
+
+    def test_long_integer_in_weight_file(self, equal_file, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"e1": %s, "e2": 1, "e3": 1}' % self.LONG)
+        proc = run_cli("spectra", equal_file, "--weighting", str(path), "--json")
+        self.assert_error(proc, "BadWeightFile", "bad JSON: Exceeds the limit")
+
+    def test_malformed_json_messages_keep_their_line(self, tmp_path, equal_file):
+        path = tmp_path / "bad.json"
+        path.write_text('{"vertices": ["1"]\n "edges": {}}')
+        proc = run_cli("rank", str(path), "--json")
+        self.assert_error(proc, "ParseError", "line 2: bad JSON: Expecting ',' delimiter")
+        proc = run_cli("spectra", equal_file, "--weighting", str(path), "--json")
+        self.assert_error(proc, "BadWeightFile", "bad JSON: Expecting ',' delimiter")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "ratio_edge_partition", "sets": {"U": ["2"], "V": ["4"]}, "ratio": "1e-1000000"},
+            {"kind": "general_combination", "parts": [[["2"], "1"], [["4"], "-1e-1000000"]]},
+        ],
+    )
+    def test_exponent_in_certificate_fraction(self, equal_file, payload):
+        proc = run_cli(
+            "verify", equal_file, "--certificate", "-", "--json", stdin=json.dumps(payload)
+        )
+        self.assert_error(proc, "ParseError", "bad fraction")
+
+    def test_exponent_in_weight_file(self, equal_file, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"e1": "1e-1000000", "e2": "1", "e3": "1"}))
+        proc = run_cli("spectra", equal_file, "--weighting", str(path), "--json")
+        self.assert_error(proc, "BadWeightFile", "weight for 'e1': bad fraction")
+
+
 class TestParserReuse:
     """The parser is built once per process; a second call in the same
     process must not inherit the options of the first."""

@@ -9,7 +9,6 @@ from hyperinc import (
     dual,
     extend_vector,
     induced_subhypergraph,
-    is_non_contractible,
     star,
     uniform_cycle,
     unit_contraction,
@@ -187,7 +186,7 @@ class TestUnits:
     def test_all_distinct_stars(self):
         h = build_hypergraph(["1", "2", "3"], [["1", "2"], ["2", "3"]])
         assert all(len(u.members) == 1 for u in compute_units(h).units)
-        assert is_non_contractible(h)
+        assert len(compute_units(h)) == h.n_vertices
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(11)

@@ -226,7 +226,7 @@ def test_weighted_adjacency_and_inner_products():
     for h in INSTANCES[::2]:
         weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in h.edges]
         w = custom_weighting(h, weights)
-        assert weighted_adjacency(h, w).matrix.entries == ref_weighted_adjacency(h, weights)
+        assert weighted_adjacency(h, w).entries == ref_weighted_adjacency(h, weights)
         for u in h.vertices:
             for v in h.vertices:
                 expected = ref_column_inner_product(h, u, v, weights)

@@ -25,6 +25,7 @@ from hyperinc import (
     zeta,
     VertexVector,
 )
+from hyperinc import cyclotomic, kernels
 from hyperinc.errors import (
     EmptySubset,
     InstanceTooLarge,
@@ -222,6 +223,22 @@ class TestRootOfUnity:
         cert = root_of_unity_certificate(h, 3, 1)
         check = verify_certificate(h, cert)
         assert not check.valid and not check.combinatorial
+
+    def test_induced_vector_builds_n_terms_not_r(self, monkeypatch):
+        """At order 10**6 the induced vector is built from its 12 entries, one
+        term each; a table of all r powers of zeta is never built."""
+
+        def table(r):
+            raise AssertionError(f"built a table of {r} powers")
+
+        monkeypatch.setattr(cyclotomic, "zeta_power_table", table)
+        monkeypatch.setattr(kernels, "zeta_power_table", table)
+        h, r = uniform_cycle(12, 8), 10**6
+        vector = root_of_unity_certificate(h, r, 3).induced_vector(h)
+        assert {k: v._terms for k, v in vector.entries.items()} == {
+            str(i): {3 * i: 1} for i in range(12)
+        }
+        assert all(v.order == r for v in vector.entries.values())
 
 
 class TestDualSide:

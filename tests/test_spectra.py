@@ -60,11 +60,11 @@ BANERJEE_ADJACENCY_TIMES_12 = [
 
 class TestWeightedAdjacency:
     def test_unit_example_unit_weights(self, unit_example):
-        a = weighted_adjacency(unit_example, unit_weighting(unit_example)).matrix
+        a = weighted_adjacency(unit_example, unit_weighting(unit_example))
         assert a.entries == [[Fraction(x) for x in row] for row in UNIT_ADJACENCY]
 
     def test_unit_example_banerjee(self, unit_example):
-        a = weighted_adjacency(unit_example, banerjee_weighting(unit_example)).matrix
+        a = weighted_adjacency(unit_example, banerjee_weighting(unit_example))
         expected = [
             [Fraction(x, 12) for x in row] for row in BANERJEE_ADJACENCY_TIMES_12
         ]
@@ -72,11 +72,11 @@ class TestWeightedAdjacency:
 
     def test_never_coincident_pair(self):
         h = build_hypergraph(["1", "2", "3"], [["1", "2"], ["2", "3"]])
-        a = weighted_adjacency(h, unit_weighting(h)).matrix
+        a = weighted_adjacency(h, unit_weighting(h))
         assert a.entry(0, 2) == 0
 
     def test_symmetry_and_zero_diagonal(self, unit_example):
-        a = weighted_adjacency(unit_example, banerjee_weighting(unit_example)).matrix
+        a = weighted_adjacency(unit_example, banerjee_weighting(unit_example))
         assert a == a.transpose()
         assert all(a.entry(i, i) == 0 for i in range(a.rows))
 
@@ -126,7 +126,7 @@ class TestUnitEigenpairs:
 
     def test_exact_eigen_relation_recheck(self, unit_example):
         w = banerjee_weighting(unit_example)
-        a = weighted_adjacency(unit_example, w).matrix
+        a = weighted_adjacency(unit_example, w)
         for p in predict_unit_eigenpairs(unit_example, w):
             for x in p.eigenvectors:
                 product = matvec(a, x)
@@ -140,7 +140,7 @@ class TestUnitEigenpairs:
 
 class TestMatrixEquivalence:
     def test_triangle_fan_classes(self, triangle_fan_example):
-        a = weighted_adjacency(triangle_fan_example, unit_weighting(triangle_fan_example)).matrix
+        a = weighted_adjacency(triangle_fan_example, unit_weighting(triangle_fan_example))
         assert a.entries == [
             [0, 2, 2, 2],
             [2, 0, 1, 1],
@@ -161,7 +161,7 @@ class TestMatrixEquivalence:
         assert all(len(c) == 1 for c in classes.classes)
 
     def test_units_refine_adjacency_classes(self, unit_example):
-        a = weighted_adjacency(unit_example, unit_weighting(unit_example)).matrix
+        a = weighted_adjacency(unit_example, unit_weighting(unit_example))
         classes = matrix_equivalence(a)
         assert is_finer(compute_units(unit_example), classes)
 
@@ -244,5 +244,5 @@ class TestRandomWeightings:
                 weights = [
                     Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in h.edges
                 ]
-                a = weighted_adjacency(h, custom_weighting(h, weights)).matrix
+                a = weighted_adjacency(h, custom_weighting(h, weights))
                 assert is_finer(compute_units(h), matrix_equivalence(a))
