@@ -52,7 +52,7 @@ for n in range(4, 13):
 
 print("\nCyclotomic polynomials used for the reductions:")
 for r in (2, 3, 4, 6):
-    coeffs = cyclotomic_polynomial(r).coeffs
+    coeffs = cyclotomic_polynomial(r)
     terms = " + ".join(
         f"{c}*x^{i}" if i else str(c) for i, c in enumerate(coeffs) if c
     )

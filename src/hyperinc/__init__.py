@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .cyclotomic import (
     CyclotomicNumber,
-    CyclotomicPoly,
     cyclotomic_polynomial,
     root_of_unity_vector,
     zeta,
@@ -21,7 +20,6 @@ from .errors import HyperincError
 from .generators import random_hypergraph
 from .hypergraph import (
     Hypergraph,
-    Star,
     Unit,
     UnitPartition,
     VertexVector,
@@ -31,7 +29,6 @@ from .hypergraph import (
     dual,
     extend_vector,
     induced_subhypergraph,
-    star,
     uniform_cycle,
     unit_contraction,
 )

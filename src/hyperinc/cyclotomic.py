@@ -1,73 +1,43 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_r).
+"""Sums of r-th roots of unity, compared exactly.
 
-Elements are sums of powers of zeta_r, kept as exponent counts modulo
-x^r - 1 and reduced modulo the r-th cyclotomic polynomial only to compare,
-hash or print.  This is enough to check root-of-unity kernel identities
-(sums of powers of zeta_r vanishing) as exact statements instead of
-floating-point approximations.
+A sum of powers of zeta_r is kept as exponent counts modulo x^r - 1 and
+reduced modulo the r-th cyclotomic polynomial Phi_r only to compare, hash or
+print.  That is all the root-of-unity kernel identities need: add, scale and
+ask whether a sum of powers of zeta_r is zero, as an exact statement instead
+of a floating-point approximation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
 from operator import sub
 from typing import Union
 
-from .errors import InvalidParameters
+from .errors import InstanceTooLarge, InvalidParameters
 from .hypergraph import VertexVector
 
 Rationalish = Union[int, Fraction]
 
-
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+# list cells, trial divisions and subtractions one reduction may take
+REDUCTION_BOUND = 2_000_000
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    """Polynomial division; ``den`` must be monic in its leading coefficient."""
-    num = list(num)
-    q = [0] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coeff = num[i + len(den) - 1]
-        if coeff == 0:
-            continue
-        factor = coeff / lead if lead != 1 else coeff
-        q[i] = factor
-        for j, d in enumerate(den):
-            num[i + j] -= factor * d
-    return _poly_trim(q), _poly_trim(num)
-
-
-@dataclass(frozen=True)
-class CyclotomicPoly:
-    """The r-th cyclotomic polynomial, integer coefficients, low degree first."""
-
-    order: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+def _prime_factors(r: int) -> list[int]:
+    """The distinct primes of r, by trial division up to the square root of
+    what is left."""
+    primes, rest, p = [], r, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    return primes
 
 
 @lru_cache(maxsize=None)
@@ -78,14 +48,7 @@ def _phi_coeffs(r: int) -> tuple[int, ...]:
     a prefix sum with stride d."""
     if r == 1:
         return (-1, 1)
-    primes, rest = [], r
-    for p in range(2, isqrt(r) + 1):
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-    if rest > 1:
-        primes.append(rest)
+    primes = _prime_factors(r)
     degree = prod(p - 1 for p in primes)
     series = [1] + [0] * degree
     for size in range(len(primes) + 1):
@@ -101,11 +64,51 @@ def _phi_coeffs(r: int) -> tuple[int, ...]:
     return tuple(spread)
 
 
-def cyclotomic_polynomial(r: int) -> CyclotomicPoly:
-    """Phi_r, from the binomials 1 - x^d over the divisors d of rad(r)."""
+def _remainder(terms: dict, r: int) -> list:
+    """The sum of c * x**e over ``terms`` modulo Phi_r, low degree first and
+    trimmed, worked out in a list as long as the top exponent plus one.
+
+    Only exponents from phi(r) up are reduced, each through the non-zero
+    coefficients of Phi_r below its lead; Phi_r = Phi_m(x^(r/m)) has at most
+    phi(m) + 1 of them, m = rad(r).  A top exponent below sqrt(r/2) <= phi(r)
+    needs no reduction and no factoring.  The work (the list, the trial
+    division, the series of Phi_m and the subtractions) is counted before it
+    starts and refused above ``REDUCTION_BOUND``."""
+    top = max(terms, default=0)
+    phi = work = top + 1  # phi(r) > top, unless r is factored below
+    if 2 * top * top >= r:
+        work += isqrt(r)
+        if work <= REDUCTION_BOUND:
+            primes = _prime_factors(r)
+            phi_m = prod(p - 1 for p in primes)
+            phi = phi_m * (r // prod(primes))
+            if top >= phi:
+                work += (phi_m + 1 << len(primes)) + (top - phi + 1) * phi_m
+    if work > REDUCTION_BOUND:
+        raise InstanceTooLarge(
+            f"reducing a sum of roots of unity modulo Phi_r takes more than {REDUCTION_BOUND} steps"
+        )
+    poly = [0] * (top + 1)
+    for e, c in terms.items():
+        poly[e] = c
+    if top >= phi:
+        low = [(j, c) for j, c in enumerate(_phi_coeffs(r)[:phi]) if c]
+        for shift in range(top - phi, -1, -1):
+            c = poly.pop()  # x^(shift + phi) = -(Phi_r below its lead) * x^shift
+            if c:
+                for j, d in low:
+                    poly[shift + j] -= c * d
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_r, low degree first, from the binomials
+    1 - x^d over the divisors d of rad(r)."""
     if r < 1:
         raise InvalidParameters(f"cyclotomic order must be >= 1, got {r}")
-    return CyclotomicPoly(r, _phi_coeffs(r))
+    return _phi_coeffs(r)
 
 
 def _rational(c) -> Rationalish:
@@ -126,17 +129,17 @@ def _add_term(terms: dict, e: int, c: Rationalish) -> None:
 
 
 class CyclotomicNumber:
-    """Element of Q(zeta_r), stored as a sum of powers of zeta_r.
+    """A rational sum of powers of zeta_r, an element of Q(zeta_r).
 
     The stored form maps each exponent in 0..r-1 to its non-zero rational
     coefficient (an int when its denominator is 1), a polynomial modulo
     x^r - 1: adding zeta_r**m to a sum updates one count.  That form is not
     unique, because Phi_r is a proper factor of x^r - 1.  ``coeffs``, the
-    reduction modulo Phi_r (a trimmed tuple of Fractions, low degree first),
+    remainder modulo Phi_r (a trimmed tuple of Fractions, low degree first),
     is, so equality, hashing and printing go through it; it is computed on
-    first use and kept.  Mixed arithmetic with ints and Fractions treats them
-    as constants of the same order, and a constant of another order is
-    re-expressed at the other operand's.
+    first use and kept.  ``+``, ``-`` and ``*`` take ints, Fractions and
+    numbers of the same order; a constant equals the rational it is at any
+    order.
     """
 
     __slots__ = ("order", "_terms", "_coeffs")
@@ -165,45 +168,21 @@ class CyclotomicNumber:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
-            poly = [0] * self.order
-            for e, c in self._terms.items():
-                poly[e] = c
-            remainder = _poly_divmod(poly, _phi_coeffs(self.order))[1]
-            self._coeffs = tuple(Fraction(c) for c in remainder)
+            self._coeffs = tuple(Fraction(c) for c in _remainder(self._terms, self.order))
         return self._coeffs
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero(order: int) -> "CyclotomicNumber":
-        return CyclotomicNumber(order, [])
-
-    @staticmethod
-    def one(order: int) -> "CyclotomicNumber":
-        return CyclotomicNumber(order, [1])
-
-    @staticmethod
-    def constant(order: int, value: Rationalish) -> "CyclotomicNumber":
-        return CyclotomicNumber(order, [value])
-
     def _coerce(self, other):
-        """``self`` and ``other``'s terms at one order, or (None, None) when
-        ``other`` is not a number.  A constant takes the other operand's
-        order; two non-constants of different orders do not mix."""
+        """``other``'s terms, or None when ``other`` is not a number; a number
+        of another order does not mix."""
         if isinstance(other, CyclotomicNumber):
-            if other.order == self.order:
-                return self, other._terms
-            if other.is_constant():
-                value = other.rational_value()
-                return self, {0: _rational(value)} if value else {}
-            if self.is_constant():
-                return CyclotomicNumber(other.order, [self.rational_value()]), other._terms
-            raise InvalidParameters(
-                f"mixing cyclotomic orders {self.order} and {other.order}"
-            )
+            if other.order != self.order:
+                raise InvalidParameters(
+                    f"mixing cyclotomic orders {self.order} and {other.order}"
+                )
+            return other._terms
         if isinstance(other, (int, Fraction)):
-            return self, {0: _rational(other)} if other else {}
-        return None, None
+            return {0: _rational(other)} if other else {}
+        return None
 
     # -- predicates ------------------------------------------------------------
 
@@ -230,10 +209,10 @@ class CyclotomicNumber:
         return CyclotomicNumber._of_terms(self.order, out)
 
     def __add__(self, other):
-        x, terms = self._coerce(other)
-        if x is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return x._plus(terms, 1)
+        return self._plus(terms, 1)
 
     __radd__ = __add__
 
@@ -241,68 +220,33 @@ class CyclotomicNumber:
         return CyclotomicNumber._of_terms(self.order, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        x, terms = self._coerce(other)
-        if x is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return x._plus(terms, -1)
+        return self._plus(terms, -1)
 
     def __rsub__(self, other):
-        x, terms = self._coerce(other)
-        if x is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        return (-x)._plus(terms, 1)
+        return (-self)._plus(terms, 1)
 
     def __mul__(self, other):
-        x, terms = self._coerce(other)
-        if x is None:
+        terms = self._coerce(other)
+        if terms is None:
             return NotImplemented
-        order, out = x.order, {}
-        for e1, c1 in x._terms.items():
+        order, out = self.order, {}
+        for e1, c1 in self._terms.items():
             for e2, c2 in terms.items():
                 _add_term(out, (e1 + e2) % order, c1 * c2)
         return CyclotomicNumber._of_terms(order, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CyclotomicNumber.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        phi = [Fraction(c) for c in _phi_coeffs(self.order)]
-        # extended gcd of self.coeffs and phi; phi is irreducible so the gcd
-        # is a non-zero constant, and s0 tracks the Bezout factor of self
-        r0, r1 = list(self.coeffs), phi
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q, rem = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1)
-            s_new = _poly_trim(a - b for a, b in itertools.zip_longest(s0, qs1, fillvalue=0))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
-        if len(r0) != 1:
-            raise ArithmeticError("element shares a factor with the cyclotomic modulus")
-        unit = r0[0]
-        return CyclotomicNumber(self.order, [c / unit for c in s0])
-
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
-            if other.order == self.order:
-                return self.coeffs == other.coeffs
-            if self.is_constant() and other.is_constant():
-                return self.coeffs == other.coeffs
-            return False
+            comparable = other.order == self.order or self.is_constant() and other.is_constant()
+            return comparable and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.is_zero()

@@ -14,7 +14,6 @@ declaration order), so parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -39,6 +38,7 @@ from .kernels import (
     three_set_certificate,
     unit_pair_certificate,
 )
+from .linalg import fraction_from_text
 from .spectra import EdgeWeighting, custom_weighting
 
 
@@ -46,17 +46,9 @@ def format_fraction(x) -> str:
     return str(Fraction(x))
 
 
-# optional sign, digits, then optional /digits or .digits; no exponent, which
-# would let a short string such as "1e-10000000" stall Fraction()
-_FRACTION = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
-        s = str(text).strip()
-        if not _FRACTION.fullmatch(s):
-            raise ValueError(f"Invalid literal for Fraction: {s!r}")
-        return Fraction(s)
+        return fraction_from_text(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad fraction {text!r}: {exc}") from None
 

@@ -112,14 +112,6 @@ class VertexVector:
 
 
 @dataclass(frozen=True)
-class Star:
-    """The set of hyperedges (by index) incident to one vertex."""
-
-    vertex: str
-    edges: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Unit:
     """A maximal set of vertices sharing one star; that star generates it."""
 
@@ -280,12 +272,6 @@ def uniform_cycle(n: int, k: int) -> Hypergraph:
         edges.append(window)
         labels.append(f"e{i}")
     return Hypergraph(vertices, edges, labels)
-
-
-def star(h: Hypergraph, v: str) -> Star:
-    """All hyperedges incident to ``v``, as a set of edge indices."""
-    v = str(v)
-    return Star(v, frozenset(bit_indices(h.star_masks[h.vertex_index(v)])))
 
 
 def induced_subhypergraph(

@@ -10,6 +10,7 @@ returned, which bounds the rank above; ranks modulo primes bound it below.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -20,6 +21,18 @@ from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
 from .hypergraph import Hypergraph, VertexVector
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+# optional sign, digits, then optional /digits or .digits; no exponent, which
+# would let a short string such as "1e-10000000" stall Fraction()
+_FRACTION_TEXT = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")
+
+
+def fraction_from_text(text: str) -> Fraction:
+    """``text`` read by the rule above; ValueError (or ZeroDivisionError) otherwise."""
+    s = text.strip()
+    if not _FRACTION_TEXT.fullmatch(s):
+        raise ValueError(f"Invalid literal for Fraction: {s!r}")
+    return Fraction(s)
 
 
 class RationalMatrix:

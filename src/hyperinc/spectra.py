@@ -30,7 +30,7 @@ from .hypergraph import (
     compute_units,
     label_sort_key,
 )
-from .linalg import RationalMatrix, matvec, span_dimension
+from .linalg import RationalMatrix, fraction_from_text, matvec, span_dimension
 
 UNIT_WEIGHTING = "unit"
 BANERJEE_WEIGHTING = "banerjee"
@@ -81,7 +81,7 @@ def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequenc
             raise InvalidParameters("weight sequence length does not match edge count")
         raw = list(weights)
     try:
-        values = tuple(Fraction(x) for x in raw)
+        values = tuple(fraction_from_text(x) if isinstance(x, str) else Fraction(x) for x in raw)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InvalidParameters(f"weights must be finite rationals: {exc}") from None
     return EdgeWeighting(CUSTOM_WEIGHTING, values)

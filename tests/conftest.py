@@ -9,12 +9,18 @@ import pytest
 import hyperinc
 from hyperinc import build_hypergraph
 from hyperinc.generators import random_hypergraph
+from hyperinc.hypergraph import bit_indices
 
 # a child process imports the same hyperinc as this one, installed or not
 SRC = str(Path(hyperinc.__file__).resolve().parents[1])
 CHILD_ENV = dict(
     os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 )
+
+
+def star_edges(h, v):
+    """The indices of the edges containing ``v``, read off its star mask."""
+    return frozenset(bit_indices(h.star_masks[h.vertex_index(v)]))
 
 
 def random_instance(rng, max_vertices=10, max_edges=8):

@@ -337,19 +337,19 @@ class TestVerify:
     def test_large_root_order(self, tmp_path, capsys, monkeypatch):
         """A root of order 2000 on a 12-vertex cycle builds one term per power
         of zeta, not a degree-800 polynomial: the report says invalid (exit 1),
-        and Phi_2000 divides only residual entries, never a single power."""
+        and only residual entries are reduced modulo Phi_2000, never a single
+        power."""
         cycle = tmp_path / "c12.hg"
         assert main(["generate", "cycle", "12", "8", "-o", str(cycle)]) == 0
         cert = tmp_path / "root.json"
         cert.write_text(json.dumps({"kind": "root_of_unity_cycle", "order": 2000, "power": 3}))
-        cyclotomic.cyclotomic_polynomial(2000)  # Phi_2000 itself is cached
-        divide, dividends = cyclotomic._poly_divmod, []
+        remainder, dividends = cyclotomic._remainder, []
 
-        def counting_divmod(num, den):
-            dividends.append(sum(1 for c in num if c))
-            return divide(num, den)
+        def counting_remainder(terms, r):
+            dividends.append(len(terms))
+            return remainder(terms, r)
 
-        monkeypatch.setattr(cyclotomic, "_poly_divmod", counting_divmod)
+        monkeypatch.setattr(cyclotomic, "_remainder", counting_remainder)
         capsys.readouterr()
         code = main(["verify", str(cycle), "--certificate", str(cert), "--json"])
         out, err = capsys.readouterr()
@@ -357,6 +357,40 @@ class TestVerify:
         report = json.loads(out)["certificate"]
         assert report["valid"] is False and len(report["residual"]) == 12
         assert 0 < len(dividends) <= 12 and min(dividends) >= 2
+
+    @pytest.mark.parametrize(
+        "order, power, expected, factored",
+        [
+            (15015, 7001, 2, True),  # the reduction would take about 4.8e7 steps
+            (10**6, 3, 1, False),
+            (10**12, 1, 1, False),
+            (10**4000, 1, 1, False),
+            (2**127 - 1, 2**127 - 2, 2, False),  # a list as long as the order
+        ],
+    )
+    def test_root_orders_are_bounded(self, tmp_path, capsys, monkeypatch, order, power, expected, factored):
+        """Every order and power exits 0, 1 or 2 with no traceback.  Bounded by
+        counting calls, not by a clock: one remainder per residual entry (one
+        in all when it is refused), and r is factored only when a top exponent
+        reaches sqrt(r/2)."""
+        cycle = tmp_path / "c12.hg"
+        assert main(["generate", "cycle", "12", "8", "-o", str(cycle)]) == 0
+        cert = tmp_path / "root.json"
+        cert.write_text(json.dumps({"kind": "root_of_unity_cycle", "order": order, "power": power}))
+        remainder, factor, calls = cyclotomic._remainder, cyclotomic._prime_factors, []
+        monkeypatch.setattr(cyclotomic, "_remainder", lambda *a: calls.append("remainder") or remainder(*a))
+        monkeypatch.setattr(cyclotomic, "_prime_factors", lambda r: calls.append("factor") or factor(r))
+        capsys.readouterr()
+        code = main(["verify", str(cycle), "--certificate", str(cert), "--json"])
+        out, err = capsys.readouterr()
+        assert code == expected and "Traceback" not in err
+        if expected == 2:
+            assert json.loads(out)["error"] == "InstanceTooLarge"
+            assert calls.count("remainder") == 1
+        else:
+            assert json.loads(out)["certificate"]["valid"] is False
+            assert 0 < calls.count("remainder") <= 12
+        assert ("factor" in calls) == factored
 
 
 class TestFind:

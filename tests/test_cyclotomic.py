@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -31,25 +33,25 @@ def poly_divides(divisor, dividend):
 
 class TestCyclotomicPolynomial:
     def test_small_orders(self):
-        assert cyclotomic_polynomial(1).coeffs == (-1, 1)
-        assert cyclotomic_polynomial(2).coeffs == (1, 1)
-        assert cyclotomic_polynomial(3).coeffs == (1, 1, 1)
-        assert cyclotomic_polynomial(4).coeffs == (1, 0, 1)
-        assert cyclotomic_polynomial(6).coeffs == (1, -1, 1)
-        assert cyclotomic_polynomial(12).coeffs == (1, 0, -1, 0, 1)
+        assert cyclotomic_polynomial(1) == (-1, 1)
+        assert cyclotomic_polynomial(2) == (1, 1)
+        assert cyclotomic_polynomial(3) == (1, 1, 1)
+        assert cyclotomic_polynomial(4) == (1, 0, 1)
+        assert cyclotomic_polynomial(6) == (1, -1, 1)
+        assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
     def test_monic_and_degree(self):
         # Euler phi via direct counting of coprime residues
         for r in range(1, 31):
             poly = cyclotomic_polynomial(r)
-            assert poly.coeffs[-1] == 1
-            assert poly.degree == sum(1 for i in range(1, r + 1) if gcd(i, r) == 1)
+            assert poly[-1] == 1
+            assert len(poly) - 1 == sum(1 for i in range(1, r + 1) if gcd(i, r) == 1)
 
     def test_divides_x_r_minus_1(self):
         for r in range(1, 31):
             poly = cyclotomic_polynomial(r)
             x_r_minus_1 = [-1] + [0] * (r - 1) + [1]
-            assert poly_divides(poly.coeffs, x_r_minus_1)
+            assert poly_divides(poly, x_r_minus_1)
 
     def test_bad_order(self):
         with pytest.raises(InvalidParameters):
@@ -60,47 +62,33 @@ class TestArithmetic:
     def test_zeta_powers_cycle(self):
         for r in (2, 3, 4, 5, 6, 12):
             z = zeta(r)
-            assert z ** r == 1
-            assert z ** (r - 1) * z == 1
+            assert reduce(mul, [z] * r) == 1
+            assert zeta(r, r - 1) * z == zeta(r, r) == 1
 
     def test_zeta2_is_minus_one(self):
         assert zeta(2) == Fraction(-1)
-
-    def test_inverse(self):
-        for r, power in [(5, 2), (8, 3), (12, 5)]:
-            x = zeta(r, power) + 2
-            assert x.inverse() * x == 1
 
     def test_mixed_arithmetic_with_fractions(self):
         z = zeta(4)
         assert (z + Fraction(1, 2)) - z == Fraction(1, 2)
         assert Fraction(2) * z == z + z
 
-    def test_constant_of_another_order_in_either_position(self):
-        c, z = CyclotomicNumber.constant(5, 2), zeta(3)
-        expected = {
-            "+": CyclotomicNumber(3, [2, 1]),
-            "-": CyclotomicNumber(3, [2, -1]),
-            "*": CyclotomicNumber(3, [0, 2]),
-        }
-        assert c + z == z + c == expected["+"]
-        assert c - z == -(z - c) == expected["-"]
-        assert c * z == z * c == expected["*"]
-        for result in (c + z, z + c, c - z, z - c, c * z, z * c):
-            assert result.order == 3
-        for left, right in ((zeta(5), z), (z, zeta(5))):
-            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+    def test_other_orders_do_not_mix(self):
+        # a number mixes only with ints, Fractions and numbers of its own order,
+        # whichever operand it is; equality still compares constants at any order
+        ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b)
+        for left, right in ((zeta(5), zeta(3)), (CyclotomicNumber(5, [2]), zeta(3)),
+                            (zeta(3), CyclotomicNumber(5, [2])), (zeta(2), zeta(4))):
+            for op in ops:
                 with pytest.raises(InvalidParameters):
                     op(left, right)
-
-    def test_zero_inverse_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            CyclotomicNumber.zero(4).inverse()
+        assert CyclotomicNumber(5, [2]) == CyclotomicNumber(3, [2]) == 2
+        assert zeta(2) == CyclotomicNumber(7, [-1]) and zeta(4) != zeta(6)
 
     def test_geometric_sum_identity(self):
         # full cycles of any non-trivial root sum to zero, exactly
         def geometric_sum(r, j):
-            return sum((zeta(r, j * s) for s in range(r)), CyclotomicNumber.zero(r))
+            return sum((zeta(r, j * s) for s in range(r)), CyclotomicNumber(r, []))
 
         for r in range(2, 15):
             for j in range(1, r):

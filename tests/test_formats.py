@@ -256,6 +256,17 @@ class TestWeightFiles:
         with pytest.raises(InvalidParameters):
             custom_weighting(unit_example, {**{f"e{i}": 1 for i in range(1, 6)}, "e9": 1})
 
+    def test_custom_string_weights_follow_the_file_rule(self, unit_example):
+        # an exponent would let a short string build a huge denominator
+        for bad in ("1e-1000000", "1e2", "0x10", "1/0"):
+            with pytest.raises(InvalidParameters, match="weights must be finite rationals"):
+                custom_weighting(unit_example, ["1", "1", bad, "1", "1"])
+        w = custom_weighting(unit_example, {"e1": " 1/2 ", "e2": "0.25", "e3": "+3", "e4": 2, "e5": "7"})
+        assert w.weights == (Fraction(1, 2), Fraction(1, 4), 3, 2, 7)
+        with pytest.raises(ParseError, match="bad fraction '1e2': Invalid literal for Fraction"):
+            certificate_from_json(unit_example, {"kind": "ratio_edge_partition",
+                                                 "sets": {"U": ["1"], "V": ["2"]}, "ratio": "1e2"})
+
     def test_non_finite_custom_weights_rejected(self, unit_example):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InvalidParameters):

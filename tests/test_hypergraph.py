@@ -9,7 +9,6 @@ from hyperinc import (
     dual,
     extend_vector,
     induced_subhypergraph,
-    star,
     uniform_cycle,
     unit_contraction,
     VertexVector,
@@ -26,12 +25,12 @@ from hyperinc.errors import (
     UnknownVertexInEdge,
 )
 from hyperinc.hypergraph import label_sort_key
-from conftest import random_instance
+from conftest import random_instance, star_edges
 
 
 def brute_force_units(h):
     """Independent oracle: O(|V|^2) pairwise star comparison."""
-    stars = {v: star(h, v).edges for v in h.vertices}
+    stars = {v: star_edges(h, v) for v in h.vertices}
     blocks = []
     for v in h.vertices:
         for block in blocks:
@@ -108,20 +107,19 @@ class TestUniformCycle:
 
 class TestStar:
     def test_unit_example_vertex_10(self, unit_example):
-        s = star(unit_example, "10")
-        names = {unit_example.edge_labels[i] for i in s.edges}
+        names = {unit_example.edge_labels[i] for i in star_edges(unit_example, "10")}
         assert names == {"e1", "e3", "e5"}
 
     def test_single_edge(self):
         h = build_hypergraph(["a"], [["a"]])
-        assert star(h, "a").edges == frozenset({0})
+        assert star_edges(h, "a") == frozenset({0})
 
     def test_c84_vertex_1(self):
         # oracle: enumerate the windows covering residue 1
         h = uniform_cycle(8, 4)
         windows = {i for i in range(8) if 1 in {(i + j) % 8 for j in range(4)}}
         expected = {f"e{i}" for i in windows}
-        got = {h.edge_labels[i] for i in star(h, "1").edges}
+        got = {h.edge_labels[i] for i in star_edges(h, "1")}
         assert got == expected == {"e0", "e1", "e6", "e7"}
 
 
@@ -228,7 +226,7 @@ class TestContraction:
         # oracle: stars as window sets are pairwise distinct when n > k
         for n, k in [(5, 2), (6, 3), (8, 4), (9, 3)]:
             h = uniform_cycle(n, k)
-            stars = [star(h, v).edges for v in h.vertices]
+            stars = [star_edges(h, v) for v in h.vertices]
             assert len(set(stars)) == n
             hc, _, _ = unit_contraction(h)
             assert are_isomorphic(h, hc) is not None

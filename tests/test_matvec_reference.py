@@ -93,7 +93,7 @@ def random_vector(rng, labels, domain):
         return VertexVector(entries)
     for k in rng.sample(labels, rng.randint(0, len(labels))):
         if rng.random() < 0.3:
-            entries[k] = rng.choice([0, Fraction(0), CyclotomicNumber.zero(order)])
+            entries[k] = rng.choice([0, Fraction(0), CyclotomicNumber(order, [])])
     if rng.random() < 0.3:
         entries["not-a-column"] = Fraction(0)  # an explicit zero off the columns is allowed
     return entries

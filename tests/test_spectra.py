@@ -14,7 +14,6 @@ from hyperinc import (
     matvec,
     predict_class_eigenpairs,
     predict_unit_eigenpairs,
-    star,
     uniform_cycle,
     unit_weighting,
     weighted_adjacency,
@@ -27,7 +26,7 @@ from hyperinc.errors import (
     PartitionNotFiner,
     SingletonEdgeWithBanerjeeWeight,
 )
-from conftest import random_instance
+from conftest import random_instance, star_edges
 
 UNIT_ADJACENCY = [
     [0, 2, 1, 1, 1, 1, 1, 0, 0, 1, 1],
@@ -102,9 +101,7 @@ class TestColumnInnerProduct:
     def test_self_product_is_degree(self, unit_example):
         w = unit_weighting(unit_example)
         for v in unit_example.vertices:
-            assert column_inner_product(unit_example, v, v, w) == len(
-                star(unit_example, v).edges
-            )
+            assert column_inner_product(unit_example, v, v, w) == len(star_edges(unit_example, v))
 
 
 class TestUnitEigenpairs:
