@@ -247,7 +247,7 @@ def render_verify(report) -> list[str]:
 
 def cmd_find(args) -> dict:
     h = load_hypergraph(args.file)
-    certs = find_certificates_exhaustive(h, args.kind, args.max_ground)
+    certs = find_certificates_exhaustive(h, args.kind)
     # one kind certifies one side, so one incidence matrix checks every certificate
     incidence = vertex_edge_incidence if args.kind in EDGE_SIDE_KINDS else edge_vertex_incidence
     matrix = incidence(h) if certs else None
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="exhaustively enumerate certificates of one kind")
     p.add_argument("file")
     p.add_argument("--kind", required=True, choices=sorted(ALL_KINDS))
-    p.add_argument("--max-ground", type=int, default=None, help="ground-set size bound")
     add_json(p)
     p.set_defaults(handler=cmd_find)
 

@@ -31,10 +31,13 @@ def random_hypergraph(
     s-subset; a repeated edge is drawn again.
 
     Vertices are labelled "1".."n"; isolated vertices are allowed and simply
-    stay uncovered.  Raises when more distinct edges are requested than exist.
+    stay uncovered.  Raises on a negative edge count and when more distinct
+    edges are requested than exist.
     """
     if n_vertices < 1:
         raise InvalidParameters("need at least one vertex")
+    if n_edges < 0:
+        raise InvalidParameters("the edge count must not be negative")
     if max_size is None:
         max_size = n_vertices
     max_size = min(max_size, n_vertices)

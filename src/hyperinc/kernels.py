@@ -62,8 +62,8 @@ VERTEX_SIDE_KINDS = frozenset(
 EDGE_SIDE_KINDS = frozenset({EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION})
 ALL_KINDS = VERTEX_SIDE_KINDS | EDGE_SIDE_KINDS
 
-DEFAULT_FINDER_BOUND = 12
-DEFAULT_THREE_SET_BOUND = 10
+FINDER_BOUND = 4**10  # counted steps one finder search may take
+OUTPUT_BOUND = 2**24  # incidence cells its certificates may take to check and report
 
 
 @dataclass(frozen=True)
@@ -531,11 +531,11 @@ def _assignment_key(masks: tuple[int, ...], n: int) -> list[int]:
 # its r.  No non-empty set of those elements has its indicator in the kernel.
 
 
-def _pair_cores(echelon, free, nonzero, zero, ratio: bool):
-    """(U, V) cores of chi(U) - r*chi(V): every {0, 1, -1} kernel vector at
-    r = 1; for ``ratio``, U empty (only zero columns can fill it) against any
-    V at r = 0, and every r > 0 other than 1 that a pivot pins."""
-    cores = [(masks, Fraction(1)) for masks in _signed_vectors(echelon, free)]
+def _pair_cores(echelon, free, signed, nonzero, zero, ratio: bool):
+    """(U, V) cores of chi(U) - r*chi(V): every {0, 1, -1} kernel vector
+    (``signed``) at r = 1; for ``ratio``, U empty (only zero columns can fill
+    it) against any V at r = 0, and every r > 0 other than 1 that a pivot pins."""
+    cores = [(masks, Fraction(1)) for masks in signed]
     if ratio:
         if zero:
             cores.extend(((0, v), Fraction(0)) for v in _submasks(nonzero))
@@ -543,17 +543,31 @@ def _pair_cores(echelon, free, nonzero, zero, ratio: bool):
     return cores
 
 
-def _three_set_cores(echelon, free, nonzero):
+def _splits(plus, minus, nonzero, n_zero):
+    """(mask, r) for each family of cores (plus - W, minus - W, W) that the
+    {0, 1, -1} kernel vector (plus, minus) expands to, W over the non-empty
+    submasks of mask: W outside plus | minus (r = 0), inside minus (r = 1) or
+    inside plus (r = -1).  A family that leaves more of U and V empty than
+    there are zero columns to fill them is skipped: none of its cores spreads
+    to a certificate."""
+    families = (
+        (nonzero ^ plus ^ minus, 0, (not plus) + (not minus)),
+        (minus, 1, not plus),
+        (plus, -1, not minus),
+    )
+    return [(mask, Fraction(r)) for mask, r, empty in families if empty <= n_zero]
+
+
+def _three_set_cores(echelon, free, signed, nonzero, n_zero):
     """(U, V, W) cores of |row & U| - |row & V| = r * |row & W|.  Where -r
-    is 0, 1 or -1 they come from a {0, 1, -1} kernel vector (plus, minus): W
-    empty (no row meets W, so r = 1), W outside plus | minus (r = 0), split
-    off minus (r = 1) or off plus (r = -1).  Any other r is pinned."""
+    is 0, 1 or -1 they come from a {0, 1, -1} kernel vector (plus, minus):
+    W empty (no row meets W, so r = 1) or one of its ``_splits``.  Any
+    other r is pinned."""
     cores = []
-    for plus, minus in _signed_vectors(echelon, free):
+    for plus, minus in signed:
         cores.append(((plus, minus, 0), Fraction(1)))
-        cores.extend(((plus, minus, w), Fraction(0)) for w in _submasks(nonzero ^ plus ^ minus))
-        cores.extend(((plus, minus ^ w, w), Fraction(1)) for w in _submasks(minus))
-        cores.extend(((plus ^ w, minus, w), Fraction(-1)) for w in _submasks(plus))
+        for mask, r in _splits(plus, minus, nonzero, n_zero):
+            cores.extend(((plus & ~w, minus & ~w, w), r) for w in _submasks(mask))
     cores.extend(_pinned_vectors(echelon, free, _THREE_SET, lambda r: r not in (0, 1, -1)))
     return cores
 
@@ -572,9 +586,7 @@ def _spread(cores, zero):
                 yield masks, r
 
 
-def find_certificates_exhaustive(
-    h: Hypergraph, kind: str, max_ground: Optional[int] = None
-) -> list[KernelCertificate]:
+def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertificate]:
     """Every certificate of one kind, in the order of the set assignments.
 
     The certificates are kernel vectors of the incidence matrix, so the
@@ -582,10 +594,17 @@ def find_certificates_exhaustive(
     form (``checked_echelon``: basis re-multiplied, rank proven mod primes).
     Zero columns Z, the elements that meet no row, are free and change no
     count, so they are left out of that walk and spread over each hit after
-    it: 3^(nullity - |Z|) candidates (4^(nullity - |Z|) for the three-set
-    kind) plus the output.  The ground set (vertices for edge-partition
-    kinds, edges for vertex-partition kinds) is capped at 12 elements by
-    default (10 for the three-set kind).  Output order is deterministic.
+    it.  Each family of candidates is counted before it is built, and the
+    search raises ``InstanceTooLarge`` once the total would pass
+    ``FINDER_BOUND``: one cell per pivot for each pattern of each walk
+    (3^(nullity - |Z|) patterns, 4^... for the three-set kind's second
+    walk), one per unit pair, per core of the ratio kinds' r = 0 family and
+    per ``_submasks`` expansion, and what the spread adds to the cores,
+    |cores| * (3^|Z| - 1) (4^|Z| - 1 for the three-set kind).  Before a
+    certificate is built, the cells that checking and reporting the output
+    take (per certificate, one per column and one per row and element of its
+    sets) are counted too and refused above ``OUTPUT_BOUND``.  Output order
+    is deterministic.
     """
     if kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {kind!r}")
@@ -594,37 +613,65 @@ def find_certificates_exhaustive(
             f"kind {kind!r} has no finite certificate family to enumerate"
         )
 
-    bound = max_ground
-    if bound is None:
-        bound = DEFAULT_THREE_SET_BOUND if kind == THREE_SET_RELATION else DEFAULT_FINDER_BOUND
-
     # the ground elements are the columns: edges (I_H) or vertices (B_H)
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
-        ground, columns, noun, incidence = h.edge_labels, h.edge_masks, "edges", vertex_edge_incidence
+        ground, columns, n_rows, incidence = h.edge_labels, h.edge_masks, h.n_vertices, vertex_edge_incidence
     else:
-        ground, columns, noun, incidence = h.vertices, h.star_masks, "vertices", edge_vertex_incidence
-    if len(ground) > bound:
-        raise InstanceTooLarge(f"{len(ground)} {noun} exceeds the finder bound {bound}")
-
-    results: list[KernelCertificate] = []
-    if kind == UNIT_PAIR:
-        for unit in compute_units(h).units:
-            for u, v in itertools.combinations(unit.members, 2):
-                results.append(unit_pair_certificate(h, u, v))
-        return results
-
+        ground, columns, n_rows, incidence = h.vertices, h.star_masks, h.n_edges, edge_vertex_incidence
     n = len(ground)
+    work = 0
+
+    def charge(cost: int) -> None:
+        nonlocal work
+        work += cost
+        if work > FINDER_BOUND:
+            raise InstanceTooLarge(
+                f"finding {kind} certificates takes at least {work} counted steps, "
+                f"over the finder bound {FINDER_BOUND}"
+            )
+
+    def check_output(cells: int) -> None:
+        if cells > OUTPUT_BOUND:
+            raise InstanceTooLarge(
+                f"checking the {kind} certificates found takes {cells} incidence cells, "
+                f"over the output bound {OUTPUT_BOUND}"
+            )
+
+    if kind == UNIT_PAIR:
+        units = [unit.members for unit in compute_units(h).units]
+        n_pairs = sum(math.comb(len(members), 2) for members in units)
+        charge(n_pairs)
+        check_output(n_pairs * (n + 2 * n_rows))
+        pairs = (pair for members in units for pair in itertools.combinations(members, 2))
+        return [unit_pair_certificate(h, u, v) for u, v in pairs]
+
     echelon = checked_echelon(incidence(h).entries)
     zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
     nonzero = ((1 << n) - 1) ^ zero
+    n_zero = zero.bit_count()
     free = [j for j in bit_indices(nonzero) if j not in echelon[0]]
+    ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
+    walks = [_SIGNED] + ([_THREE_SET] if kind == THREE_SET_RELATION else [_RATIO] if ratio else [])
+    charge(sum(len(symbols) ** len(free) for symbols in walks) * len(echelon[0]))
+    if ratio and zero:
+        charge(2 ** nonzero.bit_count() - 1)  # the r = 0 family
+    signed = _signed_vectors(echelon, free)
     if kind == THREE_SET_RELATION:
-        cores = _three_set_cores(echelon, free, nonzero)
+        charge(sum(
+            2 ** mask.bit_count() - 1
+            for plus, minus in signed
+            for mask, _ in _splits(plus, minus, nonzero, n_zero)
+        ))
+        cores = _three_set_cores(echelon, free, signed, nonzero, n_zero)
+        charge(len(cores) * (4 ** n_zero - 1))
     else:
-        ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
-        cores = _pair_cores(echelon, free, nonzero, zero, ratio)
+        cores = _pair_cores(echelon, free, signed, nonzero, zero, ratio)
+        charge(len(cores) * (3 ** n_zero - 1))
     hits = sorted(_spread(cores, zero), key=lambda hit: _assignment_key(hit[0], n))
+    # the product indexes every column and reads each row at the sets' elements
+    check_output(sum(n + n_rows * sum(m.bit_count() for m in masks) for masks, _ in hits))
 
+    results: list[KernelCertificate] = []
     for masks, r in hits:
         sets = [[ground[i] for i in bit_indices(m)] for m in masks]
         if kind == THREE_SET_RELATION:

@@ -42,7 +42,9 @@ from hyperinc import (
     vertex_edge_incidence,
     weighted_adjacency,
 )
+from hyperinc.errors import InstanceTooLarge
 from hyperinc.generators import random_hypergraph
+from hyperinc.hypergraph import Hypergraph
 from hyperinc.kernels import (
     EQUAL_EDGE_PARTITION,
     EQUAL_VERTEX_PARTITION,
@@ -398,4 +400,67 @@ def test_criterion_6_span_membership_spot_check():
         "criterion 6d+",
         True,
         f"span membership re-checked by elimination for {checked} found certificates",
+    )
+
+
+def planted_sparse_instance(seed, n_path, n_twins, n_isolated):
+    """A path p0..p(n_path - 1) (a tree, so of full rank less one), edges that
+    plant U = {a, b} against V = {c, d} (equal) and {x, y} against {z}
+    (ratio 2), twins t* of path vertices (units) and isolated vertices z*."""
+    rng = random.Random(seed)
+    path = [f"p{i}" for i in range(n_path)]
+    edges = [{path[i], path[i + 1]} for i in range(n_path - 1)]
+    edges += [set(atom) | {rng.choice(path)} for atom in ("ac", "bd", "ad", "bc")]
+    edges += [{"x", "y", "z", rng.choice(path)}, {"x", "y", "z", *rng.sample(path, 2)}]
+    twins = [f"t{i}" for i in range(n_twins)]
+    for twin in twins:
+        original = rng.choice(path)
+        for e in edges:
+            if original in e:
+                e.add(twin)
+    isolated = [f"z{i}" for i in range(n_isolated)]
+    return Hypergraph(path + list("abcdxyz") + twins + isolated, [frozenset(e) for e in edges])
+
+
+def test_criterion_6d_larger_instances():
+    """Every enumerable kind on 23 to 60 vertices of nullity 5 to 8.  Every
+    found certificate is re-multiplied, the planted ones are found, and the
+    searches whose counted work passes the finder bound are refused.  Those
+    are the searches whose output alone passes it: each planted U, V with any
+    W among the other 19 or more non-zero columns is a three-set relation at
+    r = 0, and beside an isolated vertex z, U = {z} against any set V of
+    non-zero columns is a ratio partition at r = 0."""
+    kinds = (UNIT_PAIR, EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION,
+             EQUAL_EDGE_PARTITION, RATIO_EDGE_PARTITION, THREE_SET_RELATION)
+    checked = refused = 0
+    for seed, n_path, n_twins, n_isolated in ((1, 14, 2, 0), (2, 20, 3, 1), (4, 48, 4, 1)):
+        h = planted_sparse_instance(seed, n_path, n_twins, n_isolated)
+        b, i_matrix = edge_vertex_incidence(h), vertex_edge_incidence(h)
+        assert 20 <= h.n_vertices <= 60 and rank_and_nullspace(b).nullity <= 8
+        expect_refused = {THREE_SET_RELATION} | ({RATIO_EDGE_PARTITION} if n_isolated else set())
+        found = {}
+        for kind in kinds:
+            try:
+                found[kind] = find_certificates_exhaustive(h, kind)
+            except InstanceTooLarge:
+                assert kind in expect_refused, kind
+                refused += 1
+                continue
+            assert kind not in expect_refused, kind
+            for cert in found[kind]:
+                matrix = b if cert.side == "B" else i_matrix
+                assert all(value == 0 for value in matvec(matrix, cert.induced_vector(h)).values())
+                checked += 1
+        pairs = {(c.named_set("U"), c.named_set("V")) for c in found[EQUAL_EDGE_PARTITION]}
+        assert (("a", "b"), ("c", "d")) in pairs
+        if RATIO_EDGE_PARTITION in found:
+            assert any(
+                c.named_set("U") == ("x", "y") and c.named_set("V") == ("z",) and c.ratio == 2
+                for c in found[RATIO_EDGE_PARTITION]
+            )
+        assert len(found[UNIT_PAIR]) >= n_twins
+    report(
+        "criterion 6d (23-60 vertices)",
+        True,
+        f"{checked} found certificates re-multiplied to zero, {refused} searches over the finder bound refused",
     )

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import CHILD_ENV
-from hyperinc import cyclotomic
+from hyperinc import cli, cyclotomic
 from hyperinc.cli import main
 from hyperinc.formats import parse_hypergraph_text
 
@@ -158,6 +158,14 @@ class TestGenerate:
         assert time.perf_counter() - start < 1.0
         h = parse_hypergraph_text(out.read_text())
         assert h.n_edges == 10 and all(1 <= len(e) <= 3 for e in h.edges)
+
+    def test_negative_edge_count(self, capsys):
+        """M < 0 is refused (exit 2), not read as an edgeless hypergraph;
+        M = 0 is one."""
+        assert main(["generate", "random", "5", "-3", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidParameters"
+        assert main(["generate", "random", "5", "0"]) == 0
+        assert capsys.readouterr().out == "vertices: 1 2 3 4 5\n"
 
     def test_generated_file_round_trips(self, tmp_path):
         out = tmp_path / "r.hg"
@@ -419,10 +427,28 @@ class TestFind:
         assert hits[0]["ratio"] == "1/2"
 
     def test_bound_respected(self, tmp_path):
+        """Eleven isolated vertices spread 4^11 ways, over the finder bound."""
         path = tmp_path / "big.hg"
-        run_cli("generate", "cycle", "13", "2", "-o", str(path))
-        proc = run_cli("find", str(path), "--kind", "equal_edge_partition")
+        assert run_cli("generate", "random", "11", "0", "-o", str(path)).returncode == 0
+        proc = run_cli("find", str(path), "--kind", "three_set_relation", "--json")
         assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "InstanceTooLarge"
+
+    def test_large_unit_refused_before_any_check(self, tmp_path, capsys, monkeypatch):
+        """A unit of 600 twins in 40 edges gives 179,700 pairs, each checked
+        through 640 columns and 40 rows: over the output bound, so find exits
+        2 before it checks a single certificate."""
+        twins = " ".join(f"t{i}" for i in range(600))
+        lines = [f"vertices: {twins} " + " ".join(f"p{i}" for i in range(40))]
+        lines += [f"e{i}: {twins} p{i}" for i in range(40)]
+        path = tmp_path / "twins.hg"
+        path.write_text("\n".join(lines) + "\n")
+        checked = []
+        monkeypatch.setattr(cli, "verify_certificate", lambda *args, **kwargs: checked.append(args))
+        assert main(["find", str(path), "--kind", "unit_pair", "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "InstanceTooLarge" and "output bound" in report["message"]
+        assert checked == []
 
 
 class TestSpectra:
@@ -572,8 +598,6 @@ class TestParserReuse:
 
     def test_second_call_keeps_defaults(self, equal_file, unit_file, capsys):
         argv = ["find", equal_file, "--kind", "equal_edge_partition", "--json"]
-        assert main([*argv, "--max-ground", "3"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "InstanceTooLarge"
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["count"] > 0
 

@@ -1,0 +1,158 @@
+"""A fuzz of ``cli.main`` over arbitrary input files.
+
+Hypergraph files (JSON, text or junk), certificate JSON and weight JSON are
+drawn by ``hypothesis``, root orders and powers up to 10^6 among them, and
+run through ``rank``, ``units``, ``contract``, ``verify``, ``spectra`` and
+``find`` of every kind.  Whatever the input, ``main`` must return 0, 1 or 2
+and raise nothing: a malformed input is an exit-2 report, and a search whose
+counted work passes the finder bound is refused with exit 2 instead of run.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from hyperinc.cli import main
+from hyperinc.kernels import ALL_KINDS
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
+
+# labels the constructor accepts, "0".."5" so that root-of-unity
+# certificates can apply, and labels it must refuse
+LABELS = st.sampled_from([*"012345a", "x1"])
+BAD_LABELS = st.sampled_from(["b x", "#", "", "v:x", "vertices"])
+KINDS = sorted(ALL_KINDS)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+FRACTIONS = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(-2, 9)).map(lambda q: f"{q[0]}/{q[1]}"),
+    st.sampled_from(["1.5", "-0.25", "1e3", "", "x", "1/0"]),
+    st.integers(-2, 5),
+    st.floats(allow_nan=False) | st.booleans() | st.none(),
+)
+
+
+def hypergraph_file(draw, vertices):
+    """Mostly a well-formed hypergraph on ``vertices`` in the JSON or text
+    form; else one with a refused label or a repeated edge name, any JSON,
+    or any text."""
+    how = draw(st.sampled_from(["well-formed"] * 6 + ["bad label", "repeated name", "any json", "any text"]))
+    if how == "any json":
+        return json.dumps(draw(JSON))
+    if how == "any text":
+        return draw(st.text(max_size=40))
+    edges = draw(st.lists(
+        st.lists(st.sampled_from(vertices), min_size=1, unique=True), min_size=1, max_size=7, unique_by=frozenset
+    ))
+    names = [f"e{i + 1}" for i in range(len(edges))]
+    if how == "bad label":
+        edges[-1] = edges[-1] + [draw(BAD_LABELS)]
+    if how == "repeated name":
+        names[-1] = names[0]
+    header = draw(st.booleans())
+    if draw(st.booleans()):
+        data = {"edges": dict(zip(names, edges))}
+        if header:
+            data["vertices"] = vertices
+        return json.dumps(data)
+    lines = [f"{name}: {' '.join(edge)}" for name, edge in zip(names, edges)]
+    if header:
+        lines.insert(0, "vertices: " + " ".join(vertices))
+    return "\n".join(lines) + "\n"
+
+
+SET_NAMES = {
+    "equal_edge_partition": "UV", "ratio_edge_partition": "UV", "three_set_relation": "UVW",
+    "general_combination": "", "unit_pair": "uv", "root_of_unity_cycle": "",
+    "equal_vertex_partition": "EF", "ratio_vertex_partition": "EF", "nonsense": "UV",
+}
+
+
+def certificate_file(draw, vertices):
+    """Mostly the sets a kind names, disjoint and drawn from the instance's
+    labels, with optional fields that may be malformed; else any JSON."""
+    if draw(st.sampled_from([False] * 9 + [True])):
+        return json.dumps(draw(JSON))
+    kind = draw(st.sampled_from(sorted(SET_NAMES)))
+    names = SET_NAMES[kind] if draw(st.integers(0, 3)) else draw(st.sampled_from(["UVWEFuv", "U", ""]))
+    pool = ["e1", "e2", "e3", "e4"] if names == "EF" else vertices
+    sets = {name: [] for name in names}
+    for label in pool:
+        name = draw(st.sampled_from([*names, None]))
+        if name:
+            sets[name].append(label)
+    data = {"kind": kind, "sets": sets}
+    for key, values in [
+        ("ratio", FRACTIONS),
+        ("order", st.integers(-2, 10**6) | st.booleans() | st.text(max_size=3)),
+        ("power", st.integers(-2, 10**6) | st.none()),
+        ("parts", st.lists(st.tuples(st.lists(LABELS, max_size=3, unique=True), FRACTIONS).map(list), max_size=3) | JSON),
+    ]:
+        if draw(st.booleans()):
+            data[key] = draw(values)
+    return json.dumps(data)
+
+
+WEIGHTS = st.one_of(
+    st.sampled_from(["unit", "banerjee"]),
+    st.dictionaries(st.sampled_from(["e1", "e2", "e3", "e4", "zz"]), FRACTIONS, max_size=5).map(json.dumps),
+    JSON.map(json.dumps),
+)
+
+
+def run_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@st.composite
+def inputs(draw):
+    """A hypergraph file and a certificate file on the same labels."""
+    vertices = draw(st.lists(LABELS, min_size=1, max_size=8, unique=True))
+    return hypergraph_file(draw, vertices), certificate_file(draw, vertices)
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    inputs(),
+    st.sampled_from(["rank", "units", "contract", "verify", "spectra", *(f"find {kind}" for kind in KINDS)]),
+    WEIGHTS,
+    st.booleans(),
+)
+@example(("vertices: " + " ".join(map(str, range(14))), "{}"), "find three_set_relation", "unit", True)
+@example(("vertices: " + " ".join(map(str, range(14))), "{}"), "find unit_pair", "unit", True)
+@example(("e1: 0 1 2 3\ne2: 2 3 4 5", '{"kind": "root_of_unity_cycle", "order": 999983, "power": 1000000}'),
+         "verify", "unit", True)
+@example(("e1: 0 1\ne2: 1 2\ne3: 2 0", '{"kind": "root_of_unity_cycle", "order": 1000000, "power": 999999}'),
+         "verify", "unit", False)
+def test_main_exits_0_1_or_2(files, command, weights, as_json):
+    hypergraph, certificate = files
+    with tempfile.TemporaryDirectory() as scratch:
+        graph = Path(scratch, "h.hg")
+        graph.write_text(hypergraph, encoding="utf-8")
+        name, *kind = command.split()
+        argv = [name, str(graph)]
+        if kind:
+            argv += ["--kind", *kind]
+        elif name == "verify":
+            cert = Path(scratch, "c.json")
+            cert.write_text(certificate, encoding="utf-8")
+            argv += ["--certificate", str(cert)]
+        elif name == "spectra":
+            if weights not in ("unit", "banerjee"):
+                Path(scratch, "w.json").write_text(weights, encoding="utf-8")
+                weights = str(Path(scratch, "w.json"))
+            argv += ["--weighting", weights, "--matrix"]
+        if as_json:
+            argv.append("--json")
+        assert run_main(argv) in (0, 1, 2)

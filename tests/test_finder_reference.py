@@ -10,14 +10,16 @@ set families.  The finder must return the identical list (the same
 certificates in the same order) as the first on 60 seeded instances with 1
 to 8 ground elements, isolated vertices, singleton edges, twin vertices and
 planted partitions, plus an edgeless instance and K4, and as the second on
-the benchmark's planted shapes with 8 to 11 ground elements and on an
-instance with three isolated vertices, so it is checked for completeness as
-well as soundness.
+the benchmark's planted shapes with 8 to 11 ground elements, on an
+instance with three isolated vertices and on the 13-edge golden instance
+``tall_8x13_isolated``, so it is checked for completeness as well as
+soundness.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -25,11 +27,10 @@ import pytest
 from hyperinc import Hypergraph
 from hyperinc import kernels, linalg
 from hyperinc.errors import InstanceTooLarge, InvalidParameters
+from hyperinc.formats import load_hypergraph
 from hyperinc.hypergraph import bit_indices, compute_units
 from hyperinc.kernels import (
     ALL_KINDS,
-    DEFAULT_FINDER_BOUND,
-    DEFAULT_THREE_SET_BOUND,
     EQUAL_EDGE_PARTITION,
     EQUAL_VERTEX_PARTITION,
     GENERAL_COMBINATION,
@@ -46,6 +47,7 @@ from hyperinc.kernels import (
     unit_pair_certificate,
 )
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 LABEL_POOL = [str(i) for i in range(12)] + ["a", "b", "x1", "x10", "x2", "z"]
 ENUMERABLE_KINDS = sorted(ALL_KINDS - {GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE})
 
@@ -88,15 +90,13 @@ def _fraction_ratio(counts) -> Optional[Fraction]:
     return Fraction(1) if r is None else r
 
 
-def find_certificates_exhaustive(
-    h: Hypergraph, kind: str, max_ground: Optional[int] = None
-) -> list[KernelCertificate]:
+def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertificate]:
     """Enumerate every certificate of one kind over all disjoint set families.
 
-    This is an oracle for property tests, not a scalable search: the ground
-    set (vertices for edge-partition kinds, edges for vertex-partition kinds)
-    is capped at 12 elements by default (10 for the three-set kind, whose
-    enumeration is 4-way).  Output order is deterministic.
+    This is an oracle for property tests, not a scalable search: it takes
+    3^n steps on n ground elements (4^n for the three-set kind), vertices for
+    edge-partition kinds and edges for vertex-partition kinds, so callers
+    keep n small.  Output order is deterministic.
     """
     if kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {kind!r}")
@@ -105,18 +105,12 @@ def find_certificates_exhaustive(
             f"kind {kind!r} has no finite certificate family to enumerate"
         )
 
-    bound = max_ground
-    if bound is None:
-        bound = DEFAULT_THREE_SET_BOUND if kind == THREE_SET_RELATION else DEFAULT_FINDER_BOUND
-
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
         # per-vertex counts against each candidate edge set
-        ground, rows, noun = h.edge_labels, h.star_masks, "edges"
+        ground, rows = h.edge_labels, h.star_masks
     else:
         # per-edge counts against each candidate vertex set
-        ground, rows, noun = h.vertices, h.edge_masks, "vertices"
-    if len(ground) > bound:
-        raise InstanceTooLarge(f"{len(ground)} {noun} exceeds the finder bound {bound}")
+        ground, rows = h.vertices, h.edge_masks
 
     results: list[KernelCertificate] = []
     if kind == UNIT_PAIR:
@@ -208,15 +202,12 @@ def _consistent_ratio(counts) -> Optional[Fraction]:
     return Fraction(r_num, r_den) if r_den else Fraction(1)
 
 
-def find_certificates_pruned(
-    h: Hypergraph, kind: str, max_ground: Optional[int] = None
-) -> list[KernelCertificate]:
+def find_certificates_pruned(h: Hypergraph, kind: str) -> list[KernelCertificate]:
     """Enumerate every certificate of one kind over all disjoint set families.
 
-    This is an oracle for property tests, not a scalable search: the ground
-    set (vertices for edge-partition kinds, edges for vertex-partition kinds)
-    is capped at 12 elements by default (10 for the three-set kind, whose
-    enumeration is 4-way).  Output order is deterministic.
+    This is an oracle for property tests, not a scalable search: it visits
+    up to 3^n families of n ground elements (4^n for the three-set kind), so
+    callers keep n small.  Output order is deterministic.
     """
     if kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {kind!r}")
@@ -225,18 +216,12 @@ def find_certificates_pruned(
             f"kind {kind!r} has no finite certificate family to enumerate"
         )
 
-    bound = max_ground
-    if bound is None:
-        bound = DEFAULT_THREE_SET_BOUND if kind == THREE_SET_RELATION else DEFAULT_FINDER_BOUND
-
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
         # per-vertex counts against each candidate edge set
-        ground, rows, noun = h.edge_labels, h.star_masks, "edges"
+        ground, rows = h.edge_labels, h.star_masks
     else:
         # per-edge counts against each candidate vertex set
-        ground, rows, noun = h.vertices, h.edge_masks, "vertices"
-    if len(ground) > bound:
-        raise InstanceTooLarge(f"{len(ground)} {noun} exceeds the finder bound {bound}")
+        ground, rows = h.vertices, h.edge_masks
 
     results: list[KernelCertificate] = []
     if kind == UNIT_PAIR:
@@ -430,7 +415,7 @@ def test_bench_shapes_match_pruned_reference():
     ratio_hits = 0
     for h in PAIR_SHAPES + THREE_SET_SHAPES:
         for kind in ENUMERABLE_KINDS:
-            if kind == THREE_SET_RELATION and h.n_vertices > DEFAULT_THREE_SET_BOUND - 2:
+            if kind == THREE_SET_RELATION and h.n_vertices > 8:
                 continue
             expected = find_certificates_pruned(h, kind)
             found = kernels.find_certificates_exhaustive(h, kind)
@@ -502,13 +487,18 @@ def test_consistent_ratio_matches_reference():
 
 
 def test_bounds_and_kinds_match_reference():
-    h = Hypergraph([str(i) for i in range(13)], [["0", "1"]])
-    for kind in (EQUAL_EDGE_PARTITION, THREE_SET_RELATION):
-        with pytest.raises(InstanceTooLarge) as new:
-            kernels.find_certificates_exhaustive(h, kind)
-        with pytest.raises(InstanceTooLarge) as ref:
-            find_certificates_exhaustive(h, kind)
-        assert str(new.value) == str(ref.value)
+    """Thirteen edges were over the old ground-set cap; the finder now
+    returns the pruned reference's list for them.  A search whose counted
+    work passes the bound is refused, and an unknown or unenumerable kind
+    is refused by both."""
+    tall = load_hypergraph(str(GOLDEN / "tall_8x13_isolated.txt"))
+    assert tall.n_edges == 13
+    found = kernels.find_certificates_exhaustive(tall, EQUAL_VERTEX_PARTITION)
+    assert len(found) == 30 and found == find_certificates_pruned(tall, EQUAL_VERTEX_PARTITION)
+
+    h = Hypergraph([str(i) for i in range(13)], [["0", "1"]])  # 11 isolated: 4^11 spreads
+    with pytest.raises(InstanceTooLarge, match="over the finder bound"):
+        kernels.find_certificates_exhaustive(h, THREE_SET_RELATION)
     for kind in (GENERAL_COMBINATION, "nonsense"):
         for finder in (kernels.find_certificates_exhaustive, find_certificates_exhaustive):
             with pytest.raises(InvalidParameters):
@@ -546,7 +536,7 @@ def test_patterns_walk_only_columns_that_meet_a_row(monkeypatch):
     edgeless = THREE_SET_SHAPES[2]
     for h in [*INSTANCES, PAIR_SHAPES[3], THREE_SET_SHAPES[1], ISOLATED_INSTANCE]:
         for kind in sorted(set(ENUMERABLE_KINDS) - {UNIT_PAIR}):
-            if kind == THREE_SET_RELATION and h.n_vertices > DEFAULT_THREE_SET_BOUND:
+            if kind == THREE_SET_RELATION and h.n_vertices > 10:
                 continue
             edge_side = kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION)
             incidence = linalg.vertex_edge_incidence if edge_side else linalg.edge_vertex_incidence

@@ -4,6 +4,9 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
+from hyperinc.errors import InvalidParameters
 from hyperinc.generators import random_hypergraph
 
 
@@ -27,3 +30,9 @@ def test_every_small_subset_at_equal_rates():
 def test_distinct_edges_up_to_the_last_subset():
     h = random_hypergraph(4, 10, 2, seed=3)
     assert len(set(h.edges)) == 10 and all(len(e) <= 2 for e in h.edges)
+
+
+def test_negative_edge_count_is_refused():
+    with pytest.raises(InvalidParameters, match="negative"):
+        random_hypergraph(5, -3, seed=0)
+    assert random_hypergraph(5, 0, seed=0).n_edges == 0

@@ -3,12 +3,13 @@
 
 Every instance ``<name>.txt`` is run through ``rank``, ``contract``,
 ``units``, ``spectra --matrix`` with the unit and Banerjee weightings, and
-``find`` of every enumerable kind (instances whose ground set is over a
-finder bound freeze the exit-2 error report).  Every certificate
+``find`` of every enumerable kind (a search whose counted work passes the
+finder bound would freeze the exit-2 error report).  Every certificate
 ``<name>.<tag>.cert.json`` is run through ``verify`` against ``<name>.txt``.
 The expected report of each run is ``<name>.<tag>.json``; the exit codes are
 in ``exit_codes.json``.  To recapture them, only when a report change is
-intended:
+intended (it prints each report whose bytes or exit code moved, then the
+count of unchanged ones):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -108,9 +109,15 @@ def test_verify_report_is_byte_identical(certificate):
 
 
 if __name__ == "__main__":
-    codes = {}
+    old_codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    codes, unchanged = {}, 0
     for report, argv in all_reports().items():
         codes[report], out = run_report(argv)
-        (GOLDEN / report).write_text(out, encoding="utf-8")
-        print(f"captured {report} (exit {codes[report]})")
+        path = GOLDEN / report
+        if path.is_file() and path.read_text(encoding="utf-8") == out and old_codes.get(report) == codes[report]:
+            unchanged += 1
+            continue
+        path.write_text(out, encoding="utf-8")
+        print(f"changed {report}: exit {old_codes.get(report, 'none')} -> {codes[report]}")
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{unchanged} reports unchanged")

@@ -325,3 +325,59 @@ class TestLabelOrder:
         h = build_hypergraph([long_label, "2", "0" + long_label], [["2"]])
         # equal values fall back to the label itself, as with int()
         assert h.vertices == ("2", "0" + long_label, long_label)
+
+
+def incidence_graph(h):
+    """The bipartite incidence graph of ``h``, each node marked with its side."""
+    networkx = pytest.importorskip("networkx")
+    g = networkx.Graph()
+    g.add_nodes_from((("v", v) for v in h.vertices), side="vertex")
+    g.add_nodes_from((("e", i) for i in range(h.n_edges)), side="edge")
+    g.add_edges_from((("v", v), ("e", i)) for i, e in enumerate(h.edges) for v in e)
+    return g
+
+
+def relabelled(rng, h):
+    """``h`` under a random bijection onto fresh labels, edges shuffled."""
+    labels = [f"x{i}" for i in rng.sample(range(100), h.n_vertices)]
+    rename = dict(zip(h.vertices, labels))
+    edges = [[rename[v] for v in e] for e in rng.sample(h.edges, h.n_edges)]
+    return build_hypergraph(rng.sample(labels, len(labels)), edges)
+
+
+def one_edge_changed(rng, h):
+    """``h`` with one vertex added to or taken from one edge, or None when
+    that empties the edge or repeats another."""
+    i, v = rng.randrange(h.n_edges), rng.choice(h.vertices)
+    edges = list(h.edges)
+    edges[i] = edges[i] ^ {v}
+    if not edges[i] or len(set(edges)) < len(edges):
+        return None
+    return build_hypergraph(h.vertices, edges)
+
+
+def test_are_isomorphic_matches_networkx():
+    """Against networkx's isomorphism of side-preserving bipartite incidence
+    graphs, on seeded instances of up to 12 vertices: random relabellings
+    (always isomorphic) and copies with one edge changed (near misses).  A
+    returned mapping must carry E(h1) onto E(h2)."""
+    networkx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import categorical_node_match
+
+    same_side = categorical_node_match("side", None)
+    rng = random.Random(8128)
+    verdicts = {True: 0, False: 0}
+    for _ in range(80):
+        h1 = random_instance(rng, max_vertices=12, max_edges=10)
+        for h2 in (relabelled(rng, h1), one_edge_changed(rng, h1)):
+            if h2 is None:
+                continue
+            h2 = relabelled(rng, h2)
+            expected = networkx.is_isomorphic(incidence_graph(h1), incidence_graph(h2), node_match=same_side)
+            mapping = are_isomorphic(h1, h2)
+            assert (mapping is not None) == expected
+            if mapping is not None:
+                assert sorted(mapping.values()) == sorted(h2.vertices)
+                assert {frozenset(mapping[v] for v in e) for e in h1.edges} == set(h2.edges)
+            verdicts[expected] += 1
+    assert verdicts[True] >= 80 and verdicts[False] >= 40, verdicts

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -42,7 +43,31 @@ from hyperinc.kernels import (
     UNIT_PAIR,
     KernelCertificate,
 )
+from hyperinc.generators import random_hypergraph
 from conftest import random_instance
+
+
+def count_finder_steps(monkeypatch) -> dict[str, int]:
+    """Counts, while the finder runs, of the patterns ``_patterns`` yields
+    and of the calls to ``_submasks``, ``_spread`` and ``unit_pair_certificate``."""
+    counts = dict.fromkeys(["_patterns", "_submasks", "_spread", "unit_pair_certificate"], 0)
+    patterns = kernels._patterns
+
+    def counting_patterns(*args):
+        for pattern in patterns(*args):
+            counts["_patterns"] += 1
+            yield pattern
+
+    def counting(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "_patterns", counting_patterns)
+    for name in ("_submasks", "_spread", "unit_pair_certificate"):
+        monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+    return counts
 
 
 @pytest.fixture
@@ -416,10 +441,107 @@ class TestFinder:
                 vec = cert.induced_vector(equal_partition_example)
                 assert span_dimension(list(ns.vectors) + [vec]) == base_dim
 
-    def test_instance_too_large(self):
-        h = uniform_cycle(13, 2)
+    def test_instance_too_large(self, monkeypatch):
+        """Each family is refused before it is built, shown by counting the
+        finder's steps: the r = 0 family of 2^59 - 1 cores, a three-set
+        spread over 11 zero columns (4^11), C(1500, 2) unit pairs, the
+        output of a unit of 600 twins, and a walk of 3^10 patterns with one
+        cell per pivot for each of them."""
+        counts = count_finder_steps(monkeypatch)
+        path = build_hypergraph(
+            [str(i) for i in range(1, 61)], [[str(i), str(i + 1)] for i in range(1, 59)]
+        )  # vertex 60 is isolated; 58 pivots and one free column, walked twice
+        with pytest.raises(InstanceTooLarge, match=f"at least {2 * 3 * 58 + 2**59 - 1} counted"):
+            find_certificates_exhaustive(path, RATIO_EDGE_PARTITION)
+        assert counts == {"_patterns": 0, "_submasks": 0, "_spread": 0, "unit_pair_certificate": 0}
+
+        counts.update(dict.fromkeys(counts, 0))
+        one_edge = build_hypergraph([str(i) for i in range(13)], [["0", "1"]])
         with pytest.raises(InstanceTooLarge):
-            find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
+            find_certificates_exhaustive(one_edge, THREE_SET_RELATION)
+        assert counts["_spread"] == 0 and counts["_patterns"] == 3 + 4
+
+        counts.update(dict.fromkeys(counts, 0))
+        assert math.comb(1500, 2) > kernels.FINDER_BOUND
+        with pytest.raises(InstanceTooLarge, match="over the finder bound"):
+            find_certificates_exhaustive(build_hypergraph([str(i) for i in range(1500)], []), UNIT_PAIR)
+        assert counts["unit_pair_certificate"] == 0
+
+        # 600 twins in 40 edges: C(600, 2) pairs pass the finder bound, but
+        # checking each reads 640 columns and 2 * 40 rows, over the output bound
+        twins = [f"t{i}" for i in range(600)]
+        unit = build_hypergraph(twins + [f"p{i}" for i in range(40)], [twins + [f"p{i}"] for i in range(40)])
+        cells = math.comb(600, 2) * (640 + 2 * 40)
+        assert math.comb(600, 2) <= kernels.FINDER_BOUND and kernels.OUTPUT_BOUND < cells
+        with pytest.raises(InstanceTooLarge, match=f"takes {cells} incidence cells"):
+            find_certificates_exhaustive(unit, UNIT_PAIR)
+        assert counts["unit_pair_certificate"] == 0
+
+        # 80 edges on 30 vertices, and a twin for each of ten of them
+        base = random_hypergraph(30, 80, None, random.Random(20))
+        twin = {str(i): str(i + 30) for i in range(1, 11)}
+        tall = build_hypergraph(
+            [str(i) for i in range(1, 41)], [e | {twin[v] for v in e if v in twin} for e in base.edges]
+        )
+        ns = rank_and_nullspace(edge_vertex_incidence(tall))
+        assert (ns.rank, ns.nullity) == (30, 10)
+        assert 3**10 < kernels.FINDER_BOUND < 3**10 * 30
+        with pytest.raises(InstanceTooLarge, match=f"at least {3**10 * 30} counted"):
+            find_certificates_exhaustive(tall, EQUAL_EDGE_PARTITION)
+        assert counts["_patterns"] == 0
+
+    def test_output_cells_counted_before_certificates(self, monkeypatch, ratio_example):
+        """Per certificate, one cell per column and one per row and element
+        of its sets: admitted at that count, refused one below it before a
+        certificate is built."""
+        found = find_certificates_exhaustive(ratio_example, RATIO_EDGE_PARTITION)
+        rows, columns = ratio_example.n_edges, ratio_example.n_vertices
+        cells = sum(columns + rows * (len(c.named_set("U")) + len(c.named_set("V"))) for c in found)
+        assert found and cells > 0
+        monkeypatch.setattr(kernels, "OUTPUT_BOUND", cells)
+        assert find_certificates_exhaustive(ratio_example, RATIO_EDGE_PARTITION) == found
+        monkeypatch.setattr(kernels, "OUTPUT_BOUND", cells - 1)
+        built = []
+        monkeypatch.setattr(kernels, "ratio_partition_certificate", lambda *args: built.append(args))
+        with pytest.raises(InstanceTooLarge, match=f"takes {cells} incidence cells"):
+            find_certificates_exhaustive(ratio_example, RATIO_EDGE_PARTITION)
+        assert built == []
+
+    def test_searches_the_old_cap_admitted_are_admitted(self, monkeypatch):
+        """The edgeless 10-vertex three-set search counts 4^10 - 1 (one empty
+        core spread over ten zero columns) and the edgeless 12-vertex pair
+        searches 3^12 - 1; one edge through all of 10 vertices counts its two
+        walks (3^9 + 4^9 patterns, one pivot) and its submask expansions.
+        Each is admitted at its count and refused one below it.  The step
+        after the last charge is stubbed out, so the searches never run; their
+        outputs, 437,250 three-set and 261,625 pair certificates of at most
+        10 or 12 elements, are within the output bound."""
+        bound = kernels.FINDER_BOUND
+
+        def reached(*args):
+            raise RuntimeError("reached")
+
+        expansions = sum(  # |U| = |V| = k of ten, W outside them or split off one
+            math.comb(10, k) * math.comb(10 - k, k) * (2 ** (10 - 2 * k) - 1 + 2 * (2**k - 1))
+            for k in range(1, 6)
+        )
+        ten = [str(i) for i in range(10)]
+        for h, kind, work, stub in [
+            (build_hypergraph(ten, []), THREE_SET_RELATION, 4**10 - 1, "_spread"),
+            (build_hypergraph([str(i) for i in range(12)], []), EQUAL_EDGE_PARTITION, 3**12 - 1, "_spread"),
+            (build_hypergraph([str(i) for i in range(12)], []), RATIO_EDGE_PARTITION, 3**12 - 1, "_spread"),
+            (build_hypergraph(ten, [ten]), THREE_SET_RELATION, 3**9 + 4**9 + expansions, "_three_set_cores"),
+        ]:
+            monkeypatch.setattr(kernels, stub, reached)
+            monkeypatch.setattr(kernels, "FINDER_BOUND", bound)
+            with pytest.raises(RuntimeError, match="reached"):
+                find_certificates_exhaustive(h, kind)
+            monkeypatch.setattr(kernels, "FINDER_BOUND", work - 1)
+            with pytest.raises(InstanceTooLarge, match=f"at least {work} counted"):
+                find_certificates_exhaustive(h, kind)
+            monkeypatch.undo()
+        assert 437_250 * (10 + 1 * 10) <= kernels.OUTPUT_BOUND
+        assert 261_625 * 12 <= kernels.OUTPUT_BOUND
 
     def test_unsupported_kind(self, equal_partition_example):
         with pytest.raises(InvalidParameters):
