@@ -591,7 +591,8 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
 
     The certificates are kernel vectors of the incidence matrix, so the
     search enumerates the values at the free columns of one checked echelon
-    form (``checked_echelon``: basis re-multiplied, rank proven mod primes).
+    form (``checked_echelon``: basis re-multiplied, rank proven over GF(2),
+    then primes above 2**20).
     Zero columns Z, the elements that meet no row, are free and change no
     count, so they are left out of that walk and spread over each hit after
     it.  Each family of candidates is counted before it is built, and the

@@ -5,7 +5,8 @@ fraction-free elimination (Bareiss forward, then back-substitution on the
 free columns) on a denominator-cleared integer copy.
 Null-space bases are the normalised RREF bases, so they are deterministic, and
 every basis vector is re-multiplied through the integer matrix before being
-returned, which bounds the rank above; ranks modulo primes bound it below.
+returned, which bounds the rank above; ranks modulo primes (GF(2), then
+primes above 2**20) bound it below.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
@@ -56,11 +57,12 @@ class RationalMatrix:
             raise DimensionMismatch("row length does not match column label count")
         if len(rows) != len(row_labels):
             raise DimensionMismatch("entry rows do not match row label count")
-        if len(set(row_labels)) != len(row_labels) or len(set(col_labels)) != len(col_labels):
-            raise InvalidParameters("matrix labels must be unique")
-        self.entries: list[list[int | Fraction]] = rows
         self.row_labels: tuple[str, ...] = tuple(str(x) for x in row_labels)
         self.col_labels: tuple[str, ...] = tuple(str(x) for x in col_labels)
+        # after the conversion, which can merge labels such as 1 and "1"
+        if len(set(self.row_labels)) != self.rows or len(set(self.col_labels)) != self.cols:
+            raise InvalidParameters("matrix labels must be unique")
+        self.entries: list[list[int | Fraction]] = rows
 
     @property
     def rows(self) -> int:
@@ -198,9 +200,9 @@ def checked_echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], 
     Every kernel basis vector, scaled by d to integers, is re-multiplied
     through ``rows``; the vectors are independent, one per free column, so
     the rank is at most r, the pivot count.  ``_modular_rank`` proves it is
-    at least r.  So the kernel is exactly the span of the vectors the reduced
-    rows give the free columns: a kernel vector is fixed by its free
-    coordinates.
+    at least r from ranks over GF(2), then over primes above 2**20.  So the
+    kernel is exactly the span of the vectors the reduced rows give the free
+    columns: a kernel vector is fixed by its free coordinates.
     """
     pivots, reduced, d = _echelon(rows)
     modular = _modular_rank(rows, len(pivots))
@@ -280,21 +282,37 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return r
 
 
+def _rank_gf2(rows: list[list[int]]) -> int:
+    """Rank of integer ``rows`` over GF(2): each row becomes the bitmask of
+    its odd entries, and an XOR basis keeps one mask per leading bit."""
+    basis: dict[int, int] = {}  # leading bit -> the one basis mask with it
+    for row in rows:
+        mask = 0
+        for x in row:
+            mask = mask << 1 | x & 1
+        while mask:
+            top = mask.bit_length()
+            if top not in basis:
+                basis[top] = mask
+                break
+            mask ^= basis[top]
+    return len(basis)
+
+
 def _modular_rank(rows: list[list[int]], ceiling: int) -> int:
     """The rank over Q of integer ``rows``, known to be at most ``ceiling``.
 
-    The rank mod p never exceeds the rational rank, so the primes above
-    2**20 are tried in order until one reaches ``ceiling``.  A prime falls
-    short only when it divides every maximal non-zero minor, and Hadamard
-    bounds such a minor by the product of the row norms; so once the primes'
-    product exceeds that bound (compared squared, in integers) the largest
-    rank seen is the rational rank.  A rank above ``ceiling`` is returned as
-    soon as it is seen.
+    The rank mod p never exceeds the rational rank, so GF(2), then the primes
+    above 2**20 are tried in order until one reaches ``ceiling``.  A prime
+    falls short only when it divides every maximal non-zero minor, and
+    Hadamard bounds such a minor by the product of the row norms; so once the
+    primes' product exceeds that bound (compared squared, in integers) the
+    largest rank seen is the rational rank.  A rank above ``ceiling`` is
+    returned as soon as it is seen.
     """
     best, product, bound = 0, 1, None
-    for i in count():
-        p = _prime(i)
-        rank = _rank_mod_p(rows, p)
+    for p in chain([2], map(_prime, count())):
+        rank = _rank_gf2(rows) if p == 2 else _rank_mod_p(rows, p)
         if rank >= ceiling:
             return rank
         best = max(best, rank)
@@ -306,7 +324,8 @@ def _modular_rank(rows: list[list[int]], ceiling: int) -> int:
 
 
 def rank_modular_oracle(m: RationalMatrix) -> int:
-    """The exact rank over Q of an integer matrix, from ranks over GF(p).
+    """The exact rank over Q of an integer matrix, from ranks over GF(2),
+    then over primes above 2**20.
 
     An elimination independent of ``rank_and_nullspace``: ``_modular_rank``
     with the trivial ceiling min(rows, cols).

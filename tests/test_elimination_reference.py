@@ -192,35 +192,61 @@ def test_matches_sympy():
         assert list(ns.vectors) == expected, label
 
 
-def _count_rank_mod_p_calls(monkeypatch, shift: int = 0) -> list:
-    """Patch ``_rank_mod_p`` to log its primes and add ``shift`` to its
-    answer; more than ten calls fail."""
+def _count_rank_mod_p_calls(monkeypatch, shift: int = 0, shift_gf2: bool = True) -> list:
+    """Patch ``_rank_gf2`` and ``_rank_mod_p`` to log the prime of each stage
+    (2 for GF(2)) and add ``shift`` to its answer (at GF(2) only if
+    ``shift_gf2``); more than ten calls fail."""
     primes = []
-    rank_mod_p = linalg._rank_mod_p
+    rank_gf2, rank_mod_p = linalg._rank_gf2, linalg._rank_mod_p
 
     def counted(rows, p):
         primes.append(p)
         assert len(primes) <= 10, "the modular rank did not stop"
+        if p == 2:
+            return rank_gf2(rows) + (shift if shift_gf2 else 0)
         return rank_mod_p(rows, p) + shift
 
+    monkeypatch.setattr(linalg, "_rank_gf2", lambda rows: counted(rows, 2))
     monkeypatch.setattr(linalg, "_rank_mod_p", counted)
     return primes
 
 
+# determinant 2: rank 3 over Q, rank 2 over GF(2)
+DET_2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+
+
+def _matrix(rows: list[list[int]]) -> RationalMatrix:
+    return RationalMatrix(
+        rows, [f"r{i}" for i in range(len(rows))], [f"c{j}" for j in range(len(rows[0]))]
+    )
+
+
 def test_rank_cross_check_is_wired_in(monkeypatch):
-    """A modular rank one too high fails at once; one too low on every prime
-    fails once the primes pass the Hadamard bound."""
+    """A modular rank one too high fails at once; one too low at every stage
+    fails once the primes pass the Hadamard bound.  GF(2) proves these ranks,
+    so the GF(2) stage is the one shifted."""
     m = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
     h = build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]])
     assert rank_and_nullspace(m).rank == 2
     assert find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
     for shift in (1, -1):
         with monkeypatch.context() as patch:
-            _count_rank_mod_p_calls(patch, shift)
+            primes = _count_rank_mod_p_calls(patch, shift)
             with pytest.raises(ArithmeticError, match="rank disagreement"):
                 rank_and_nullspace(m)
             with pytest.raises(ArithmeticError, match="rank disagreement"):
                 find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
+            assert primes[0] == 2
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_prime_stage_after_gf2_is_cross_checked(monkeypatch, shift):
+    """GF(2) falls short on ``DET_2``, so the prime p0 decides: a rank one
+    too high or too low there is caught."""
+    primes = _count_rank_mod_p_calls(monkeypatch, shift, shift_gf2=False)
+    with pytest.raises(ArithmeticError, match="rank disagreement"):
+        rank_and_nullspace(_matrix(DET_2))
+    assert primes == [2, linalg._prime(0)]
 
 
 def test_generated_primes_are_the_primes_above_2_20():
@@ -237,24 +263,55 @@ def test_generated_primes_are_the_primes_above_2_20():
 
 @pytest.mark.parametrize("n_primes", [1, 2])
 def test_prime_falling_short_falls_back(monkeypatch, n_primes):
-    """Determinant p0 (or p0 * p1): the first prime (or two) gives rank 1, the
-    Hadamard bound is not yet passed, and the next prime proves rank 2."""
-    det = linalg._prime(0) * (linalg._prime(1) if n_primes == 2 else 1)
+    """Determinant 2 * p0 (or 2 * p0 * p1): GF(2) and the first prime (or
+    two) give rank 1, the Hadamard bound is not yet passed, and the next
+    prime proves rank 2."""
+    det = 2 * linalg._prime(0) * (linalg._prime(1) if n_primes == 2 else 1)
     m = RationalMatrix([[1, 1], [1, 1 + det]], ["r1", "r2"], ["a", "b"])
     primes = _count_rank_mod_p_calls(monkeypatch)
+    expected = [2] + [linalg._prime(i) for i in range(n_primes + 1)]
     assert rank_and_nullspace(m).rank == 2
-    assert primes == [linalg._prime(i) for i in range(n_primes + 1)]
+    assert primes == expected
     primes.clear()
     assert rank_modular_oracle(m) == 2
-    assert len(primes) == n_primes + 1
+    assert primes == expected
+
+
+def test_gf2_falling_short_falls_through_to_the_primes(monkeypatch):
+    assert linalg._rank_gf2(DET_2) == 2
+    primes = _count_rank_mod_p_calls(monkeypatch)
+    assert rank_and_nullspace(_matrix(DET_2)).rank == 3
+    assert primes == [2, linalg._prime(0)]
+    primes.clear()
+    assert rank_modular_oracle(_matrix(DET_2)) == 3
+    assert primes == [2, linalg._prime(0)]
+
+
+def test_odd_determinant_is_proven_by_gf2_alone(monkeypatch):
+    """A 0/1 matrix with odd determinant (here -1) has full rank over GF(2):
+    no prime above 2**20 is tried."""
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 0]]
+    primes = _count_rank_mod_p_calls(monkeypatch)
+    assert rank_and_nullspace(_matrix(rows)).rank == 4
+    assert rank_modular_oracle(_matrix(rows)) == 4
+    assert primes == [2, 2]
 
 
 def test_hadamard_bound_stops_a_rank_deficient_oracle(monkeypatch):
-    """Rank 1 below the ceiling 2: one prime passes the Hadamard bound 2."""
+    """Rank 1 below the ceiling 2: GF(2) multiplies the product by 4, which
+    does not pass the squared Hadamard bound 4, so p0 is tried, and then the
+    product does."""
     m = RationalMatrix([[1, 1], [1, 1]], ["r1", "r2"], ["a", "b"])
     primes = _count_rank_mod_p_calls(monkeypatch)
     assert rank_modular_oracle(m) == 1
-    assert len(primes) == 1
+    assert primes == [2, linalg._prime(0)]
+
+
+def test_gf2_alone_passes_a_hadamard_bound_of_1(monkeypatch):
+    """Rank 1 below the ceiling 2, and the squared Hadamard bound is 1 < 4."""
+    primes = _count_rank_mod_p_calls(monkeypatch)
+    assert rank_modular_oracle(_matrix([[1, 0], [0, 0]])) == 1
+    assert primes == [2]
 
 
 def test_re_multiplication_is_wired_in(monkeypatch):
@@ -329,3 +386,23 @@ def test_echelon_matches_gauss_jordan_reference():
         pivots = _gauss_jordan_reference(expected)
         d = expected[len(pivots) - 1][pivots[-1]] if pivots else 1
         assert linalg._echelon(rows) == (pivots, expected, d), label
+
+
+def test_gf2_rank_matches_prime_field_rank_at_2():
+    """The bit-row GF(2) rank against ``_rank_mod_p`` run at p = 2, on every
+    echelon case and on more matrices of the three rank-dense shapes, each
+    with its transpose: 30 x 50 with 10 duplicate columns, 36 x 46, and
+    44 x 62 with 20."""
+    cases = list(_echelon_cases(seed=2203))
+    rng = random.Random(2203)
+    for index in range(20):
+        for rows, base, clones in ((30, 40, 10), (36, 46, 0), (44, 42, 20)):
+            b = _dense_01(rng, rows, base, clones)
+            cases.append((f"0/1 {rows}x{base + clones} #{index}", b))
+            cases.append((f"0/1 {rows}x{base + clones} #{index} transposed", [list(c) for c in zip(*b)]))
+    deficient = 0
+    for label, rows in cases:
+        rank = linalg._rank_gf2(rows)
+        assert rank == linalg._rank_mod_p(rows, 2), label
+        deficient += rank < len(linalg._echelon(rows)[0])
+    assert deficient

@@ -16,7 +16,7 @@ from hyperinc import (
     vertex_edge_incidence,
 )
 from hyperinc import linalg
-from hyperinc.errors import DimensionMismatch, NonIntegerEntries
+from hyperinc.errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
 from conftest import random_instance
 
 # rows e1..e5 over columns 1..11
@@ -66,6 +66,19 @@ class TestIncidence:
             incident = {f"e{(int(v) - 1) % 4}", f"e{int(v)}"}
             row = {i.col_labels[c] for c in range(4) if i.entry(vi, c) == 1}
             assert row == incident
+
+
+class TestLabels:
+    @pytest.mark.parametrize(
+        "entries, rows, cols",
+        [([[1], [2]], [1, "1"], ["a"]), ([[1, 2]], ["r"], [1, "1"])],
+        ids=["rows", "columns"],
+    )
+    def test_labels_unique_once_converted_to_str(self, entries, rows, cols):
+        """1 and "1" are both "1": a row would be dropped by ``matvec``, and
+        a kernel vector of two columns would read as one."""
+        with pytest.raises(InvalidParameters, match="unique"):
+            RationalMatrix(entries, rows, cols)
 
 
 class TestRankNullspace:
