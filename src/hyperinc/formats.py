@@ -126,7 +126,7 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
         edges[name] = members
     inferred = {v for e in edges.values() for v in e}
     if vertices is None:
-        vertices = sorted(inferred)
+        vertices = inferred  # the constructor puts them in canonical order
     else:
         missing = inferred - set(vertices)
         if missing:
@@ -149,8 +149,10 @@ def parse_hypergraph_json(text: str) -> Hypergraph:
     edges = [parse_labels(edges_obj[name], f"edge {name!r}") for name in names]
     vertices = data.get("vertices")
     if vertices is None:
-        vertices = sorted({v for e in edges for v in e})
-    return build_hypergraph(parse_labels(vertices, "'vertices'"), edges, names)
+        vertices = {v for e in edges for v in e}  # the constructor puts them in canonical order
+    else:
+        vertices = parse_labels(vertices, "'vertices'")
+    return build_hypergraph(vertices, edges, names)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

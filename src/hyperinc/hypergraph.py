@@ -11,6 +11,7 @@ rows and columns are reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -55,11 +56,15 @@ def canonical_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted((str(x) for x in labels), key=label_sort_key))
 
 
+# in a str pattern, \s matches exactly the characters for which str.isspace() holds
+_LABEL_BREAK = re.compile(r"[\s#:]")
+
+
 def _check_labels(labels: Iterable[str], what: str) -> None:
     """One rule for vertex and edge labels, so that the text form carries them
     (its parser splits on ``str.isspace`` whitespace, '#' and ':')."""
     for x in labels:
-        if not x or x == "vertices" or any(c.isspace() or c in "#:" for c in x):
+        if not x or x == "vertices" or _LABEL_BREAK.search(x):
             raise InvalidParameters(
                 f"{what} label {x!r} is empty, contains whitespace, '#' or ':', or is 'vertices'"
             )
@@ -154,33 +159,39 @@ class Hypergraph:
             raise EmptyVertexSet("a hypergraph needs at least one vertex")
         if len(set(vlist)) != len(vlist):
             raise InvalidParameters("duplicate vertex labels")
-        _check_labels(vlist, "vertex")
+        # checked in canonical order, so the label named does not depend on the input's order
         self.vertices: tuple[str, ...] = canonical_labels(vlist)
+        _check_labels(self.vertices, "vertex")
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
 
+        bit = {v: 1 << j for j, v in enumerate(self.vertices)}
         edge_masks = []
         seen: set[int] = set()
-        star_masks = [0] * len(self.vertices)
         for pos, e in enumerate(edges):
-            members = frozenset(str(v) for v in e)
-            if not members:
-                raise EmptyEdge(f"edge at position {pos} is empty")
-            unknown = members - self._vindex.keys()
-            if unknown:
+            mask = 0
+            members = iter(e)
+            try:
+                for v in members:
+                    mask |= bit[v if type(v) is str else str(v)]
+            except KeyError:
+                # v is the first unknown member; the rest of the edge is still in ``members``
+                unknown = {str(v), *map(str, members)} - bit.keys()
                 raise UnknownVertexInEdge(
                     f"edge at position {pos} uses unknown vertices {sorted(unknown)}"
-                )
-            mask, bit = 0, 1 << pos
-            for v in members:
-                j = self._vindex[v]
-                mask |= 1 << j
-                star_masks[j] |= bit
+                ) from None
+            if not mask:
+                raise EmptyEdge(f"edge at position {pos} is empty")
             if mask in seen:
                 raise DuplicateEdge(f"edge at position {pos} repeats an earlier edge")
             seen.add(mask)
             edge_masks.append(mask)
         self.edge_masks: tuple[int, ...] = tuple(edge_masks)
-        self.star_masks: tuple[int, ...] = tuple(star_masks)
+        # the transpose, through one string: each edge as n binary digits, vertex n-1
+        # first; reversed, the edges run from the last and each starts at vertex 0, so
+        # every n-th digit from j is star j, highest edge bit first
+        n = len(self.vertices)
+        bits = "".join([format(mask, f"0{n}b") for mask in edge_masks])[::-1]
+        self.star_masks: tuple[int, ...] = tuple(int(bits[j::n] or "0", 2) for j in range(n))
 
         if edge_labels is None:
             edge_labels = [f"e{i + 1}" for i in range(len(edge_masks))]

@@ -1,4 +1,4 @@
-"""Exact dense matrices over Q: incidence matrices, rank, null-space bases.
+"""Exact matrices over Q: incidence matrices, rank, null-space bases.
 
 Everything here is tolerance-free.  Rank and kernel come from one exact
 fraction-free elimination (Bareiss forward, then back-substitution on the
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
 from math import isqrt, lcm, prod
+from numbers import Number, Rational
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
@@ -37,9 +38,14 @@ def fraction_from_text(text: str) -> Fraction:
 
 
 class RationalMatrix:
-    """Dense labelled matrix with exact rational entries (``int`` or ``Fraction``)."""
+    """Labelled matrix with exact rational entries (``int`` or ``Fraction``).
 
-    __slots__ = ("entries", "row_labels", "col_labels")
+    An incidence matrix keeps its 0/1 rows as bitmasks: cell (i, j) is bit j
+    of row mask i, and the list ``entries`` is built from the masks the first
+    time something asks for it.
+    """
+
+    __slots__ = ("_entries", "_masks", "row_labels", "col_labels")
 
     def __init__(
         self,
@@ -62,7 +68,23 @@ class RationalMatrix:
         # after the conversion, which can merge labels such as 1 and "1"
         if len(set(self.row_labels)) != self.rows or len(set(self.col_labels)) != self.cols:
             raise InvalidParameters("matrix labels must be unique")
-        self.entries: list[list[int | Fraction]] = rows
+        self._entries: list[list[int | Fraction]] | None = rows
+        self._masks: tuple[int, ...] | None = None
+
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int], row_labels, col_labels) -> "RationalMatrix":
+        """The 0/1 matrix whose row i is the bitmask ``masks[i]``; the labels are
+        a ``Hypergraph``'s, so unique strings, and every mask fits in the columns."""
+        m = cls.__new__(cls)
+        m._entries, m._masks = None, tuple(masks)
+        m.row_labels, m.col_labels = row_labels, col_labels
+        return m
+
+    @property
+    def entries(self) -> list[list[int | Fraction]]:
+        if self._entries is None:
+            self._entries = _mask_rows(self._masks, self.cols)
+        return self._entries
 
     @property
     def rows(self) -> int:
@@ -118,12 +140,12 @@ def _mask_rows(masks: Sequence[int], width: int) -> list[list[int]]:
 
 def edge_vertex_incidence(h: Hypergraph) -> RationalMatrix:
     """|E| x |V| 0/1 matrix; rows are hyperedges, columns are vertices."""
-    return RationalMatrix(_mask_rows(h.edge_masks, h.n_vertices), h.edge_labels, h.vertices)
+    return RationalMatrix._from_masks(h.edge_masks, h.edge_labels, h.vertices)
 
 
 def vertex_edge_incidence(h: Hypergraph) -> RationalMatrix:
     """The transpose: rows are vertices, columns are hyperedges."""
-    return RationalMatrix(_mask_rows(h.star_masks, h.n_edges), h.vertices, h.edge_labels)
+    return RationalMatrix._from_masks(h.star_masks, h.vertices, h.edge_labels)
 
 
 def _fraction_free_rref(rows: list[list[int]]) -> list[int]:
@@ -340,10 +362,10 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     """Exact matrix-vector product, keyed by row labels.
 
     ``x`` may be a ``VertexVector`` or a plain mapping; its support must be
-    covered by the column labels.  Entries may be rational or cyclotomic; the
-    result lives in whichever scalar domain the inputs span.  Each row is read
-    only at the vector's non-zero support, in column order; a rational vector
-    is summed in integers.
+    covered by the column labels.  Entries may be rational or cyclotomic, but
+    not floats; the result lives in whichever scalar domain the inputs span.
+    Each row is read only at the vector's non-zero support, in column order; a
+    rational vector is summed in integers.
     """
     entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
     col_index = {c: j for j, c in enumerate(m.col_labels)}
@@ -351,12 +373,31 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     if outside:
         raise DimensionMismatch(f"vector support outside matrix columns: {sorted(outside)}")
     support = sorted((col_index[k], v) for k, v in entries.items() if v != 0)
-    if all(isinstance(v, (int, Fraction)) for _, v in support):
-        # rational: clear the vector's denominators once, then one Fraction per row
+    rational = all(isinstance(v, (int, Fraction)) for _, v in support)
+    if rational:
+        # clear the vector's denominators once, sum integers, then one Fraction per row
         scale = lcm(*(v.denominator for _, v in support))
-        cleared = [(j, v.numerator * (scale // v.denominator)) for j, v in support]
+        support = [(j, v.numerator * (scale // v.denominator)) for j, v in support]
+    else:  # a float, or any other number that is not rational, would make the product inexact
+        for j, v in support:
+            if isinstance(v, Number) and not isinstance(v, Rational):
+                raise InvalidParameters(f"vector entry {m.col_labels[j]!r} is {v!r}, not exact")
+    if m._masks is not None:
+        # cell (i, j) is bit j of row mask i: walk the bits a row shares with the support
+        bit_value = {1 << j: v for j, v in support}
+        support_mask = sum(bit_value)
+        result: dict[str, object] = {}
+        for label, mask in zip(m.row_labels, m._masks):
+            hit, total = mask & support_mask, 0 if rational else Fraction(0)
+            while hit:
+                low = hit & -hit  # the lowest set bit, so columns come in order
+                total = total + bit_value[low]
+                hit ^= low
+            result[label] = Fraction(total, scale) if rational else total
+        return result
+    if rational:
         return {
-            label: Fraction(sum(row[j] * v for j, v in cleared if row[j]), scale)
+            label: Fraction(sum(row[j] * v for j, v in support if row[j]), scale)
             for label, row in zip(m.row_labels, m.entries)
         }
     result: dict[str, object] = {}

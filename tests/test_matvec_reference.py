@@ -6,7 +6,8 @@ the vector's non-zero support.  On seeded 0/1 and rational matrices, with
 rational, cyclotomic and mixed vectors (some with explicit zeros), both must
 give the same keys in the same order, equal values and identical ``str()``
 for every entry.  The reference runs on the matrix as it used to be built,
-with every cell a ``Fraction``.
+with every cell a ``Fraction``.  Incidence matrices keep their rows as
+bitmasks; their product must also match the same matrix built from dense rows.
 """
 
 import random
@@ -14,9 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperinc import VertexVector, edge_vertex_incidence, vertex_edge_incidence
+from hyperinc import Hypergraph, VertexVector, edge_vertex_incidence, vertex_edge_incidence
 from hyperinc.cyclotomic import CyclotomicNumber, zeta
-from hyperinc.errors import DimensionMismatch
+from hyperinc.errors import DimensionMismatch, InvalidParameters
 from hyperinc.linalg import RationalMatrix, matvec
 
 from conftest import random_instance
@@ -168,3 +169,47 @@ def test_rational_vector_on_mixed_int_and_fraction_cells():
         {"b": Fraction(4, 2), "c": -1},
     ):
         assert_same_product(m, x)
+
+
+def dense_copy(m: RationalMatrix) -> RationalMatrix:
+    """The same cells, built from dense rows."""
+    return RationalMatrix([list(row) for row in m.entries], m.row_labels, m.col_labels)
+
+
+def test_mask_rows_agree_with_dense_rows_and_reference():
+    """Both incidence matrices, read off their masks, against the reference and
+    against the dense product on the same cells; instances with isolated
+    vertices, vectors with denominators, cyclotomic, mixed and explicit zeros."""
+    rng = random.Random(22003)
+    cases = 0
+    instances = [random_instance(rng, max_vertices=12, max_edges=10) for _ in range(60)]
+    instances.append(Hypergraph(["1", "2", "3", "4", "5"], [["1", "2"], ["2", "3"]]))
+    assert any(0 in h.star_masks for h in instances)  # isolated vertices
+    for h in instances:
+        for m in (edge_vertex_incidence(h), vertex_edge_incidence(h)):
+            assert m._masks is not None
+            dense = dense_copy(m)
+            for domain in ("rational", "cyclotomic", "mixed"):
+                x = random_vector(rng, list(m.col_labels), domain)
+                assert_same_product(m, x)
+                got, expected = matvec(m, x), matvec(dense, x)
+                assert list(got) == list(expected)
+                assert [str(v) for v in got.values()] == [str(v) for v in expected.values()]
+                cases += 1
+            for x in ({}, VertexVector({}), {c: 0 for c in m.col_labels}):
+                assert_same_product(m, x)
+    assert cases >= 300
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1j])
+def test_inexact_entries_raise_on_both_row_forms(bad):
+    """A float once slipped through the generic branch and gave a float residual."""
+    h = Hypergraph(["1", "2", "3"], [["1", "2", "3"]])
+    mask = edge_vertex_incidence(h)
+    for m in (mask, dense_copy(mask)):
+        with pytest.raises(InvalidParameters, match="'2'"):
+            matvec(m, {"1": Fraction(1, 10), "2": bad, "3": -0.3})
+        with pytest.raises(InvalidParameters):
+            matvec(m, VertexVector({"1": zeta(3, 1), "3": bad}))
+        # an explicit zero is dropped before it is multiplied, whatever its type
+        assert matvec(m, {"1": 1, "2": 0.0, "3": -1}) == {"e1": Fraction(0)}
