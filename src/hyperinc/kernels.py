@@ -38,7 +38,6 @@ from .hypergraph import (
     unit_contraction,
 )
 from .linalg import (
-    RationalMatrix,
     checked_echelon,
     edge_vertex_incidence,
     matvec,
@@ -135,33 +134,56 @@ class NullityDecomposition:
 
 
 def _check_sets(h: Hypergraph, side: str, named: Sequence[tuple[str, Iterable[str]]]):
-    """Resolve named label sets against the vertices (side "B") or the edges
-    (side "I"), members ordered by index (for vertices, the canonical order).
-    Unknown labels, a label repeated within a set and sets that share a label
-    are rejected."""
+    """Resolve named label sets to bitmasks over the vertices (side "B") or
+    the edges (side "I"), one mask per set.  Unknown labels, a label repeated
+    within a set and sets that share a label are rejected."""
     index, labels = (h.vertex_index, h.vertices) if side == "B" else (h.edge_index, h.edge_labels)
     out = []
-    seen: set[str] = set()
+    seen = 0
     for name, members in named:
         positions = sorted(index(m) for m in members)
         repeated = {labels[a] for a, b in zip(positions, positions[1:]) if a == b}
         if repeated:
             raise OverlappingSets(f"set {name!r} repeats {sorted(repeated)}")
-        members = tuple(labels[i] for i in positions)
-        overlap = seen.intersection(members)
+        mask = sum(1 << i for i in positions)
+        overlap = seen & mask
         if overlap:
-            raise OverlappingSets(f"sets overlap on {sorted(overlap)}")
-        seen.update(members)
-        out.append((name, members))
+            raise OverlappingSets(f"sets overlap on {sorted(labels[i] for i in bit_indices(overlap))}")
+        seen |= mask
+        out.append(mask)
     return tuple(out)
+
+
+def _mask_certificate(h: Hypergraph, kind: str, masks: Sequence[int], r=None, coefficients=None):
+    """The certificate of a set ``kind`` on disjoint ``masks``, at ratio ``r`` or with
+    ``coefficients`` (general combination); members in index order, unchecked."""
+    side, names = "B", ("U", "V")
+    if kind == GENERAL_COMBINATION:
+        names = [f"U{i}" for i in range(1, len(masks) + 1)]
+    elif kind == THREE_SET_RELATION:
+        names, coefficients = ("U", "V", "W"), (Fraction(-1), Fraction(1), r)
+    elif kind == UNIT_PAIR:
+        names, coefficients = ("u", "v"), (Fraction(1), Fraction(-1))
+    elif kind == EQUAL_EDGE_PARTITION:
+        coefficients, r = (Fraction(1), Fraction(-1)), None
+    else:  # chi(U) - r*chi(V) on vertices, or chi(E) - r*chi(F) on edges
+        coefficients = (Fraction(1), -r)
+        if kind != RATIO_EDGE_PARTITION:
+            side, names = "I", ("E", "F")
+            kind = EQUAL_VERTEX_PARTITION if r == 1 else RATIO_VERTEX_PARTITION
+    labels = h.vertices if side == "B" else h.edge_labels
+    sets = tuple(
+        (name, tuple(labels[i] for i in bit_indices(mask))) for name, mask in zip(names, masks)
+    )
+    return KernelCertificate(kind, side, sets, coefficients, ratio=r)
 
 
 def equal_partition_certificate(h: Hypergraph, u: Iterable[str], v: Iterable[str]) -> KernelCertificate:
     """chi(U) - chi(V); in the kernel of B_H iff |e & U| = |e & V| for all e."""
-    sets = _check_sets(h, "B", [("U", u), ("V", v)])
-    if not sets[0][1] or not sets[1][1]:
+    masks = _check_sets(h, "B", [("U", u), ("V", v)])
+    if not all(masks):
         raise EmptySubset("equal partitions need two non-empty sets")
-    return KernelCertificate(EQUAL_EDGE_PARTITION, "B", sets, (Fraction(1), Fraction(-1)))
+    return _mask_certificate(h, EQUAL_EDGE_PARTITION, masks)
 
 
 def ratio_partition_certificate(
@@ -169,10 +191,10 @@ def ratio_partition_certificate(
 ) -> KernelCertificate:
     """chi(U) - r*chi(V); in the kernel iff |e & U| : |e & V| = r on every edge."""
     r = Fraction(r)
-    sets = _check_sets(h, "B", [("U", u), ("V", v)])
-    if not sets[0][1] or not sets[1][1]:
+    masks = _check_sets(h, "B", [("U", u), ("V", v)])
+    if not all(masks):
         raise EmptySubset("ratio partitions need two non-empty sets")
-    return KernelCertificate(RATIO_EDGE_PARTITION, "B", sets, (Fraction(1), -r), ratio=r)
+    return _mask_certificate(h, RATIO_EDGE_PARTITION, masks, r)
 
 
 def three_set_certificate(
@@ -182,12 +204,10 @@ def three_set_certificate(
     (|e & U| - |e & V|) : |e & W| = r edge by edge (edges missing W must
     balance U against V).  U or V may be empty; W may not."""
     r = Fraction(r)
-    sets = _check_sets(h, "B", [("U", u), ("V", v), ("W", w)])
-    if not sets[2][1]:
+    masks = _check_sets(h, "B", [("U", u), ("V", v), ("W", w)])
+    if not masks[2]:
         raise EmptySubset("the scaled set W must be non-empty")
-    return KernelCertificate(
-        THREE_SET_RELATION, "B", sets, (Fraction(-1), Fraction(1), r), ratio=r
-    )
+    return _mask_certificate(h, THREE_SET_RELATION, masks, r)
 
 
 def general_combination_certificate(
@@ -195,11 +215,11 @@ def general_combination_certificate(
 ) -> KernelCertificate:
     """sum(c_i * chi(U_i)) over pairwise disjoint U_i, not all of them empty."""
     named = [(f"U{i + 1}", members) for i, (members, _) in enumerate(parts)]
-    sets = _check_sets(h, "B", named)
-    if not any(members for _, members in sets):
+    masks = _check_sets(h, "B", named)
+    if not any(masks):
         raise EmptySubset("a general combination needs at least one non-empty part")
     coeffs = tuple(Fraction(c) for _, c in parts)
-    return KernelCertificate(GENERAL_COMBINATION, "B", sets, coeffs)
+    return _mask_certificate(h, GENERAL_COMBINATION, masks, coefficients=coeffs)
 
 
 def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
@@ -207,8 +227,7 @@ def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
     u, v = str(u), str(v)
     if u == v:
         raise InvalidParameters("unit pair needs two distinct vertices")
-    sets = _check_sets(h, "B", [("u", [u]), ("v", [v])])
-    return KernelCertificate(UNIT_PAIR, "B", sets, (Fraction(1), Fraction(-1)))
+    return _mask_certificate(h, UNIT_PAIR, _check_sets(h, "B", [("u", [u]), ("v", [v])]))
 
 
 def root_of_unity_certificate(h: Hypergraph, r: int, power: int) -> KernelCertificate:
@@ -230,11 +249,10 @@ def dual_side_certificate(
     iff every vertex sees the two edge sets in the ratio r (r = 1 is the equal
     partition of vertices)."""
     r = Fraction(r)
-    sets = _check_sets(h, "I", [("E", e), ("F", f)])
-    if not sets[0][1] or not sets[1][1]:
+    masks = _check_sets(h, "I", [("E", e), ("F", f)])
+    if not all(masks):
         raise EmptySubset("edge-side partitions need two non-empty edge sets")
-    kind = EQUAL_VERTEX_PARTITION if r == 1 else RATIO_VERTEX_PARTITION
-    return KernelCertificate(kind, "I", sets, (Fraction(1), -r), ratio=r)
+    return _mask_certificate(h, RATIO_VERTEX_PARTITION, masks, r)
 
 
 # -- verification -----------------------------------------------------------------
@@ -261,7 +279,8 @@ def _window_length(h: Hypergraph) -> Optional[int]:
     return k if all(mask in windows for mask in h.edge_masks) else None
 
 
-def _combinatorial_side(h: Hypergraph, c: KernelCertificate) -> bool:
+def _combinatorial_side(h: Hypergraph, c: KernelCertificate, masks: Sequence[int]) -> bool:
+    """The counting condition, with ``masks`` the certificate's sets resolved."""
     if c.kind == ROOT_OF_UNITY_CYCLE:
         k = _window_length(h)
         if k is None:
@@ -272,8 +291,7 @@ def _combinatorial_side(h: Hypergraph, c: KernelCertificate) -> bool:
         raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
     # sum(c_i * |row & S_i|) = 0 on every edge (side B) or every vertex (side I),
     # with the coefficients scaled to integers once
-    index, rows = (h.vertex_index, h.edge_masks) if c.side == "B" else (h.edge_index, h.star_masks)
-    masks = [sum(1 << index(m) for m in members) for _, members in c.sets]
+    rows = h.edge_masks if c.side == "B" else h.star_masks
     scale = math.lcm(*(q.denominator for q in c.coefficients))
     weights = [q.numerator * (scale // q.denominator) for q in c.coefficients]
     return all(
@@ -282,33 +300,24 @@ def _combinatorial_side(h: Hypergraph, c: KernelCertificate) -> bool:
     )
 
 
-def _resolve_sets(h: Hypergraph, c: KernelCertificate) -> None:
-    if c.kind == ROOT_OF_UNITY_CYCLE:
-        root_of_unity_certificate(h, c.order, c.power)
-    else:
-        _check_sets(h, c.side, c.sets)
-
-
-def verify_certificate(
-    h: Hypergraph, c: KernelCertificate, *, matrix: Optional[RationalMatrix] = None
-) -> CertificateCheck:
+def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
     """Check a certificate against a hypergraph, both ways.
 
-    The algebraic side multiplies the induced vector through the certified
-    incidence matrix (``matrix``, built from ``h`` when not given, so a caller
-    checking many certificates of one side builds it once); the combinatorial
-    side replays the counting condition.  For the if-and-only-if kinds the two
+    The certificate's sets are resolved against ``h`` once.  The algebraic
+    side multiplies the induced vector through the certified incidence
+    matrix, built from ``h``; the combinatorial side replays the counting
+    condition on the resolved sets.  For the if-and-only-if kinds the two
     sides must agree exactly (a mismatch raises).  For root-of-unity
     certificates the counting premise is only sufficient, so it is required to
     imply the algebraic side but not conversely.
     """
-    _resolve_sets(h, c)
-    if matrix is None:
-        matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
-    vec = c.induced_vector(h)
-    residual = matvec(matrix, vec)
+    if c.kind == ROOT_OF_UNITY_CYCLE:
+        root_of_unity_certificate(h, c.order, c.power)  # its vertex labels; it has no sets
+    masks = _check_sets(h, c.side, c.sets)
+    matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
+    residual = matvec(matrix, c.induced_vector(h))
     algebraic = all(value == 0 for value in residual.values())
-    combinatorial = _combinatorial_side(h, c)
+    combinatorial = _combinatorial_side(h, c, masks)
     if c.kind == ROOT_OF_UNITY_CYCLE:
         if combinatorial and not algebraic:
             raise ArithmeticError("window premise held but the product was non-zero")
@@ -333,9 +342,11 @@ def sw_subspace(h: Hypergraph, w: Iterable[str]) -> SWReport:
     is a star comparison.  The conjunction holds exactly on units of size >= 2
     (asserted against the unit partition).
     """
-    ((_, members),) = _check_sets(h, "B", [("W", w)])
-    if len(members) < 2:
+    (mask,) = _check_sets(h, "B", [("W", w)])
+    indices = bit_indices(mask)
+    if len(indices) < 2:
         raise SubsetTooSmall("S_W needs at least two vertices")
+    members = tuple(h.vertices[i] for i in indices)
     base = members[0]
     basis = tuple(
         VertexVector({m: Fraction(1), base: Fraction(-1)}) for m in members[1:]
@@ -346,20 +357,19 @@ def sw_subspace(h: Hypergraph, w: Iterable[str]) -> SWReport:
         all(value == 0 for value in matvec(b, x).values()) for x in basis
     )
     stars = h.star_masks
-    base_star = stars[h.vertex_index(base)]
-    combinatorial = all(stars[h.vertex_index(m)] == base_star for m in members[1:])
+    base_star = stars[indices[0]]
+    combinatorial = all(stars[i] == base_star for i in indices[1:])
     if combinatorial != algebraic:
         raise ArithmeticError("star equality and kernel membership disagree")
 
     contained = algebraic
-    member_set = set(members)
     extendable = contained and any(
-        s == base_star for z, s in zip(h.vertices, stars) if z not in member_set
+        s == base_star for j, s in enumerate(stars) if not mask >> j & 1
     )
     maximal = not extendable
 
     units = compute_units(h)
-    is_unit = any(set(unit.members) == member_set for unit in units.units)
+    is_unit = any(unit.members == members for unit in units.units)
     if (contained and maximal) != is_unit:
         raise ArithmeticError("maximality characterization disagrees with the unit partition")
     return SWReport(SWSubspace(members, basis), contained, maximal)
@@ -616,10 +626,10 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
 
     # the ground elements are the columns: edges (I_H) or vertices (B_H)
     if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
-        ground, columns, n_rows, incidence = h.edge_labels, h.edge_masks, h.n_vertices, vertex_edge_incidence
+        columns, n_rows, incidence = h.edge_masks, h.n_vertices, vertex_edge_incidence
     else:
-        ground, columns, n_rows, incidence = h.vertices, h.star_masks, h.n_edges, edge_vertex_incidence
-    n = len(ground)
+        columns, n_rows, incidence = h.star_masks, h.n_edges, edge_vertex_incidence
+    n = len(columns)
     work = 0
 
     def charge(cost: int) -> None:
@@ -639,12 +649,12 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
             )
 
     if kind == UNIT_PAIR:
-        units = [unit.members for unit in compute_units(h).units]
-        n_pairs = sum(math.comb(len(members), 2) for members in units)
+        units = [[h.vertex_index(m) for m in unit.members] for unit in compute_units(h).units]
+        n_pairs = sum(math.comb(len(unit), 2) for unit in units)
         charge(n_pairs)
         check_output(n_pairs * (n + 2 * n_rows))
-        pairs = (pair for members in units for pair in itertools.combinations(members, 2))
-        return [unit_pair_certificate(h, u, v) for u, v in pairs]
+        pairs = (pair for unit in units for pair in itertools.combinations(unit, 2))
+        return [_mask_certificate(h, UNIT_PAIR, (1 << u, 1 << v)) for u, v in pairs]
 
     echelon = checked_echelon(incidence(h).entries)
     zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
@@ -672,15 +682,4 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     # the product indexes every column and reads each row at the sets' elements
     check_output(sum(n + n_rows * sum(m.bit_count() for m in masks) for masks, _ in hits))
 
-    results: list[KernelCertificate] = []
-    for masks, r in hits:
-        sets = [[ground[i] for i in bit_indices(m)] for m in masks]
-        if kind == THREE_SET_RELATION:
-            results.append(three_set_certificate(h, *sets, r))
-        elif kind == EQUAL_EDGE_PARTITION:
-            results.append(equal_partition_certificate(h, *sets))
-        elif kind == RATIO_EDGE_PARTITION:
-            results.append(ratio_partition_certificate(h, *sets, r))
-        else:
-            results.append(dual_side_certificate(h, *sets, r))
-    return results
+    return [_mask_certificate(h, kind, masks, r) for masks, r in hits]

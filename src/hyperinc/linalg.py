@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
 from .hypergraph import Hypergraph, VertexVector
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_ZERO = Fraction(0)  # shared by every zero row of a product; Fractions are immutable
 
 # optional sign, digits, then optional /digits or .digits; no exponent, which
 # would let a short string such as "1e-10000000" stall Fraction()
@@ -388,21 +389,22 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
         support_mask = sum(bit_value)
         result: dict[str, object] = {}
         for label, mask in zip(m.row_labels, m._masks):
-            hit, total = mask & support_mask, 0 if rational else Fraction(0)
+            hit, total = mask & support_mask, 0 if rational else _ZERO
             while hit:
                 low = hit & -hit  # the lowest set bit, so columns come in order
                 total = total + bit_value[low]
                 hit ^= low
-            result[label] = Fraction(total, scale) if rational else total
+            result[label] = (Fraction(total, scale) if total else _ZERO) if rational else total
         return result
     if rational:
+        totals = (sum(row[j] * v for j, v in support if row[j]) for row in m.entries)
         return {
-            label: Fraction(sum(row[j] * v for j, v in support if row[j]), scale)
-            for label, row in zip(m.row_labels, m.entries)
+            label: Fraction(total, scale) if total else _ZERO
+            for label, total in zip(m.row_labels, totals)
         }
     result: dict[str, object] = {}
     for rlabel, row in zip(m.row_labels, m.entries):
-        total = Fraction(0)
+        total = _ZERO
         for j, val in support:
             coeff = row[j]
             if coeff:

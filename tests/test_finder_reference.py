@@ -395,12 +395,14 @@ def test_corpus_shape():
 
 
 def test_finder_matches_reference():
-    """Same certificates in the same order, for every enumerable kind."""
+    """Same certificates in the same order, for every enumerable kind, and
+    identical: equal reprs pin the types of coefficients and ratio too."""
     hits = dict.fromkeys(ENUMERABLE_KINDS, 0)
     for h in INSTANCES:
         for kind in ENUMERABLE_KINDS:
             expected = find_certificates_exhaustive(h, kind)
-            assert kernels.find_certificates_exhaustive(h, kind) == expected
+            found = kernels.find_certificates_exhaustive(h, kind)
+            assert found == expected and repr(found) == repr(expected)
             hits[kind] += len(expected)
     assert all(hits.values()), hits
 
@@ -419,7 +421,7 @@ def test_bench_shapes_match_pruned_reference():
                 continue
             expected = find_certificates_pruned(h, kind)
             found = kernels.find_certificates_exhaustive(h, kind)
-            assert found == expected, (h, kind)
+            assert found == expected and repr(found) == repr(expected), (h, kind)
             ratio_hits += sum(c.ratio not in (None, 1) for c in found)
     assert ratio_hits
 
@@ -429,7 +431,8 @@ def test_bench_shapes_match_reference():
     nine-vertex pair shape and both three-set shapes with edges."""
     for h in [PAIR_SHAPES[0], *THREE_SET_SHAPES[:2]]:
         for kind in ENUMERABLE_KINDS:
-            assert kernels.find_certificates_exhaustive(h, kind) == find_certificates_exhaustive(h, kind)
+            found, expected = kernels.find_certificates_exhaustive(h, kind), find_certificates_exhaustive(h, kind)
+            assert found == expected and repr(found) == repr(expected)
 
 
 @pytest.mark.parametrize("fault", ["extra_pivot", "missing_pivot", "wrong_entry"])

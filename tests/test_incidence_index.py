@@ -34,7 +34,7 @@ from hyperinc import (
 )
 from hyperinc.errors import DuplicateEdge, IsolatedVertex
 from hyperinc.hypergraph import _incident_size_profile, label_sort_key
-from hyperinc.kernels import _combinatorial_side, _window_length
+from hyperinc.kernels import _check_sets, _combinatorial_side, _window_length
 from conftest import star_edges
 
 LABEL_POOL = [str(i) for i in range(14)] + ["a", "b", "x1", "x10", "x2", "z"]
@@ -263,7 +263,7 @@ def test_counting_side():
                 expected = all(cu == cv for cu, cv in counts)
             else:
                 expected = all(ce == c.ratio * cf for ce, cf in counts)
-            assert _combinatorial_side(h, c) == expected
+            assert _combinatorial_side(h, c, _check_sets(h, c.side, c.sets)) == expected
             verdicts.add(expected)
     assert verdicts == unit_pair_verdicts == {True, False}
 

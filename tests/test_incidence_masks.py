@@ -5,11 +5,13 @@ the hypergraph's edge and star masks and build dense rows only when asked.
 A mask-backed matrix must compare equal to the dense-built one and give the
 same transpose and kernel; ``verify`` and ``units`` must never build dense
 rows; and a wrong incidence cell, in either form, must still make the two
-sides of ``verify_certificate`` disagree.
+sides of ``verify_certificate`` disagree, also on a certificate ``find``
+reports.
 """
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -22,8 +24,9 @@ from hyperinc import (
     vertex_edge_incidence,
     verify_certificate,
 )
-from hyperinc import linalg
+from hyperinc import kernels, linalg
 from hyperinc.cli import main
+from hyperinc.formats import serialize_hypergraph_text
 from hyperinc.linalg import RationalMatrix
 
 from conftest import random_instance
@@ -97,19 +100,63 @@ def flipped(m: RationalMatrix, i: int, j: int, dense: bool) -> RationalMatrix:
     return RationalMatrix(rows, m.row_labels, m.col_labels)
 
 
+def inject(monkeypatch, name: str, bad: RationalMatrix) -> None:
+    """Make the ``name`` matrix that ``verify_certificate`` builds be ``bad``;
+    every other build in ``kernels`` (the finder's) stays true."""
+    true = getattr(kernels, name)
+
+    def build(h):
+        return bad if sys._getframe(1).f_code is verify_certificate.__code__ else true(h)
+
+    monkeypatch.setattr(kernels, name, build)
+
+
+SIDES = (  # (side, fixture, certificate, the incidence matrix it certifies)
+    ("B", "equal_partition_example",
+     lambda h: equal_partition_certificate(h, ["1", "5"], ["2", "3", "4"]), "edge_vertex_incidence"),
+    ("I", "k4_graph",
+     lambda h: dual_side_certificate(h, ["e1", "e2"], ["e3", "e6"]), "vertex_edge_incidence"),
+)
+
+
+def support_column(m: RationalMatrix, h, cert) -> int:
+    return m.col_labels.index(sorted(cert.induced_vector(h).support())[0])
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["mask", "dense"])
-def test_wrong_incidence_cell_is_caught_on_both_sides(k4_graph, equal_partition_example, dense):
-    h_b, h_i = equal_partition_example, k4_graph
-    for h, cert, make in (
-        (h_b, equal_partition_certificate(h_b, ["1", "5"], ["2", "3", "4"]), edge_vertex_incidence),
-        (h_i, dual_side_certificate(h_i, ["e1", "e2"], ["e3", "e6"]), vertex_edge_incidence),
-    ):
-        m = make(h)
-        assert verify_certificate(h, cert, matrix=m).valid
-        j = m.col_labels.index(sorted(cert.induced_vector(h).support())[0])
+def test_wrong_incidence_cell_is_caught_on_both_sides(request, monkeypatch, dense):
+    for _, fixture, make_cert, name in SIDES:
+        h = request.getfixturevalue(fixture)
+        cert, m = make_cert(h), getattr(linalg, name)(h)
+        assert verify_certificate(h, cert).valid
+        j = support_column(m, h, cert)
         for i in range(m.rows):
+            inject(monkeypatch, name, flipped(m, i, j, dense))
             with pytest.raises(ArithmeticError, match="counting and algebra disagree"):
-                verify_certificate(h, cert, matrix=flipped(m, i, j, dense))
+                verify_certificate(h, cert)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["mask", "dense"])
+def test_wrong_incidence_cell_is_caught_by_find(request, tmp_path, monkeypatch, capsys, dense):
+    """``find`` checks every certificate it reports both ways too: with a cell
+    of the verifying matrix wrong in a column of a found certificate, it raises."""
+    for side, fixture, make_cert, name in SIDES:
+        h = request.getfixturevalue(fixture)
+        path = tmp_path / f"{fixture}.txt"
+        path.write_text(serialize_hypergraph_text(h))
+        kind = "equal_edge_partition" if side == "B" else "equal_vertex_partition"
+        argv = ["find", str(path), "--kind", kind, "--json"]
+        assert main(argv) == 0
+        assert make_cert(h) in kernels.find_certificates_exhaustive(h, kind)
+        capsys.readouterr()
+        m = getattr(linalg, name)(h)
+        j = support_column(m, h, make_cert(h))
+        for i in range(m.rows):
+            inject(monkeypatch, name, flipped(m, i, j, dense))
+            with pytest.raises(ArithmeticError, match="counting and algebra disagree"):
+                main(argv)
+            monkeypatch.undo()
 
 
 def test_a_hypergraph_with_no_edges_has_empty_incidence():
