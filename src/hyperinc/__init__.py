@@ -27,7 +27,6 @@ from .hypergraph import (
     build_hypergraph,
     compute_units,
     dual,
-    extend_vector,
     induced_subhypergraph,
     uniform_cycle,
     unit_contraction,

@@ -18,6 +18,7 @@ from typing import Union
 
 from .errors import InstanceTooLarge, InvalidParameters
 from .hypergraph import VertexVector
+from .linalg import exact_rational
 
 Rationalish = Union[int, Fraction]
 
@@ -139,7 +140,7 @@ class CyclotomicNumber:
     is, so equality, hashing and printing go through it; it is computed on
     first use and kept.  ``+``, ``-`` and ``*`` take ints, Fractions and
     numbers of the same order; a constant equals the rational it is at any
-    order.
+    order.  The constructor reads each coefficient by ``exact_rational``.
     """
 
     __slots__ = ("order", "_terms", "_coeffs")
@@ -149,7 +150,7 @@ class CyclotomicNumber:
             raise InvalidParameters(f"cyclotomic order must be >= 1, got {order}")
         terms: dict[int, Rationalish] = {}
         for i, c in enumerate(coeffs):
-            c = _rational(c)
+            c = exact_rational(c)
             if c:
                 _add_term(terms, i % order, c)
         self.order = order

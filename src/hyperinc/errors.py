@@ -47,10 +47,6 @@ class EmptySubset(HyperincError):
     pass
 
 
-class SupportOutsideSubset(HyperincError):
-    pass
-
-
 class IsolatedVertex(HyperincError):
     pass
 

@@ -38,7 +38,7 @@ from .kernels import (
     three_set_certificate,
     unit_pair_certificate,
 )
-from .linalg import fraction_from_text
+from .linalg import exact_rational
 from .spectra import EdgeWeighting, custom_weighting
 
 
@@ -46,11 +46,13 @@ def format_fraction(x) -> str:
     return str(Fraction(x))
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(value) -> int | Fraction:
+    """A JSON integer or fraction string, read by ``exact_rational``; a JSON
+    float, a boolean or anything else raises ParseError."""
     try:
-        return fraction_from_text(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad fraction {text!r}: {exc}") from None
+        return exact_rational(value)
+    except InvalidParameters as exc:
+        raise ParseError(f"bad fraction {value!r}: {exc}") from None
 
 
 def parse_labels(value, what: str) -> list[str]:
@@ -281,22 +283,17 @@ def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:
 
 
 def load_weighting(h: Hypergraph, path: str) -> EdgeWeighting:
-    """JSON mapping edge name -> positive fraction string (or integer); only the
-    file rules (an object, no floats, no booleans, strings read by
-    ``parse_fraction``) are checked here."""
+    """JSON mapping edge name -> positive fraction string (or integer), each
+    read by ``parse_fraction``, so a float or a boolean is refused as in a
+    certificate."""
     data = _parse_json(read_text(path), "JSON", BadWeightFile)
     if not isinstance(data, dict):
         raise BadWeightFile("weight file must be a JSON object of edge -> weight")
     for name, value in data.items():
-        if isinstance(value, (float, bool)):
-            raise BadWeightFile(
-                f"weight for {name!r} is a {type(value).__name__}; use an exact fraction string"
-            )
-        if isinstance(value, str):
-            try:
-                data[name] = parse_fraction(value)
-            except ParseError as exc:
-                raise BadWeightFile(f"weight for {name!r}: {exc}") from None
+        try:
+            data[name] = parse_fraction(value)
+        except ParseError as exc:
+            raise BadWeightFile(f"weight for {name!r}: {exc}") from None
     try:
         return custom_weighting(h, data)
     except InvalidParameters as exc:

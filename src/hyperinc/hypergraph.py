@@ -24,7 +24,6 @@ from .errors import (
     InstanceTooLarge,
     InvalidParameters,
     IsolatedVertex,
-    SupportOutsideSubset,
     UnknownEdge,
     UnknownVertex,
     UnknownVertexInEdge,
@@ -315,17 +314,6 @@ def induced_subhypergraph(
             labels.append(h.edge_labels[i])
         edge_map[i] = where[t]
     return Hypergraph(uset, traces, labels), edge_map
-
-
-def extend_vector(h: Hypergraph, u: Iterable[str], y: VertexVector) -> VertexVector:
-    """Extend a vector supported on ``u`` by zero to all of V(H)."""
-    uset = frozenset(str(x) for x in u)
-    for v in uset:
-        h.vertex_index(v)
-    outside = y.support() - uset
-    if outside:
-        raise SupportOutsideSubset(f"vector has support outside the subset: {sorted(outside)}")
-    return VertexVector(dict(y.entries))
 
 
 def compute_units(h: Hypergraph) -> UnitPartition:

@@ -33,13 +33,13 @@ from .hypergraph import (
     bit_indices,
     canonical_labels,
     compute_units,
-    extend_vector,
     induced_subhypergraph,
     unit_contraction,
 )
 from .linalg import (
     checked_echelon,
     edge_vertex_incidence,
+    exact_rational,
     matvec,
     rank_and_nullspace,
     vertex_edge_incidence,
@@ -190,7 +190,7 @@ def ratio_partition_certificate(
     h: Hypergraph, u: Iterable[str], v: Iterable[str], r
 ) -> KernelCertificate:
     """chi(U) - r*chi(V); in the kernel iff |e & U| : |e & V| = r on every edge."""
-    r = Fraction(r)
+    r = Fraction(exact_rational(r))
     masks = _check_sets(h, "B", [("U", u), ("V", v)])
     if not all(masks):
         raise EmptySubset("ratio partitions need two non-empty sets")
@@ -203,7 +203,7 @@ def three_set_certificate(
     """r*chi(W) - (chi(U) - chi(V)); kernel membership iff
     (|e & U| - |e & V|) : |e & W| = r edge by edge (edges missing W must
     balance U against V).  U or V may be empty; W may not."""
-    r = Fraction(r)
+    r = Fraction(exact_rational(r))
     masks = _check_sets(h, "B", [("U", u), ("V", v), ("W", w)])
     if not masks[2]:
         raise EmptySubset("the scaled set W must be non-empty")
@@ -218,7 +218,7 @@ def general_combination_certificate(
     masks = _check_sets(h, "B", named)
     if not any(masks):
         raise EmptySubset("a general combination needs at least one non-empty part")
-    coeffs = tuple(Fraction(c) for _, c in parts)
+    coeffs = tuple(Fraction(exact_rational(c)) for _, c in parts)
     return _mask_certificate(h, GENERAL_COMBINATION, masks, coefficients=coeffs)
 
 
@@ -248,7 +248,7 @@ def dual_side_certificate(
     """chi(E) - r*chi(F) on edges; kernel of the vertex-edge incidence matrix
     iff every vertex sees the two edge sets in the ratio r (r = 1 is the equal
     partition of vertices)."""
-    r = Fraction(r)
+    r = Fraction(exact_rational(r))
     masks = _check_sets(h, "I", [("E", e), ("F", f)])
     if not all(masks):
         raise EmptySubset("edge-side partitions need two non-empty edge sets")
@@ -382,25 +382,28 @@ def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
     """Exact rank/nullity of B_H and of the unit contraction, with identities.
 
     Asserts nullity(H) = nullity(contraction) + |V| - #units, equal ranks,
-    nullity >= |V| - #units, and rank <= #units.
+    nullity >= |V| - #units, and rank <= #units.  Both ranks come from
+    ``checked_echelon`` (kernel re-multiplied, rank proven by modular ranks),
+    so each nullity is the column count minus the rank.
     """
-    ns = rank_and_nullspace(edge_vertex_incidence(h))
+    rank = len(checked_echelon(edge_vertex_incidence(h).entries)[0])
     contracted, _, _ = unit_contraction(h)
-    ns_c = rank_and_nullspace(edge_vertex_incidence(contracted))
+    contraction_rank = len(checked_echelon(edge_vertex_incidence(contracted).entries)[0])
     n_units = contracted.n_vertices
+    nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
     deficiency = h.n_vertices - n_units
 
-    if ns.nullity != ns_c.nullity + deficiency:
+    if nullity != contraction_nullity + deficiency:
         raise ArithmeticError("nullity decomposition identity failed")
-    if ns.rank != ns_c.rank:
+    if rank != contraction_rank:
         raise ArithmeticError("rank is not preserved by unit contraction")
-    if ns.nullity < deficiency or ns.rank > n_units:
+    if nullity < deficiency or rank > n_units:
         raise ArithmeticError("unit bounds on rank/nullity failed")
     return NullityDecomposition(
-        rank=ns.rank,
-        nullity=ns.nullity,
-        contraction_rank=ns_c.rank,
-        contraction_nullity=ns_c.nullity,
+        rank=rank,
+        nullity=nullity,
+        contraction_rank=contraction_rank,
+        contraction_nullity=contraction_nullity,
         n_units=n_units,
         units_deficiency=deficiency,
     )
@@ -410,7 +413,8 @@ def extension_theorem_check(h: Hypergraph, u: Iterable[str]) -> bool:
     """Extend a kernel basis of the induced sub-hypergraph and re-check it.
 
     Returns True only if every basis vector of ker B_{H_U}, extended by zero,
-    lies in ker B_H.
+    lies in ker B_H.  A vector keyed by labels of U is its own extension by
+    zero, so each basis vector is multiplied through B_H as it is.
     """
     uset = canonical_labels(u)
     if not uset:
@@ -418,11 +422,7 @@ def extension_theorem_check(h: Hypergraph, u: Iterable[str]) -> bool:
     hu, _ = induced_subhypergraph(h, uset)
     basis = rank_and_nullspace(edge_vertex_incidence(hu)).vectors
     b = edge_vertex_incidence(h)
-    for y in basis:
-        extended = extend_vector(h, uset, y)
-        if any(value != 0 for value in matvec(b, extended).values()):
-            return False
-    return True
+    return all(all(value == 0 for value in matvec(b, y).values()) for y in basis)
 
 
 # -- exhaustive finders ----------------------------------------------------------------

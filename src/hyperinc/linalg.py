@@ -30,16 +30,30 @@ _ZERO = Fraction(0)  # shared by every zero row of a product; Fractions are immu
 _FRACTION_TEXT = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")
 
 
-def fraction_from_text(text: str) -> Fraction:
-    """``text`` read by the rule above; ValueError (or ZeroDivisionError) otherwise."""
-    s = text.strip()
+def exact_rational(x) -> int | Fraction:
+    """The one rule for a number given to the package: an ``int`` or a
+    ``Fraction`` is returned as it is, a ``str`` is read by the text rule
+    above, and anything else (a bool, float, complex number, ``Decimal``,
+    cyclotomic number or None) raises InvalidParameters."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    if not isinstance(x, str):
+        raise InvalidParameters(
+            f"{x!r} is a {type(x).__name__}, not an exact rational: "
+            "use an int, a Fraction or a fraction string"
+        )
+    s = x.strip()
     if not _FRACTION_TEXT.fullmatch(s):
-        raise ValueError(f"Invalid literal for Fraction: {s!r}")
-    return Fraction(s)
+        raise InvalidParameters(f"Invalid literal for Fraction: {s!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or too many digits
+        raise InvalidParameters(f"{s!r}: {exc}") from None
 
 
 class RationalMatrix:
-    """Labelled matrix with exact rational entries (``int`` or ``Fraction``).
+    """Labelled matrix with exact rational entries (``int`` or ``Fraction``;
+    other entries are read by ``exact_rational``).
 
     An incidence matrix keeps its 0/1 rows as bitmasks: cell (i, j) is bit j
     of row mask i, and the list ``entries`` is built from the masks the first
@@ -54,9 +68,9 @@ class RationalMatrix:
         row_labels: Sequence[str],
         col_labels: Sequence[str],
     ):
-        # ints and Fractions are immutable, so given ones are kept; others are converted
+        # ints and Fractions are immutable, so given ones are kept; others go by the rule
         rows = [
-            [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+            [x if type(x) is int or type(x) is Fraction else exact_rational(x) for x in row]
             for row in entries
         ]
         cols = len(col_labels)
@@ -417,5 +431,5 @@ def span_dimension(vectors: Iterable[VertexVector]) -> int:
     """Dimension of the span of rational sparse vectors (exact elimination)."""
     vecs = list(vectors)
     labels = sorted({k for v in vecs for k in v.support()})
-    rows = _cleared_integer_rows([Fraction(v.value(k)) for k in labels] for v in vecs)
+    rows = _cleared_integer_rows([exact_rational(v.value(k)) for k in labels] for v in vecs)
     return len(_echelon(rows)[0])

@@ -30,7 +30,7 @@ from .hypergraph import (
     compute_units,
     label_sort_key,
 )
-from .linalg import RationalMatrix, fraction_from_text, matvec, span_dimension
+from .linalg import RationalMatrix, exact_rational, matvec, span_dimension
 
 UNIT_WEIGHTING = "unit"
 BANERJEE_WEIGHTING = "banerjee"
@@ -39,14 +39,22 @@ CUSTOM_WEIGHTING = "custom"
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """Positive rational weight per hyperedge, in edge order."""
+    """Positive rational weight per hyperedge, in edge order; each weight is
+    read by ``exact_rational`` and stored as a Fraction."""
 
     name: str
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.weights):
+        try:
+            weights = tuple(
+                w if type(w) is Fraction else Fraction(exact_rational(w)) for w in self.weights
+            )
+        except InvalidParameters as exc:
+            raise InvalidParameters(f"weights must be finite rationals: {exc}") from None
+        if any(w <= 0 for w in weights):
             raise InvalidParameters("edge weights must be positive")
+        object.__setattr__(self, "weights", weights)
 
     def weight(self, edge_index: int) -> Fraction:
         return self.weights[edge_index]
@@ -67,7 +75,8 @@ def banerjee_weighting(h: Hypergraph) -> EdgeWeighting:
 
 
 def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequence[object]]) -> EdgeWeighting:
-    """Explicit weights, either per edge name or as a sequence in edge order."""
+    """Explicit weights, either per edge name or as a sequence in edge order;
+    ``EdgeWeighting`` reads each one by ``exact_rational``."""
     if isinstance(weights, Mapping):
         missing = [name for name in h.edge_labels if name not in weights]
         unknown = sorted(weights.keys() - h.edge_labels, key=str)
@@ -75,16 +84,10 @@ def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequenc
             raise InvalidParameters(
                 f"missing weights for edges {missing}, weights for unknown edges {unknown}"
             )
-        raw = [weights[name] for name in h.edge_labels]
-    else:
-        if len(weights) != h.n_edges:
-            raise InvalidParameters("weight sequence length does not match edge count")
-        raw = list(weights)
-    try:
-        values = tuple(fraction_from_text(x) if isinstance(x, str) else Fraction(x) for x in raw)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InvalidParameters(f"weights must be finite rationals: {exc}") from None
-    return EdgeWeighting(CUSTOM_WEIGHTING, values)
+        weights = [weights[name] for name in h.edge_labels]
+    elif len(weights) != h.n_edges:
+        raise InvalidParameters("weight sequence length does not match edge count")
+    return EdgeWeighting(CUSTOM_WEIGHTING, tuple(weights))
 
 
 @dataclass(frozen=True)

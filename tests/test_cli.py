@@ -585,6 +585,15 @@ class TestMalformedNumbers:
         )
         self.assert_error(proc, "ParseError", "bad fraction")
 
+    @pytest.mark.parametrize("ratio", [0.5, 1e15, 1e16])
+    def test_json_float_in_certificate(self, equal_file, ratio):
+        """A JSON float is refused as in a weight file, however it prints."""
+        payload = {"kind": "ratio_edge_partition", "sets": {"U": ["2"], "V": ["4"]}, "ratio": ratio}
+        proc = run_cli(
+            "verify", equal_file, "--certificate", "-", "--json", stdin=json.dumps(payload)
+        )
+        self.assert_error(proc, "ParseError", f"bad fraction {ratio!r}: {ratio!r} is a float")
+
     def test_exponent_in_weight_file(self, equal_file, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"e1": "1e-1000000", "e2": "1", "e3": "1"}))

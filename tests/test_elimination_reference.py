@@ -22,7 +22,9 @@ from hyperinc import (
     RationalMatrix,
     VertexVector,
     build_hypergraph,
+    edge_vertex_incidence,
     find_certificates_exhaustive,
+    nullity_decomposition,
     rank_and_nullspace,
     rank_modular_oracle,
     span_dimension,
@@ -326,6 +328,11 @@ def test_re_multiplication_is_wired_in(monkeypatch):
     monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         rank_and_nullspace(m)
+    # the same matrix as B_H, whose ranks nullity_decomposition takes from checked_echelon
+    h = build_hypergraph(["a", "b", "c"], [["a", "b"], ["c"]])
+    assert edge_vertex_incidence(h).entries == m.entries
+    with pytest.raises(ArithmeticError, match="re-multiplication"):
+        nullity_decomposition(h)
 
 
 def _dense_01(rng: random.Random, rows: int, base: int, clones: int) -> list[list[int]]:

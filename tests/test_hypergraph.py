@@ -7,11 +7,9 @@ from hyperinc import (
     build_hypergraph,
     compute_units,
     dual,
-    extend_vector,
     induced_subhypergraph,
     uniform_cycle,
     unit_contraction,
-    VertexVector,
 )
 from hyperinc.errors import (
     CycleTooShort,
@@ -21,7 +19,6 @@ from hyperinc.errors import (
     EmptyVertexSet,
     InstanceTooLarge,
     IsolatedVertex,
-    SupportOutsideSubset,
     UnknownVertexInEdge,
 )
 from hyperinc.hypergraph import label_sort_key
@@ -147,22 +144,6 @@ class TestInduced:
         hu, edge_map = induced_subhypergraph(h, ["1"])
         assert hu.n_edges == 1
         assert edge_map == {0: 0, 1: 0}
-
-
-class TestExtend:
-    def test_alternating_extension(self, induced_cycle_example):
-        y = VertexVector({str(i): (-1) ** i for i in range(1, 7)})
-        ext = extend_vector(induced_cycle_example, [str(i) for i in range(1, 7)], y)
-        assert ext.value("7") == 0 and ext.value("8") == 0
-        assert ext.value("3") == -1 and ext.value("4") == 1
-
-    def test_zero_vector(self, unit_example):
-        ext = extend_vector(unit_example, ["1", "2"], VertexVector({}))
-        assert ext.is_zero()
-
-    def test_support_must_lie_inside(self, unit_example):
-        with pytest.raises(SupportOutsideSubset):
-            extend_vector(unit_example, ["1"], VertexVector({"2": 1}))
 
 
 class TestUnits:

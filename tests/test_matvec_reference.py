@@ -137,13 +137,17 @@ def test_incidence_cells_are_ints():
 
 
 def test_matrix_keeps_ints_and_fractions_and_converts_the_rest():
+    """Fraction strings are converted; a float or a bool is refused, not converted."""
     half = Fraction(1, 2)
-    m = RationalMatrix([[1, half, "3/4", 2.5, True]], ["r"], list("abcde"))
+    m = RationalMatrix([[1, half, "3/4", " -5/2 "]], ["r"], list("abcd"))
     (row,) = m.entries
     assert row[0] == 1 and type(row[0]) is int
     assert row[1] is half
-    assert [type(x) for x in row[2:]] == [Fraction] * 3
-    assert row[2:] == [Fraction(3, 4), Fraction(5, 2), Fraction(1)]
+    assert [type(x) for x in row[2:]] == [Fraction] * 2
+    assert row[2:] == [Fraction(3, 4), Fraction(-5, 2)]
+    for bad in (2.5, True):
+        with pytest.raises(InvalidParameters, match=type(bad).__name__):
+            RationalMatrix([[1, bad]], ["r"], list("ab"))
 
 
 @pytest.mark.parametrize("x", [{"z": 1}, VertexVector({"a": 1, "z": Fraction(-1, 2)})])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hyperinc import (
+    EdgeWeighting,
     banerjee_weighting,
     build_hypergraph,
     column_inner_product,
@@ -87,6 +88,19 @@ class TestWeightedAdjacency:
     def test_positive_weights_required(self, unit_example):
         with pytest.raises(InvalidParameters):
             custom_weighting(unit_example, [0, 1, 1, 1, 1])
+
+    def test_float_weights_cannot_give_a_float_eigenvalue(self, unit_example):
+        """0.1 and 0.2 once gave the eigenvalue -0.30000000000000004, verified."""
+        for weights in ((0.1, 0.2, 1, 1, 1), (Fraction(1, 10), 0.2, 1, 1, 1)):
+            with pytest.raises(InvalidParameters, match="float"):
+                EdgeWeighting("custom", weights)
+            with pytest.raises(InvalidParameters, match="float"):
+                custom_weighting(unit_example, list(weights))
+        w = EdgeWeighting("custom", ("1/10", "1/5", 1, 1, 1))
+        assert all(type(x) is Fraction for x in w.weights)
+        pairs = predict_unit_eigenpairs(unit_example, w)
+        assert pairs and all(p.verified and type(p.eigenvalue) is Fraction for p in pairs)
+        assert pairs[0].eigenvalue == -Fraction(3, 10)
 
 
 class TestColumnInnerProduct:
