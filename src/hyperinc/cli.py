@@ -31,7 +31,7 @@ from .generators import random_hypergraph
 from .hypergraph import (
     are_isomorphic,
     compute_units,
-    unit_contraction,
+    unit_contraction,  # unused here; bench/spans.py wraps it under this name
     uniform_cycle,
 )
 from .kernels import (
@@ -161,8 +161,8 @@ def render_units(report) -> list[str]:
 
 def cmd_contract(args) -> dict:
     h = load_hypergraph(args.file)
-    contracted, vertex_map, edge_map = unit_contraction(h)
     decomposition = nullity_decomposition(h)  # raises if an identity fails
+    contracted, vertex_map, edge_map = decomposition.contraction
     failures = []
     iso = None
     if decomposition.units_deficiency == 0:

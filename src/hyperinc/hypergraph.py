@@ -394,20 +394,17 @@ def _incident_size_profile(h: Hypergraph) -> dict[str, tuple[int, ...]]:
     }
 
 
-def are_isomorphic(
-    h1: Hypergraph, h2: Hypergraph, max_vertices: Optional[int] = None
-) -> Optional[dict[str, str]]:
+def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
     """Search for a vertex bijection carrying E(h1) exactly onto E(h2).
 
     Backtracking over vertices with incident-edge-size-profile pruning; meant
-    for desk-scale instances, so anything above ``max_vertices`` (default
-    ``DEFAULT_ISO_BOUND``) is rejected.  Returns a witnessing mapping, or None
-    when no isomorphism exists.
+    for desk-scale instances, so anything above ``DEFAULT_ISO_BOUND`` vertices
+    is rejected.  Returns a witnessing mapping, or None when no isomorphism
+    exists.
     """
-    bound = DEFAULT_ISO_BOUND if max_vertices is None else max_vertices
-    if h1.n_vertices > bound or h2.n_vertices > bound:
+    if h1.n_vertices > DEFAULT_ISO_BOUND or h2.n_vertices > DEFAULT_ISO_BOUND:
         raise InstanceTooLarge(
-            f"isomorphism search limited to {bound} vertices "
+            f"isomorphism search limited to {DEFAULT_ISO_BOUND} vertices "
             f"(got {h1.n_vertices} and {h2.n_vertices})"
         )
     if h1.n_vertices != h2.n_vertices or h1.n_edges != h2.n_edges:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -128,6 +128,8 @@ class NullityDecomposition:
     contraction_nullity: int
     n_units: int
     units_deficiency: int
+    # the ``unit_contraction`` triple the identities were checked on
+    contraction: tuple[Hypergraph, dict, dict] = field(repr=False, compare=False)
 
 
 # -- constructors --------------------------------------------------------------
@@ -382,12 +384,13 @@ def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
     """Exact rank/nullity of B_H and of the unit contraction, with identities.
 
     Asserts nullity(H) = nullity(contraction) + |V| - #units, equal ranks,
-    nullity >= |V| - #units, and rank <= #units.  Both ranks come from
+    nullity >= |V| - #units, rank <= #units, and, at any size, that H is
+    its own contraction when every unit is one vertex.  Both ranks come from
     ``checked_echelon`` (kernel re-multiplied, rank proven by modular ranks),
     so each nullity is the column count minus the rank.
     """
     rank = len(checked_echelon(edge_vertex_incidence(h).entries)[0])
-    contracted, _, _ = unit_contraction(h)
+    contracted, _, _ = contraction = unit_contraction(h)
     contraction_rank = len(checked_echelon(edge_vertex_incidence(contracted).entries)[0])
     n_units = contracted.n_vertices
     nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
@@ -399,6 +402,8 @@ def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
         raise ArithmeticError("rank is not preserved by unit contraction")
     if nullity < deficiency or rank > n_units:
         raise ArithmeticError("unit bounds on rank/nullity failed")
+    if deficiency == 0 and contracted != h:
+        raise ArithmeticError("a hypergraph of single-vertex units is not its own contraction")
     return NullityDecomposition(
         rank=rank,
         nullity=nullity,
@@ -406,6 +411,7 @@ def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
         contraction_nullity=contraction_nullity,
         n_units=n_units,
         units_deficiency=deficiency,
+        contraction=contraction,
     )
 
 
@@ -466,18 +472,6 @@ def _masks(echelon, free, free_codes, pivot_codes, n_sets):
     return tuple(masks[1:])
 
 
-def _signed_vectors(echelon, free) -> list[tuple[int, int]]:
-    """(plus, minus) masks of every {0, 1, -1} kernel vector, zero included."""
-    d = echelon[2]
-    code = {0: 0, d: 1, -d: 2}
-    out = []
-    for free_codes, a_sums, _ in _patterns(echelon, free, _SIGNED):
-        pivot_codes = [code.get(x) for x in a_sums]
-        if None not in pivot_codes:
-            out.append(_masks(echelon, free, free_codes, pivot_codes, 2))
-    return out
-
-
 def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:
     """The r at which the first pivot that pins r takes a symbol's value.
 
@@ -498,11 +492,20 @@ def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:
     return []
 
 
-def _pinned_vectors(echelon, free, symbols, accept):
-    """(masks, r) for every kernel vector whose coordinates all take symbol
-    values at one r that a pivot pins and ``accept`` admits."""
+def _kernel_vectors(echelon, free, symbols, accept):
+    """One walk over the patterns of ``symbols``: (signed, pinned), the (plus,
+    minus) masks of every {0, 1, -1} kernel vector, zero included, whose free
+    codes are no symbol of r, and (masks, r) for every kernel vector whose
+    coordinates all take symbol values at one r that a pivot pins and
+    ``accept`` admits."""
     d = echelon[2]
+    sign = {0: 0, d: 1, -d: 2}
+    signed, pinned = [], []
     for free_codes, a_sums, b_sums in _patterns(echelon, free, symbols):
+        if not any(b_sums):  # no free code of r: columns meeting a row never cancel
+            pivot_codes = [sign.get(x) for x in a_sums]
+            if None not in pivot_codes:
+                signed.append(_masks(echelon, free, free_codes, pivot_codes, 2))
         for r in _pinned_ratios(a_sums, b_sums, d, symbols):
             if not accept(r):
                 continue
@@ -511,7 +514,8 @@ def _pinned_vectors(echelon, free, symbols, accept):
             code = {d * (a * den + b * num): s for s, (a, b) in enumerate(symbols)}
             pivot_codes = [code.get(x * den + y * num) for x, y in zip(a_sums, b_sums)]
             if None not in pivot_codes:
-                yield _masks(echelon, free, free_codes, pivot_codes, len(symbols) - 1), r
+                pinned.append((_masks(echelon, free, free_codes, pivot_codes, len(symbols) - 1), r))
+    return signed, pinned
 
 
 def _submasks(mask: int):
@@ -541,18 +545,6 @@ def _assignment_key(masks: tuple[int, ...], n: int) -> list[int]:
 # its r.  No non-empty set of those elements has its indicator in the kernel.
 
 
-def _pair_cores(echelon, free, signed, nonzero, zero, ratio: bool):
-    """(U, V) cores of chi(U) - r*chi(V): every {0, 1, -1} kernel vector
-    (``signed``) at r = 1; for ``ratio``, U empty (only zero columns can fill
-    it) against any V at r = 0, and every r > 0 other than 1 that a pivot pins."""
-    cores = [(masks, Fraction(1)) for masks in signed]
-    if ratio:
-        if zero:
-            cores.extend(((0, v), Fraction(0)) for v in _submasks(nonzero))
-        cores.extend(_pinned_vectors(echelon, free, _RATIO, lambda r: r > 0 and r != 1))
-    return cores
-
-
 def _splits(plus, minus, nonzero, n_zero):
     """(mask, r) for each family of cores (plus - W, minus - W, W) that the
     {0, 1, -1} kernel vector (plus, minus) expands to, W over the non-empty
@@ -568,18 +560,17 @@ def _splits(plus, minus, nonzero, n_zero):
     return [(mask, Fraction(r)) for mask, r, empty in families if empty <= n_zero]
 
 
-def _three_set_cores(echelon, free, signed, nonzero, n_zero):
+def _three_set_cores(signed, pinned, nonzero, n_zero):
     """(U, V, W) cores of |row & U| - |row & V| = r * |row & W|.  Where -r
     is 0, 1 or -1 they come from a {0, 1, -1} kernel vector (plus, minus):
     W empty (no row meets W, so r = 1) or one of its ``_splits``.  Any
-    other r is pinned."""
+    other r is ``pinned``."""
     cores = []
     for plus, minus in signed:
         cores.append(((plus, minus, 0), Fraction(1)))
         for mask, r in _splits(plus, minus, nonzero, n_zero):
             cores.extend(((plus & ~w, minus & ~w, w), r) for w in _submasks(mask))
-    cores.extend(_pinned_vectors(echelon, free, _THREE_SET, lambda r: r not in (0, 1, -1)))
-    return cores
+    return cores + pinned
 
 
 def _spread(cores, zero):
@@ -600,16 +591,16 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     """Every certificate of one kind, in the order of the set assignments.
 
     The certificates are kernel vectors of the incidence matrix, so the
-    search enumerates the values at the free columns of one checked echelon
-    form (``checked_echelon``: basis re-multiplied, rank proven over GF(2),
-    then primes above 2**20).
+    search walks the values at the free columns of one checked echelon form
+    (``checked_echelon``: basis re-multiplied, rank proven over GF(2), then
+    primes above 2**20) once, with one symbol table per kind.
     Zero columns Z, the elements that meet no row, are free and change no
     count, so they are left out of that walk and spread over each hit after
     it.  Each family of candidates is counted before it is built, and the
     search raises ``InstanceTooLarge`` once the total would pass
-    ``FINDER_BOUND``: one cell per pivot for each pattern of each walk
-    (3^(nullity - |Z|) patterns, 4^... for the three-set kind's second
-    walk), one per unit pair, per core of the ratio kinds' r = 0 family and
+    ``FINDER_BOUND``: one cell per pivot for each pattern of the walk
+    (3^(nullity - |Z|) patterns, 4^... for the three-set kind), one per
+    unit pair, per core of the ratio kinds' r = 0 family and
     per ``_submasks`` expansion, and what the spread adds to the cores,
     |cores| * (3^|Z| - 1) (4^|Z| - 1 for the three-set kind).  Before a
     certificate is built, the cells that checking and reporting the output
@@ -662,21 +653,31 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     n_zero = zero.bit_count()
     free = [j for j in bit_indices(nonzero) if j not in echelon[0]]
     ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
-    walks = [_SIGNED] + ([_THREE_SET] if kind == THREE_SET_RELATION else [_RATIO] if ratio else [])
-    charge(sum(len(symbols) ** len(free) for symbols in walks) * len(echelon[0]))
+    if kind == THREE_SET_RELATION:
+        symbols, accept = _THREE_SET, lambda r: r not in (0, 1, -1)
+    elif ratio:
+        symbols, accept = _RATIO, lambda r: r > 0
+    else:
+        symbols, accept = _SIGNED, None  # no symbol of r, so no pivot pins one
+    charge(len(symbols) ** len(free) * len(echelon[0]))
     if ratio and zero:
         charge(2 ** nonzero.bit_count() - 1)  # the r = 0 family
-    signed = _signed_vectors(echelon, free)
+    signed, pinned = _kernel_vectors(echelon, free, symbols, accept)
     if kind == THREE_SET_RELATION:
         charge(sum(
             2 ** mask.bit_count() - 1
             for plus, minus in signed
             for mask, _ in _splits(plus, minus, nonzero, n_zero)
         ))
-        cores = _three_set_cores(echelon, free, signed, nonzero, n_zero)
+        cores = _three_set_cores(signed, pinned, nonzero, n_zero)
         charge(len(cores) * (4 ** n_zero - 1))
     else:
-        cores = _pair_cores(echelon, free, signed, nonzero, zero, ratio)
+        # the ratio kinds take the zero vector, which no pivot pins, and U
+        # empty (only zero columns can fill it) against any V at r = 0
+        if ratio:
+            signed = [(0, 0)]
+            pinned += [((0, v), Fraction(0)) for v in _submasks(nonzero if zero else 0)]
+        cores = [(masks, Fraction(1)) for masks in signed] + pinned
         charge(len(cores) * (3 ** n_zero - 1))
     hits = sorted(_spread(cores, zero), key=lambda hit: _assignment_key(hit[0], n))
     # the product indexes every column and reads each row at the sets' elements

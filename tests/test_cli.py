@@ -8,9 +8,10 @@ import time
 import pytest
 
 from conftest import CHILD_ENV
-from hyperinc import cli, cyclotomic
+from hyperinc import cli, cyclotomic, kernels
 from hyperinc.cli import main
-from hyperinc.formats import parse_hypergraph_text
+from hyperinc.formats import parse_hypergraph_text, serialize_hypergraph_text
+from hyperinc.hypergraph import uniform_cycle, unit_contraction
 
 UNIT_EXAMPLE_FILE = """\
 vertices: 1 2 3 4 5 6 7 8 9 10 11
@@ -234,6 +235,24 @@ class TestUnitsContract:
         run_cli("generate", "cycle", "6", "3", "-o", str(path))
         report = json.loads(run_cli("contract", str(path), "--json").stdout)
         assert report["non_contractible_isomorphic"] is True
+
+    def test_contract_builds_one_contraction(self, unit_file, tmp_path, monkeypatch, capsys):
+        """``contract`` reports the contraction that ``nullity_decomposition``
+        checked: one ``unit_contraction`` per call, with units and without."""
+        cycle = tmp_path / "c13.hg"
+        cycle.write_text(serialize_hypergraph_text(uniform_cycle(13, 2)))
+        built = []
+
+        def counted(h):
+            built.append(h)
+            return unit_contraction(h)
+
+        monkeypatch.setattr(kernels, "unit_contraction", counted)
+        monkeypatch.setattr(cli, "unit_contraction", counted)
+        for path in (unit_file, str(cycle)):
+            built.clear()
+            assert main(["contract", path, "--json"]) == 0
+            assert len(built) == 1 and json.loads(capsys.readouterr().out)["failures"] == []
 
     def test_contract_batch_of_random_files(self, tmp_path):
         for seed in range(6):

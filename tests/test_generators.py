@@ -19,7 +19,7 @@ def test_every_small_subset_at_equal_rates():
         allowed = {
             frozenset(c) for s in range(1, top + 1) for c in itertools.combinations(vertices, s)
         }
-        rng = random.Random(max_size)
+        rng = random.Random(top)
         draws = 6000
         counts = Counter(random_hypergraph(4, 1, max_size, rng).edges[0] for _ in range(draws))
         assert set(counts) == allowed

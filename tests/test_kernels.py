@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hyperinc import (
+    Hypergraph,
     build_hypergraph,
     dual_side_certificate,
     edge_vertex_incidence,
@@ -44,13 +45,14 @@ from hyperinc.kernels import (
     KernelCertificate,
 )
 from hyperinc.generators import random_hypergraph
+from hyperinc.hypergraph import DEFAULT_ISO_BOUND
 from conftest import random_instance
 
 
 def count_finder_steps(monkeypatch) -> dict[str, int]:
     """Counts, while the finder runs, of the patterns ``_patterns`` yields
-    and of the calls to ``_submasks``, ``_spread`` and ``unit_pair_certificate``."""
-    counts = dict.fromkeys(["_patterns", "_submasks", "_spread", "unit_pair_certificate"], 0)
+    and of the calls to ``_submasks``, ``_spread`` and ``_mask_certificate``."""
+    counts = dict.fromkeys(["_patterns", "_submasks", "_spread", "_mask_certificate"], 0)
     patterns = kernels._patterns
 
     def counting_patterns(*args):
@@ -59,13 +61,13 @@ def count_finder_steps(monkeypatch) -> dict[str, int]:
             yield pattern
 
     def counting(name, function):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return function(*args)
+            return function(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(kernels, "_patterns", counting_patterns)
-    for name in ("_submasks", "_spread", "unit_pair_certificate"):
+    for name in ("_submasks", "_spread", "_mask_certificate"):
         monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     return counts
 
@@ -358,6 +360,26 @@ class TestNullityDecomposition:
             assert d.nullity == d.contraction_nullity + d.units_deficiency
             assert d.rank == d.contraction_rank
 
+    def test_non_contractible_instance_is_its_own_contraction(self, monkeypatch):
+        """With every unit one vertex, a contraction other than H itself is
+        caught at every size: on the 6-cycle and on the 13-cycle, which
+        ``are_isomorphic`` refuses.  Moving each edge label one edge on keeps
+        every rank, so only that check sees it."""
+        contract = kernels.unit_contraction
+
+        def shifted(h):
+            contracted, vertex_map, edge_map = contract(h)
+            edges = contracted.edges[1:] + contracted.edges[:1]
+            return Hypergraph(contracted.vertices, edges, contracted.edge_labels), vertex_map, edge_map
+
+        assert uniform_cycle(13, 2).n_vertices > DEFAULT_ISO_BOUND
+        for h in (uniform_cycle(6, 3), uniform_cycle(13, 2)):
+            assert nullity_decomposition(h).contraction == contract(h)
+            monkeypatch.setattr(kernels, "unit_contraction", shifted)
+            with pytest.raises(ArithmeticError, match="not its own contraction"):
+                nullity_decomposition(h)
+            monkeypatch.undo()
+
 
 class TestExtension:
     def test_induced_cycle_example(self, induced_cycle_example):
@@ -450,22 +472,22 @@ class TestFinder:
         counts = count_finder_steps(monkeypatch)
         path = build_hypergraph(
             [str(i) for i in range(1, 61)], [[str(i), str(i + 1)] for i in range(1, 59)]
-        )  # vertex 60 is isolated; 58 pivots and one free column, walked twice
-        with pytest.raises(InstanceTooLarge, match=f"at least {2 * 3 * 58 + 2**59 - 1} counted"):
+        )  # vertex 60 is isolated; 58 pivots and one free column, walked once
+        with pytest.raises(InstanceTooLarge, match=f"at least {3 * 58 + 2**59 - 1} counted"):
             find_certificates_exhaustive(path, RATIO_EDGE_PARTITION)
-        assert counts == {"_patterns": 0, "_submasks": 0, "_spread": 0, "unit_pair_certificate": 0}
+        assert counts == {"_patterns": 0, "_submasks": 0, "_spread": 0, "_mask_certificate": 0}
 
         counts.update(dict.fromkeys(counts, 0))
         one_edge = build_hypergraph([str(i) for i in range(13)], [["0", "1"]])
         with pytest.raises(InstanceTooLarge):
             find_certificates_exhaustive(one_edge, THREE_SET_RELATION)
-        assert counts["_spread"] == 0 and counts["_patterns"] == 3 + 4
+        assert counts["_spread"] == 0 and counts["_patterns"] == 4
 
         counts.update(dict.fromkeys(counts, 0))
         assert math.comb(1500, 2) > kernels.FINDER_BOUND
         with pytest.raises(InstanceTooLarge, match="over the finder bound"):
             find_certificates_exhaustive(build_hypergraph([str(i) for i in range(1500)], []), UNIT_PAIR)
-        assert counts["unit_pair_certificate"] == 0
+        assert counts["_mask_certificate"] == 0
 
         # 600 twins in 40 edges: C(600, 2) pairs pass the finder bound, but
         # checking each reads 640 columns and 2 * 40 rows, over the output bound
@@ -475,7 +497,7 @@ class TestFinder:
         assert math.comb(600, 2) <= kernels.FINDER_BOUND and kernels.OUTPUT_BOUND < cells
         with pytest.raises(InstanceTooLarge, match=f"takes {cells} incidence cells"):
             find_certificates_exhaustive(unit, UNIT_PAIR)
-        assert counts["unit_pair_certificate"] == 0
+        assert counts["_mask_certificate"] == 0
 
         # 80 edges on 30 vertices, and a twin for each of ten of them
         base = random_hypergraph(30, 80, None, random.Random(20))
@@ -502,7 +524,7 @@ class TestFinder:
         assert find_certificates_exhaustive(ratio_example, RATIO_EDGE_PARTITION) == found
         monkeypatch.setattr(kernels, "OUTPUT_BOUND", cells - 1)
         built = []
-        monkeypatch.setattr(kernels, "ratio_partition_certificate", lambda *args: built.append(args))
+        monkeypatch.setattr(kernels, "_mask_certificate", lambda *args: built.append(args))
         with pytest.raises(InstanceTooLarge, match=f"takes {cells} incidence cells"):
             find_certificates_exhaustive(ratio_example, RATIO_EDGE_PARTITION)
         assert built == []
@@ -510,8 +532,8 @@ class TestFinder:
     def test_searches_the_old_cap_admitted_are_admitted(self, monkeypatch):
         """The edgeless 10-vertex three-set search counts 4^10 - 1 (one empty
         core spread over ten zero columns) and the edgeless 12-vertex pair
-        searches 3^12 - 1; one edge through all of 10 vertices counts its two
-        walks (3^9 + 4^9 patterns, one pivot) and its submask expansions.
+        searches 3^12 - 1; one edge through all of 10 vertices counts its walk
+        (4^9 patterns, one pivot) and its submask expansions.
         Each is admitted at its count and refused one below it.  The step
         after the last charge is stubbed out, so the searches never run; their
         outputs, 437,250 three-set and 261,625 pair certificates of at most
@@ -530,7 +552,7 @@ class TestFinder:
             (build_hypergraph(ten, []), THREE_SET_RELATION, 4**10 - 1, "_spread"),
             (build_hypergraph([str(i) for i in range(12)], []), EQUAL_EDGE_PARTITION, 3**12 - 1, "_spread"),
             (build_hypergraph([str(i) for i in range(12)], []), RATIO_EDGE_PARTITION, 3**12 - 1, "_spread"),
-            (build_hypergraph(ten, [ten]), THREE_SET_RELATION, 3**9 + 4**9 + expansions, "_three_set_cores"),
+            (build_hypergraph(ten, [ten]), THREE_SET_RELATION, 4**9 + expansions, "_three_set_cores"),
         ]:
             monkeypatch.setattr(kernels, stub, reached)
             monkeypatch.setattr(kernels, "FINDER_BOUND", bound)
