@@ -495,17 +495,21 @@ def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:
 def _kernel_vectors(echelon, free, symbols, accept):
     """One walk over the patterns of ``symbols``: (signed, pinned), the (plus,
     minus) masks of every {0, 1, -1} kernel vector, zero included, whose free
-    codes are no symbol of r, and (masks, r) for every kernel vector whose
-    coordinates all take symbol values at one r that a pivot pins and
-    ``accept`` admits."""
+    codes are no symbol of r (none when ``symbols`` has no -1), and (masks, r)
+    for every kernel vector whose coordinates all take symbol values at one r
+    that a pivot pins and ``accept`` admits (none when ``accept`` is None)."""
     d = echelon[2]
     sign = {0: 0, d: 1, -d: 2}
+    signs = (-1, 0) in symbols
     signed, pinned = [], []
     for free_codes, a_sums, b_sums in _patterns(echelon, free, symbols):
-        if not any(b_sums):  # no free code of r: columns meeting a row never cancel
+        # no free code of r: columns meeting a row never cancel
+        if signs and not any(b_sums):
             pivot_codes = [sign.get(x) for x in a_sums]
             if None not in pivot_codes:
                 signed.append(_masks(echelon, free, free_codes, pivot_codes, 2))
+        if accept is None:
+            continue
         for r in _pinned_ratios(a_sums, b_sums, d, symbols):
             if not accept(r):
                 continue

@@ -254,6 +254,24 @@ class TestUnitsContract:
             assert main(["contract", path, "--json"]) == 0
             assert len(built) == 1 and json.loads(capsys.readouterr().out)["failures"] == []
 
+    def test_contract_verdict_needs_no_isomorphism_search(self, tmp_path, monkeypatch, capsys):
+        """The verdict comes from the equality ``nullity_decomposition``
+        checked: reported up to 12 vertices, omitted above, never searched."""
+
+        def refuse(*args):
+            raise AssertionError("isomorphism search run")
+
+        monkeypatch.setattr(cli, "are_isomorphic", refuse)
+        for n, shown in ((12, True), (13, False)):
+            path = tmp_path / f"c{n}.hg"
+            path.write_text(serialize_hypergraph_text(uniform_cycle(n, 2)))
+            assert main(["contract", str(path), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report.get("non_contractible_isomorphic") is (True if shown else None)
+            assert main(["contract", str(path)]) == 0
+            text = capsys.readouterr().out
+            assert ("isomorphic to contraction: yes" in text) is shown
+
     def test_contract_batch_of_random_files(self, tmp_path):
         for seed in range(6):
             path = tmp_path / f"r{seed}.hg"
