@@ -37,6 +37,8 @@ from .hypergraph import (
     unit_contraction,
 )
 from .linalg import (
+    _proven_rank,
+    _scaled_basis,
     checked_echelon,
     edge_vertex_incidence,
     exact_rational,
@@ -381,18 +383,28 @@ def sw_subspace(h: Hypergraph, w: Iterable[str]) -> SWReport:
 
 
 def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
-    """Exact rank/nullity of B_H and of the unit contraction, with identities.
+    """Exact rank/nullity of B_H and of its unit contraction C, with identities.
 
-    Asserts nullity(H) = nullity(contraction) + |V| - #units, equal ranks,
-    nullity >= |V| - #units, rank <= #units, and, at any size, that H is
-    its own contraction when every unit is one vertex.  Both ranks come from
-    ``checked_echelon`` (kernel re-multiplied, rank proven by modular ranks),
-    so each nullity is the column count minus the rank.
+    One elimination: ``checked_echelon`` proves C's rank r and kernel basis.
+    As B_H = B_C S, S mapping each vertex to its unit, a basis vector y lifts
+    to H with y[u] on the first member of unit u, and each other member m adds
+    e_m - e_first: |V| - r vectors, independent as only e_m - e_first is
+    non-zero at m and the rest are C's basis on the first members.
+    ``_proven_rank`` proves rank(B_H) from them on B_H's own rows.  The
+    identities compare the two proven ranks: nullity(H) = nullity(C) + |V| -
+    #units, equal ranks, nullity >= |V| - #units, rank <= #units, and H is its
+    own contraction when every unit is one vertex.
     """
-    rank = len(checked_echelon(edge_vertex_incidence(h).entries)[0])
-    contracted, _, _ = contraction = unit_contraction(h)
-    contraction_rank = len(checked_echelon(edge_vertex_incidence(contracted).entries)[0])
+    contracted, vertex_map, _ = contraction = unit_contraction(h)
     n_units = contracted.n_vertices
+    pivots, reduced, d = checked_echelon(edge_vertex_incidence(contracted).entries)
+    contraction_rank = len(pivots)
+    unit_of = {label: u for u, label in enumerate(contracted.vertices)}
+    units = [unit_of[vertex_map[v]] for v in h.vertices]  # the unit of each column of B_H
+    first = {u: i for i, u in reversed(list(enumerate(units)))}  # its first member's column
+    lifted = [{i: 1, first[u]: -1} for i, u in enumerate(units) if first[u] != i]
+    lifted += ({first[u]: x for u, x in y.items()} for y in _scaled_basis(pivots, reduced, d, n_units))
+    rank = _proven_rank(edge_vertex_incidence(h).entries, h.n_vertices, lifted)
     nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
     deficiency = h.n_vertices - n_units
 

@@ -232,26 +232,37 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
 
 
 def checked_echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
-    """``_echelon`` of integer ``rows`` with its rank and kernel proven.
-
-    Every kernel basis vector, scaled by d to integers, is re-multiplied
-    through ``rows``; the vectors are independent, one per free column, so
-    the rank is at most r, the pivot count.  ``_modular_rank`` proves it is
-    at least r from ranks over GF(2), then over primes above 2**20.  So the
-    kernel is exactly the span of the vectors the reduced rows give the free
-    columns: a kernel vector is fixed by its free coordinates.
-    """
+    """``_echelon`` of integer ``rows``, its rank and kernel basis (one vector
+    per free column) proven by ``_proven_rank``."""
     pivots, reduced, d = _echelon(rows)
-    modular = _modular_rank(rows, len(pivots))
-    if modular != len(pivots):
-        raise ArithmeticError(
-            f"rank disagreement: modular {modular} vs fraction-free elimination {len(pivots)}"
-        )
-    sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
-    for scaled in _scaled_basis(pivots, reduced, d, len(rows[0]) if rows else 0):
-        if any(sum(a * scaled.get(j, 0) for j, a in row) for row in sparse_rows):
-            raise ArithmeticError("null-space basis vector failed re-multiplication")
+    n_cols = len(rows[0]) if rows else 0
+    _proven_rank(rows, n_cols, _scaled_basis(pivots, reduced, d, n_cols))
     return pivots, reduced, d
+
+
+def _proven_rank(rows: list[list[int]], n_cols: int, kernel) -> int:
+    """The rank of integer ``rows`` (``n_cols`` columns), proven from
+    ``kernel``, independent integer dict vectors (column index -> entry): each
+    is re-multiplied through ``rows`` (rank <= n_cols - their count), and
+    ``_modular_rank`` proves the rank is at least that, so they span the
+    kernel.  One pass multiplies them all: vector k fills w-bit field k of one
+    integer per column, and each product is below 2**(w - 1) in size, so a
+    row times the packed columns is 0 only when all its products are 0.
+    """
+    kernel = list(kernel)
+    rank = n_cols - len(kernel)
+    modular = _modular_rank(rows, rank)
+    if modular != rank:
+        raise ArithmeticError(f"rank disagreement: modular {modular} vs {rank} from the kernel basis")
+    largest = max(map(abs, chain.from_iterable(rows)), default=0)
+    w = (largest * max((sum(map(abs, v.values())) for v in kernel), default=0)).bit_length() + 1
+    packed = [0] * n_cols
+    for k, scaled in enumerate(kernel):
+        for j, x in scaled.items():
+            packed[j] += x << w * k
+    if kernel and any(sum(a * packed[j] for j, a in enumerate(row) if a) for row in rows):
+        raise ArithmeticError("null-space basis vector failed re-multiplication")
+    return rank
 
 
 def _scaled_basis(pivots, reduced, d, n_cols):
@@ -275,7 +286,9 @@ def rank_and_nullspace(m: RationalMatrix) -> NullspaceBasis:
     column, minus the RREF coefficient of f in that pivot's row.  The rank and
     every basis vector are checked by ``checked_echelon``.
     """
-    pivots, reduced, d = checked_echelon(_cleared_integer_rows(m.entries))
+    # a mask-backed matrix is already integer, and _echelon eliminates a copy
+    rows = m.entries if m._masks is not None else _cleared_integer_rows(m.entries)
+    pivots, reduced, d = checked_echelon(rows)
     vectors = tuple(
         VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()})
         for scaled in _scaled_basis(pivots, reduced, d, m.cols)

@@ -28,6 +28,7 @@ from hyperinc import (
     rank_and_nullspace,
     rank_modular_oracle,
     span_dimension,
+    unit_contraction,
 )
 from hyperinc import linalg
 
@@ -328,11 +329,62 @@ def test_re_multiplication_is_wired_in(monkeypatch):
     monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         rank_and_nullspace(m)
-    # the same matrix as B_H, whose ranks nullity_decomposition takes from checked_echelon
-    h = build_hypergraph(["a", "b", "c"], [["a", "b"], ["c"]])
-    assert edge_vertex_incidence(h).entries == m.entries
+    # nullity_decomposition eliminates only the unit contraction C, so C needs
+    # a free column at b: here b is isolated, and the unit {c, d} is contracted
+    h = build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"]])
+    assert edge_vertex_incidence(unit_contraction(h)[0]).entries == [[1, 0, 0], [0, 0, 1]]
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         nullity_decomposition(h)
+
+
+def _re_multiplication_reference(rows: list[list[int]], kernel: list[dict[int, int]]) -> bool:
+    """The per-vector re-multiplication ``checked_echelon`` ran before the
+    vectors were packed: True when every vector times every row is 0."""
+    sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+    return not any(
+        any(sum(a * scaled.get(j, 0) for j, a in row) for row in sparse_rows) for scaled in kernel
+    )
+
+
+def _re_multiplication_passes(rows, n_cols, kernel) -> bool:
+    try:
+        linalg._proven_rank(rows, n_cols, kernel)
+    except ArithmeticError as exc:
+        assert "re-multiplication" in str(exc)
+        return False
+    return True
+
+
+def test_packed_re_multiplication_matches_per_vector_reference(monkeypatch):
+    """``_proven_rank`` multiplies all kernel vectors through the rows in one
+    pass over packed integers.  It must judge as the per-vector check does:
+    on every echelon case, the true basis, and the basis with one entry of one
+    vector moved by +-1; and on products that would carry from one field into
+    the next if the fields were narrower.  The modular rank is made to agree,
+    so only the re-multiplication decides."""
+    monkeypatch.setattr(linalg, "_modular_rank", lambda rows, ceiling: ceiling)
+    rng = random.Random(2612)
+    rejected = 0
+    for label, rows in _echelon_cases(seed=2612):
+        n_cols = len(rows[0]) if rows else 0
+        pivots, reduced, d = linalg._echelon(rows)
+        basis = list(linalg._scaled_basis(pivots, reduced, d, n_cols))
+        variants = [basis]
+        if basis:
+            wrong = [dict(v) for v in basis]
+            k, j = rng.randrange(len(wrong)), rng.randrange(n_cols)
+            wrong[k][j] = wrong[k].get(j, 0) + rng.choice((-1, 1))
+            variants.append(wrong)
+        for kernel in variants:
+            expected = _re_multiplication_reference(rows, kernel)
+            assert _re_multiplication_passes(rows, n_cols, kernel) == expected, label
+            rejected += not expected
+    assert rejected > 100
+    # one row [1, 1]: products 2**e and -1 would cancel in fields of e bits
+    for e in range(1, 80):
+        kernel = [{0: 1 << e}, {1: -1}]
+        assert not _re_multiplication_passes([[1, 1]], 2, kernel)
+        assert _re_multiplication_passes([[1, 1]], 2, [{0: 1 << e, 1: -(1 << e)}, {0: -1, 1: 1}])
 
 
 def _dense_01(rng: random.Random, rows: int, base: int, clones: int) -> list[list[int]]:
