@@ -38,11 +38,10 @@ from .hypergraph import (
 )
 from .linalg import (
     _proven_rank,
-    _scaled_basis,
-    checked_echelon,
     edge_vertex_incidence,
     exact_rational,
     matvec,
+    proven_kernel,
     rank_and_nullspace,
     vertex_edge_incidence,
 )
@@ -385,7 +384,7 @@ def sw_subspace(h: Hypergraph, w: Iterable[str]) -> SWReport:
 def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
     """Exact rank/nullity of B_H and of its unit contraction C, with identities.
 
-    One elimination: ``checked_echelon`` proves C's rank r and kernel basis.
+    One elimination: ``proven_kernel`` proves C's rank r and kernel basis.
     As B_H = B_C S, S mapping each vertex to its unit, a basis vector y lifts
     to H with y[u] on the first member of unit u, and each other member m adds
     e_m - e_first: |V| - r vectors, independent as only e_m - e_first is
@@ -397,13 +396,13 @@ def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
     """
     contracted, vertex_map, _ = contraction = unit_contraction(h)
     n_units = contracted.n_vertices
-    pivots, reduced, d = checked_echelon(edge_vertex_incidence(contracted).entries)
+    pivots, _, basis = proven_kernel(edge_vertex_incidence(contracted).entries, n_units)
     contraction_rank = len(pivots)
     unit_of = {label: u for u, label in enumerate(contracted.vertices)}
     units = [unit_of[vertex_map[v]] for v in h.vertices]  # the unit of each column of B_H
     first = {u: i for i, u in reversed(list(enumerate(units)))}  # its first member's column
     lifted = [{i: 1, first[u]: -1} for i, u in enumerate(units) if first[u] != i]
-    lifted += ({first[u]: x for u, x in y.items()} for y in _scaled_basis(pivots, reduced, d, n_units))
+    lifted += ({first[u]: x for u, x in y.items()} for y in basis.values())
     rank = _proven_rank(edge_vertex_incidence(h).entries, h.n_vertices, lifted)
     nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
     deficiency = h.n_vertices - n_units
@@ -454,12 +453,12 @@ _RATIO = ((0, 0), (1, 0), (0, -1))  # unused 0, U = 1, V = -r
 _THREE_SET = ((0, 0), (1, 0), (-1, 0), (0, -1))  # unused 0, U = 1, V = -1, W = -r
 
 
-def _patterns(echelon, free, symbols):
+def _patterns(kernel, free, symbols):
     """Every assignment of ``symbols`` to the free columns, with the pivot
     values it forces: yields (codes, a, b), where codes[i] is the symbol at
     free[i] and the kernel vector is (a[p] + b[p]*r) / d at the p-th pivot."""
-    pivots, reduced, _ = echelon
-    columns = [[-row[f] for row in reduced[:len(pivots)]] for f in free]
+    pivots, _, basis = kernel
+    columns = [[basis[f].get(p, 0) for p in pivots] for f in free]
 
     def walk(i, codes, a_sums, b_sums):
         if i == len(columns):
@@ -477,9 +476,9 @@ def _patterns(echelon, free, symbols):
     return walk(0, (), [0] * len(pivots), [0] * len(pivots))
 
 
-def _masks(echelon, free, free_codes, pivot_codes, n_sets):
+def _masks(kernel, free, free_codes, pivot_codes, n_sets):
     masks = [0] * (n_sets + 1)
-    for j, s in itertools.chain(zip(free, free_codes), zip(echelon[0], pivot_codes)):
+    for j, s in itertools.chain(zip(free, free_codes), zip(kernel[0], pivot_codes)):
         masks[s] |= 1 << j
     return tuple(masks[1:])
 
@@ -504,22 +503,22 @@ def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:
     return []
 
 
-def _kernel_vectors(echelon, free, symbols, accept):
+def _kernel_vectors(kernel, free, symbols, accept):
     """One walk over the patterns of ``symbols``: (signed, pinned), the (plus,
     minus) masks of every {0, 1, -1} kernel vector, zero included, whose free
     codes are no symbol of r (none when ``symbols`` has no -1), and (masks, r)
     for every kernel vector whose coordinates all take symbol values at one r
     that a pivot pins and ``accept`` admits (none when ``accept`` is None)."""
-    d = echelon[2]
+    d = kernel[1]
     sign = {0: 0, d: 1, -d: 2}
     signs = (-1, 0) in symbols
     signed, pinned = [], []
-    for free_codes, a_sums, b_sums in _patterns(echelon, free, symbols):
+    for free_codes, a_sums, b_sums in _patterns(kernel, free, symbols):
         # no free code of r: columns meeting a row never cancel
         if signs and not any(b_sums):
             pivot_codes = [sign.get(x) for x in a_sums]
             if None not in pivot_codes:
-                signed.append(_masks(echelon, free, free_codes, pivot_codes, 2))
+                signed.append(_masks(kernel, free, free_codes, pivot_codes, 2))
         if accept is None:
             continue
         for r in _pinned_ratios(a_sums, b_sums, d, symbols):
@@ -530,7 +529,7 @@ def _kernel_vectors(echelon, free, symbols, accept):
             code = {d * (a * den + b * num): s for s, (a, b) in enumerate(symbols)}
             pivot_codes = [code.get(x * den + y * num) for x, y in zip(a_sums, b_sums)]
             if None not in pivot_codes:
-                pinned.append((_masks(echelon, free, free_codes, pivot_codes, len(symbols) - 1), r))
+                pinned.append((_masks(kernel, free, free_codes, pivot_codes, len(symbols) - 1), r))
     return signed, pinned
 
 
@@ -607,8 +606,8 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     """Every certificate of one kind, in the order of the set assignments.
 
     The certificates are kernel vectors of the incidence matrix, so the
-    search walks the values at the free columns of one checked echelon form
-    (``checked_echelon``: basis re-multiplied, rank proven over GF(2), then
+    search walks the values at the free columns of one proven kernel basis
+    (``proven_kernel``: basis re-multiplied, rank proven over GF(2), then
     primes above 2**20) once, with one symbol table per kind.
     Zero columns Z, the elements that meet no row, are free and change no
     count, so they are left out of that walk and spread over each hit after
@@ -663,11 +662,11 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
         pairs = (pair for unit in units for pair in itertools.combinations(unit, 2))
         return [_mask_certificate(h, UNIT_PAIR, (1 << u, 1 << v)) for u, v in pairs]
 
-    echelon = checked_echelon(incidence(h).entries)
+    kernel = proven_kernel(incidence(h).entries, n)
     zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
     nonzero = ((1 << n) - 1) ^ zero
     n_zero = zero.bit_count()
-    free = [j for j in bit_indices(nonzero) if j not in echelon[0]]
+    free = [j for j in bit_indices(nonzero) if j in kernel[2]]
     ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
     if kind == THREE_SET_RELATION:
         symbols, accept = _THREE_SET, lambda r: r not in (0, 1, -1)
@@ -675,10 +674,10 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
         symbols, accept = _RATIO, lambda r: r > 0
     else:
         symbols, accept = _SIGNED, None  # no symbol of r, so no pivot pins one
-    charge(len(symbols) ** len(free) * len(echelon[0]))
+    charge(len(symbols) ** len(free) * len(kernel[0]))
     if ratio and zero:
         charge(2 ** nonzero.bit_count() - 1)  # the r = 0 family
-    signed, pinned = _kernel_vectors(echelon, free, symbols, accept)
+    signed, pinned = _kernel_vectors(kernel, free, symbols, accept)
     if kind == THREE_SET_RELATION:
         charge(sum(
             2 ** mask.bit_count() - 1

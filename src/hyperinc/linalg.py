@@ -1,12 +1,12 @@
 """Exact matrices over Q: incidence matrices, rank, null-space bases.
 
-Everything here is tolerance-free.  Rank and kernel come from one exact
-fraction-free elimination (Bareiss forward, then back-substitution on the
-free columns) on a denominator-cleared integer copy.
-Null-space bases are the normalised RREF bases, so they are deterministic, and
-every basis vector is re-multiplied through the integer matrix before being
-returned, which bounds the rank above; ranks modulo primes (GF(2), then
-primes above 2**20) bound it below.
+Everything here is tolerance-free.  Every rank, kernel basis and span
+dimension comes from ``proven_kernel``: one exact fraction-free elimination
+(Bareiss forward, then back-substitution on the free columns) of a
+denominator-cleared integer copy.  Its null-space bases are the normalised
+RREF bases, so they are deterministic, and it re-multiplies every basis
+vector through the integer matrix before returning, which bounds the rank
+above; ranks modulo primes (GF(2), then primes above 2**20) bound it below.
 """
 
 from __future__ import annotations
@@ -163,15 +163,16 @@ def vertex_edge_incidence(h: Hypergraph) -> RationalMatrix:
     return RationalMatrix._from_masks(h.star_masks, h.vertices, h.edge_labels)
 
 
-def _fraction_free_rref(rows: list[list[int]]) -> list[int]:
-    """In-place fraction-free elimination; returns the pivot columns.
+def _fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """In-place fraction-free elimination: the pivot columns, the free-column
+    block of each pivot row of d times the RREF, and d, the last pivot (1 when
+    there is none).
 
     Forward (Bareiss): for pivot (r, c) each row below r becomes (piv * row -
     row[c] * pivot_row) // prev after c and 0 at c; rows with row[c] = 0 are
     still scaled, so entries stay minors and every division is exact.  Then,
     from the last pivot row k up, free column f becomes (d * U[k][f] - sum over
-    later pivots l of U[k][p_l] * R[l][f]) // U[k][p_k], d the last pivot, and
-    pivot columns d on the diagonal, else 0: row k is d times RREF row k.
+    later pivots l of U[k][p_l] * R[l][f]) // U[k][p_k].
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
@@ -205,39 +206,39 @@ def _fraction_free_rref(rows: list[list[int]]) -> list[int]:
             if w := row[pivots[l]]:
                 acc = [a - w * b for a, b in zip(acc, reduced[l])]
         reduced[k] = [a // row[pivots[k]] for a in acc]
-        rows[k] = [0] * n_cols
-        for f, x in zip(free, reduced[k]):
-            rows[k][f] = x
-        rows[k][pivots[k]] = prev
-    return pivots
+    return pivots, reduced, prev
 
 
 def _cleared_integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators."""
+    """Each row times the lcm of its denominators; a row of ``int``s is passed
+    through as it is, not copied."""
     out = []
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+        if {*map(type, row)} <= {int}:
+            out.append(row)
+        else:
+            scale = lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
-    """Fraction-free elimination on a copy of integer ``rows``: the pivot
-    columns, the reduced rows (row r is d times RREF row r) and d, the last
-    pivot (1 when there is none)."""
-    reduced = [row[:] for row in rows]
-    pivots = _fraction_free_rref(reduced)
-    d = reduced[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return pivots, reduced, d
-
-
-def checked_echelon(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
-    """``_echelon`` of integer ``rows``, its rank and kernel basis (one vector
-    per free column) proven by ``_proven_rank``."""
-    pivots, reduced, d = _echelon(rows)
-    n_cols = len(rows[0]) if rows else 0
-    _proven_rank(rows, n_cols, _scaled_basis(pivots, reduced, d, n_cols))
-    return pivots, reduced, d
+def proven_kernel(rows: list[list[int]], n_cols: int) -> tuple[list[int], int, dict[int, dict[int, int]]]:
+    """The one exact elimination: of a copy of integer ``rows`` (``n_cols``
+    columns), the pivot columns, d and the kernel basis, which maps each free
+    column f, in order, to d times its RREF kernel vector as an integer dict
+    (d at f and, for each pivot column, minus f's entry in that pivot's row).
+    ``_proven_rank`` proves the rank and the basis before they are returned.
+    """
+    pivots, reduced, d = _fraction_free_rref([row[:] for row in rows])
+    pivot_set = set(pivots)
+    free = [f for f in range(n_cols) if f not in pivot_set]
+    basis = {f: {f: d} for f in free}
+    for p, row in zip(pivots, reduced):
+        for f, x in zip(free, row):
+            if x:
+                basis[f][p] = -x
+    _proven_rank(rows, n_cols, basis.values())
+    return pivots, d, basis
 
 
 def _proven_rank(rows: list[list[int]], n_cols: int, kernel) -> int:
@@ -265,33 +266,17 @@ def _proven_rank(rows: list[list[int]], n_cols: int, kernel) -> int:
     return rank
 
 
-def _scaled_basis(pivots, reduced, d, n_cols):
-    """d times the RREF kernel basis vector of each free column f, as an
-    integer dict: d at f and, for each pivot column, minus the reduced entry
-    of f in that pivot's row."""
-    pivot_set = set(pivots)
-    for f in range(n_cols):
-        if f not in pivot_set:
-            scaled = {f: d}
-            for r, p in enumerate(pivots):
-                if reduced[r][f]:
-                    scaled[p] = -reduced[r][f]
-            yield scaled
-
-
 def rank_and_nullspace(m: RationalMatrix) -> NullspaceBasis:
     """Exact rank and a deterministic kernel basis.
 
     The basis vector for a free column f has 1 at f and, for each pivot
     column, minus the RREF coefficient of f in that pivot's row.  The rank and
-    every basis vector are checked by ``checked_echelon``.
+    every basis vector are proven by ``proven_kernel``.
     """
-    # a mask-backed matrix is already integer, and _echelon eliminates a copy
-    rows = m.entries if m._masks is not None else _cleared_integer_rows(m.entries)
-    pivots, reduced, d = checked_echelon(rows)
+    pivots, d, basis = proven_kernel(_cleared_integer_rows(m.entries), m.cols)
     vectors = tuple(
         VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()})
-        for scaled in _scaled_basis(pivots, reduced, d, m.cols)
+        for scaled in basis.values()
     )
     return NullspaceBasis(rank=len(pivots), cols=m.cols, vectors=vectors)
 
@@ -423,26 +408,18 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
                 hit ^= low
             result[label] = (Fraction(total, scale) if total else _ZERO) if rational else total
         return result
+    totals = (sum((row[j] * v for j, v in support if row[j]), 0 if rational else _ZERO) for row in m.entries)
     if rational:
-        totals = (sum(row[j] * v for j, v in support if row[j]) for row in m.entries)
         return {
             label: Fraction(total, scale) if total else _ZERO
             for label, total in zip(m.row_labels, totals)
         }
-    result: dict[str, object] = {}
-    for rlabel, row in zip(m.row_labels, m.entries):
-        total = _ZERO
-        for j, val in support:
-            coeff = row[j]
-            if coeff:
-                total = total + val if coeff == 1 else total + coeff * val
-        result[rlabel] = total
-    return result
+    return dict(zip(m.row_labels, totals))
 
 
 def span_dimension(vectors: Iterable[VertexVector]) -> int:
-    """Dimension of the span of rational sparse vectors (exact elimination)."""
+    """Dimension of the span of rational sparse vectors, proven by ``proven_kernel``."""
     vecs = list(vectors)
     labels = sorted({k for v in vecs for k in v.support()})
     rows = _cleared_integer_rows([exact_rational(v.value(k)) for k in labels] for v in vecs)
-    return len(_echelon(rows)[0])
+    return len(proven_kernel(rows, len(labels))[0])

@@ -1,11 +1,12 @@
 """``nullity_decomposition`` against the two-elimination code it replaced.
 
 ``nullity_decomposition_reference`` below is the earlier
-``nullity_decomposition``, kept verbatim as a test-only reference: it ran
-``checked_echelon`` on both B_H and the unit contraction C.  The current one
-eliminates only C, lifts C's kernel basis to H and proves rank(B_H) on B_H's
-own rows.  Both must agree on every field, and a fault in the lift, in the
-contraction's vertex map or in the modular rank of B_H must raise.
+``nullity_decomposition``, kept as a test-only reference: it ran a proven
+elimination (``proven_kernel`` now) on both B_H and the unit contraction C.
+The current one eliminates only C, lifts C's kernel basis to H and proves
+rank(B_H) on B_H's own rows.  Both must agree on every field, and a fault in
+the lift, in the contraction's vertex map or in the modular rank of B_H must
+raise.
 """
 
 import random
@@ -19,7 +20,7 @@ from hyperinc.cli import main
 from hyperinc.formats import serialize_hypergraph_text
 from hyperinc.hypergraph import Hypergraph, unit_contraction
 from hyperinc.kernels import NullityDecomposition, nullity_decomposition
-from hyperinc.linalg import checked_echelon, edge_vertex_incidence
+from hyperinc.linalg import edge_vertex_incidence, proven_kernel
 
 GOLDEN_INSTANCES = sorted((Path(__file__).resolve().parent / "golden").glob("*.txt"))
 
@@ -30,13 +31,13 @@ def nullity_decomposition_reference(h: Hypergraph) -> NullityDecomposition:
     Asserts nullity(H) = nullity(contraction) + |V| - #units, equal ranks,
     nullity >= |V| - #units, rank <= #units, and, at any size, that H is
     its own contraction when every unit is one vertex.  Both ranks come from
-    ``checked_echelon`` (kernel re-multiplied, rank proven by modular ranks),
+    ``proven_kernel`` (kernel re-multiplied, rank proven by modular ranks),
     so each nullity is the column count minus the rank.
     """
-    rank = len(checked_echelon(edge_vertex_incidence(h).entries)[0])
+    rank = len(proven_kernel(edge_vertex_incidence(h).entries, h.n_vertices)[0])
     contracted, _, _ = contraction = unit_contraction(h)
-    contraction_rank = len(checked_echelon(edge_vertex_incidence(contracted).entries)[0])
     n_units = contracted.n_vertices
+    contraction_rank = len(proven_kernel(edge_vertex_incidence(contracted).entries, n_units)[0])
     nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
     deficiency = h.n_vertices - n_units
 

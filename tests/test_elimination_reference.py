@@ -7,9 +7,9 @@ the same order, on random 0/1 and rational matrices of every shape.
 
 ``_gauss_jordan_reference`` is the fraction-free Gauss-Jordan pass that
 followed it, also kept verbatim: every pivot rewrote every other row at every
-column.  ``linalg._echelon`` (forward elimination, then back-substitution on
-the free columns) must give the same pivots, the same d and the same reduced
-rows in every cell, zero rows included.
+column.  ``linalg.proven_kernel`` (forward elimination, then back-substitution
+on the free columns) must give the same pivots, the same d and the same
+kernel basis as read off its reduced rows.
 """
 
 import random
@@ -322,9 +322,9 @@ def test_re_multiplication_is_wired_in(monkeypatch):
     eliminate = linalg._fraction_free_rref
 
     def corrupted(rows):
-        pivots = eliminate(rows)
-        rows[0][1] += 1  # the coefficient of free column b in pivot row a
-        return pivots
+        pivots, reduced, d = eliminate(rows)
+        reduced[0][0] += 1  # the coefficient of the first free column, b, in pivot row a
+        return pivots, reduced, d
 
     monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
     with pytest.raises(ArithmeticError, match="re-multiplication"):
@@ -337,8 +337,49 @@ def test_re_multiplication_is_wired_in(monkeypatch):
         nullity_decomposition(h)
 
 
+# each entry point that eliminates, on an input with a pivot and a free column
+# (nullity_decomposition eliminates the contraction, whose b is isolated)
+ELIMINATING_ENTRY_POINTS = {
+    "rank_and_nullspace": lambda: rank_and_nullspace(_matrix([[1, 1, 0], [0, 0, 1]])),
+    "nullity_decomposition": lambda: nullity_decomposition(
+        build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"]])
+    ),
+    "find_certificates_exhaustive": lambda: find_certificates_exhaustive(
+        build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]]), EQUAL_EDGE_PARTITION
+    ),
+    "span_dimension": lambda: span_dimension(
+        [VertexVector({"a": 1, "b": 1}), VertexVector({"c": 1}), VertexVector({"a": 2, "b": 2, "c": 3})]
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["wrong_entry", 1, -1])
+@pytest.mark.parametrize("entry", sorted(ELIMINATING_ENTRY_POINTS))
+def test_every_elimination_is_proven(monkeypatch, entry, fault):
+    """A wrong entry in the free-column block of the elimination, or a modular
+    rank one too high or too low, raises at every entry point that eliminates."""
+    run = ELIMINATING_ENTRY_POINTS[entry]
+    run()
+    if fault == "wrong_entry":
+        eliminate = linalg._fraction_free_rref
+
+        def corrupted(rows):
+            pivots, reduced, d = eliminate(rows)
+            reduced[0][0] += 1
+            return pivots, reduced, d
+
+        monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
+        message = "re-multiplication"
+    else:
+        modular_rank = linalg._modular_rank
+        monkeypatch.setattr(linalg, "_modular_rank", lambda rows, ceiling: modular_rank(rows, ceiling) + fault)
+        message = "rank disagreement"
+    with pytest.raises(ArithmeticError, match=message):
+        run()
+
+
 def _re_multiplication_reference(rows: list[list[int]], kernel: list[dict[int, int]]) -> bool:
-    """The per-vector re-multiplication ``checked_echelon`` ran before the
+    """The per-vector re-multiplication the rank proof ran before the
     vectors were packed: True when every vector times every row is 0."""
     sparse_rows = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
     return not any(
@@ -367,8 +408,7 @@ def test_packed_re_multiplication_matches_per_vector_reference(monkeypatch):
     rejected = 0
     for label, rows in _echelon_cases(seed=2612):
         n_cols = len(rows[0]) if rows else 0
-        pivots, reduced, d = linalg._echelon(rows)
-        basis = list(linalg._scaled_basis(pivots, reduced, d, n_cols))
+        basis = list(linalg.proven_kernel(rows, n_cols)[2].values())
         variants = [basis]
         if basis:
             wrong = [dict(v) for v in basis]
@@ -438,13 +478,23 @@ def _echelon_cases(seed: int):
 
 
 def test_echelon_matches_gauss_jordan_reference():
+    """Pivots, d and the basis read off the reference's rows: d at each free
+    column f and, for each pivot, minus f's entry in that pivot's row, in
+    column order."""
     cases = list(_echelon_cases(seed=1717))
     assert len(cases) >= 250
     for label, rows in cases:
+        n_cols = len(rows[0]) if rows else 0
         expected = [row[:] for row in rows]
         pivots = _gauss_jordan_reference(expected)
         d = expected[len(pivots) - 1][pivots[-1]] if pivots else 1
-        assert linalg._echelon(rows) == (pivots, expected, d), label
+        basis = [
+            (f, [(f, d)] + [(p, -row[f]) for p, row in zip(pivots, expected) if row[f]])
+            for f in range(n_cols) if f not in pivots
+        ]
+        found_pivots, found_d, found_basis = linalg.proven_kernel(rows, n_cols)
+        assert (found_pivots, found_d) == (pivots, d), label
+        assert [(f, list(v.items())) for f, v in found_basis.items()] == basis, label
 
 
 def test_gf2_rank_matches_prime_field_rank_at_2():
@@ -463,5 +513,5 @@ def test_gf2_rank_matches_prime_field_rank_at_2():
     for label, rows in cases:
         rank = linalg._rank_gf2(rows)
         assert rank == linalg._rank_mod_p(rows, 2), label
-        deficient += rank < len(linalg._echelon(rows)[0])
+        deficient += rank < len(linalg.proven_kernel(rows, len(rows[0]) if rows else 0)[0])
     assert deficient

@@ -441,22 +441,21 @@ def test_echelon_faults_are_caught(monkeypatch, fault):
     pivot too many or too few fails the modular rank, a wrong reduced entry
     fails the re-multiplication of its basis vector."""
     h = PAIR_SHAPES[0]
-    echelon = linalg._echelon
+    eliminate = linalg._fraction_free_rref
 
     def faulty(rows):
-        pivots, reduced, d = echelon(rows)
+        pivots, reduced, d = eliminate(rows)
         if fault == "extra_pivot":
             pivots = pivots + [next(c for c in range(len(rows[0])) if c not in pivots)]
         elif fault == "missing_pivot":
             pivots = pivots[:-1]
         else:
-            free = next(c for c in range(len(rows[0])) if c not in pivots)
-            reduced[0][free] += 1
+            reduced[0][0] += 1  # the first free column's entry in the first pivot row
         return pivots, reduced, d
 
     for kind in (EQUAL_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION):
         assert kernels.find_certificates_exhaustive(h, kind)
-    monkeypatch.setattr(linalg, "_echelon", faulty)
+    monkeypatch.setattr(linalg, "_fraction_free_rref", faulty)
     for kind in (EQUAL_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION):
         message = "re-multiplication" if fault == "wrong_entry" else "rank disagreement"
         with pytest.raises(ArithmeticError, match=message):
