@@ -136,9 +136,7 @@ def cmd_units(args) -> dict:
     units = [
         {
             "members": list(unit.members),
-            "generator": sorted(
-                (h.edge_labels[i] for i in unit.generator), key=h.edge_index
-            ),
+            "generator": [h.edge_labels[i] for i in sorted(unit.generator)],
         }
         for unit in partition.units
     ]

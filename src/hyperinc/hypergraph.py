@@ -163,18 +163,21 @@ class Hypergraph:
         _check_labels(self.vertices, "vertex")
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
 
-        bit = {v: 1 << j for j, v in enumerate(self.vertices)}
+        vindex = self._vindex
         edge_masks = []
+        stars = [0] * len(self.vertices)
         seen: set[int] = set()
         for pos, e in enumerate(edges):
-            mask = 0
+            mask, edge_bit = 0, 1 << pos
             members = iter(e)
             try:
                 for v in members:
-                    mask |= bit[v if type(v) is str else str(v)]
+                    j = vindex[v if type(v) is str else str(v)]
+                    mask |= 1 << j
+                    stars[j] |= edge_bit
             except KeyError:
                 # v is the first unknown member; the rest of the edge is still in ``members``
-                unknown = {str(v), *map(str, members)} - bit.keys()
+                unknown = {str(v), *map(str, members)} - vindex.keys()
                 raise UnknownVertexInEdge(
                     f"edge at position {pos} uses unknown vertices {sorted(unknown)}"
                 ) from None
@@ -185,12 +188,7 @@ class Hypergraph:
             seen.add(mask)
             edge_masks.append(mask)
         self.edge_masks: tuple[int, ...] = tuple(edge_masks)
-        # the transpose, through one string: each edge as n binary digits, vertex n-1
-        # first; reversed, the edges run from the last and each starts at vertex 0, so
-        # every n-th digit from j is star j, highest edge bit first
-        n = len(self.vertices)
-        bits = "".join([format(mask, f"0{n}b") for mask in edge_masks])[::-1]
-        self.star_masks: tuple[int, ...] = tuple(int(bits[j::n] or "0", 2) for j in range(n))
+        self.star_masks: tuple[int, ...] = tuple(stars)
 
         if edge_labels is None:
             edge_labels = [f"e{i + 1}" for i in range(len(edge_masks))]
@@ -367,22 +365,18 @@ def dual(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
     """The dual hypergraph: vertices are edge names, edges are vertex stars.
 
     Every vertex must lie in at least one edge (its star is a hyperedge of the
-    dual and hyperedges are non-empty).  Equal stars are deduplicated; the
-    returned map sends each original vertex to the dual edge index holding its
-    star.  Dual edges are named after the first vertex producing them.
+    dual and hyperedges are non-empty).  Equal stars are one dual edge: the
+    dual's edges are the units' generators, in unit order, each named after its
+    unit's first member, and the returned map sends each original vertex to its
+    unit's index.
     """
-    stars: list[list[str]] = []
-    labels: list[str] = []
-    where: dict[int, int] = {}
-    vertex_map: dict[str, int] = {}
-    for v, s in zip(h.vertices, h.star_masks):
-        if not s:
-            raise IsolatedVertex(f"vertex {v!r} lies in no edge; dual undefined")
-        if s not in where:
-            where[s] = len(stars)
-            stars.append([h.edge_labels[i] for i in bit_indices(s)])
-            labels.append(v)
-        vertex_map[v] = where[s]
+    partition = compute_units(h)
+    for unit in partition.units:
+        if not unit.generator:
+            raise IsolatedVertex(f"vertex {unit.members[0]!r} lies in no edge; dual undefined")
+    stars = [[h.edge_labels[i] for i in unit.generator] for unit in partition.units]
+    labels = [unit.members[0] for unit in partition.units]
+    vertex_map = {v: partition.vertex_to_unit[v] for v in h.vertices}
     return Hypergraph(h.edge_labels, stars, labels), vertex_map
 
 

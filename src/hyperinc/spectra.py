@@ -30,7 +30,7 @@ from .hypergraph import (
     compute_units,
     label_sort_key,
 )
-from .linalg import RationalMatrix, exact_rational, matvec, span_dimension
+from .linalg import RationalMatrix, exact_rational, matvec, span_dimension  # matvec: unused here; bench/spans.py wraps it under this name
 
 UNIT_WEIGHTING = "unit"
 BANERJEE_WEIGHTING = "banerjee"
@@ -117,9 +117,9 @@ def _check_weighting(h: Hypergraph, w: EdgeWeighting) -> None:
         raise InvalidParameters("weighting does not match the hypergraph's edges")
 
 
-def _adjacency_columns(h: Hypergraph, w: EdgeWeighting, members: Sequence[str]) -> RationalMatrix:
-    """The |V| x |members| block of the weighted adjacency: column v adds w(e)
-    at every other vertex of each edge e in v's star."""
+def _adjacency_columns(h: Hypergraph, w: EdgeWeighting, members: Sequence[str]) -> list[list]:
+    """The weighted adjacency's columns for ``members``, each a list over the
+    vertices: column v adds w(e) at every other vertex of each edge e in v's star."""
     columns = []
     for v in members:
         i = h.vertex_index(v)
@@ -130,14 +130,15 @@ def _adjacency_columns(h: Hypergraph, w: EdgeWeighting, members: Sequence[str]) 
                 # a first weight is stored as it is: adding it to 0 would cost a Fraction sum
                 column[u] = column[u] + weight if column[u] else weight
         columns.append(column)
-    return RationalMatrix(list(zip(*columns)), h.vertices, members)
+    return columns
 
 
 def weighted_adjacency(h: Hypergraph, w: EdgeWeighting) -> RationalMatrix:
     """|V| x |V| symmetric matrix with zero diagonal; entry (u,v) sums the
     weights of edges containing both u and v."""
     _check_weighting(h, w)
-    return _adjacency_columns(h, w, h.vertices)
+    # symmetric, so its columns are its rows
+    return RationalMatrix(_adjacency_columns(h, w, h.vertices), h.vertices, h.vertices)
 
 
 def column_inner_product(h: Hypergraph, u: str, v: str, w: EdgeWeighting) -> Fraction:
@@ -147,15 +148,12 @@ def column_inner_product(h: Hypergraph, u: str, v: str, w: EdgeWeighting) -> Fra
     return sum((w.weight(i) for i in bit_indices(common)), Fraction(0))
 
 
-def _pair_difference(u: str, v: str) -> VertexVector:
-    return VertexVector({u: Fraction(1), v: Fraction(-1)})
-
-
 def _eigenpair_for_class(
     h: Hypergraph, w: EdgeWeighting, members: Sequence[str]
 ) -> PredictedEigenpair:
-    """The class's pair differences e_m - e_base, each checked by exact
-    A*x = lambda*x on every row through the class's own adjacency columns."""
+    """The class's pair differences x = e_m - e_base, each checked by exact
+    A*x = lambda*x on every row: A*x is column m minus column base, so it must
+    be lambda at m, -lambda at base and 0 elsewhere."""
     members = tuple(members)
     base = members[0]
     eigenvalue = -column_inner_product(h, base, members[1], w)
@@ -164,13 +162,13 @@ def _eigenpair_for_class(
         for v in members:
             if u != v and -column_inner_product(h, u, v, w) != eigenvalue:
                 raise ArithmeticError("eigenvalue is not well-defined on the class")
-    vectors = tuple(_pair_difference(m, base) for m in members[1:])
-    adjacency = _adjacency_columns(h, w, members)
-    verified = all(
-        value == eigenvalue * x.value(label)
-        for x in vectors
-        for label, value in matvec(adjacency, x).items()
-    )
+    base_column, *columns = _adjacency_columns(h, w, members)
+    verified = True
+    for m, column in zip(members[1:], columns):
+        expected = [0] * h.n_vertices
+        expected[h.vertex_index(m)], expected[h.vertex_index(base)] = eigenvalue, -eigenvalue
+        verified = verified and [a - b for a, b in zip(column, base_column)] == expected
+    vectors = tuple(VertexVector({m: Fraction(1), base: Fraction(-1)}) for m in members[1:])
     if span_dimension(vectors) != len(members) - 1:
         raise ArithmeticError("eigenvectors are not linearly independent")
     return PredictedEigenpair(

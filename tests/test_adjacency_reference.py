@@ -3,8 +3,10 @@
 ``_dense_adjacency_reference`` is the pairwise-intersection construction that
 ``weighted_adjacency`` used to be, and ``_dense_eigenpair_reference`` the old
 per-class check: every pair difference multiplied through the whole |V| x |V|
-matrix.  Eigenpairs now multiply through their class's own adjacency columns
-only; they must give the same eigenvalues, eigenvectors, bounds and verdicts.
+matrix.  Eigenpairs now read A*(e_m - e_base) as the difference of the class's
+own adjacency columns m and base, with no matrix and no ``matvec``; they must
+give the same eigenvalues, eigenvectors, bounds and verdicts, and one wrong
+cell in either column must fail the check.
 """
 
 import contextlib
@@ -128,24 +130,28 @@ def test_eigenpairs_agree_with_the_dense_path():
     assert with_units > 20 and with_isolated > 10
 
 
-def _perturb_one_cell(monkeypatch, row_label):
+def _perturb_one_cell(monkeypatch, column, row_label):
     """The first class's adjacency columns come back with one cell off by one:
-    the base member's column, at ``row_label``."""
+    column ``column`` (0 is the base member's), at ``row_label``."""
     columns, calls = spectra._adjacency_columns, []
 
     def perturbed(h, w, members):
         m = columns(h, w, members)
         if not calls:
-            m.entries[h.vertex_index(row_label)][0] += 1
+            m[column][h.vertex_index(row_label)] += 1
         calls.append(members)
         return m
 
     monkeypatch.setattr(spectra, "_adjacency_columns", perturbed)
 
 
-def test_one_perturbed_column_cell_fails_verification(monkeypatch, unit_example, tmp_path):
-    # row 11 lies outside the unit {1, 2}: every row is checked, not only the class's
-    _perturb_one_cell(monkeypatch, "11")
+# row 11 lies outside the unit {1, 2}: every row is checked, not only the class's
+@pytest.mark.parametrize("row_label", ["11", "1", "2"], ids=["outside", "base-row", "member-row"])
+@pytest.mark.parametrize("column", [0, 1], ids=["base-column", "member-column"])
+def test_one_perturbed_column_cell_fails_verification(
+    monkeypatch, unit_example, tmp_path, column, row_label
+):
+    _perturb_one_cell(monkeypatch, column, row_label)
     pairs = predict_unit_eigenpairs(unit_example, unit_weighting(unit_example))
     assert [p.verified for p in pairs] == [False, True, True, True]
     assert pairs[0].members == ("1", "2")
@@ -157,12 +163,35 @@ def test_one_perturbed_column_cell_fails_verification(monkeypatch, unit_example,
             for name, mask in zip(unit_example.edge_labels, unit_example.edge_masks)
         )
     )
-    _perturb_one_cell(monkeypatch, "11")
+    _perturb_one_cell(monkeypatch, column, row_label)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["spectra", str(path)])
     assert code == 1
     assert "eigenpair for class {1,2} failed exact verification" in out.getvalue()
+
+
+def test_eigenpairs_build_no_matrix_and_no_product(monkeypatch, unit_example):
+    """A*x is read off two adjacency columns: predicting eigenpairs builds no
+    ``RationalMatrix`` and multiplies through no ``matvec``."""
+    built, multiplied = [], []
+
+    class CountingMatrix(RationalMatrix):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def counting_matvec(m, x):
+        multiplied.append(x)
+        return matvec(m, x)
+
+    monkeypatch.setattr(spectra, "RationalMatrix", CountingMatrix)
+    monkeypatch.setattr(spectra, "matvec", counting_matvec)
+    pairs = predict_unit_eigenpairs(unit_example, unit_weighting(unit_example))
+    assert len(pairs) == 4 and all(p.verified for p in pairs)
+    assert built == [] and multiplied == []
+    weighted_adjacency(unit_example, unit_weighting(unit_example))
+    assert len(built) == 1  # the counters see the calls they are meant to catch
 
 
 def test_mismatched_weighting_rejected_without_multi_vertex_units():
