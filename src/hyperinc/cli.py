@@ -32,6 +32,7 @@ from .hypergraph import (
     DEFAULT_ISO_BOUND,
     are_isomorphic,  # unused here; bench/spans.py wraps it under this name
     compute_units,
+    label_sort_key,
     unit_contraction,  # unused here; bench/spans.py wraps it under this name
     uniform_cycle,
 )
@@ -55,8 +56,6 @@ from .spectra import (
 
 
 def _vector_json(vec) -> dict[str, str]:
-    from .hypergraph import label_sort_key
-
     return {
         k: format_fraction(v)
         for k, v in sorted(vec.entries.items(), key=lambda kv: label_sort_key(kv[0]))
@@ -109,7 +108,8 @@ def render_rank(report) -> list[str]:
     return lines
 
 
-def cmd_generate(args) -> dict:
+def cmd_generate(args) -> None:
+    """Write the generated file to ``-o``, or else to stdout; no report."""
     try:
         params = [int(x) for x in args.params]
     except ValueError:
@@ -118,16 +118,15 @@ def cmd_generate(args) -> dict:
         if len(params) != 2:
             raise InvalidParameters("generate cycle needs N and K")
         h = uniform_cycle(*params)
-    elif args.kind == "random":
+    else:
         if len(params) != 2:
             raise InvalidParameters("generate random needs N (vertices) and M (edges)")
         h = random_hypergraph(params[0], params[1], args.max_size, args.seed)
-    else:
-        raise InvalidParameters(f"unknown generator {args.kind!r}")
     content = serialize_hypergraph_json(h) if args.json else serialize_hypergraph_text(h)
     if args.output:
         write_text(args.output, content)
-    return {"command": "generate", "content": content, "output": args.output}
+    else:
+        sys.stdout.write(content)
 
 
 def cmd_units(args) -> dict:
@@ -331,16 +330,6 @@ def _render_vector(vec: dict[str, str]) -> str:
     return "{" + inner + "}"
 
 
-_RENDERERS = {
-    "rank": render_rank,
-    "units": render_units,
-    "contract": render_contract,
-    "verify": render_verify,
-    "find": render_find,
-    "spectra": render_spectra,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -351,48 +340,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of every subcommand
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    add_parser = functools.partial(sub.add_parser, parents=[common])
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    p = sub.add_parser("rank", help="rank, nullity, and kernel bases of both incidence matrices")
+    p = add_parser("rank", help="rank, nullity, and kernel bases of both incidence matrices")
     p.add_argument("file")
-    add_json(p)
-    p.set_defaults(handler=cmd_rank)
+    p.set_defaults(handler=cmd_rank, render=render_rank)
 
-    p = sub.add_parser("generate", help="emit a hypergraph file (cycle or seeded random)")
+    p = add_parser("generate", help="emit a hypergraph file (cycle or seeded random)")
     p.add_argument("kind", choices=["cycle", "random"])
     p.add_argument("params", nargs="+", help="cycle: N K; random: N M")
     p.add_argument("--max-size", type=int, default=None, help="random: largest edge size")
     p.add_argument("--seed", type=int, default=0, help="random: RNG seed")
     p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
-    add_json(p)
     p.set_defaults(handler=cmd_generate)
 
-    p = sub.add_parser("units", help="list units and their generator edge sets")
+    p = add_parser("units", help="list units and their generator edge sets")
     p.add_argument("file")
-    add_json(p)
-    p.set_defaults(handler=cmd_units)
+    p.set_defaults(handler=cmd_units, render=render_units)
 
-    p = sub.add_parser("contract", help="unit contraction with rank/nullity identities")
+    p = add_parser("contract", help="unit contraction with rank/nullity identities")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None, help="also write the contracted hypergraph here")
-    add_json(p)
-    p.set_defaults(handler=cmd_contract)
+    p.set_defaults(handler=cmd_contract, render=render_contract)
 
-    p = sub.add_parser("verify", help="verify a kernel certificate from JSON")
+    p = add_parser("verify", help="verify a kernel certificate from JSON")
     p.add_argument("file")
     p.add_argument("--certificate", required=True, help="certificate JSON path, or - for stdin")
-    add_json(p)
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_verify, render=render_verify)
 
-    p = sub.add_parser("find", help="exhaustively enumerate certificates of one kind")
+    p = add_parser("find", help="exhaustively enumerate certificates of one kind")
     p.add_argument("file")
     p.add_argument("--kind", required=True, choices=sorted(ALL_KINDS))
-    add_json(p)
-    p.set_defaults(handler=cmd_find)
+    p.set_defaults(handler=cmd_find, render=render_find)
 
-    p = sub.add_parser("spectra", help="unit-derived adjacency eigenpairs, exactly verified")
+    p = add_parser("spectra", help="unit-derived adjacency eigenpairs, exactly verified")
     p.add_argument("file")
     p.add_argument(
         "--weighting",
@@ -400,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'unit', 'banerjee', or a JSON weight file of exact fractions",
     )
     p.add_argument("--matrix", action="store_true", help="include the adjacency matrix")
-    add_json(p)
-    p.set_defaults(handler=cmd_spectra)
+    p.set_defaults(handler=cmd_spectra, render=render_spectra)
     return parser
 
 
@@ -411,21 +393,18 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
     except HyperincError as exc:
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if report["command"] == "generate":
-        if not report["output"]:
-            sys.stdout.write(report["content"])
+    if report is None:  # generate wrote its content and makes no report
         return 0
 
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        for line in _RENDERERS[report["command"]](report):
+        for line in args.render(report):
             print(line)
         if report["failures"]:
             print("FAILURES:")

@@ -263,23 +263,15 @@ def uniform_cycle(n: int, k: int) -> Hypergraph:
 
     Edge ``e{i}`` is the cyclic window {i, i+1, ..., i+k-1} taken mod n.  For
     n > k the n windows are pairwise distinct; for n == k they all coincide
-    with the full vertex set, and edge-set semantics leave a single hyperedge.
+    with the full vertex set, and edge-set semantics leave the single edge e0.
     """
     if k < 2:
         raise InvalidParameters(f"window size k must be at least 2, got {k}")
     if n < k:
         raise CycleTooShort(f"need n >= k, got n={n}, k={k}")
-    vertices = [str(i) for i in range(n)]
-    seen = set()
-    edges, labels = [], []
-    for i in range(n):
-        window = frozenset(str((i + j) % n) for j in range(k))
-        if window in seen:
-            continue
-        seen.add(window)
-        edges.append(window)
-        labels.append(f"e{i}")
-    return Hypergraph(vertices, edges, labels)
+    starts = range(1) if n == k else range(n)
+    edges = [[str((i + j) % n) for j in range(k)] for i in starts]
+    return Hypergraph([str(i) for i in range(n)], edges, [f"e{i}" for i in starts])
 
 
 def induced_subhypergraph(
@@ -324,11 +316,11 @@ def compute_units(h: Hypergraph) -> UnitPartition:
     groups: dict[int, list[str]] = {}
     for v, s in zip(h.vertices, h.star_masks):
         groups.setdefault(s, []).append(v)
+    # groups open in canonical vertex order, so units come sorted by first member
     units = [
         Unit(tuple(members), frozenset(bit_indices(s)))
         for s, members in groups.items()
     ]
-    units.sort(key=lambda unit: label_sort_key(unit.members[0]))
     v2u = {v: i for i, unit in enumerate(units) for v in unit.members}
     return UnitPartition(tuple(units), v2u)
 

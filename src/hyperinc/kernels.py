@@ -31,7 +31,6 @@ from .hypergraph import (
     Hypergraph,
     VertexVector,
     bit_indices,
-    canonical_labels,
     compute_units,
     induced_subhypergraph,
     unit_contraction,
@@ -433,10 +432,7 @@ def extension_theorem_check(h: Hypergraph, u: Iterable[str]) -> bool:
     lies in ker B_H.  A vector keyed by labels of U is its own extension by
     zero, so each basis vector is multiplied through B_H as it is.
     """
-    uset = canonical_labels(u)
-    if not uset:
-        raise EmptySubset("inducing set is empty")
-    hu, _ = induced_subhypergraph(h, uset)
+    hu, _ = induced_subhypergraph(h, u)  # EmptySubset when u is empty
     basis = rank_and_nullspace(edge_vertex_incidence(hu)).vectors
     b = edge_vertex_incidence(h)
     return all(all(value == 0 for value in matvec(b, y).values()) for y in basis)
@@ -631,7 +627,7 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
         )
 
     # the ground elements are the columns: edges (I_H) or vertices (B_H)
-    if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
+    if kind in EDGE_SIDE_KINDS:
         columns, n_rows, incidence = h.edge_masks, h.n_vertices, vertex_edge_incidence
     else:
         columns, n_rows, incidence = h.star_masks, h.n_edges, edge_vertex_incidence

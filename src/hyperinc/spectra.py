@@ -11,6 +11,7 @@ multiplication, and multiplicities are certified lower bounds only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -157,11 +158,11 @@ def _eigenpair_for_class(
     members = tuple(members)
     base = members[0]
     eigenvalue = -column_inner_product(h, base, members[1], w)
-    # within one class the pairwise inner products all coincide
-    for u in members:
-        for v in members:
-            if u != v and -column_inner_product(h, u, v, w) != eigenvalue:
-                raise ArithmeticError("eigenvalue is not well-defined on the class")
+    # within one class the pairwise inner products all coincide; each is
+    # symmetric in its two columns, so each unordered pair is checked once
+    for u, v in itertools.combinations(members, 2):
+        if -column_inner_product(h, u, v, w) != eigenvalue:
+            raise ArithmeticError("eigenvalue is not well-defined on the class")
     base_column, *columns = _adjacency_columns(h, w, members)
     verified = True
     for m, column in zip(members[1:], columns):
@@ -204,23 +205,19 @@ def matrix_equivalence(m: RationalMatrix) -> MatrixEquivalence:
     u ~ v iff the diagonal entries agree, the (u,v)/(v,u) pair is symmetric,
     and rows/columns agree everywhere away from u and v.
 
-    Labels are bucketed by an exact signature first; full pairwise comparison
-    settles each bucket.
+    Each label is bucketed by one exact signature, its diagonal entry and its
+    sorted off-diagonal (row, column) pairs, and joins the first class in its
+    bucket whose first member it is equivalent to: u ~ v says that swapping
+    u and v fixes the matrix, and such swaps compose, so ~ is an equivalence
+    relation.
     """
     if m.rows != m.cols:
         raise NonSquare("matrix equivalence needs a square matrix")
     n = m.rows
     labels = m.row_labels
 
-    def signature(i: int):
-        off = sorted(
-            (m.entries[i][k], m.entries[k][i]) for k in range(n) if k != i
-        )
-        return (m.entries[i][i], tuple(off))
-
     def equivalent(i: int, j: int) -> bool:
-        if m.entries[i][i] != m.entries[j][j]:
-            return False
+        # no diagonal test: labels in one bucket share the diagonal entry
         if m.entries[i][j] != m.entries[j][i]:
             return False
         for k in range(n):
@@ -230,29 +227,23 @@ def matrix_equivalence(m: RationalMatrix) -> MatrixEquivalence:
                 return False
         return True
 
-    buckets: dict[object, list[int]] = {}
-    for i in range(n):
-        buckets.setdefault(signature(i), []).append(i)
-
-    assigned: dict[int, int] = {}
+    buckets: dict[object, list[list[int]]] = {}
     classes: list[list[int]] = []
     for i in range(n):
-        if i in assigned:
-            continue
-        cls = [i]
-        assigned[i] = len(classes)
-        for j in buckets[signature(i)]:
-            if j > i and j not in assigned and equivalent(i, j):
-                assigned[j] = len(classes)
-                cls.append(j)
-        classes.append(cls)
+        off = sorted((m.entries[i][k], m.entries[k][i]) for k in range(n) if k != i)
+        bucket = buckets.setdefault((m.entries[i][i], tuple(off)), [])
+        for cls in bucket:
+            if equivalent(cls[0], i):
+                cls.append(i)
+                break
+        else:
+            bucket.append([i])
+            classes.append(bucket[-1])
     return MatrixEquivalence(tuple(tuple(labels[i] for i in cls) for cls in classes))
 
 
 def _normalize_partition(p) -> tuple[frozenset[str], ...]:
-    if isinstance(p, UnitPartition):
-        return p.member_sets()
-    if isinstance(p, MatrixEquivalence):
+    if isinstance(p, (UnitPartition, MatrixEquivalence)):
         return p.member_sets()
     return tuple(frozenset(str(x) for x in block) for block in p)
 

@@ -1,17 +1,25 @@
 """End-to-end CLI tests, run as `python -m hyperinc` child processes."""
 
+import argparse
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import CHILD_ENV
 from hyperinc import cli, cyclotomic, kernels
 from hyperinc.cli import main
-from hyperinc.formats import parse_hypergraph_text, serialize_hypergraph_text
+from hyperinc.formats import (
+    parse_hypergraph_json,
+    parse_hypergraph_text,
+    serialize_hypergraph_text,
+)
 from hyperinc.hypergraph import uniform_cycle, unit_contraction
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 UNIT_EXAMPLE_FILE = """\
 vertices: 1 2 3 4 5 6 7 8 9 10 11
@@ -168,6 +176,13 @@ class TestGenerate:
         assert main(["generate", "random", "5", "0"]) == 0
         assert capsys.readouterr().out == "vertices: 1 2 3 4 5\n"
 
+    @pytest.mark.parametrize(
+        "params", [["cycle", "8"], ["random", "5"], ["cycle", "a", "b"]], ids="-".join
+    )
+    def test_bad_parameters_exit_two(self, params, capsys):
+        assert main(["generate", *params, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidParameters"
+
     def test_generated_file_round_trips(self, tmp_path):
         out = tmp_path / "r.hg"
         run_cli("generate", "random", "6", "4", "--seed", "3", "-o", str(out))
@@ -272,6 +287,14 @@ class TestUnitsContract:
             text = capsys.readouterr().out
             assert ("isomorphic to contraction: yes" in text) is shown
 
+    def test_contract_output_file_is_the_reported_contraction(self, unit_file, tmp_path, capsys):
+        out = tmp_path / "contracted.hg"
+        assert main(["contract", unit_file, "--json", "-o", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        written = parse_hypergraph_text(out.read_text())
+        assert written == parse_hypergraph_json(report["contracted_file"])
+        assert sorted(written.vertices) == sorted(set(report["vertex_map"].values()))
+
     def test_contract_batch_of_random_files(self, tmp_path):
         for seed in range(6):
             path = tmp_path / f"r{seed}.hg"
@@ -312,6 +335,23 @@ class TestVerify:
         proc = run_cli("verify", equal_file, "--certificate", str(cert))
         assert proc.returncode == 1
         assert "valid: NO" in proc.stdout
+
+    def test_root_certificate_text_report(self, capsys):
+        argv = ["verify", str(GOLDEN / "cycle_12_8.txt"),
+                "--certificate", str(GOLDEN / "cycle_12_8.root_valid.cert.json")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  root order = 4, power = 1" in lines and "valid: yes" in lines
+
+    def test_invalid_certificate_text_report_lists_the_residual(self, capsys):
+        argv = ["verify", str(GOLDEN / "units_12x9.txt"),
+                "--certificate", str(GOLDEN / "units_12x9.ratio_invalid.cert.json")]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "valid: NO" in lines
+        residual = {"e1": "-1", "e2": "1", "e3": "-2", "e6": "-1", "e8": "1", "e9": "1"}
+        assert f"non-zero residual entries: {residual}" in lines
+        assert lines[-2:] == ["FAILURES:", "  - certificate is not in the kernel"]
 
     def test_overlapping_sets_error(self, equal_file, tmp_path):
         cert = tmp_path / "cert.json"
@@ -651,3 +691,35 @@ class TestParserReuse:
         assert "adjacency" in json.loads(capsys.readouterr().out)
         assert main(["spectra", unit_file, "--json"]) == 0
         assert "adjacency" not in json.loads(capsys.readouterr().out)
+
+
+class TestSubcommandWiring:
+    """Each subcommand is declared once, with its handler and its renderer;
+    a text report must end with the exit code of the JSON one."""
+
+    # the arguments after the file, per subcommand that reads one
+    EXTRA = {
+        "rank": [],
+        "units": [],
+        "contract": [],
+        "verify": ["--certificate", str(GOLDEN / "units_12x9.ratio_invalid.cert.json")],
+        "find": ["--kind", "equal_edge_partition"],
+        "spectra": ["--matrix"],
+    }
+
+    def test_text_and_json_exit_alike(self, capsys):
+        subparsers = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        takes_file = {
+            name for name, parser in subparsers.choices.items()
+            if any(action.dest == "file" for action in parser._actions)
+        }
+        assert takes_file == set(self.EXTRA)
+        for name, extra in self.EXTRA.items():
+            argv = [name, str(GOLDEN / "units_12x9.txt"), *extra]
+            json_code = main([*argv, "--json"])
+            json.loads(capsys.readouterr().out)
+            assert main(argv) == json_code, name
+            assert capsys.readouterr().out
