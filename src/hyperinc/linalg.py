@@ -7,6 +7,9 @@ denominator-cleared integer copy.  Its null-space bases are the normalised
 RREF bases, so they are deterministic, and it re-multiplies every basis
 vector through the integer matrix before returning, which bounds the rank
 above; ranks modulo primes (GF(2), then primes above 2**20) bound it below.
+Given rows that span the row space, it eliminates only those, and none when
+they are as many as the columns, but proves on every row: ``hyperinc rank``
+eliminates B_H fully and I_H only on B_H's pivot rows, when at all.
 """
 
 from __future__ import annotations
@@ -222,14 +225,23 @@ def _cleared_integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]
     return out
 
 
-def proven_kernel(rows: list[list[int]], n_cols: int) -> tuple[list[int], int, dict[int, dict[int, int]]]:
+def proven_kernel(
+    rows: list[list[int]], n_cols: int, spanning: Sequence[int] | None = None
+) -> tuple[list[int], int, dict[int, dict[int, int]]]:
     """The one exact elimination: of a copy of integer ``rows`` (``n_cols``
     columns), the pivot columns, d and the kernel basis, which maps each free
     column f, in order, to d times its RREF kernel vector as an integer dict
     (d at f and, for each pivot column, minus f's entry in that pivot's row).
-    ``_proven_rank`` proves the rank and the basis before they are returned.
+    ``_proven_rank`` proves the rank and the basis on all of ``rows`` before
+    they are returned.  ``spanning``, if given, indexes rows that span the row
+    space; only those are eliminated, and none when they are as many as the
+    columns (no kernel, d = 1).  Rows that do not span fail the proof.
     """
-    pivots, reduced, d = _fraction_free_rref([row[:] for row in rows])
+    if spanning is not None and len(spanning) == n_cols:
+        pivots, reduced, d = list(range(n_cols)), [], 1
+    else:
+        chosen = range(len(rows)) if spanning is None else spanning
+        pivots, reduced, d = _fraction_free_rref([rows[i][:] for i in chosen])
     pivot_set = set(pivots)
     free = [f for f in range(n_cols) if f not in pivot_set]
     basis = {f: {f: d} for f in free}
@@ -251,10 +263,6 @@ def _proven_rank(rows: list[list[int]], n_cols: int, kernel) -> int:
     row times the packed columns is 0 only when all its products are 0.
     """
     kernel = list(kernel)
-    rank = n_cols - len(kernel)
-    modular = _modular_rank(rows, rank)
-    if modular != rank:
-        raise ArithmeticError(f"rank disagreement: modular {modular} vs {rank} from the kernel basis")
     largest = max(map(abs, chain.from_iterable(rows)), default=0)
     w = (largest * max((sum(map(abs, v.values())) for v in kernel), default=0)).bit_length() + 1
     packed = [0] * n_cols
@@ -263,17 +271,23 @@ def _proven_rank(rows: list[list[int]], n_cols: int, kernel) -> int:
             packed[j] += x << w * k
     if kernel and any(sum(a * packed[j] for j, a in enumerate(row) if a) for row in rows):
         raise ArithmeticError("null-space basis vector failed re-multiplication")
+    rank = n_cols - len(kernel)
+    modular = _modular_rank(rows, rank)
+    if modular != rank:
+        raise ArithmeticError(f"rank disagreement: modular {modular} vs {rank} from the kernel basis")
     return rank
 
 
-def rank_and_nullspace(m: RationalMatrix) -> NullspaceBasis:
+def rank_and_nullspace(m: RationalMatrix, spanning: Sequence[int] | None = None) -> NullspaceBasis:
     """Exact rank and a deterministic kernel basis.
 
     The basis vector for a free column f has 1 at f and, for each pivot
     column, minus the RREF coefficient of f in that pivot's row.  The rank and
-    every basis vector are proven by ``proven_kernel``.
+    every basis vector are proven by ``proven_kernel`` on all of ``m``'s rows;
+    ``hyperinc rank`` passes I_H's rows at B_H's pivot columns as ``spanning``,
+    so I_H is eliminated on rank(B_H) rows, or not at all when that is |E|.
     """
-    pivots, d, basis = proven_kernel(_cleared_integer_rows(m.entries), m.cols)
+    pivots, d, basis = proven_kernel(_cleared_integer_rows(m.entries), m.cols, spanning)
     vectors = tuple(
         VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()})
         for scaled in basis.values()

@@ -209,7 +209,7 @@ def matrix_equivalence(m: RationalMatrix) -> MatrixEquivalence:
     sorted off-diagonal (row, column) pairs, and joins the first class in its
     bucket whose first member it is equivalent to: u ~ v says that swapping
     u and v fixes the matrix, and such swaps compose, so ~ is an equivalence
-    relation.
+    relation.  The signature settles the diagonal and the (u,v)/(v,u) pair.
     """
     if m.rows != m.cols:
         raise NonSquare("matrix equivalence needs a square matrix")
@@ -217,9 +217,9 @@ def matrix_equivalence(m: RationalMatrix) -> MatrixEquivalence:
     labels = m.row_labels
 
     def equivalent(i: int, j: int) -> bool:
-        # no diagonal test: labels in one bucket share the diagonal entry
-        if m.entries[i][j] != m.entries[j][i]:
-            return False
+        # labels in one bucket share the diagonal entry and equal multisets of
+        # (row, column) pairs, so once the pairs away from i and j match, i's
+        # remaining pair (A[i][j], A[j][i]) equals j's, its mirror
         for k in range(n):
             if k == i or k == j:
                 continue

@@ -18,6 +18,15 @@ CHILD_ENV = dict(
 )
 
 
+def with_extra_vertices(rng, h, clones: int, isolated: int):
+    """``h`` with ``clones`` vertices copying the star of a random vertex
+    (planted units) and ``isolated`` vertices in no edge."""
+    clone_of = {f"c{j}": rng.choice(h.vertices) for j in range(clones)}
+    edges = [set(e) | {c for c, v in clone_of.items() if v in e} for e in h.edges]
+    extra = list(clone_of) + [f"z{j}" for j in range(isolated)]
+    return build_hypergraph(list(h.vertices) + extra, edges, h.edge_labels)
+
+
 def star_edges(h, v):
     """The indices of the edges containing ``v``, read off its star mask."""
     return frozenset(bit_indices(h.star_masks[h.vertex_index(v)]))

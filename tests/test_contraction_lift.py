@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, with_extra_vertices
 from hyperinc import build_hypergraph, kernels, linalg
 from hyperinc.cli import main
 from hyperinc.formats import serialize_hypergraph_text
@@ -73,15 +73,6 @@ def dense_instance(rng: random.Random, n_base: int, n_clones: int, n_edges: int)
             edges.append(e)
     edges = [e | {c for c, b in clone_of.items() if b in e} for e in edges]
     return build_hypergraph(base + list(clone_of), edges)
-
-
-def with_extra_vertices(rng: random.Random, h: Hypergraph, clones: int, isolated: int) -> Hypergraph:
-    """``h`` with ``clones`` vertices copying the star of a random vertex
-    (planted units) and ``isolated`` vertices in no edge."""
-    clone_of = {f"c{j}": rng.choice(h.vertices) for j in range(clones)}
-    edges = [set(e) | {c for c, v in clone_of.items() if v in e} for e in h.edges]
-    extra = list(clone_of) + [f"z{j}" for j in range(isolated)]
-    return build_hypergraph(list(h.vertices) + extra, edges, h.edge_labels)
 
 
 def agreement_cases():

@@ -13,7 +13,9 @@ kernel basis as read off its reduced rows.
 """
 
 import random
+from argparse import Namespace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from hyperinc import (
     unit_contraction,
 )
 from hyperinc import linalg
+from hyperinc.cli import cmd_rank
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -337,9 +340,15 @@ def test_re_multiplication_is_wired_in(monkeypatch):
         nullity_decomposition(h)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 # each entry point that eliminates, on an input with a pivot and a free column
-# (nullity_decomposition eliminates the contraction, whose b is isolated)
+# (nullity_decomposition eliminates the contraction, whose b is isolated);
+# ``rank`` eliminates B_H, then I_H on its rows at B_H's pivot columns: none
+# for dense_14x11 (rank 11 = |E|), 8 of 12 for units_12x9 (rank 8 < |E| = 9)
 ELIMINATING_ENTRY_POINTS = {
+    "rank, I_H of full row rank": lambda: cmd_rank(Namespace(file=str(GOLDEN / "dense_14x11.txt"))),
+    "rank, I_H rank-deficient": lambda: cmd_rank(Namespace(file=str(GOLDEN / "units_12x9.txt"))),
     "rank_and_nullspace": lambda: rank_and_nullspace(_matrix([[1, 1, 0], [0, 0, 1]])),
     "nullity_decomposition": lambda: nullity_decomposition(
         build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"]])
