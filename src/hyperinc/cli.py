@@ -74,11 +74,8 @@ def cmd_rank(args) -> dict:
     b = edge_vertex_incidence(h)
     i = vertex_edge_incidence(h)
     ns_b = rank_and_nullspace(b)
-    # a kernel vector's free column is its last non-zero entry; the rest are
-    # B_H's pivot columns, and I_H's rows there span I_H's row space
-    column = {v: j for j, v in enumerate(b.col_labels)}
-    free = {max(map(column.__getitem__, vec.entries)) for vec in ns_b.vectors}
-    ns_i = rank_and_nullspace(i, [j for j in range(b.cols) if j not in free])
+    # I_H's rows at B_H's pivot columns span I_H's row space
+    ns_i = rank_and_nullspace(i, ns_b.pivots)
     failures = []
     if ns_b.rank != ns_i.rank:
         failures.append("rank(B_H) != rank(I_H)")

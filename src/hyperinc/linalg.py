@@ -134,15 +134,21 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class NullspaceBasis:
-    """Exact kernel basis together with the rank it certifies."""
+    """Exact kernel basis together with the RREF pivot columns it was read
+    from; their count is the rank it certifies.  ``hyperinc rank`` reads
+    B_H's pivot columns here: I_H's rows there span I_H's row space."""
 
-    rank: int
+    pivots: tuple[int, ...]
     cols: int
     vectors: tuple[VertexVector, ...]
 
     def __post_init__(self):
         if self.rank + len(self.vectors) != self.cols:
             raise DimensionMismatch("rank + nullity must equal the column count")
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
     @property
     def nullity(self) -> int:
@@ -235,8 +241,11 @@ def proven_kernel(
     ``_proven_rank`` proves the rank and the basis on all of ``rows`` before
     they are returned.  ``spanning``, if given, indexes rows that span the row
     space; only those are eliminated, and none when they are as many as the
-    columns (no kernel, d = 1).  Rows that do not span fail the proof.
+    columns (no kernel, d = 1).  Rows that do not span fail the proof, and
+    indices that repeat or do not index ``rows`` raise InvalidParameters.
     """
+    if spanning is not None and len(set(spanning) & set(range(len(rows)))) != len(spanning):
+        raise InvalidParameters(f"spanning rows must be distinct indices below {len(rows)}: {list(spanning)}")
     if spanning is not None and len(spanning) == n_cols:
         pivots, reduced, d = list(range(n_cols)), [], 1
     else:
@@ -284,15 +293,15 @@ def rank_and_nullspace(m: RationalMatrix, spanning: Sequence[int] | None = None)
     The basis vector for a free column f has 1 at f and, for each pivot
     column, minus the RREF coefficient of f in that pivot's row.  The rank and
     every basis vector are proven by ``proven_kernel`` on all of ``m``'s rows;
-    ``hyperinc rank`` passes I_H's rows at B_H's pivot columns as ``spanning``,
-    so I_H is eliminated on rank(B_H) rows, or not at all when that is |E|.
+    ``hyperinc rank`` passes B_H's ``pivots`` as ``spanning``, so I_H is
+    eliminated on rank(B_H) rows, or not at all when that is |E|.
     """
     pivots, d, basis = proven_kernel(_cleared_integer_rows(m.entries), m.cols, spanning)
     vectors = tuple(
         VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()})
         for scaled in basis.values()
     )
-    return NullspaceBasis(rank=len(pivots), cols=m.cols, vectors=vectors)
+    return NullspaceBasis(pivots=tuple(pivots), cols=m.cols, vectors=vectors)
 
 
 _PRIMES: list[int] = []  # the primes above 2**20 in order, as far as ``_prime`` needed

@@ -177,7 +177,17 @@ class TestGenerate:
         assert capsys.readouterr().out == "vertices: 1 2 3 4 5\n"
 
     @pytest.mark.parametrize(
-        "params", [["cycle", "8"], ["random", "5"], ["cycle", "a", "b"]], ids="-".join
+        "params",
+        [
+            ["cycle", "8"],
+            ["random", "5"],
+            ["cycle", "a", "b"],
+            ["cycle", "5", "1"],  # window size below 2
+            ["random", "0", "1"],  # no vertices
+            ["random", "5", "2", "--max-size", "0"],
+            ["random", "3", "8"],  # more edges than the 7 non-empty subsets
+        ],
+        ids="-".join,
     )
     def test_bad_parameters_exit_two(self, params, capsys):
         assert main(["generate", *params, "--json"]) == 2

@@ -230,16 +230,20 @@ def _matrix(rows: list[list[int]]) -> RationalMatrix:
 def test_rank_cross_check_is_wired_in(monkeypatch):
     """A modular rank one too high fails at once; one too low at every stage
     fails once the primes pass the Hadamard bound.  GF(2) proves these ranks,
-    so the GF(2) stage is the one shifted."""
-    m = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
+    so the GF(2) stage is the one shifted.  On the tall rank-2 matrix, GF(2)
+    one too high claims full column rank: a proof that trusted that claim to
+    skip the elimination would return rank 3 with no error."""
+    wide = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
+    tall = _matrix([[1, 0, 1], [0, 1, 1], [1, 1, 2], [2, 1, 3]])
     h = build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]])
-    assert rank_and_nullspace(m).rank == 2
+    assert rank_and_nullspace(wide).rank == rank_and_nullspace(tall).rank == 2
     assert find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
     for shift in (1, -1):
         with monkeypatch.context() as patch:
             primes = _count_rank_mod_p_calls(patch, shift)
-            with pytest.raises(ArithmeticError, match="rank disagreement"):
-                rank_and_nullspace(m)
+            for m in (wide, tall):
+                with pytest.raises(ArithmeticError, match="rank disagreement"):
+                    rank_and_nullspace(m)
             with pytest.raises(ArithmeticError, match="rank disagreement"):
                 find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
             assert primes[0] == 2

@@ -1,0 +1,109 @@
+"""Malformed input raises its ``HyperincError`` subclass, and the CLI, run in
+this process, exits 2 with the JSON error report and nothing else.
+
+``tests/test_cli.py`` runs most error paths in child processes; these cases
+run ``main`` here, one per rejecting branch of the readers, the certificate
+constructors and the generators that the CLI reaches, and the library calls
+that no subcommand makes.
+"""
+
+import io
+import json
+
+import pytest
+
+from hyperinc import (
+    KernelCertificate,
+    RationalMatrix,
+    build_hypergraph,
+    custom_weighting,
+    is_finer,
+    verify_certificate,
+)
+from hyperinc.cli import main
+from hyperinc.errors import DimensionMismatch, InvalidParameters
+
+H = "e1: 1 2 3 5\ne2: 1 3 4 5\ne3: 1 2 4 5\n"  # vertices 1..5, edges e1..e3
+
+
+def certificate(payload: dict) -> tuple:
+    """``verify`` of H with ``payload`` as the certificate on standard input."""
+    return ["verify", "{h}", "--certificate", "-"], None, json.dumps(payload)
+
+
+CLI_CASES = {
+    # the readers of formats.py
+    "hypergraph on stdin, no name before ':'": (["rank", "-"], None, ": 1 2\n", "ParseError"),
+    "not UTF-8": (["rank", "{file}"], "e1: caf\xe9 1\n".encode("latin-1"), None, "FileAccessError"),
+    "weight file not JSON": (["spectra", "{h}", "--weighting", "{file}"], "{e1: 1", None, "BadWeightFile"),
+    "unwritable -o": (["generate", "cycle", "5", "2", "-o", "{missing}"], None, None, "FileAccessError"),
+    "second vertices header": (["rank", "{file}"], "vertices: 1 2\nvertices: 1 2\ne1: 1 2\n", None, "ParseError"),
+    "edge with no vertices": (["rank", "{file}"], "vertices: 1 2\ne1:\n", None, "ParseError"),
+    "edges not an object": (["rank", "{file}"], '{"edges": [["1", "2"]]}', None, "ParseError"),
+    "certificate missing a set": (
+        *certificate({"kind": "equal_edge_partition", "sets": {"U": ["1"]}}), "ParseError"
+    ),
+    "parts not an array": (
+        *certificate({"kind": "general_combination", "parts": {"U1": ["1"]}}), "ParseError"
+    ),
+    "neither parts nor coefficients": (*certificate({"kind": "general_combination"}), "ParseError"),
+    "missing coefficient": (
+        *certificate({"kind": "general_combination", "sets": {"U1": ["1"]}, "coefficients": {}}),
+        "ParseError",
+    ),
+    # labels resolved by hypergraph.py, and the constructors of kernels.py
+    "unknown vertex": (
+        *certificate({"kind": "equal_edge_partition", "sets": {"U": ["1"], "V": ["9"]}}), "UnknownVertex"
+    ),
+    "unknown edge": (
+        *certificate({"kind": "equal_vertex_partition", "sets": {"E": ["e1"], "F": ["e9"]}}), "UnknownEdge"
+    ),
+    "empty set, equal": (
+        *certificate({"kind": "equal_edge_partition", "sets": {"U": [], "V": ["1"]}}), "EmptySubset"
+    ),
+    "empty set, ratio": (
+        *certificate({"kind": "ratio_edge_partition", "sets": {"U": ["1"], "V": []}, "ratio": "2"}),
+        "EmptySubset",
+    ),
+    "empty set, edge side": (
+        *certificate({"kind": "equal_vertex_partition", "sets": {"E": [], "F": ["e1"]}}), "EmptySubset"
+    ),
+    "root order below 2": (
+        *certificate({"kind": "root_of_unity_cycle", "order": 1, "power": 1}), "InvalidParameters"
+    ),
+    "vertices not 0..n-1": (
+        *certificate({"kind": "root_of_unity_cycle", "order": 2, "power": 1}), "UnknownVertex"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, content, stdin, error", CLI_CASES.values(), ids=CLI_CASES)
+def test_cli_exits_two_with_the_error_report(tmp_path, monkeypatch, capsys, argv, content, stdin, error):
+    paths = {"h": tmp_path / "h.txt", "file": tmp_path / "case", "missing": tmp_path / "no_dir" / "out"}
+    paths["h"].write_text(H, encoding="utf-8")
+    if content is not None:
+        write = paths["file"].write_bytes if isinstance(content, bytes) else paths["file"].write_text
+        write(content)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    assert main([arg.format(**paths) for arg in argv] + ["--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"error", "message"}
+    assert report["error"] == error
+
+
+h = build_hypergraph(["1", "2", "3"], [["1", "2"], ["2", "3"], ["1", "3"]])
+API_CASES = {
+    "unknown kind to verify_certificate": (
+        lambda: verify_certificate(h, KernelCertificate("no_such_kind", "B", (), ())), InvalidParameters
+    ),
+    "row longer than the column labels": (lambda: RationalMatrix([[1, 2]], ["r"], ["a"]), DimensionMismatch),
+    "more row labels than rows": (lambda: RationalMatrix([[1]], ["r", "s"], ["a"]), DimensionMismatch),
+    "weight sequence of the wrong length": (lambda: custom_weighting(h, [1, 1]), InvalidParameters),
+    "overlapping blocks": (lambda: is_finer([{"1", "2"}, {"2", "3"}], [{"1", "2", "3"}]), InvalidParameters),
+}
+
+
+@pytest.mark.parametrize("call, error", API_CASES.values(), ids=API_CASES)
+def test_library_call_raises(call, error):
+    with pytest.raises(error):
+        call()

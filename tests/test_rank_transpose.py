@@ -6,7 +6,8 @@ The current handler eliminates I_H only on its rows at B_H's pivot columns,
 and not at all when rank(B_H) = |E|; rank(I_H) is still proven on all of
 I_H's rows.  The reports and both ``NullspaceBasis`` results must agree
 exactly, and a row set that does not span I_H's row space, or that claims
-more independent rows than there are, must fail the proof.
+more independent rows than there are, must fail the proof; row indices that
+repeat or index no row are refused as InvalidParameters.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import pytest
 from conftest import random_instance, with_extra_vertices
 from hyperinc import build_hypergraph, cli, linalg
 from hyperinc.cli import _basis_json, main
+from hyperinc.errors import InvalidParameters
 from hyperinc.formats import load_hypergraph, serialize_hypergraph_text
 from hyperinc.generators import random_hypergraph
 from hyperinc.hypergraph import Hypergraph
@@ -219,6 +221,18 @@ def test_as_many_dependent_rows_as_columns_fail_the_rank(h, rows):
     the modular rank of all of I_H's rows refutes the claim."""
     with pytest.raises(ArithmeticError, match="rank disagreement"):
         rank_and_nullspace(vertex_edge_incidence(h), rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[5], [-1], [0, 0], [0, 4, 4, 1], [0, 1, 9, 2]],
+    ids=["past the end", "negative", "repeated", "as many as columns, repeated", "as many as columns, one past"],
+)
+def test_bad_row_indices_are_invalid_parameters(rows):
+    """I_H of ``DEFICIENT`` has 5 rows and 4 columns: a row index that is not
+    one of its rows, or that repeats, is refused before any elimination."""
+    with pytest.raises(InvalidParameters, match="spanning rows"):
+        rank_and_nullspace(vertex_edge_incidence(DEFICIENT), rows)
 
 
 def run_rank(h: Hypergraph, tmp_path: Path) -> dict:
