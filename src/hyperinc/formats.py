@@ -43,6 +43,9 @@ from .spectra import EdgeWeighting, custom_weighting
 
 
 def format_fraction(x) -> str:
+    # an int or a Fraction prints as it is; a bool or a str goes through Fraction
+    if type(x) is int or type(x) is Fraction:
+        return str(x)
     return str(Fraction(x))
 
 

@@ -7,11 +7,20 @@ with eigenvalue minus the weighted inner product of the two incidence
 columns; the same works for any vertex partition refining the matrix's
 row/column symmetry relation.  Everything is verified by exact
 multiplication, and multiplicities are certified lower bounds only.
+
+The arithmetic runs on scaled integer columns.  A class's adjacency columns
+are its members' columns times s, the lcm of the weight denominators over
+the edges in their stars, as ints; every inner product, row check and
+generator total is compared on ints, and the eigenvalue is built once as a
+Fraction.  ``weighted_adjacency`` scales each column by its own star's s
+(one s for the whole matrix would grow with every distinct denominator) and
+divides once per distinct value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -53,7 +62,7 @@ class EdgeWeighting:
             )
         except InvalidParameters as exc:
             raise InvalidParameters(f"weights must be finite rationals: {exc}") from None
-        if any(w <= 0 for w in weights):
+        if any(w.numerator <= 0 for w in weights):  # a Fraction's denominator is positive
             raise InvalidParameters("edge weights must be positive")
         object.__setattr__(self, "weights", weights)
 
@@ -72,7 +81,8 @@ def banerjee_weighting(h: Hypergraph) -> EdgeWeighting:
     for name, size in zip(h.edge_labels, sizes):
         if size < 2:
             raise SingletonEdgeWithBanerjeeWeight(f"edge {name!r} has a single vertex")
-    return EdgeWeighting(BANERJEE_WEIGHTING, tuple(Fraction(1, size - 1) for size in sizes))
+    by_size = {size: Fraction(1, size - 1) for size in set(sizes)}
+    return EdgeWeighting(BANERJEE_WEIGHTING, tuple(by_size[size] for size in sizes))
 
 
 def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequence[object]]) -> EdgeWeighting:
@@ -118,35 +128,79 @@ def _check_weighting(h: Hypergraph, w: EdgeWeighting) -> None:
         raise InvalidParameters("weighting does not match the hypergraph's edges")
 
 
-def _adjacency_columns(h: Hypergraph, w: EdgeWeighting, members: Sequence[str]) -> list[list]:
-    """The weighted adjacency's columns for ``members``, each a list over the
-    vertices: column v adds w(e) at every other vertex of each edge e in v's star."""
+def _scale(w: EdgeWeighting, edges) -> int:
+    """The lcm of the weight denominators over ``edges``: the least s with
+    s*w(e) an integer for each of them (1 for no edges)."""
+    return math.lcm(*(w.weights[k].denominator for k in edges))
+
+
+def _scaled_sum(w: EdgeWeighting, edges, s: int) -> int:
+    """s times the total weight of ``edges``; s is a multiple of each one's
+    denominator, so every term is an exact int."""
+    return sum(w.weights[k].numerator * (s // w.weights[k].denominator) for k in edges)
+
+
+def _scaled_columns(
+    h: Hypergraph, w: EdgeWeighting, indices: Sequence[int], scales: Sequence[int]
+) -> list[list[int]]:
+    """For each vertex index i and its s, s times the weighted adjacency's
+    column i, which adds w(e) at every other vertex of each edge e in i's
+    star; each s is a multiple of the weight denominators over its star."""
+    edge_vertices: dict[int, list[int]] = {}  # each edge's vertices, read once
     columns = []
-    for v in members:
-        i = h.vertex_index(v)
+    for i, s in zip(indices, scales):
         column = [0] * h.n_vertices
         for k in bit_indices(h.star_masks[i]):
-            weight = w.weight(k)
-            for u in bit_indices(h.edge_masks[k] & ~(1 << i)):
-                # a first weight is stored as it is: adding it to 0 would cost a Fraction sum
-                column[u] = column[u] + weight if column[u] else weight
+            vertices = edge_vertices.get(k)
+            if vertices is None:
+                vertices = edge_vertices[k] = bit_indices(h.edge_masks[k])
+            weight = w.weights[k]
+            scaled = weight.numerator * (s // weight.denominator)
+            for u in vertices:
+                column[u] += scaled
+        column[i] = 0  # each edge of the star added its weight at i too
         columns.append(column)
     return columns
+
+
+def _adjacency_columns(
+    h: Hypergraph, w: EdgeWeighting, members: Sequence[str]
+) -> tuple[int, list[list[int]]]:
+    """s, the lcm of the weight denominators over the members' stars, and the
+    weighted adjacency's columns for ``members`` times s, as int lists."""
+    indices = [h.vertex_index(v) for v in members]
+    star = 0
+    for i in indices:
+        star |= h.star_masks[i]
+    s = _scale(w, bit_indices(star))
+    return s, _scaled_columns(h, w, indices, [s] * len(indices))
 
 
 def weighted_adjacency(h: Hypergraph, w: EdgeWeighting) -> RationalMatrix:
     """|V| x |V| symmetric matrix with zero diagonal; entry (u,v) sums the
     weights of edges containing both u and v."""
     _check_weighting(h, w)
+    # each column has its own star's s: one lcm over all edges grows with
+    # every distinct denominator and slows every division
+    scales = [_scale(w, bit_indices(star)) for star in h.star_masks]
+    columns: list[list] = []
+    for i, (s, column) in enumerate(zip(scales, _scaled_columns(h, w, range(h.n_vertices), scales))):
+        # symmetric: the cells above the diagonal are the earlier columns' own
+        # cells, and below it one division per distinct value; a zero stays the int 0
+        entry = {x: Fraction(x, s) for x in set(column[i + 1:]) if x}
+        entry[0] = 0
+        columns.append([c[i] for c in columns] + [entry[x] for x in column[i:]])
     # symmetric, so its columns are its rows
-    return RationalMatrix(_adjacency_columns(h, w, h.vertices), h.vertices, h.vertices)
+    return RationalMatrix(columns, h.vertices, h.vertices)
 
 
 def column_inner_product(h: Hypergraph, u: str, v: str, w: EdgeWeighting) -> Fraction:
     """Weighted inner product of two incidence columns: sum of w(e) over the
     edges containing both vertices (the degree-like sum when u == v)."""
-    common = h.star_masks[h.vertex_index(u)] & h.star_masks[h.vertex_index(v)]
-    return sum((w.weight(i) for i in bit_indices(common)), Fraction(0))
+    _check_weighting(h, w)
+    common = bit_indices(h.star_masks[h.vertex_index(u)] & h.star_masks[h.vertex_index(v)])
+    s = _scale(w, common)
+    return Fraction(_scaled_sum(w, common, s), s)
 
 
 def _eigenpair_for_class(
@@ -154,26 +208,30 @@ def _eigenpair_for_class(
 ) -> PredictedEigenpair:
     """The class's pair differences x = e_m - e_base, each checked by exact
     A*x = lambda*x on every row: A*x is column m minus column base, so it must
-    be lambda at m, -lambda at base and 0 elsewhere."""
+    be lambda at m, -lambda at base and 0 elsewhere.  Every check runs on the
+    columns times s, the class's common denominator, as ints; lambda is built
+    once as a Fraction."""
     members = tuple(members)
     base = members[0]
-    eigenvalue = -column_inner_product(h, base, members[1], w)
-    # within one class the pairwise inner products all coincide; each is
-    # symmetric in its two columns, so each unordered pair is checked once
-    for u, v in itertools.combinations(members, 2):
-        if -column_inner_product(h, u, v, w) != eigenvalue:
+    s, (base_column, *columns) = _adjacency_columns(h, w, members)
+    stars = [h.star_masks[h.vertex_index(v)] for v in members]
+    # s times the weighted inner product of two columns, so -s*lambda; within
+    # one class they all coincide, and each is symmetric in its two columns,
+    # so each unordered pair is checked once
+    inner = _scaled_sum(w, bit_indices(stars[0] & stars[1]), s)
+    for a, b in itertools.combinations(stars, 2):
+        if _scaled_sum(w, bit_indices(a & b), s) != inner:
             raise ArithmeticError("eigenvalue is not well-defined on the class")
-    base_column, *columns = _adjacency_columns(h, w, members)
     verified = True
     for m, column in zip(members[1:], columns):
         expected = [0] * h.n_vertices
-        expected[h.vertex_index(m)], expected[h.vertex_index(base)] = eigenvalue, -eigenvalue
+        expected[h.vertex_index(m)], expected[h.vertex_index(base)] = -inner, inner
         verified = verified and [a - b for a, b in zip(column, base_column)] == expected
     vectors = tuple(VertexVector({m: Fraction(1), base: Fraction(-1)}) for m in members[1:])
     if span_dimension(vectors) != len(members) - 1:
         raise ArithmeticError("eigenvectors are not linearly independent")
     return PredictedEigenpair(
-        eigenvalue=eigenvalue,
+        eigenvalue=Fraction(-inner, s),
         members=members,
         eigenvectors=vectors,
         multiplicity_lower_bound=len(members) - 1,
@@ -193,8 +251,11 @@ def predict_unit_eigenpairs(h: Hypergraph, w: EdgeWeighting) -> list[PredictedEi
         if len(unit.members) < 2:
             continue
         pair = _eigenpair_for_class(h, w, unit.members)
-        generator_total = sum((w.weight(i) for i in unit.generator), Fraction(0))
-        if pair.eigenvalue != -generator_total:
+        # the generator's own lcm g keeps every term exact, even for an edge
+        # outside the members' stars; total/g = -lambda, cross-multiplied
+        g = _scale(w, unit.generator)
+        eigenvalue = pair.eigenvalue
+        if _scaled_sum(w, unit.generator, g) * eigenvalue.denominator != -eigenvalue.numerator * g:
             raise ArithmeticError("eigenvalue does not match the generator weight sum")
         out.append(pair)
     return out

@@ -17,6 +17,7 @@ from hyperinc.errors import BadWeightFile, InvalidParameters, ParseError
 from hyperinc.formats import (
     certificate_from_json,
     certificate_to_json,
+    format_fraction,
     load_weighting,
     parse_hypergraph,
     parse_hypergraph_json,
@@ -273,3 +274,14 @@ class TestWeightFiles:
                 custom_weighting(unit_example, [1, 1, bad, 1, 1])
             with pytest.raises(InvalidParameters):
                 custom_weighting(unit_example, {f"e{i}": bad for i in range(1, 6)})
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0, 7, -7, 10**60, -(10**60) + 1, Fraction(-3, 4), Fraction(10**50, 3), Fraction(6, 3),
+     "2/4", "-5/10", " 3 ", True, False],
+)
+def test_format_fraction_prints_what_fraction_prints(x):
+    """An int or a Fraction is printed as it is, with no second Fraction; a
+    string or a bool still goes through Fraction (True prints as 1)."""
+    assert format_fraction(x) == str(Fraction(x))

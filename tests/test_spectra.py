@@ -86,8 +86,16 @@ class TestWeightedAdjacency:
             banerjee_weighting(h)
 
     def test_positive_weights_required(self, unit_example):
-        with pytest.raises(InvalidParameters):
-            custom_weighting(unit_example, [0, 1, 1, 1, 1])
+        for bad in (0, -1, "-1/3", Fraction(-10**40, 3)):
+            with pytest.raises(InvalidParameters):
+                custom_weighting(unit_example, [bad, 1, 1, 1, 1])
+
+    def test_banerjee_builds_one_weight_per_edge_size(self, unit_example):
+        w = banerjee_weighting(unit_example)
+        assert w.weights == tuple(Fraction(1, len(e) - 1) for e in unit_example.edges)
+        # e2 and e5 both have 4 vertices: one Fraction object serves both
+        assert w.weights[1] is w.weights[4]
+        assert len({id(x) for x in w.weights}) == len({len(e) for e in unit_example.edges})
 
     def test_float_weights_cannot_give_a_float_eigenvalue(self, unit_example):
         """0.1 and 0.2 once gave the eigenvalue -0.30000000000000004, verified."""
