@@ -31,6 +31,7 @@ from .generators import random_hypergraph
 from .hypergraph import (
     DEFAULT_ISO_BOUND,
     are_isomorphic,  # unused here; bench/spans.py wraps it under this name
+    bit_indices,
     compute_units,
     label_sort_key,
     unit_contraction,  # unused here; bench/spans.py wraps it under this name
@@ -136,7 +137,7 @@ def cmd_units(args) -> dict:
     units = [
         {
             "members": list(unit.members),
-            "generator": [h.edge_labels[i] for i in sorted(unit.generator)],
+            "generator": [h.edge_labels[i] for i in bit_indices(unit.star)],
         }
         for unit in partition.units
     ]

@@ -166,6 +166,29 @@ class CyclotomicNumber:
         x._coeffs = None
         return x
 
+    @classmethod
+    def _row_sum(cls, products) -> Union["CyclotomicNumber", Fraction]:
+        """The sum of c * x over the (c, x) pairs of one matrix row, c rational
+        and x rational or a ``CyclotomicNumber``: every term is added raw into
+        one terms map, rationals at exponent 0, which is normalized once as
+        ``_add_term`` would (cancelled terms dropped, whole Fractions made
+        ints) and wrapped once.  A row with only rational x sums to a
+        Fraction."""
+        order, terms = None, {}
+        for c, x in products:
+            if isinstance(x, CyclotomicNumber):
+                if x.order != order:
+                    if order is not None:
+                        raise InvalidParameters(f"mixing cyclotomic orders {order} and {x.order}")
+                    order = x.order
+                for e, d in x._terms.items():
+                    terms[e] = terms.get(e, 0) + c * d
+            else:
+                terms[0] = terms.get(0, 0) + c * x
+        if order is None:
+            return Fraction(terms.get(0, 0))
+        return cls._of_terms(order, {e: _rational(t) for e, t in terms.items() if t})
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:

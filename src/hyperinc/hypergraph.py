@@ -112,10 +112,17 @@ class VertexVector:
 
 @dataclass(frozen=True)
 class Unit:
-    """A maximal set of vertices sharing one star; that star generates it."""
+    """A maximal set of vertices sharing one star; that star generates it.
+
+    ``star`` is the shared star mask (bit i set when edge i contains every
+    member); ``generator`` decodes it into the set of edge indices."""
 
     members: tuple[str, ...]
-    generator: frozenset[int]
+    star: int
+
+    @property
+    def generator(self) -> frozenset[int]:
+        return frozenset(bit_indices(self.star))
 
 
 @dataclass(frozen=True)
@@ -302,17 +309,14 @@ def compute_units(h: Hypergraph) -> UnitPartition:
     """Partition V(H) into units: maximal groups of vertices with equal stars.
 
     Grouping is by the star mask itself, which is exactly the equivalence
-    relation; units are ordered by their smallest member in the canonical
-    vertex order.
+    relation, and each unit keeps that mask as its ``star``; units are
+    ordered by their smallest member in the canonical vertex order.
     """
     groups: dict[int, list[str]] = {}
     for v, s in zip(h.vertices, h.star_masks):
         groups.setdefault(s, []).append(v)
     # groups open in canonical vertex order, so units come sorted by first member
-    units = [
-        Unit(tuple(members), frozenset(bit_indices(s)))
-        for s, members in groups.items()
-    ]
+    units = [Unit(tuple(members), s) for s, members in groups.items()]
     v2u = {v: i for i, unit in enumerate(units) for v in unit.members}
     return UnitPartition(tuple(units), v2u)
 
@@ -356,9 +360,9 @@ def dual(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
     """
     partition = compute_units(h)
     for unit in partition.units:
-        if not unit.generator:
+        if not unit.star:
             raise IsolatedVertex(f"vertex {unit.members[0]!r} lies in no edge; dual undefined")
-    stars = [[h.edge_labels[i] for i in unit.generator] for unit in partition.units]
+    stars = [[h.edge_labels[i] for i in bit_indices(unit.star)] for unit in partition.units]
     labels = [unit.members[0] for unit in partition.units]
     vertex_map = {v: partition.vertex_to_unit[v] for v in h.vertices}
     return Hypergraph(h.edge_labels, stars, labels), vertex_map

@@ -277,7 +277,11 @@ def _window_length(h: Hypergraph) -> Optional[int]:
     bit = [0] * n
     for j, residue in enumerate(residues):
         bit[residue] = 1 << j
-    windows = {sum(bit[(start + t) % n] for t in range(k)) for start in range(n)}
+    # each window is the previous one less its first bit plus the next bit after it
+    window, windows = sum(bit[:k]), set()
+    for start in range(n):
+        windows.add(window)
+        window += bit[(start + k) % n] - bit[start]
     return k if all(mask in windows for mask in h.edge_masks) else None
 
 

@@ -23,7 +23,7 @@ from numbers import Number, Rational
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
-from .hypergraph import Hypergraph, VertexVector
+from .hypergraph import Hypergraph, VertexVector, bit_indices
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _ZERO = Fraction(0)  # shared by every zero row of a product; Fractions are immutable
@@ -394,6 +394,12 @@ def rank_modular_oracle(m: RationalMatrix) -> int:
     return _modular_rank(rows, min(m.rows, m.cols))
 
 
+def _row_sum(products):
+    """The sum of c * x over the (c, x) pairs of one row, by the values' own
+    ``*`` and ``+``: for a number type that brings no ``_row_sum`` of its own."""
+    return sum((c * x for c, x in products), _ZERO)
+
+
 def matvec(m: RationalMatrix, x) -> dict[str, object]:
     """Exact matrix-vector product, keyed by row labels.
 
@@ -401,7 +407,10 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     covered by the column labels.  Entries may be rational or cyclotomic, but
     not floats; the result lives in whichever scalar domain the inputs span.
     Each row is read only at the vector's non-zero support, in column order; a
-    rational vector is summed in integers.
+    rational vector is summed in integers.  Any other vector is summed a row
+    at a time by the type of its first value that is not rational:
+    ``CyclotomicNumber._row_sum`` adds a row into one terms map and builds one
+    number.  A row the support misses is the shared ``Fraction(0)``.
     """
     entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
     col_index = {c: j for j, c in enumerate(m.col_labels)}
@@ -418,26 +427,34 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
         for j, v in support:
             if isinstance(v, Number) and not isinstance(v, Rational):
                 raise InvalidParameters(f"vector entry {m.col_labels[j]!r} is {v!r}, not exact")
-    if m._masks is not None:
+        # the type of the first value that is not rational sums each row into one number
+        kind = next(type(v) for _, v in support if not isinstance(v, (int, Fraction)))
+        fold = getattr(kind, "_row_sum", _row_sum)
+    if m._masks is None:
+        if rational:
+            totals = (sum(row[j] * v for j, v in support if row[j]) for row in m.entries)
+            return {
+                label: Fraction(total, scale) if total else _ZERO
+                for label, total in zip(m.row_labels, totals)
+            }
+        products = ([(row[j], v) for j, v in support if row[j]] for row in m.entries)
+    else:
         # cell (i, j) is bit j of row mask i: walk the bits a row shares with the support
         bit_value = {1 << j: v for j, v in support}
         support_mask = sum(bit_value)
-        result: dict[str, object] = {}
-        for label, mask in zip(m.row_labels, m._masks):
-            hit, total = mask & support_mask, 0 if rational else _ZERO
-            while hit:
-                low = hit & -hit  # the lowest set bit, so columns come in order
-                total = total + bit_value[low]
-                hit ^= low
-            result[label] = (Fraction(total, scale) if total else _ZERO) if rational else total
-        return result
-    totals = (sum((row[j] * v for j, v in support if row[j]), 0 if rational else _ZERO) for row in m.entries)
-    if rational:
-        return {
-            label: Fraction(total, scale) if total else _ZERO
-            for label, total in zip(m.row_labels, totals)
-        }
-    return dict(zip(m.row_labels, totals))
+        if rational:
+            result: dict[str, object] = {}
+            for label, mask in zip(m.row_labels, m._masks):
+                hit, total = mask & support_mask, 0
+                while hit:
+                    low = hit & -hit  # the lowest set bit, so columns come in order
+                    total += bit_value[low]
+                    hit ^= low
+                result[label] = Fraction(total, scale) if total else _ZERO
+            return result
+        value = dict(support)
+        products = ([(1, value[j]) for j in bit_indices(mask & support_mask)] for mask in m._masks)
+    return {label: fold(p) if p else _ZERO for label, p in zip(m.row_labels, products)}
 
 
 def span_dimension(vectors: Iterable[VertexVector]) -> int:

@@ -253,9 +253,10 @@ def predict_unit_eigenpairs(h: Hypergraph, w: EdgeWeighting) -> list[PredictedEi
         pair = _eigenpair_for_class(h, w, unit.members)
         # the generator's own lcm g keeps every term exact, even for an edge
         # outside the members' stars; total/g = -lambda, cross-multiplied
-        g = _scale(w, unit.generator)
+        generator = bit_indices(unit.star)
+        g = _scale(w, generator)
         eigenvalue = pair.eigenvalue
-        if _scaled_sum(w, unit.generator, g) * eigenvalue.denominator != -eigenvalue.numerator * g:
+        if _scaled_sum(w, generator, g) * eigenvalue.denominator != -eigenvalue.numerator * g:
             raise ArithmeticError("eigenvalue does not match the generator weight sum")
         out.append(pair)
     return out

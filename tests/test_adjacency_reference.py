@@ -258,8 +258,8 @@ def test_generator_edge_outside_the_stars_is_caught(monkeypatch, unit_example):
     def with_extra_edge(h):
         partition = real(h)
         first = partition.units[0]
-        assert first.members == ("1", "2") and 2 not in first.generator  # e3 is 3 4 10
-        units = (Unit(first.members, first.generator | {2}),) + partition.units[1:]
+        assert first.members == ("1", "2") and not first.star >> 2 & 1  # e3 is 3 4 10
+        units = (Unit(first.members, first.star | 1 << 2),) + partition.units[1:]
         return UnitPartition(units, partition.vertex_to_unit)
 
     monkeypatch.setattr(spectra, "compute_units", with_extra_edge)

@@ -51,7 +51,7 @@ def ref_units(h):
     groups = {}
     for v in h.vertices:
         groups.setdefault(ref_star(h, v), []).append(v)
-    units = [Unit(tuple(members), generator) for generator, members in groups.items()]
+    units = [Unit(tuple(members), sum(1 << i for i in star)) for star, members in groups.items()]
     units.sort(key=lambda unit: label_sort_key(unit.members[0]))
     return tuple(units), {v: i for i, unit in enumerate(units) for v in unit.members}
 

@@ -15,10 +15,16 @@ from fractions import Fraction
 
 import pytest
 
-from hyperinc import Hypergraph, VertexVector, edge_vertex_incidence, vertex_edge_incidence
-from hyperinc.cyclotomic import CyclotomicNumber, zeta
+from hyperinc import (
+    Hypergraph,
+    VertexVector,
+    edge_vertex_incidence,
+    uniform_cycle,
+    vertex_edge_incidence,
+)
+from hyperinc.cyclotomic import CyclotomicNumber, root_of_unity_vector, zeta
 from hyperinc.errors import DimensionMismatch, InvalidParameters
-from hyperinc.linalg import RationalMatrix, matvec
+from hyperinc.linalg import _ZERO, RationalMatrix, matvec
 
 from conftest import random_instance
 
@@ -217,3 +223,96 @@ def test_inexact_entries_raise_on_both_row_forms(bad):
             matvec(m, VertexVector({"1": zeta(3, 1), "3": bad}))
         # an explicit zero is dropped before it is multiplied, whatever its type
         assert matvec(m, {"1": 1, "2": 0.0, "3": -1}) == {"e1": Fraction(0)}
+
+
+# -- one terms map per cyclotomic row ---------------------------------------------
+
+
+def both_row_forms(entries, cols):
+    """The same 0/1 cells as a mask-backed incidence matrix and as dense rows."""
+    h = Hypergraph(cols, [[c for c, x in zip(cols, row) if x] for row in entries])
+    mask = edge_vertex_incidence(h)
+    return mask, dense_copy(mask)
+
+
+def test_row_that_cancels_is_a_zero_number():
+    for m in both_row_forms([[1, 1, 0], [0, 1, 1]], ["a", "b", "c"]):
+        x = {"a": zeta(5, 2), "b": -zeta(5, 2), "c": zeta(5, 1)}
+        assert_same_product(m, x)
+        got = matvec(m, x)["e1"]
+        assert type(got) is CyclotomicNumber and got.is_zero() and str(got) == "Cyc(0)"
+
+
+def test_fraction_coefficients_that_sum_to_integers():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for m in both_row_forms([[1, 1, 1]], ["a", "b", "c"]):
+        x = {
+            "a": CyclotomicNumber(6, [half, third, 0, Fraction(1, 4)]),
+            "b": CyclotomicNumber(6, [half, 2 * third]),
+            "c": Fraction(3, 4) * zeta(6, 3),
+        }
+        assert_same_product(m, x)
+        got = matvec(m, x)["e1"]
+        # whole sums are stored as ints, as the pairwise adds left them
+        assert got._terms == {0: 1, 1: 1, 3: 1} and {type(c) for c in got._terms.values()} == {int}
+
+
+def error_of(f, *args):
+    with pytest.raises(InvalidParameters) as caught:
+        f(*args)
+    return str(caught.value)
+
+
+def test_mixed_orders_in_one_row_raise_the_same_error():
+    for m in both_row_forms([[1, 0, 0, 0], [1, 1, 1, 1]], list("abcd")):
+        x = {"a": zeta(3, 1), "b": Fraction(1, 2), "c": zeta(3, 2), "d": zeta(5, 1)}
+        message = error_of(matvec, m, x)
+        assert message == error_of(reference_matvec, as_fraction_matrix(m), x)
+        assert message == "mixing cyclotomic orders 3 and 5"
+
+
+def test_dense_rational_matrix_times_cyclotomic_vector():
+    m = RationalMatrix(
+        [[1, Fraction(1, 2), 0], [Fraction(-2, 3), 2, 1], [0, 0, 0], [2, -4, 0]],
+        ["r1", "r2", "r3", "r4"],
+        list("abc"),
+    )
+    assert m._masks is None
+    for x in (
+        {"a": zeta(4, 1), "b": zeta(4, 3), "c": Fraction(5, 7)},
+        {"a": 2 * zeta(7, 3), "b": zeta(7, 3)},  # row r4 cancels
+        VertexVector({"b": CyclotomicNumber(12, [Fraction(1, 3), 1, 0, -2]), "c": zeta(12, 11)}),
+    ):
+        assert_same_product(m, x)
+
+
+def test_row_with_no_hit_is_the_shared_zero():
+    for m in both_row_forms([[1, 1, 0], [0, 0, 1]], ["a", "b", "c"]):
+        product = matvec(m, {"a": zeta(3, 1), "b": Fraction(2)})
+        assert product["e2"] is _ZERO
+        assert type(product["e1"]) is CyclotomicNumber
+
+
+def test_one_number_is_built_per_hit_row(monkeypatch):
+    """Each row with a hit is added into one terms map and wrapped once: pairwise
+    adds would build one number per hit."""
+    h = uniform_cycle(12, 8)
+    x = root_of_unity_vector(12, 4, 1)
+    real = CyclotomicNumber._of_terms.__func__
+    built = []
+
+    def counting(cls, order, terms):
+        built.append(order)
+        return real(cls, order, terms)
+
+    monkeypatch.setattr(CyclotomicNumber, "_of_terms", classmethod(counting))
+    for m in (edge_vertex_incidence(h), dense_copy(edge_vertex_incidence(h))):
+        built.clear()
+        product = matvec(m, x)
+        assert len(built) == h.n_edges == len(product)
+    # a vector that misses some rows builds nothing for them
+    m = edge_vertex_incidence(Hypergraph(list("abcd"), [["a", "b"], ["c"], ["b", "d"]]))
+    x = {"a": zeta(3, 1), "b": zeta(3, 2)}
+    built.clear()
+    product = matvec(m, x)
+    assert len(built) == 2 and product["e2"] is _ZERO
