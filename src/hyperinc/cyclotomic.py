@@ -120,13 +120,10 @@ def _rational(c) -> Rationalish:
     return c.numerator if c.denominator == 1 else c
 
 
-def _add_term(terms: dict, e: int, c: Rationalish) -> None:
-    """Add c * x**e to ``terms`` in place, dropping a coefficient that cancels."""
-    total = terms.get(e, 0) + c
-    if total:
-        terms[e] = _rational(total)
-    else:
-        del terms[e]
+def _folded(terms: dict) -> dict:
+    """Raw sums of coefficients normalized once: a coefficient that cancelled
+    is dropped, and a whole Fraction becomes an int."""
+    return {e: _rational(c) for e, c in terms.items() if c}
 
 
 class CyclotomicNumber:
@@ -150,11 +147,9 @@ class CyclotomicNumber:
             raise InvalidParameters(f"cyclotomic order must be >= 1, got {order}")
         terms: dict[int, Rationalish] = {}
         for i, c in enumerate(coeffs):
-            c = exact_rational(c)
-            if c:
-                _add_term(terms, i % order, c)
+            terms[i % order] = terms.get(i % order, 0) + exact_rational(c)
         self.order = order
-        self._terms = terms
+        self._terms = _folded(terms)
         self._coeffs = None
 
     @classmethod
@@ -170,10 +165,8 @@ class CyclotomicNumber:
     def _row_sum(cls, products) -> Union["CyclotomicNumber", Fraction]:
         """The sum of c * x over the (c, x) pairs of one matrix row, c rational
         and x rational or a ``CyclotomicNumber``: every term is added raw into
-        one terms map, rationals at exponent 0, which is normalized once as
-        ``_add_term`` would (cancelled terms dropped, whole Fractions made
-        ints) and wrapped once.  A row with only rational x sums to a
-        Fraction."""
+        one terms map, rationals at exponent 0, which is ``_folded`` and
+        wrapped once.  A row with only rational x sums to a Fraction."""
         order, terms = None, {}
         for c, x in products:
             if isinstance(x, CyclotomicNumber):
@@ -187,7 +180,7 @@ class CyclotomicNumber:
                 terms[0] = terms.get(0, 0) + c * x
         if order is None:
             return Fraction(terms.get(0, 0))
-        return cls._of_terms(order, {e: _rational(t) for e, t in terms.items() if t})
+        return cls._of_terms(order, _folded(terms))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -229,8 +222,8 @@ class CyclotomicNumber:
             return self
         out = dict(self._terms)
         for e, c in terms.items():
-            _add_term(out, e, sign * c)
-        return CyclotomicNumber._of_terms(self.order, out)
+            out[e] = out.get(e, 0) + sign * c
+        return CyclotomicNumber._of_terms(self.order, _folded(out))
 
     def __add__(self, other):
         terms = self._coerce(other)
@@ -262,8 +255,9 @@ class CyclotomicNumber:
         order, out = self.order, {}
         for e1, c1 in self._terms.items():
             for e2, c2 in terms.items():
-                _add_term(out, (e1 + e2) % order, c1 * c2)
-        return CyclotomicNumber._of_terms(order, out)
+                e = (e1 + e2) % order
+                out[e] = out.get(e, 0) + c1 * c2
+        return CyclotomicNumber._of_terms(order, _folded(out))
 
     __rmul__ = __mul__
 

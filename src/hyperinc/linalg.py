@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
 from math import isqrt, lcm, prod
-from numbers import Number, Rational
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
@@ -55,8 +54,8 @@ def exact_rational(x) -> int | Fraction:
 
 
 class RationalMatrix:
-    """Labelled matrix with exact rational entries (``int`` or ``Fraction``;
-    other entries are read by ``exact_rational``).
+    """Labelled matrix with exact rational entries, each read by
+    ``exact_rational``, which keeps an ``int`` or a ``Fraction`` as given.
 
     An incidence matrix keeps its 0/1 rows as bitmasks: cell (i, j) is bit j
     of row mask i, and the list ``entries`` is built from the masks the first
@@ -71,11 +70,7 @@ class RationalMatrix:
         row_labels: Sequence[str],
         col_labels: Sequence[str],
     ):
-        # ints and Fractions are immutable, so given ones are kept; others go by the rule
-        rows = [
-            [x if type(x) is int or type(x) is Fraction else exact_rational(x) for x in row]
-            for row in entries
-        ]
+        rows = [[exact_rational(x) for x in row] for row in entries]
         cols = len(col_labels)
         if any(len(row) != cols for row in rows):
             raise DimensionMismatch("row length does not match column label count")
@@ -394,22 +389,18 @@ def rank_modular_oracle(m: RationalMatrix) -> int:
     return _modular_rank(rows, min(m.rows, m.cols))
 
 
-def _row_sum(products):
-    """The sum of c * x over the (c, x) pairs of one row, by the values' own
-    ``*`` and ``+``: for a number type that brings no ``_row_sum`` of its own."""
-    return sum((c * x for c, x in products), _ZERO)
-
-
 def matvec(m: RationalMatrix, x) -> dict[str, object]:
     """Exact matrix-vector product, keyed by row labels.
 
     ``x`` may be a ``VertexVector`` or a plain mapping; its support must be
-    covered by the column labels.  Entries may be rational or cyclotomic, but
-    not floats; the result lives in whichever scalar domain the inputs span.
-    Each row is read only at the vector's non-zero support, in column order; a
-    rational vector is summed in integers.  Any other vector is summed a row
-    at a time by the type of its first value that is not rational:
-    ``CyclotomicNumber._row_sum`` adds a row into one terms map and builds one
+    covered by the column labels.  Each value is an ``int``, a ``Fraction``
+    or of a type with a ``_row_sum``, such as ``CyclotomicNumber``; any other
+    value (a float, a string) raises InvalidParameters.  Each row is read
+    only at the vector's non-zero support, in column order, and folded from
+    its (cell, value) pairs: a rational vector in integers, one Fraction per
+    row (mask rows add their bits' values directly), any other vector by the
+    ``_row_sum`` of the type of its first value that is not rational, which
+    for ``CyclotomicNumber`` adds the row into one terms map and builds one
     number.  A row the support misses is the shared ``Fraction(0)``.
     """
     entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
@@ -423,20 +414,16 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
         # clear the vector's denominators once, sum integers, then one Fraction per row
         scale = lcm(*(v.denominator for _, v in support))
         support = [(j, v.numerator * (scale // v.denominator)) for j, v in support]
-    else:  # a float, or any other number that is not rational, would make the product inexact
+
+        def fold(products):
+            return Fraction(sum(c * v for c, v in products), scale)
+    else:
+        # a value that is not rational would make the product inexact, or not a number
         for j, v in support:
-            if isinstance(v, Number) and not isinstance(v, Rational):
+            if not isinstance(v, (int, Fraction)) and not hasattr(type(v), "_row_sum"):
                 raise InvalidParameters(f"vector entry {m.col_labels[j]!r} is {v!r}, not exact")
-        # the type of the first value that is not rational sums each row into one number
-        kind = next(type(v) for _, v in support if not isinstance(v, (int, Fraction)))
-        fold = getattr(kind, "_row_sum", _row_sum)
+        fold = next(type(v) for _, v in support if not isinstance(v, (int, Fraction)))._row_sum
     if m._masks is None:
-        if rational:
-            totals = (sum(row[j] * v for j, v in support if row[j]) for row in m.entries)
-            return {
-                label: Fraction(total, scale) if total else _ZERO
-                for label, total in zip(m.row_labels, totals)
-            }
         products = ([(row[j], v) for j, v in support if row[j]] for row in m.entries)
     else:
         # cell (i, j) is bit j of row mask i: walk the bits a row shares with the support

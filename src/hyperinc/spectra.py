@@ -14,7 +14,7 @@ the edges in their stars, as ints; every inner product, row check and
 generator total is compared on ints, and the eigenvalue is built once as a
 Fraction.  ``weighted_adjacency`` scales each column by its own star's s
 (one s for the whole matrix would grow with every distinct denominator) and
-divides once per distinct value.
+divides each cell of the column by it.
 """
 
 from __future__ import annotations
@@ -178,20 +178,19 @@ def _adjacency_columns(
 
 def weighted_adjacency(h: Hypergraph, w: EdgeWeighting) -> RationalMatrix:
     """|V| x |V| symmetric matrix with zero diagonal; entry (u,v) sums the
-    weights of edges containing both u and v."""
+    weights of edges containing both u and v.  Each column is built times its
+    own star's s and divided back cell by cell; a zero cell is the int 0."""
     _check_weighting(h, w)
-    # each column has its own star's s: one lcm over all edges grows with
-    # every distinct denominator and slows every division
+    # one lcm over all edges would grow with every distinct denominator and
+    # slow every division
     scales = [_scale(w, bit_indices(star)) for star in h.star_masks]
-    columns: list[list] = []
-    for i, (s, column) in enumerate(zip(scales, _scaled_columns(h, w, range(h.n_vertices), scales))):
-        # symmetric: the cells above the diagonal are the earlier columns' own
-        # cells, and below it one division per distinct value; a zero stays the int 0
-        entry = {x: Fraction(x, s) for x in set(column[i + 1:]) if x}
-        entry[0] = 0
-        columns.append([c[i] for c in columns] + [entry[x] for x in column[i:]])
+    columns = _scaled_columns(h, w, range(h.n_vertices), scales)
     # symmetric, so its columns are its rows
-    return RationalMatrix(columns, h.vertices, h.vertices)
+    return RationalMatrix(
+        [[Fraction(x, s) if x else 0 for x in column] for s, column in zip(scales, columns)],
+        h.vertices,
+        h.vertices,
+    )
 
 
 def column_inner_product(h: Hypergraph, u: str, v: str, w: EdgeWeighting) -> Fraction:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run as `python -m hyperinc` child processes."""
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -96,6 +97,27 @@ class TestRank:
         assert report["nullity"] == "6"
         assert len(report["kernel_basis"]) == 6
         assert report["failures"] == []
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_rank_disagreement_is_reported(self, unit_file, monkeypatch, capsys, as_json):
+        """I_H's rank one short of B_H's (forced) fails the run with exit 1."""
+        rank_and_nullspace = cli.rank_and_nullspace
+
+        def short(m, *spanning):
+            ns = rank_and_nullspace(m, *spanning)
+            if spanning:  # the second call, on I_H
+                ns = dataclasses.replace(ns, pivots=ns.pivots[:-1], cols=ns.cols - 1)
+            return ns
+
+        monkeypatch.setattr(cli, "rank_and_nullspace", short)
+        assert main(["rank", unit_file] + ["--json"] * as_json) == 1
+        out = capsys.readouterr().out
+        if as_json:
+            report = json.loads(out)
+            assert (report["rank"], report["transpose_rank"]) == ("5", "4")
+            assert report["failures"] == ["rank(B_H) != rank(I_H)"]
+        else:
+            assert out.splitlines()[-2:] == ["FAILURES:", "  - rank(B_H) != rank(I_H)"]
 
     def test_no_floats_in_json(self, unit_file):
         proc = run_cli("rank", unit_file, "--json")
@@ -499,6 +521,31 @@ class TestFind:
         }
         assert (frozenset({"1", "5"}), frozenset({"2", "3", "4"})) in pairs
         assert report["failures"] == []
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_found_certificate_failing_verification_is_reported(self, equal_file, monkeypatch, capsys, as_json):
+        """The first certificate found, forced to fail verification, fails the
+        run with exit 1 and is named in the failures."""
+        verify_certificate = cli.verify_certificate
+        checked = []
+
+        def first_fails(h, cert):
+            checked.append(cert)
+            check = verify_certificate(h, cert)
+            return dataclasses.replace(check, valid=False) if len(checked) == 1 else check
+
+        monkeypatch.setattr(cli, "verify_certificate", first_fails)
+        assert main(["find", equal_file, "--kind", "equal_edge_partition"] + ["--json"] * as_json) == 1
+        out = capsys.readouterr().out
+        failure = f"found certificate failed verification: {checked[0]}"
+        if as_json:
+            report = json.loads(out)
+            assert [c["valid"] for c in report["certificates"]] == [False] + [True] * (len(checked) - 1)
+            assert report["failures"] == [failure]
+        else:
+            lines = out.splitlines()
+            assert lines[1].endswith("  INVALID") and not lines[2].endswith("INVALID")
+            assert lines[-2:] == ["FAILURES:", f"  - {failure}"]
 
     def test_k4_ratio_vertex_partition(self, k4_file):
         report = json.loads(

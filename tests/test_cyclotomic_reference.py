@@ -10,7 +10,10 @@ run on the same seeded operands at several orders, and every observable result
 rational value) must agree exactly, as must the residual strings of
 ``verify_certificate`` on uniform cycles.  The live remainder modulo Phi_r is
 also checked against the reference's dense division and against ``sympy``
-(test-only) on sparse term maps at larger orders.
+(test-only) on sparse term maps at larger orders.  The live class sums raw
+coefficients and normalizes each terms map once; the per-term normalization
+it replaced, ``_add_term``, is kept below as the reference for the stored
+terms themselves.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import hyperinc.cyclotomic as fast
 from hyperinc import VertexVector, edge_vertex_incidence, matvec, uniform_cycle
 from hyperinc.errors import InvalidParameters
 from hyperinc.kernels import root_of_unity_certificate, verify_certificate
+from hyperinc.linalg import exact_rational
 
 Rationalish = Union[int, Fraction]
 
@@ -188,6 +192,12 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.order, _poly_mul(list(self.coeffs), list(o.coeffs)))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def _row_sum(cls, products):
+        """The sum of c * x over one matrix row's (c, x) pairs, by this class's
+        own ``*`` and ``+``: what ``matvec`` calls to sum a row of these."""
+        return sum((c * x for c, x in products), Fraction(0))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -457,6 +467,102 @@ def test_phi_coeffs_do_no_division(monkeypatch):
     assert len(phi) - 1 == 5760
     assert (phi[0], phi[-1]) == (1, 1)
     assert calls == []
+
+
+# -- one fold per terms map against the per-term normalization ---------------------------
+
+
+def _rational(c) -> Rationalish:
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _add_term(terms: dict, e: int, c: Rationalish) -> None:
+    """Add c * x**e to ``terms`` in place, dropping a coefficient that cancels."""
+    total = terms.get(e, 0) + c
+    if total:
+        terms[e] = _rational(total)
+    else:
+        del terms[e]
+
+
+def terms_by_term(order: int, coeffs) -> dict:
+    """The constructor's terms, normalized after every coefficient."""
+    terms: dict = {}
+    for i, c in enumerate(coeffs):
+        c = exact_rational(c)
+        if c:
+            _add_term(terms, i % order, c)
+    return terms
+
+
+def plus_by_term(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        _add_term(out, e, sign * c)
+    return out
+
+
+def times_by_term(order: int, a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            _add_term(out, (e1 + e2) % order, c1 * c2)
+    return out
+
+
+def scalar_terms(k) -> dict:
+    return {0: _rational(k)} if k else {}
+
+
+FOLD_POOL = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(5, 4))
+
+
+def folding_pair(rng: random.Random, r: int) -> tuple[list, list]:
+    """Two coefficient lists up to three times r long, so several entries land
+    on one exponent; each entry of the second is minus the first's (sums that
+    cancel), one minus it (Fractions that add up to whole numbers) or drawn
+    afresh."""
+    a = [rng.choice(FOLD_POOL) for _ in range(rng.randint(0, 3 * r))]
+    b = [rng.choice([-c, 1 - c, rng.choice(FOLD_POOL)]) for c in a]
+    return a, b
+
+
+def assert_same_terms(new, expected: dict):
+    assert new._terms == expected
+    assert {e: type(c) for e, c in new._terms.items()} == {e: type(c) for e, c in expected.items()}
+
+
+@pytest.mark.parametrize("r", ORDERS)
+def test_one_fold_stores_the_per_term_terms(r):
+    """``CyclotomicNumber(order, coeffs)``, ``+``, ``-``, ``*`` and ``__rsub__``
+    store the terms the per-term normalization stores, each coefficient with
+    the same int or Fraction type."""
+    rng = random.Random(f"fold:{r}")
+    cancelled = whole = 0
+    for _ in range(40):
+        ca, cb = folding_pair(rng, r)
+        a, b = fast.CyclotomicNumber(r, ca), fast.CyclotomicNumber(r, cb)
+        ta, tb = terms_by_term(r, ca), terms_by_term(r, cb)
+        assert_same_terms(a, ta)
+        assert_same_terms(b, tb)
+        for got, sign in ((a + b, 1), (a - b, -1)):
+            expected = plus_by_term(ta, tb, sign)
+            assert_same_terms(got, expected)
+            cancelled += len(ta.keys() | tb.keys()) - len(expected)
+            whole += sum(
+                type(c) is int and type(ta.get(e)) is Fraction for e, c in expected.items()
+            )
+        assert_same_terms(a * b, times_by_term(r, ta, tb))
+        for k in (rng.choice(FOLD_POOL), Fraction(rng.randint(-4, 4), 2)):
+            tk = scalar_terms(k)
+            assert_same_terms(a + k, plus_by_term(ta, tk, 1))
+            assert_same_terms(a - k, plus_by_term(ta, tk, -1))
+            assert_same_terms(k - a, plus_by_term({e: -c for e, c in ta.items()}, tk, 1))
+            assert_same_terms(a * k, times_by_term(r, ta, tk))
+    assert cancelled and whole
 
 
 # -- the remainder modulo Phi_r at larger orders ----------------------------------------

@@ -17,7 +17,9 @@ from hyperinc import (
     RationalMatrix,
     build_hypergraph,
     custom_weighting,
+    edge_vertex_incidence,
     is_finer,
+    matvec,
     verify_certificate,
 )
 from hyperinc.cli import main
@@ -101,6 +103,16 @@ API_CASES = {
     "weight sequence of the wrong length": (lambda: custom_weighting(h, [1, 1]), InvalidParameters),
     "overlapping blocks": (lambda: is_finer([{"1", "2"}, {"2", "3"}], [{"1", "2", "3"}]), InvalidParameters),
 }
+# a vector value that is no number, beside a rational one, on both row forms of B_H
+b = edge_vertex_incidence(h)
+ROW_FORMS = {"mask rows": b, "dense rows": RationalMatrix(b.entries, b.row_labels, b.col_labels)}
+API_CASES.update(
+    {
+        f"{kind} vector value, {form}": (lambda m=m, v=v: matvec(m, {"1": 1, "2": v}), InvalidParameters)
+        for kind, v in {"str": "x", "object": object(), "list": [1]}.items()
+        for form, m in ROW_FORMS.items()
+    }
+)
 
 
 @pytest.mark.parametrize("call, error", API_CASES.values(), ids=API_CASES)
