@@ -136,8 +136,9 @@ class CyclotomicNumber:
     remainder modulo Phi_r (a trimmed tuple of Fractions, low degree first),
     is, so equality, hashing and printing go through it; it is computed on
     first use and kept.  ``+``, ``-`` and ``*`` take ints, Fractions and
-    numbers of the same order; a constant equals the rational it is at any
-    order.  The constructor reads each coefficient by ``exact_rational``.
+    numbers of the same order, but no bool; a constant equals the rational it
+    is at any order.  The constructor reads each coefficient by
+    ``exact_rational``.
     """
 
     __slots__ = ("order", "_terms", "_coeffs")
@@ -197,7 +198,7 @@ class CyclotomicNumber:
                     f"mixing cyclotomic orders {self.order} and {other.order}"
                 )
             return other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return {0: _rational(other)} if other else {}
         return None
 

@@ -477,62 +477,67 @@ def _masks(kernel, free, free_codes, pivot_codes, n_sets):
     return tuple(masks[1:])
 
 
-def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:
-    """The r at which the first pivot that pins r takes a symbol's value.
+def _decodes(kernel, free, symbols, n_zero, charge):
+    """The vectors of the walk whose pivots all take symbol values at one r:
+    yields (codes, pivot_codes, r), r a ``Fraction``.
 
-    Pivot p takes symbol (a, b) where (a_p - d*a) + (b_p - d*b) * r = 0.  A
-    pivot that takes one symbol at every r pins nothing; when no pivot pins
-    r, the vector lies in the kernel at every r and the list is empty.
+    A pivot pins r unless one symbol takes its value at every r.  A pattern
+    is decoded at each r at which its first pinning pivot takes a symbol's
+    value; a pattern with no pinning pivot at r = 1 and, if r has a symbol
+    (the last), at r = 0, 1 and -1, where that symbol's value -r is
+    another's.  At such an r a pivot on a shared value may take either
+    symbol, and each choice is yielded in which r's set meets a column, or
+    every choice at r = 1.  A decode there is skipped when more sets are
+    empty in every choice than there are zero columns to fill them;
+    otherwise its choices past the first are charged before any is built.
+
+    Each r is a reduced pair (num, den), den > 0, with one table per search
+    from values scaled by d * den to codes (to tuples of codes at an r where
+    two symbols tie): symbol (a, b) takes d * (a*den + b*num), pivot (x, y)
+    x*den + y*num.
     """
-    for x, y in zip(a_sums, b_sums):
-        roots = []
-        for a, b in symbols:
-            k0, k1 = x - d * a, y - d * b
-            if k1:
-                roots.append(Fraction(-k0, k1))
-            elif not k0:
+    d = kernel[1]
+    n_sets = len(symbols) - 1
+    scaled = [(d * a, d * b) for a, b in symbols]
+    fixed = set(scaled)
+    ties = [(1, 1), (0, 1), (-1, 1)] if symbols[-1][1] else [(1, 1)]
+    tables = {}
+
+    def table(num, den):
+        codes = {}
+        for s, (a, b) in enumerate(scaled):
+            value = a * den + b * num
+            codes[value] = codes.get(value, ()) + (s,)
+        tied = len(codes) < len(scaled)
+        return Fraction(num, den), tied, codes if tied else {v: c for v, (c,) in codes.items()}
+
+    for codes, a_sums, b_sums in _patterns(kernel, free, symbols):
+        for x, y in zip(a_sums, b_sums):
+            if (x, y) not in fixed:
+                ratios = set()
+                for a, b in scaled:  # (x - a) + (y - b) * r = 0
+                    if y != b:
+                        g = math.gcd(x - a, y - b) if y > b else -math.gcd(x - a, y - b)
+                        ratios.add(((a - x) // g, (y - b) // g))
                 break
         else:
-            return roots
-    return []
-
-
-def _kernel_vectors(kernel, free, symbols, accept):
-    """One walk over the patterns of ``symbols``: (signed, pinned), the (plus,
-    minus) masks of every {0, 1, -1} kernel vector, zero included, whose free
-    codes are no symbol of r (none when ``symbols`` has no -1), and (masks, r)
-    for every kernel vector whose coordinates all take symbol values at one r
-    that a pivot pins and ``accept`` admits (none when ``accept`` is None)."""
-    d = kernel[1]
-    sign = {0: 0, d: 1, -d: 2}
-    signs = (-1, 0) in symbols
-    signed, pinned = [], []
-    for free_codes, a_sums, b_sums in _patterns(kernel, free, symbols):
-        # no free code of r: columns meeting a row never cancel
-        if signs and not any(b_sums):
-            pivot_codes = [sign.get(x) for x in a_sums]
-            if None not in pivot_codes:
-                signed.append(_masks(kernel, free, free_codes, pivot_codes, 2))
-        if accept is None:
-            continue
-        for r in _pinned_ratios(a_sums, b_sums, d, symbols):
-            if not accept(r):
+            ratios = ties
+        for r in ratios:
+            ratio, tied, values = tables.get(r) or tables.setdefault(r, table(*r))
+            num, den = r
+            options = [values.get(x * den + y * num) for x, y in zip(a_sums, b_sums)]
+            if None in options:
                 continue
-            # every value scaled by d * r.denominator, so the test is on integers
-            num, den = r.numerator, r.denominator
-            code = {d * (a * den + b * num): s for s, (a, b) in enumerate(symbols)}
-            pivot_codes = [code.get(x * den + y * num) for x, y in zip(a_sums, b_sums)]
-            if None not in pivot_codes:
-                pinned.append((_masks(kernel, free, free_codes, pivot_codes, len(symbols) - 1), r))
-    return signed, pinned
-
-
-def _submasks(mask: int):
-    """The non-empty submasks of ``mask``."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
+            if not tied:
+                yield codes, options, ratio
+                continue
+            if n_sets - len(set(codes).union(*options) - {0}) > n_zero:
+                continue
+            charge(math.prod(map(len, options)) - 1)  # the walk paid for one
+            keep = num == den or n_sets in codes  # r's symbol is the last
+            for pivot_codes in itertools.product(*options):
+                if keep or n_sets in pivot_codes:
+                    yield codes, pivot_codes, ratio
 
 
 def _leads(u: int, v: int) -> bool:
@@ -552,34 +557,6 @@ def _assignment_key(masks: tuple[int, ...], n: int) -> list[int]:
 
 # A core is a certificate's sets cut to the elements that meet a row, with
 # its r.  No non-empty set of those elements has its indicator in the kernel.
-
-
-def _splits(plus, minus, nonzero, n_zero):
-    """(mask, r) for each family of cores (plus - W, minus - W, W) that the
-    {0, 1, -1} kernel vector (plus, minus) expands to, W over the non-empty
-    submasks of mask: W outside plus | minus (r = 0), inside minus (r = 1) or
-    inside plus (r = -1).  A family that leaves more of U and V empty than
-    there are zero columns to fill them is skipped: none of its cores spreads
-    to a certificate."""
-    families = (
-        (nonzero ^ plus ^ minus, 0, (not plus) + (not minus)),
-        (minus, 1, not plus),
-        (plus, -1, not minus),
-    )
-    return [(mask, Fraction(r)) for mask, r, empty in families if empty <= n_zero]
-
-
-def _three_set_cores(signed, splits, pinned):
-    """(U, V, W) cores of |row & U| - |row & V| = r * |row & W|.  Where -r
-    is 0, 1 or -1 they come from a {0, 1, -1} kernel vector (plus, minus):
-    W empty (no row meets W, so r = 1) or one of its ``_splits``, given in
-    ``splits`` in the order of ``signed``.  Any other r is ``pinned``."""
-    cores = []
-    for (plus, minus), split in zip(signed, splits):
-        cores.append(((plus, minus, 0), Fraction(1)))
-        for mask, r in split:
-            cores.extend(((plus & ~w, minus & ~w, w), r) for w in _submasks(mask))
-    return cores + pinned
 
 
 def _spread(cores, zero):
@@ -609,8 +586,8 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     search raises ``InstanceTooLarge`` once the total would pass
     ``FINDER_BOUND``: one cell per pivot for each pattern of the walk
     (3^(nullity - |Z|) patterns, 4^... for the three-set kind), one per
-    unit pair, per core of the ratio kinds' r = 0 family and
-    per ``_submasks`` expansion, and what the spread adds to the cores,
+    unit pair, one per choice past the first where a pivot's value is taken
+    by two symbols (``_decodes``), and what the spread adds to the cores,
     |cores| * (3^|Z| - 1) (4^|Z| - 1 for the three-set kind).  Before a
     certificate is built, the cells that checking and reporting the output
     take (per certificate, one per column and one per row and element of its
@@ -658,31 +635,15 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
 
     kernel = proven_kernel(incidence(h).entries, n)
     zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
-    nonzero = ((1 << n) - 1) ^ zero
     n_zero = zero.bit_count()
-    free = [j for j in bit_indices(nonzero) if j in kernel[2]]
-    ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
-    if kind == THREE_SET_RELATION:
-        symbols, accept = _THREE_SET, lambda r: r not in (0, 1, -1)
-    elif ratio:
-        symbols, accept = _RATIO, lambda r: r > 0
-    else:
-        symbols, accept = _SIGNED, None  # no symbol of r, so no pivot pins one
+    free = [j for j in kernel[2] if columns[j]]
+    symbols = {THREE_SET_RELATION: _THREE_SET, RATIO_EDGE_PARTITION: _RATIO,
+               RATIO_VERTEX_PARTITION: _RATIO}.get(kind, _SIGNED)
     charge(len(symbols) ** len(free) * len(kernel[0]))
-    if ratio and zero:
-        charge(2 ** nonzero.bit_count() - 1)  # the r = 0 family
-    signed, pinned = _kernel_vectors(kernel, free, symbols, accept)
-    if kind == THREE_SET_RELATION:
-        splits = [_splits(plus, minus, nonzero, n_zero) for plus, minus in signed]
-        charge(sum(2 ** mask.bit_count() - 1 for split in splits for mask, _ in split))
-        cores = _three_set_cores(signed, splits, pinned)
-    else:
-        # the ratio kinds take the zero vector, which no pivot pins, and U
-        # empty (only zero columns can fill it) against any V at r = 0
-        if ratio:
-            signed = [(0, 0)]
-            pinned += [((0, v), Fraction(0)) for v in _submasks(nonzero if zero else 0)]
-        cores = [(masks, Fraction(1)) for masks in signed] + pinned
+    cores = [
+        (_masks(kernel, free, codes, pivot_codes, len(symbols) - 1), r)
+        for codes, pivot_codes, r in _decodes(kernel, free, symbols, n_zero, charge)
+    ]
     charge(len(cores) * (len(symbols) ** n_zero - 1))
     hits = sorted(_spread(cores, zero), key=lambda hit: _assignment_key(hit[0], n))
     # the product indexes every column and reads each row at the sets' elements

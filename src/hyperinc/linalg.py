@@ -395,15 +395,19 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     ``x`` may be a ``VertexVector`` or a plain mapping; its support must be
     covered by the column labels.  Each value is an ``int``, a ``Fraction``
     or of a type with a ``_row_sum``, such as ``CyclotomicNumber``; any other
-    value (a float, a string) raises InvalidParameters.  Each row is read
-    only at the vector's non-zero support, in column order, and folded from
-    its (cell, value) pairs: a rational vector in integers, one Fraction per
-    row (mask rows add their bits' values directly), any other vector by the
-    ``_row_sum`` of the type of its first value that is not rational, which
-    for ``CyclotomicNumber`` adds the row into one terms map and builds one
-    number.  A row the support misses is the shared ``Fraction(0)``.
+    value (a bool, a float, a string) raises InvalidParameters.  Each row is
+    read only at the vector's non-zero support, in column order, and folded
+    from its (cell, value) pairs: a rational vector in integers, one
+    Fraction per row (mask rows add their bits' values directly), any other
+    vector by the ``_row_sum`` of the type of its first value that is not
+    rational, which for ``CyclotomicNumber`` adds the row into one terms map
+    and builds one number.  A row the support misses is the shared
+    ``Fraction(0)``.
     """
     entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
+    for k, v in entries.items():
+        if isinstance(v, bool):  # an int to Python, but no number here, not even False
+            raise InvalidParameters(f"vector entry {k!r} is {v!r}, not exact")
     col_index = {c: j for j, c in enumerate(m.col_labels)}
     outside = [k for k, v in entries.items() if v != 0 and k not in col_index]
     if outside:

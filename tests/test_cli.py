@@ -14,11 +14,13 @@ from conftest import CHILD_ENV
 from hyperinc import cli, cyclotomic, kernels
 from hyperinc.cli import main
 from hyperinc.formats import (
+    load_hypergraph,
     parse_hypergraph_json,
     parse_hypergraph_text,
     serialize_hypergraph_text,
 )
 from hyperinc.hypergraph import uniform_cycle, unit_contraction
+from hyperinc.kernels import root_of_unity_certificate, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -374,6 +376,19 @@ class TestVerify:
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "  root order = 4, power = 1" in lines and "valid: yes" in lines
+
+    @pytest.mark.parametrize("edges, valid", [("e1: 0 1\ne2: 0 1 2 3\n", True), ("e1: 0 1\ne2: 0 1 2\n", False)])
+    def test_root_certificate_off_windows(self, tmp_path, edges, valid):
+        """Edges of two lengths are not the windows of one length, so the
+        counting side is False and the product alone decides: (-1)^i sums to
+        zero on {0, 1} and {0, 1, 2, 3} (exit 0) but not on {0, 1, 2} (exit 1)."""
+        path, cert = tmp_path / "h.txt", tmp_path / "root.json"
+        path.write_text(edges)
+        cert.write_text(json.dumps({"kind": "root_of_unity_cycle", "order": 2, "power": 1}))
+        h = load_hypergraph(str(path))
+        check = verify_certificate(h, root_of_unity_certificate(h, 2, 1))
+        assert (check.valid, check.combinatorial) == (valid, False)
+        assert main(["verify", str(path), "--certificate", str(cert)]) == (0 if valid else 1)
 
     def test_invalid_certificate_text_report_lists_the_residual(self, capsys):
         argv = ["verify", str(GOLDEN / "units_12x9.txt"),

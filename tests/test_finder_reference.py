@@ -1,4 +1,4 @@
-"""The kernel-vector finder against the two enumerators it replaced.
+"""The kernel-vector finder against the three finders it replaced.
 
 ``find_certificates_exhaustive``, ``_pair_assignments`` and
 ``_fraction_ratio`` below are the first finder: all 3^n (4^n for the
@@ -13,7 +13,10 @@ planted partitions, plus an edgeless instance and K4, and as the second on
 the benchmark's planted shapes with 8 to 11 ground elements, on an
 instance with three isolated vertices and on the 13-edge golden instance
 ``tall_8x13_isolated``, so it is checked for completeness as well as
-soundness.
+soundness.  ``find_certificates_split`` is the third: the kernel-vector
+finder before one decode rule replaced its special cases.  On all of those
+instances and the golden ones the finder must return its list, and it must
+admit every corpus search that the third admits, at the third's count.
 """
 
 import itertools
@@ -31,6 +34,7 @@ from hyperinc.formats import load_hypergraph
 from hyperinc.hypergraph import bit_indices, compute_units
 from hyperinc.kernels import (
     ALL_KINDS,
+    EDGE_SIDE_KINDS,
     EQUAL_EDGE_PARTITION,
     EQUAL_VERTEX_PARTITION,
     GENERAL_COMBINATION,
@@ -45,7 +49,16 @@ from hyperinc.kernels import (
     ratio_partition_certificate,
     three_set_certificate,
     unit_pair_certificate,
+    _RATIO,
+    _SIGNED,
+    _THREE_SET,
+    _assignment_key,
+    _mask_certificate,
+    _masks,
+    _patterns,
+    _spread,
 )
+from hyperinc.linalg import edge_vertex_incidence, proven_kernel, vertex_edge_incidence
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LABEL_POOL = [str(i) for i in range(12)] + ["a", "b", "x1", "x10", "x2", "z"]
@@ -251,6 +264,164 @@ def find_certificates_pruned(h: Hypergraph, kind: str) -> list[KernelCertificate
         else:
             results.append(dual_side_certificate(h, *sets, r))
     return results
+
+
+# -- the split reference ------------------------------------------------------------
+
+# ``find_certificates_split`` with ``_pinned_ratios``, ``_kernel_vectors``,
+# ``_submasks``, ``_splits`` and ``_three_set_cores`` is the finder before it
+# had one decode rule: one walk split into {0, 1, -1} vectors and vectors that
+# pin r, with the r = 0, 1 and -1 three-set families and the ratio kinds'
+# r = 0 family rebuilt from submasks.  Copied as it was, except that it
+# returns its counted work with the certificates and leaves unit pairs out.
+
+
+def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:
+    """The r at which the first pivot that pins r takes a symbol's value.
+
+    Pivot p takes symbol (a, b) where (a_p - d*a) + (b_p - d*b) * r = 0.  A
+    pivot that takes one symbol at every r pins nothing; when no pivot pins
+    r, the vector lies in the kernel at every r and the list is empty.
+    """
+    for x, y in zip(a_sums, b_sums):
+        roots = []
+        for a, b in symbols:
+            k0, k1 = x - d * a, y - d * b
+            if k1:
+                roots.append(Fraction(-k0, k1))
+            elif not k0:
+                break
+        else:
+            return roots
+    return []
+
+
+def _kernel_vectors(kernel, free, symbols, accept):
+    """One walk over the patterns of ``symbols``: (signed, pinned), the (plus,
+    minus) masks of every {0, 1, -1} kernel vector, zero included, whose free
+    codes are no symbol of r (none when ``symbols`` has no -1), and (masks, r)
+    for every kernel vector whose coordinates all take symbol values at one r
+    that a pivot pins and ``accept`` admits (none when ``accept`` is None)."""
+    d = kernel[1]
+    sign = {0: 0, d: 1, -d: 2}
+    signs = (-1, 0) in symbols
+    signed, pinned = [], []
+    for free_codes, a_sums, b_sums in _patterns(kernel, free, symbols):
+        # no free code of r: columns meeting a row never cancel
+        if signs and not any(b_sums):
+            pivot_codes = [sign.get(x) for x in a_sums]
+            if None not in pivot_codes:
+                signed.append(_masks(kernel, free, free_codes, pivot_codes, 2))
+        if accept is None:
+            continue
+        for r in _pinned_ratios(a_sums, b_sums, d, symbols):
+            if not accept(r):
+                continue
+            # every value scaled by d * r.denominator, so the test is on integers
+            num, den = r.numerator, r.denominator
+            code = {d * (a * den + b * num): s for s, (a, b) in enumerate(symbols)}
+            pivot_codes = [code.get(x * den + y * num) for x, y in zip(a_sums, b_sums)]
+            if None not in pivot_codes:
+                pinned.append((_masks(kernel, free, free_codes, pivot_codes, len(symbols) - 1), r))
+    return signed, pinned
+
+
+def _submasks(mask: int):
+    """The non-empty submasks of ``mask``."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _splits(plus, minus, nonzero, n_zero):
+    """(mask, r) for each family of cores (plus - W, minus - W, W) that the
+    {0, 1, -1} kernel vector (plus, minus) expands to, W over the non-empty
+    submasks of mask: W outside plus | minus (r = 0), inside minus (r = 1) or
+    inside plus (r = -1).  A family that leaves more of U and V empty than
+    there are zero columns to fill them is skipped: none of its cores spreads
+    to a certificate."""
+    families = (
+        (nonzero ^ plus ^ minus, 0, (not plus) + (not minus)),
+        (minus, 1, not plus),
+        (plus, -1, not minus),
+    )
+    return [(mask, Fraction(r)) for mask, r, empty in families if empty <= n_zero]
+
+
+def _three_set_cores(signed, splits, pinned):
+    """(U, V, W) cores of |row & U| - |row & V| = r * |row & W|.  Where -r
+    is 0, 1 or -1 they come from a {0, 1, -1} kernel vector (plus, minus):
+    W empty (no row meets W, so r = 1) or one of its ``_splits``, given in
+    ``splits`` in the order of ``signed``.  Any other r is ``pinned``."""
+    cores = []
+    for (plus, minus), split in zip(signed, splits):
+        cores.append(((plus, minus, 0), Fraction(1)))
+        for mask, r in split:
+            cores.extend(((plus & ~w, minus & ~w, w), r) for w in _submasks(mask))
+    return cores + pinned
+
+
+def find_certificates_split(h: Hypergraph, kind: str) -> tuple[list[KernelCertificate], int]:
+    """The certificates of one enumerable kind other than unit pairs, and the
+    steps counted for them."""
+    # the ground elements are the columns: edges (I_H) or vertices (B_H)
+    if kind in EDGE_SIDE_KINDS:
+        columns, n_rows, incidence = h.edge_masks, h.n_vertices, vertex_edge_incidence
+    else:
+        columns, n_rows, incidence = h.star_masks, h.n_edges, edge_vertex_incidence
+    n = len(columns)
+    work = 0
+
+    def charge(cost: int) -> None:
+        nonlocal work
+        work += cost
+        if work > kernels.FINDER_BOUND:
+            raise InstanceTooLarge(
+                f"finding {kind} certificates takes at least {work} counted steps, "
+                f"over the finder bound {kernels.FINDER_BOUND}"
+            )
+
+    def check_output(cells: int) -> None:
+        if cells > kernels.OUTPUT_BOUND:
+            raise InstanceTooLarge(
+                f"checking the {kind} certificates found takes {cells} incidence cells, "
+                f"over the output bound {kernels.OUTPUT_BOUND}"
+            )
+
+    kernel = proven_kernel(incidence(h).entries, n)
+    zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
+    nonzero = ((1 << n) - 1) ^ zero
+    n_zero = zero.bit_count()
+    free = [j for j in bit_indices(nonzero) if j in kernel[2]]
+    ratio = kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION)
+    if kind == THREE_SET_RELATION:
+        symbols, accept = _THREE_SET, lambda r: r not in (0, 1, -1)
+    elif ratio:
+        symbols, accept = _RATIO, lambda r: r > 0
+    else:
+        symbols, accept = _SIGNED, None  # no symbol of r, so no pivot pins one
+    charge(len(symbols) ** len(free) * len(kernel[0]))
+    if ratio and zero:
+        charge(2 ** nonzero.bit_count() - 1)  # the r = 0 family
+    signed, pinned = _kernel_vectors(kernel, free, symbols, accept)
+    if kind == THREE_SET_RELATION:
+        splits = [_splits(plus, minus, nonzero, n_zero) for plus, minus in signed]
+        charge(sum(2 ** mask.bit_count() - 1 for split in splits for mask, _ in split))
+        cores = _three_set_cores(signed, splits, pinned)
+    else:
+        # the ratio kinds take the zero vector, which no pivot pins, and U
+        # empty (only zero columns can fill it) against any V at r = 0
+        if ratio:
+            signed = [(0, 0)]
+            pinned += [((0, v), Fraction(0)) for v in _submasks(nonzero if zero else 0)]
+        cores = [(masks, Fraction(1)) for masks in signed] + pinned
+    charge(len(cores) * (len(symbols) ** n_zero - 1))
+    hits = sorted(_spread(cores, zero), key=lambda hit: _assignment_key(hit[0], n))
+    # the product indexes every column and reads each row at the sets' elements
+    check_output(sum(n + n_rows * sum(m.bit_count() for m in masks) for masks, _ in hits))
+
+    return [_mask_certificate(h, kind, masks, r) for masks, r in hits], work
 
 
 # -- instances --------------------------------------------------------------------
@@ -557,3 +728,50 @@ def test_patterns_walk_only_columns_that_meet_a_row(monkeypatch):
     walks.clear()
     assert len(kernels.find_certificates_exhaustive(edgeless, THREE_SET_RELATION)) == 23310
     assert [n_walked for *_, n_walked in walks] == [1]
+
+
+# Every search the split reference is checked on: the corpus, the benchmark's
+# shapes, the isolated instance and the golden instances.
+SPLIT_SEARCHES = [
+    (h, kind)
+    for h in [
+        *INSTANCES,
+        *PAIR_SHAPES,
+        *THREE_SET_SHAPES,
+        ISOLATED_INSTANCE,
+        *(load_hypergraph(str(path)) for path in sorted(GOLDEN.glob("*.txt"))),
+    ]
+    for kind in sorted(set(ENUMERABLE_KINDS) - {UNIT_PAIR})
+]
+
+
+def test_finder_matches_split_reference():
+    """Same certificates in the same order as the finder with the split walk
+    and the rebuilt r = 0, 1 and -1 families, on every search of
+    ``SPLIT_SEARCHES``."""
+    for h, kind in SPLIT_SEARCHES:
+        expected, _ = find_certificates_split(h, kind)
+        found = kernels.find_certificates_exhaustive(h, kind)
+        assert found == expected and repr(found) == repr(expected), (h, kind)
+
+
+def test_searches_the_split_reference_admits_are_admitted(monkeypatch):
+    """With the finder bound set to the split reference's counted work, every
+    corpus search it admits is admitted: the one decode rule never counts
+    more.  Some count less, as the W sets that a {0, 1, -1} vector leaves at
+    r = 0, 1 and -1 are expanded at the pivots of each pattern, where the
+    reference expanded them over every column that meets a row."""
+    bound, cheaper = kernels.FINDER_BOUND, 0
+    for h in INSTANCES:
+        for kind in sorted(set(ENUMERABLE_KINDS) - {UNIT_PAIR}):
+            monkeypatch.setattr(kernels, "FINDER_BOUND", bound)
+            expected, work = find_certificates_split(h, kind)
+            monkeypatch.setattr(kernels, "FINDER_BOUND", work)
+            assert kernels.find_certificates_exhaustive(h, kind) == expected
+            monkeypatch.setattr(kernels, "FINDER_BOUND", work - 1)
+            try:
+                kernels.find_certificates_exhaustive(h, kind)
+                cheaper += 1
+            except InstanceTooLarge:
+                pass
+    assert cheaper

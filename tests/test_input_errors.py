@@ -13,14 +13,18 @@ import json
 import pytest
 
 from hyperinc import (
+    CyclotomicNumber,
     KernelCertificate,
+    NullspaceBasis,
     RationalMatrix,
     build_hypergraph,
     custom_weighting,
     edge_vertex_incidence,
+    equal_partition_certificate,
     is_finer,
     matvec,
     verify_certificate,
+    zeta,
 )
 from hyperinc.cli import main
 from hyperinc.errors import DimensionMismatch, InvalidParameters
@@ -102,6 +106,18 @@ API_CASES = {
     "more row labels than rows": (lambda: RationalMatrix([[1]], ["r", "s"], ["a"]), DimensionMismatch),
     "weight sequence of the wrong length": (lambda: custom_weighting(h, [1, 1]), InvalidParameters),
     "overlapping blocks": (lambda: is_finer([{"1", "2"}, {"2", "3"}], [{"1", "2", "3"}]), InvalidParameters),
+    "rank and nullity off the column count": (
+        lambda: NullspaceBasis(pivots=(0,), cols=3, vectors=()), DimensionMismatch
+    ),
+    "set name the certificate lacks": (
+        lambda: equal_partition_certificate(h, ["1"], ["2"]).named_set("W"), KeyError
+    ),
+    "cyclotomic order 0": (lambda: CyclotomicNumber(0, [1]), InvalidParameters),
+    "root order 0": (lambda: zeta(0), InvalidParameters),
+    # a bool is an int to Python, but no number to the arithmetic, as a float is not
+    "zeta + True": (lambda: zeta(4) + True, TypeError),
+    "True - zeta": (lambda: True - zeta(4), TypeError),
+    "zeta * False": (lambda: zeta(4) * False, TypeError),
 }
 # a vector value that is no number, beside a rational one, on both row forms of B_H
 b = edge_vertex_incidence(h)
@@ -109,7 +125,7 @@ ROW_FORMS = {"mask rows": b, "dense rows": RationalMatrix(b.entries, b.row_label
 API_CASES.update(
     {
         f"{kind} vector value, {form}": (lambda m=m, v=v: matvec(m, {"1": 1, "2": v}), InvalidParameters)
-        for kind, v in {"str": "x", "object": object(), "list": [1]}.items()
+        for kind, v in {"str": "x", "object": object(), "list": [1], "True": True, "False": False}.items()
         for form, m in ROW_FORMS.items()
     }
 )

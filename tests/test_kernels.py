@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -51,8 +52,9 @@ from conftest import random_instance
 
 def count_finder_steps(monkeypatch) -> dict[str, int]:
     """Counts, while the finder runs, of the patterns ``_patterns`` yields
-    and of the calls to ``_submasks``, ``_spread`` and ``_mask_certificate``."""
-    counts = dict.fromkeys(["_patterns", "_submasks", "_spread", "_mask_certificate"], 0)
+    and of the calls to ``_masks`` (one per vector built), ``_spread`` and
+    ``_mask_certificate``."""
+    counts = dict.fromkeys(["_patterns", "_masks", "_spread", "_mask_certificate"], 0)
     patterns = kernels._patterns
 
     def counting_patterns(*args):
@@ -67,7 +69,7 @@ def count_finder_steps(monkeypatch) -> dict[str, int]:
         return wrapper
 
     monkeypatch.setattr(kernels, "_patterns", counting_patterns)
-    for name in ("_submasks", "_spread", "_mask_certificate"):
+    for name in ("_masks", "_spread", "_mask_certificate"):
         monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     return counts
 
@@ -465,17 +467,19 @@ class TestFinder:
 
     def test_instance_too_large(self, monkeypatch):
         """Each family is refused before it is built, shown by counting the
-        finder's steps: the r = 0 family of 2^59 - 1 cores, a three-set
-        spread over 11 zero columns (4^11), C(1500, 2) unit pairs, the
-        output of a unit of 600 twins, and a walk of 3^10 patterns with one
-        cell per pivot for each of them."""
+        finder's steps: the r = 0 choices of 2^58 - 1 sets V beside the
+        zero vector, a three-set spread over 11 zero columns (4^11),
+        C(1500, 2) unit pairs, the output of a unit of 600 twins, and a walk
+        of 3^10 patterns with one cell per pivot for each of them."""
         counts = count_finder_steps(monkeypatch)
         path = build_hypergraph(
             [str(i) for i in range(1, 61)], [[str(i), str(i + 1)] for i in range(1, 59)]
         )  # vertex 60 is isolated; 58 pivots and one free column, walked once
-        with pytest.raises(InstanceTooLarge, match=f"at least {3 * 58 + 2**59 - 1} counted"):
+        # the first pattern, all zero, is built at r = 1; at r = 0 each of its
+        # 58 pivots may take V, and those choices are refused before any is built
+        with pytest.raises(InstanceTooLarge, match=f"at least {3 * 58 + 2**58 - 1} counted"):
             find_certificates_exhaustive(path, RATIO_EDGE_PARTITION)
-        assert counts == {"_patterns": 0, "_submasks": 0, "_spread": 0, "_mask_certificate": 0}
+        assert counts == {"_patterns": 1, "_masks": 1, "_spread": 0, "_mask_certificate": 0}
 
         counts.update(dict.fromkeys(counts, 0))
         one_edge = build_hypergraph([str(i) for i in range(13)], [["0", "1"]])
@@ -533,9 +537,11 @@ class TestFinder:
         """The edgeless 10-vertex three-set search counts 4^10 - 1 (one empty
         core spread over ten zero columns) and the edgeless 12-vertex pair
         searches 3^12 - 1; one edge through all of 10 vertices counts its walk
-        (4^9 patterns, one pivot) and its submask expansions.
-        Each is admitted at its count and refused one below it.  The step
-        after the last charge is stubbed out, so the searches never run; their
+        (4^9 patterns, one pivot) and one more choice for each pattern whose
+        pivot two symbols take: at r = 0 (|U| = |V|, unused or W) and at
+        r = 1 and -1 (|U| = |V| + |W| + 1, V or W, and the mirror, U or W).
+        Each is admitted at its count and refused one below it.  The spread,
+        after the last charge, is stubbed out, so the searches never run; their
         outputs, 437,250 three-set and 261,625 pair certificates of at most
         10 or 12 elements, are within the output bound."""
         bound = kernels.FINDER_BOUND
@@ -543,18 +549,23 @@ class TestFinder:
         def reached(*args):
             raise RuntimeError("reached")
 
-        expansions = sum(  # |U| = |V| = k of ten, W outside them or split off one
-            math.comb(10, k) * math.comb(10 - k, k) * (2 ** (10 - 2 * k) - 1 + 2 * (2**k - 1))
-            for k in range(1, 6)
+        def multinomial(*parts):  # of the nine free columns
+            return math.factorial(9) // math.prod(math.factorial(p) for p in (*parts, 9 - sum(parts)))
+
+        ties = sum(
+            multinomial(u, v, w) * ((u == v > 0) + (u == v + w + 1) + (v == u + w + 1))
+            for u, v, w in itertools.product(range(10), repeat=3)
+            if u + v + w <= 9
         )
+        assert 4**9 + ties == 345_550
         ten = [str(i) for i in range(10)]
-        for h, kind, work, stub in [
-            (build_hypergraph(ten, []), THREE_SET_RELATION, 4**10 - 1, "_spread"),
-            (build_hypergraph([str(i) for i in range(12)], []), EQUAL_EDGE_PARTITION, 3**12 - 1, "_spread"),
-            (build_hypergraph([str(i) for i in range(12)], []), RATIO_EDGE_PARTITION, 3**12 - 1, "_spread"),
-            (build_hypergraph(ten, [ten]), THREE_SET_RELATION, 4**9 + expansions, "_three_set_cores"),
+        for h, kind, work in [
+            (build_hypergraph(ten, []), THREE_SET_RELATION, 4**10 - 1),
+            (build_hypergraph([str(i) for i in range(12)], []), EQUAL_EDGE_PARTITION, 3**12 - 1),
+            (build_hypergraph([str(i) for i in range(12)], []), RATIO_EDGE_PARTITION, 3**12 - 1),
+            (build_hypergraph(ten, [ten]), THREE_SET_RELATION, 4**9 + ties),
         ]:
-            monkeypatch.setattr(kernels, stub, reached)
+            monkeypatch.setattr(kernels, "_spread", reached)
             monkeypatch.setattr(kernels, "FINDER_BOUND", bound)
             with pytest.raises(RuntimeError, match="reached"):
                 find_certificates_exhaustive(h, kind)
