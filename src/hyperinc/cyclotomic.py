@@ -17,7 +17,7 @@ from operator import sub
 from typing import Union
 
 from .errors import InstanceTooLarge, InvalidParameters
-from .hypergraph import VertexVector
+from .hypergraph import VertexVector, _checked_int
 from .linalg import exact_rational
 
 Rationalish = Union[int, Fraction]
@@ -107,9 +107,7 @@ def _remainder(terms: dict, r: int) -> list:
 def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """The integer coefficients of Phi_r, low degree first, from the binomials
     1 - x^d over the divisors d of rad(r)."""
-    if r < 1:
-        raise InvalidParameters(f"cyclotomic order must be >= 1, got {r}")
-    return _phi_coeffs(r)
+    return _phi_coeffs(_checked_int(r, "cyclotomic order", 1))
 
 
 def _rational(c) -> Rationalish:
@@ -135,17 +133,16 @@ class CyclotomicNumber:
     unique, because Phi_r is a proper factor of x^r - 1.  ``coeffs``, the
     remainder modulo Phi_r (a trimmed tuple of Fractions, low degree first),
     is, so equality, hashing and printing go through it; it is computed on
-    first use and kept.  ``+``, ``-`` and ``*`` take ints, Fractions and
-    numbers of the same order, but no bool; a constant equals the rational it
-    is at any order.  The constructor reads each coefficient by
-    ``exact_rational``.
+    first use and kept.  ``+``, ``-``, ``*`` and ``==`` take ints, Fractions
+    and numbers of the same order, but no bool; a constant equals the rational
+    it is at any order.  The order is an int of at least 1, and the
+    constructor reads each coefficient by ``exact_rational``.
     """
 
     __slots__ = ("order", "_terms", "_coeffs")
 
     def __init__(self, order: int, coeffs):
-        if order < 1:
-            raise InvalidParameters(f"cyclotomic order must be >= 1, got {order}")
+        _checked_int(order, "cyclotomic order", 1)
         terms: dict[int, Rationalish] = {}
         for i, c in enumerate(coeffs):
             terms[i % order] = terms.get(i % order, 0) + exact_rational(c)
@@ -164,10 +161,11 @@ class CyclotomicNumber:
 
     @classmethod
     def _row_sum(cls, products) -> Union["CyclotomicNumber", Fraction]:
-        """The sum of c * x over the (c, x) pairs of one matrix row, c rational
-        and x rational or a ``CyclotomicNumber``: every term is added raw into
-        one terms map, rationals at exponent 0, which is ``_folded`` and
-        wrapped once.  A row with only rational x sums to a Fraction."""
+        """The sum of c * x over the (c, x) pairs of one matrix row, or of the
+        two operands of ``+`` or ``-``, c rational and x rational or a
+        ``CyclotomicNumber``: every term is added raw into one terms map,
+        rationals at exponent 0, which is ``_folded`` and wrapped once.  A row
+        with only rational x sums to a Fraction."""
         order, terms = None, {}
         for c, x in products:
             if isinstance(x, CyclotomicNumber):
@@ -218,19 +216,10 @@ class CyclotomicNumber:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _plus(self, terms: dict, sign: int) -> "CyclotomicNumber":
-        if not terms:
-            return self
-        out = dict(self._terms)
-        for e, c in terms.items():
-            out[e] = out.get(e, 0) + sign * c
-        return CyclotomicNumber._of_terms(self.order, _folded(out))
-
     def __add__(self, other):
-        terms = self._coerce(other)
-        if terms is None:
+        if self._coerce(other) is None:
             return NotImplemented
-        return self._plus(terms, 1)
+        return CyclotomicNumber._row_sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -238,16 +227,14 @@ class CyclotomicNumber:
         return CyclotomicNumber._of_terms(self.order, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        terms = self._coerce(other)
-        if terms is None:
+        if self._coerce(other) is None:
             return NotImplemented
-        return self._plus(terms, -1)
+        return CyclotomicNumber._row_sum(((1, self), (-1, other)))
 
     def __rsub__(self, other):
-        terms = self._coerce(other)
-        if terms is None:
+        if self._coerce(other) is None:
             return NotImplemented
-        return (-self)._plus(terms, 1)
+        return CyclotomicNumber._row_sum(((1, other), (-1, self)))
 
     def __mul__(self, other):
         terms = self._coerce(other)
@@ -266,7 +253,7 @@ class CyclotomicNumber:
         if isinstance(other, CyclotomicNumber):
             comparable = other.order == self.order or self.is_constant() and other.is_constant()
             return comparable and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if not other:
                 return self.is_zero()
             return self.is_constant() and self.rational_value() == other
@@ -295,9 +282,8 @@ class CyclotomicNumber:
 
 def zeta(r: int, power: int = 1) -> CyclotomicNumber:
     """zeta_r**power: one term, at exponent power mod r."""
-    if r < 1:
-        raise InvalidParameters(f"order must be >= 1, got {r}")
-    return CyclotomicNumber._of_terms(r, {power % r: 1})
+    _checked_int(r, "cyclotomic order", 1)
+    return CyclotomicNumber._of_terms(r, {_checked_int(power, "power") % r: 1})
 
 
 def zeta_power_table(r: int) -> list[CyclotomicNumber]:
@@ -311,9 +297,7 @@ def root_of_unity_vector(n: int, r: int, power: int) -> VertexVector:
     With power == r the root is 1 and this degenerates to the all-ones
     vector; powers 1..r-1 give the non-trivial roots.
     """
-    if r < 2:
-        raise InvalidParameters(f"root order must be >= 2, got {r}")
-    if not 1 <= power <= r:
-        raise InvalidParameters(f"power must lie in 1..{r}, got {power}")
+    _checked_int(n, "length n", 0)
+    _checked_int(power, "power", 1, _checked_int(r, "root order", 2))
     return VertexVector({str(i): zeta(r, power * i) for i in range(n)})
 

@@ -257,6 +257,17 @@ def build_hypergraph(
     return Hypergraph(vertices, edges, edge_labels)
 
 
+def _checked_int(value, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """``value`` if it is an int, not a bool, in least..most (a bound left None
+    is open); otherwise ``InvalidParameters``, so a float or a bool is never read
+    as the int it is close to."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (least is None or value >= least) and (most is None or value <= most):
+            return value
+    bounds = "" if least is None else f" >= {least}" if most is None else f" in {least}..{most}"
+    raise InvalidParameters(f"{name} must be an int{bounds}, got {value!r}")
+
+
 def uniform_cycle(n: int, k: int) -> Hypergraph:
     """The k-uniform cycle on vertices 0..n-1 (labels are stringified residues).
 
@@ -264,9 +275,8 @@ def uniform_cycle(n: int, k: int) -> Hypergraph:
     n > k the n windows are pairwise distinct; for n == k they all coincide
     with the full vertex set, and edge-set semantics leave the single edge e0.
     """
-    if k < 2:
-        raise InvalidParameters(f"window size k must be at least 2, got {k}")
-    if n < k:
+    k = _checked_int(k, "window size k", 2)
+    if _checked_int(n, "cycle size n") < k:
         raise CycleTooShort(f"need n >= k, got n={n}, k={k}")
     starts = range(1) if n == k else range(n)
     edges = [[str((i + j) % n) for j in range(k)] for i in starts]

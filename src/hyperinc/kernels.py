@@ -30,6 +30,7 @@ from .errors import (
 from .hypergraph import (
     Hypergraph,
     VertexVector,
+    _checked_int,
     bit_indices,
     compute_units,
     induced_subhypergraph,
@@ -234,10 +235,7 @@ def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
 
 def root_of_unity_certificate(h: Hypergraph, r: int, power: int) -> KernelCertificate:
     """The vector i -> (zeta_r**power)**i on vertices labelled 0..n-1."""
-    if r < 2:
-        raise InvalidParameters("root order must be >= 2")
-    if not 1 <= power <= r:
-        raise InvalidParameters(f"power must lie in 1..{r}")
+    _checked_int(power, "power", 1, _checked_int(r, "root order", 2))
     expected = {str(i) for i in range(h.n_vertices)}
     if set(h.vertices) != expected:
         raise UnknownVertex("root-of-unity certificates need vertices labelled 0..n-1")
@@ -261,27 +259,21 @@ def dual_side_certificate(
 
 
 def _window_length(h: Hypergraph) -> Optional[int]:
-    """If every edge is a cyclic window over residues 0..n-1 of one length k,
-    return k; otherwise None."""
+    """If the vertices are residues 0..n-1 in canonical order and every edge
+    is a cyclic window over them of one length k, return k; otherwise None."""
     n = h.n_vertices
     try:
-        residues = [int(v) for v in h.vertices]
+        if [int(v) for v in h.vertices] != list(range(n)):
+            return None
     except ValueError:
-        return None
-    if sorted(residues) != list(range(n)):
         return None
     lengths = {mask.bit_count() for mask in h.edge_masks}
     if len(lengths) != 1:
         return None
     k = lengths.pop()
-    bit = [0] * n
-    for j, residue in enumerate(residues):
-        bit[residue] = 1 << j
-    # each window is the previous one less its first bit plus the next bit after it
-    window, windows = sum(bit[:k]), set()
-    for start in range(n):
-        windows.add(window)
-        window += bit[(start + k) % n] - bit[start]
+    # bit j is residue j, so the windows are the n rotations of the lowest k bits
+    low, full = (1 << k) - 1, (1 << n) - 1
+    windows = {(low << start | low >> (n - start)) & full for start in range(n)}
     return k if all(mask in windows for mask in h.edge_masks) else None
 
 

@@ -85,6 +85,16 @@ class TestArithmetic:
         assert CyclotomicNumber(5, [2]) == CyclotomicNumber(3, [2]) == 2
         assert zeta(2) == CyclotomicNumber(7, [-1]) and zeta(4) != zeta(6)
 
+    def test_equality_refuses_a_bool(self):
+        # a bool is no number to the arithmetic, so it equals no number either,
+        # whichever side it is on, though it hashes as the int it subclasses
+        one = zeta(4, 0)
+        assert not one == True  # noqa: E712
+        assert not True == one  # noqa: E712
+        assert one != True and zeta(4, 2) != False  # noqa: E712
+        assert len({one, True}) == 2
+        assert one == 1 and zeta(4, 2) == -1 and CyclotomicNumber(3, []) == 0
+
     def test_geometric_sum_identity(self):
         # full cycles of any non-trivial root sum to zero, exactly
         def geometric_sum(r, j):

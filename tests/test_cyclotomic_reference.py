@@ -13,7 +13,9 @@ also checked against the reference's dense division and against ``sympy``
 (test-only) on sparse term maps at larger orders.  The live class sums raw
 coefficients and normalizes each terms map once; the per-term normalization
 it replaced, ``_add_term``, is kept below as the reference for the stored
-terms themselves.
+terms themselves.  ``+`` and ``-`` now sum their two operands as one row of
+``_row_sum``; the two-operand merge they replaced, ``_plus``, is kept below as
+their reference.
 """
 
 from __future__ import annotations
@@ -600,3 +602,56 @@ def test_remainder_agrees_with_dense_division_and_sympy(r):
         f = sympy.Poly.from_dict({(e,): sympy.Rational(str(c)) for e, c in terms.items()}, x, domain=sympy.QQ)
         expected = [Fraction(str(c)) for c in reversed(f.rem(phi_poly).all_coeffs())]
         assert got == _poly_trim(expected)
+
+
+# -- + and - as one row sum against the two-operand merge ------------------------------
+
+
+def reference_plus(self, terms: dict, sign: int):
+    """The earlier ``CyclotomicNumber._plus``: ``self`` plus ``sign`` times the
+    terms ``_coerce`` gave, merged into a copy of ``self``'s terms."""
+    if not terms:
+        return self
+    out = dict(self._terms)
+    for e, c in terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return fast.CyclotomicNumber._of_terms(self.order, fast._folded(out))
+
+
+def reference_sum(op: str, a, b):
+    """``a + b``, ``a - b`` or the reflected ``b - a`` as ``_plus`` built it."""
+    terms = a._coerce(b)
+    if op == "r-":
+        return reference_plus(-a, terms, 1)
+    return reference_plus(a, terms, 1 if op == "+" else -1)
+
+
+LIVE_SUMS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "r-": lambda a, b: a.__rsub__(b)}
+
+
+@pytest.mark.parametrize("r", range(1, 61))
+def test_sums_match_the_plus_reference(r):
+    """``+``, ``-`` and the reflected ``-`` store the terms ``_plus`` stored, each
+    coefficient with the same int or Fraction type, for int, Fraction and
+    cyclotomic right-hand sides, and refuse a number of another order with the
+    same ``InvalidParameters``."""
+    rng = random.Random(f"plus:{r}")
+    for _ in range(6):
+        ca, cb = folding_pair(rng, r)
+        a = fast.CyclotomicNumber(r, ca)
+        for b in (fast.CyclotomicNumber(r, cb), rng.randint(-3, 3), rng.choice(FOLD_POOL),
+                  Fraction(rng.randint(-4, 4), 2), fast.zeta(r, rng.randrange(r))):
+            for op, live in LIVE_SUMS.items():
+                got, expected = live(a, b), reference_sum(op, a, b)
+                assert got.order == r
+                assert_same_terms(got, expected._terms)
+            if not isinstance(b, fast.CyclotomicNumber):
+                assert_same_terms(b + a, reference_sum("+", a, b)._terms)
+                assert_same_terms(b - a, reference_sum("r-", a, b)._terms)
+        other = fast.zeta(r + 1 + rng.randrange(5))
+        for op, live in LIVE_SUMS.items():
+            with pytest.raises(InvalidParameters) as ref_error:
+                reference_sum(op, a, other)
+            with pytest.raises(InvalidParameters) as live_error:
+                live(a, other)
+            assert str(live_error.value) == str(ref_error.value)

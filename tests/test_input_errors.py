@@ -19,15 +19,20 @@ from hyperinc import (
     RationalMatrix,
     build_hypergraph,
     custom_weighting,
+    cyclotomic_polynomial,
     edge_vertex_incidence,
     equal_partition_certificate,
     is_finer,
     matvec,
+    root_of_unity_certificate,
+    root_of_unity_vector,
+    uniform_cycle,
     verify_certificate,
     zeta,
 )
 from hyperinc.cli import main
 from hyperinc.errors import DimensionMismatch, InvalidParameters
+from hyperinc.kernels import ROOT_OF_UNITY_CYCLE
 
 H = "e1: 1 2 3 5\ne2: 1 3 4 5\ne3: 1 2 4 5\n"  # vertices 1..5, edges e1..e3
 
@@ -98,6 +103,7 @@ def test_cli_exits_two_with_the_error_report(tmp_path, monkeypatch, capsys, argv
 
 
 h = build_hypergraph(["1", "2", "3"], [["1", "2"], ["2", "3"], ["1", "3"]])
+cycle = uniform_cycle(12, 8)
 API_CASES = {
     "unknown kind to verify_certificate": (
         lambda: verify_certificate(h, KernelCertificate("no_such_kind", "B", (), ())), InvalidParameters
@@ -114,6 +120,29 @@ API_CASES = {
     ),
     "cyclotomic order 0": (lambda: CyclotomicNumber(0, [1]), InvalidParameters),
     "root order 0": (lambda: zeta(0), InvalidParameters),
+    # orders, powers and cycle sizes are ints: a bool or a float is refused, not
+    # read as the int it is close to
+    "zeta power True": (lambda: zeta(4, True), InvalidParameters),
+    "zeta power 1.5": (lambda: zeta(4, 1.5), InvalidParameters),
+    "zeta order 4.0": (lambda: zeta(4.0), InvalidParameters),
+    "cyclotomic order 4.0": (lambda: CyclotomicNumber(4.0, [1, 2]), InvalidParameters),
+    "cyclotomic order True": (lambda: CyclotomicNumber(True, [1]), InvalidParameters),
+    "Phi order 4.0": (lambda: cyclotomic_polynomial(4.0), InvalidParameters),
+    "vector root order 4.0": (lambda: root_of_unity_vector(12, 4.0, 1), InvalidParameters),
+    "vector power True": (lambda: root_of_unity_vector(12, 4, True), InvalidParameters),
+    "vector length True": (lambda: root_of_unity_vector(True, 4, 1), InvalidParameters),
+    "vector length 4.0": (lambda: root_of_unity_vector(4.0, 4, 1), InvalidParameters),
+    "vector length -1": (lambda: root_of_unity_vector(-1, 4, 1), InvalidParameters),
+    "certificate power True": (lambda: root_of_unity_certificate(cycle, 4, True), InvalidParameters),
+    "certificate order 4.0": (lambda: root_of_unity_certificate(cycle, 4.0, 1), InvalidParameters),
+    "certificate power 1.0": (lambda: root_of_unity_certificate(cycle, 4, 1.0), InvalidParameters),
+    "verify order 4.0": (
+        lambda: verify_certificate(cycle, KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (), (), order=4.0, power=1)),
+        InvalidParameters,
+    ),
+    "cycle size 4.0": (lambda: uniform_cycle(4.0, 2), InvalidParameters),
+    "cycle size True": (lambda: uniform_cycle(True, 2), InvalidParameters),
+    "window size 2.0": (lambda: uniform_cycle(4, 2.0), InvalidParameters),
     # a bool is an int to Python, but no number to the arithmetic, as a float is not
     "zeta + True": (lambda: zeta(4) + True, TypeError),
     "True - zeta": (lambda: True - zeta(4), TypeError),

@@ -4,9 +4,13 @@
 unit's star mask into a frozenset of edge indices, its generator.  It is kept
 as it was, except that it returns (members, generator) pairs, since ``Unit``
 now stores the star mask itself.  ``reference_window_length`` is the earlier
-``_window_length``, kept verbatim: it built each of the n windows by adding
-its k bits, where the current one rolls each window from the previous one.
-Both must agree exactly on seeded instances.
+``_window_length``, kept verbatim: it mapped each residue to its bit through
+a table and built each of the n windows by adding its k bits, where the
+current one requires the residues in canonical order, so that bit j is residue
+j, and takes the windows as the n rotations of the lowest k bits.  Both must
+agree exactly on seeded instances; they differ only on labels with a sign or
+an underscore, which ``int`` reads as residues but which sort after the
+decimal labels (``test_sign_labels_are_not_residues``).
 """
 
 import random
@@ -109,3 +113,19 @@ def test_window_length_agrees_with_reference():
     assert lengths == [reference_window_length(h) for h in instances]
     assert sum(k is not None for k in lengths) > 100
     assert sum(k is None for k in lengths) > 100
+
+
+def test_sign_labels_are_not_residues():
+    """``+0 1 2`` holds the residues 0, 1, 2 to ``int``, but its canonical order
+    is ``1 2 +0``: the reference read the triangle as a 2-uniform cycle, the
+    current ``_window_length`` reads no cycle.  The same holds for an
+    underscore; such a label at the top residue sorts where its value would,
+    and both read the cycle.  ``verify_certificate`` never asks, since it
+    first requires the labels to be exactly 0..n-1."""
+    for zero in ("+0", "0_0"):
+        h = Hypergraph([zero, "1", "2"], [[zero, "1"], ["1", "2"], ["2", zero]])
+        assert h.vertices == ("1", "2", zero)
+        assert reference_window_length(h) == 2
+        assert _window_length(h) is None
+    h = Hypergraph(["0", "1", "+2"], [["0", "1"], ["1", "+2"], ["+2", "0"]])
+    assert reference_window_length(h) == _window_length(h) == 2

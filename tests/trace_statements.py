@@ -1,4 +1,5 @@
-"""List the statements of ``src/hyperinc`` that the test suite never executes.
+"""List the statements of ``src/hyperinc`` that the test suite, or the
+benchmark's workloads, never execute.
 
 ``coverage`` is not a dependency, so this runs pytest in this process under a
 ``sys.settrace`` line trace and prints each statement of the package that no
@@ -7,6 +8,14 @@ pytest; with none, the whole suite under ``tests/`` runs:
 
     python tests/trace_statements.py
     python tests/trace_statements.py tests/test_kernels.py
+
+With ``--workloads SEED...`` it runs no test: for each seed it builds the pool
+of every workload with ``build_pool`` of ``bench/workloads.py`` in a temporary
+directory, runs each call of the pool once through ``hyperinc.cli.main`` in
+this process, standard output and error swallowed, and lists the statements
+that no call reached.  Nothing under ``bench/`` is changed:
+
+    python tests/trace_statements.py --workloads 38001 38002
 
 Only this process is traced, so a statement reached only by a child process
 (the CLI tests that start ``python -m hyperinc``) is listed too.  A statement
@@ -17,8 +26,13 @@ not collect this file.
 """
 
 import ast
+import contextlib
+import io
+import os
 import sys
+import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +58,32 @@ def statement_spans(path: Path) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
+def run_workloads(seeds: list[str]) -> Counter:
+    """Every call of every workload's pool, once per seed, through the CLI's
+    ``main`` in this process; returns the count of calls per exit code."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from workloads import WORKLOADS, build_pool
+
+    from hyperinc.cli import main as cli_main
+
+    codes, home = Counter(), Path.cwd()
+    for seed in seeds:
+        for workload in WORKLOADS:
+            with tempfile.TemporaryDirectory() as workdir:
+                ops = build_pool(workload, int(seed), Path(workdir))
+                os.chdir(workdir)  # the calls name their inputs relative to it
+                try:
+                    for op in ops:
+                        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                            try:
+                                codes[cli_main(op.argv)] += 1
+                            except SystemExit as exc:
+                                codes[exc.code] += 1
+                finally:
+                    os.chdir(home)
+    return codes
+
+
 def main(args: list[str]) -> int:
     package = str(PACKAGE)
     executed: set[tuple[str, int]] = set()
@@ -60,7 +100,12 @@ def main(args: list[str]) -> int:
     threading.settrace(calls)
     sys.settrace(calls)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), *(args or [str(ROOT / "tests")])])
+        if args[:1] == ["--workloads"]:
+            codes = run_workloads(args[1:])
+            outcome = "workload calls by exit code: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items(), key=str))
+        else:
+            status = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), *(args or [str(ROOT / "tests")])])
+            outcome = f"pytest exit status {int(status)}"
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -73,7 +118,7 @@ def main(args: list[str]) -> int:
             if not ran.intersection(range(first, last + 1)):
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{first}: {source[first - 1].strip()}")
-    print(f"{missed} statements never executed (pytest exit status {int(status)})")
+    print(f"{missed} statements never executed ({outcome})")
     return 0
 
 
