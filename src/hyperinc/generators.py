@@ -9,7 +9,7 @@ import random
 from typing import Optional, Union
 
 from .errors import InvalidParameters
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _checked_int
 
 RandomSource = Union[int, random.Random, None]
 
@@ -31,18 +31,16 @@ def random_hypergraph(
     s-subset; a repeated edge is drawn again.
 
     Vertices are labelled "1".."n"; isolated vertices are allowed and simply
-    stay uncovered.  Raises on a negative edge count and when more distinct
-    edges are requested than exist.
+    stay uncovered.  ``n_vertices`` (>= 1), ``n_edges`` (>= 0) and a given
+    ``max_size`` (>= 1, clamped to n) follow the integer rule of
+    ``_checked_int``, and more distinct edges than exist raise
+    ``InvalidParameters`` too.
     """
-    if n_vertices < 1:
-        raise InvalidParameters("need at least one vertex")
-    if n_edges < 0:
-        raise InvalidParameters("the edge count must not be negative")
+    _checked_int(n_vertices, "vertex count", 1)
+    _checked_int(n_edges, "edge count", 0)
     if max_size is None:
         max_size = n_vertices
-    max_size = min(max_size, n_vertices)
-    if max_size < 1:
-        raise InvalidParameters("max edge size must be at least 1")
+    max_size = min(_checked_int(max_size, "max edge size", 1), n_vertices)
     cumulative = list(itertools.accumulate(math.comb(n_vertices, s) for s in range(1, max_size + 1)))
     n_subsets = cumulative[-1]
     if n_edges > n_subsets:

@@ -79,19 +79,33 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
+def _str_keyed(entries: Mapping) -> dict:
+    """``entries`` keyed by the ``str`` of each key; InvalidParameters when two
+    keys share one, as 1 and "1" do."""
+    keyed = {str(k): v for k, v in entries.items()}
+    if len(keyed) < len(entries):
+        labels = [str(k) for k in entries]
+        merged = sorted({x for x in labels if labels.count(x) > 1})
+        raise InvalidParameters(f"vector keys collide under str(): {merged}")
+    return keyed
+
+
 @dataclass(frozen=True)
 class VertexVector:
     """Sparse exact vector keyed by vertex (or edge) labels.
 
     Absent labels are implicitly zero; explicit zeros are dropped on
-    construction so equality is structural.  Entries may be ``Fraction``
-    values or cyclotomic field elements.
+    construction so equality is structural.  Keys are read by ``str``, and
+    two keys with one string (1 and "1") raise InvalidParameters.  Entries
+    may be ``Fraction`` values or cyclotomic field elements.
     """
 
     entries: Mapping[str, object]
 
     def __init__(self, entries: Mapping[str, object]):
         cleaned = {str(k): v for k, v in entries.items() if v != 0}
+        if len(cleaned) < len(entries):  # zeros dropped, or keys merged by str()
+            _str_keyed(entries)
         object.__setattr__(self, "entries", cleaned)
 
     def value(self, label: str):

@@ -462,11 +462,12 @@ def _patterns(kernel, free, symbols):
     return walk(0, (), [0] * len(pivots), [0] * len(pivots))
 
 
-def _masks(kernel, free, free_codes, pivot_codes, n_sets):
-    masks = [0] * (n_sets + 1)
-    for j, s in itertools.chain(zip(free, free_codes), zip(kernel[0], pivot_codes)):
-        masks[s] |= 1 << j
-    return tuple(masks[1:])
+def _assignment(n, free, free_codes, pivots, pivot_codes):
+    """The code of each of the n columns, 0 off the free and pivot columns."""
+    codes = [0] * n
+    for j, s in itertools.chain(zip(free, free_codes), zip(pivots, pivot_codes)):
+        codes[j] = s
+    return tuple(codes)
 
 
 def _decodes(kernel, free, symbols, n_zero, charge):
@@ -532,37 +533,22 @@ def _decodes(kernel, free, symbols, n_zero, charge):
                     yield codes, pivot_codes, ratio
 
 
-def _leads(u: int, v: int) -> bool:
-    """The smallest element of U | V lies in U (one orientation per pair)."""
-    return bool((u | v) & -(u | v) & u)
+# A core is a certificate's assignment cut to the columns that meet a row,
+# with its r.  No non-empty set of those columns has its indicator in the kernel.
 
 
-def _assignment_key(masks: tuple[int, ...], n: int) -> list[int]:
-    """The order of the assignments range(n) -> {0 (unused), 1..k}, element 0
-    most significant."""
-    code = [0] * n
-    for s, mask in enumerate(masks, start=1):
-        for j in bit_indices(mask):
-            code[j] = s
-    return code
-
-
-# A core is a certificate's sets cut to the elements that meet a row, with
-# its r.  No non-empty set of those elements has its indicator in the kernel.
-
-
-def _spread(cores, zero):
-    """Every core with each zero column added to no set or to one of its
-    sets (a zero column changes no count, so r stays), kept when every set
-    is non-empty and U leads U | V."""
-    bits = [1 << j for j in bit_indices(zero)]
+def _spread(cores, zero, n_sets):
+    """Every core with each zero column given every code (a zero column
+    changes no count, so r stays), kept when codes 1..n_sets all appear and
+    the first code in {1, 2} is 1 (U leads U | V)."""
+    codes, wanted = range(n_sets + 1), set(range(1, n_sets + 1))
     for core, r in cores:
         family = [core]
-        for bit in bits:
-            family += [m[:i] + (m[i] | bit,) + m[i + 1:] for m in family for i in range(len(m))]
-        for masks in family:
-            if all(masks) and _leads(masks[0], masks[1]):
-                yield masks, r
+        for j in zero:
+            family = [a[:j] + (s,) + a[j + 1:] for a in family for s in codes]
+        for assignment in family:
+            if wanted <= set(assignment) and assignment.index(1) < assignment.index(2):
+                yield assignment, r
 
 
 def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertificate]:
@@ -626,19 +612,23 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
         return [_mask_certificate(h, UNIT_PAIR, (1 << u, 1 << v)) for u, v in pairs]
 
     kernel = proven_kernel(incidence(h).entries, n)
-    zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
-    n_zero = zero.bit_count()
+    zero = [j for j, column in enumerate(columns) if not column]  # meet no row
     free = [j for j in kernel[2] if columns[j]]
     symbols = {THREE_SET_RELATION: _THREE_SET, RATIO_EDGE_PARTITION: _RATIO,
                RATIO_VERTEX_PARTITION: _RATIO}.get(kind, _SIGNED)
     charge(len(symbols) ** len(free) * len(kernel[0]))
     cores = [
-        (_masks(kernel, free, codes, pivot_codes, len(symbols) - 1), r)
-        for codes, pivot_codes, r in _decodes(kernel, free, symbols, n_zero, charge)
+        (_assignment(n, free, codes, kernel[0], pivot_codes), r)
+        for codes, pivot_codes, r in _decodes(kernel, free, symbols, len(zero), charge)
     ]
-    charge(len(cores) * (len(symbols) ** n_zero - 1))
-    hits = sorted(_spread(cores, zero), key=lambda hit: _assignment_key(hit[0], n))
+    charge(len(cores) * (len(symbols) ** len(zero) - 1))
+    hits = sorted(_spread(cores, zero, len(symbols) - 1), key=lambda hit: hit[0])
     # the product indexes every column and reads each row at the sets' elements
-    check_output(sum(n + n_rows * sum(m.bit_count() for m in masks) for masks, _ in hits))
-
-    return [_mask_certificate(h, kind, masks, r) for masks, r in hits]
+    check_output(sum(n + n_rows * (n - assignment.count(0)) for assignment, _ in hits))
+    certificates = []
+    for assignment, r in hits:
+        masks = [0] * len(symbols)
+        for j, s in enumerate(assignment):
+            masks[s] |= 1 << j
+        certificates.append(_mask_certificate(h, kind, masks[1:], r))
+    return certificates

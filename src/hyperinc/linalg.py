@@ -22,7 +22,7 @@ from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
-from .hypergraph import Hypergraph, VertexVector, bit_indices
+from .hypergraph import Hypergraph, VertexVector, _str_keyed, bit_indices
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _ZERO = Fraction(0)  # shared by every zero row of a product; Fractions are immutable
@@ -392,19 +392,20 @@ def rank_modular_oracle(m: RationalMatrix) -> int:
 def matvec(m: RationalMatrix, x) -> dict[str, object]:
     """Exact matrix-vector product, keyed by row labels.
 
-    ``x`` may be a ``VertexVector`` or a plain mapping; its support must be
-    covered by the column labels.  Each value is an ``int``, a ``Fraction``
-    or of a type with a ``_row_sum``, such as ``CyclotomicNumber``; any other
-    value (a bool, a float, a string) raises InvalidParameters.  Each row is
-    read only at the vector's non-zero support, in column order, and folded
-    from its (cell, value) pairs: a rational vector in integers, one
-    Fraction per row (mask rows add their bits' values directly), any other
-    vector by the ``_row_sum`` of the type of its first value that is not
-    rational, which for ``CyclotomicNumber`` adds the row into one terms map
-    and builds one number.  A row the support misses is the shared
-    ``Fraction(0)``.
+    ``x`` may be a ``VertexVector`` or a plain mapping, keyed by ``str`` of
+    each key (two keys with one string raise InvalidParameters); its support
+    must be covered by the column labels.  Each value is an ``int``, a
+    ``Fraction`` or of a type with a ``_row_sum``, such as
+    ``CyclotomicNumber``; any other value (a bool, a float, a string) raises
+    InvalidParameters.  Each row is read only at the vector's non-zero
+    support, in column order, and folded from its (cell, value) pairs: a
+    rational vector in integers, one Fraction per row (mask rows add their
+    bits' values directly), any other vector by the ``_row_sum`` of the type
+    of its first value that is not rational, which for ``CyclotomicNumber``
+    adds the row into one terms map and builds one number.  A row the
+    support misses is the shared ``Fraction(0)``.
     """
-    entries = x.entries if isinstance(x, VertexVector) else {str(k): v for k, v in x.items()}
+    entries = x.entries if isinstance(x, VertexVector) else _str_keyed(x)
     for k, v in entries.items():
         if isinstance(v, bool):  # an int to Python, but no number here, not even False
             raise InvalidParameters(f"vector entry {k!r} is {v!r}, not exact")

@@ -96,6 +96,8 @@ def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequenc
                 f"missing weights for edges {missing}, weights for unknown edges {unknown}"
             )
         weights = [weights[name] for name in h.edge_labels]
+    elif isinstance(weights, (str, bytes, bytearray)):  # a sequence, but not of weights
+        raise InvalidParameters(f"weights must be a mapping or a sequence of weights, got {weights!r}")
     elif len(weights) != h.n_edges:
         raise InvalidParameters("weight sequence length does not match edge count")
     return EdgeWeighting(CUSTOM_WEIGHTING, tuple(weights))

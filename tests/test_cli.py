@@ -390,6 +390,18 @@ class TestVerify:
         assert (check.valid, check.combinatorial) == (valid, False)
         assert main(["verify", str(path), "--certificate", str(cert)]) == (0 if valid else 1)
 
+    def test_root_certificate_text_report_drops_zero_entries(self, tmp_path, capsys):
+        """1 + zeta_2 = 0 on e1 = {0, 1}: the text lists only e2, while the
+        JSON report keeps the zero as Cyc(0)."""
+        path, cert = tmp_path / "h.txt", tmp_path / "root.json"
+        path.write_text("vertices: 0 1 2 3\ne1: 0 1\ne2: 1 2 3\n")
+        cert.write_text(json.dumps({"kind": "root_of_unity_cycle", "order": 2, "power": 1}))
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 1
+        assert "non-zero residual entries: {'e2': 'Cyc(-1)'}" in capsys.readouterr().out.splitlines()
+        assert main(["verify", str(path), "--certificate", str(cert), "--json"]) == 1
+        residual = json.loads(capsys.readouterr().out)["certificate"]["residual"]
+        assert residual == {"e1": "Cyc(0)", "e2": "Cyc(-1)"}
+
     def test_invalid_certificate_text_report_lists_the_residual(self, capsys):
         argv = ["verify", str(GOLDEN / "units_12x9.txt"),
                 "--certificate", str(GOLDEN / "units_12x9.ratio_invalid.cert.json")]

@@ -52,11 +52,8 @@ from hyperinc.kernels import (
     _RATIO,
     _SIGNED,
     _THREE_SET,
-    _assignment_key,
     _mask_certificate,
-    _masks,
     _patterns,
-    _spread,
 )
 from hyperinc.linalg import edge_vertex_incidence, proven_kernel, vertex_edge_incidence
 
@@ -269,11 +266,48 @@ def find_certificates_pruned(h: Hypergraph, kind: str) -> list[KernelCertificate
 # -- the split reference ------------------------------------------------------------
 
 # ``find_certificates_split`` with ``_pinned_ratios``, ``_kernel_vectors``,
-# ``_submasks``, ``_splits`` and ``_three_set_cores`` is the finder before it
+# ``_submasks``, ``_splits`` ``_three_set_cores``, ``_masks``,
+# ``_leads``, ``_assignment_key`` and ``_spread`` is the finder before it
 # had one decode rule: one walk split into {0, 1, -1} vectors and vectors that
 # pin r, with the r = 0, 1 and -1 three-set families and the ratio kinds'
-# r = 0 family rebuilt from submasks.  Copied as it was, except that it
+# r = 0 family rebuilt from submasks, each hit carried as set masks.  Copied as it was, except that it
 # returns its counted work with the certificates and leaves unit pairs out.
+
+
+def _masks(kernel, free, free_codes, pivot_codes, n_sets):
+    masks = [0] * (n_sets + 1)
+    for j, s in itertools.chain(zip(free, free_codes), zip(kernel[0], pivot_codes)):
+        masks[s] |= 1 << j
+    return tuple(masks[1:])
+
+
+def _leads(u: int, v: int) -> bool:
+    """The smallest element of U | V lies in U (one orientation per pair)."""
+    return bool((u | v) & -(u | v) & u)
+
+
+def _assignment_key(masks: tuple[int, ...], n: int) -> list[int]:
+    """The order of the assignments range(n) -> {0 (unused), 1..k}, element 0
+    most significant."""
+    code = [0] * n
+    for s, mask in enumerate(masks, start=1):
+        for j in bit_indices(mask):
+            code[j] = s
+    return code
+
+
+def _spread(cores, zero):
+    """Every core with each zero column added to no set or to one of its
+    sets (a zero column changes no count, so r stays), kept when every set
+    is non-empty and U leads U | V."""
+    bits = [1 << j for j in bit_indices(zero)]
+    for core, r in cores:
+        family = [core]
+        for bit in bits:
+            family += [m[:i] + (m[i] | bit,) + m[i + 1:] for m in family for i in range(len(m))]
+        for masks in family:
+            if all(masks) and _leads(masks[0], masks[1]):
+                yield masks, r
 
 
 def _pinned_ratios(a_sums, b_sums, d, symbols) -> list[Fraction]:

@@ -33,6 +33,6 @@ def test_distinct_edges_up_to_the_last_subset():
 
 
 def test_negative_edge_count_is_refused():
-    with pytest.raises(InvalidParameters, match="negative"):
+    with pytest.raises(InvalidParameters, match="edge count must be an int >= 0, got -3"):
         random_hypergraph(5, -3, seed=0)
     assert random_hypergraph(5, 0, seed=0).n_edges == 0

@@ -17,6 +17,7 @@ from hyperinc import (
     KernelCertificate,
     NullspaceBasis,
     RationalMatrix,
+    VertexVector,
     build_hypergraph,
     custom_weighting,
     cyclotomic_polynomial,
@@ -24,6 +25,7 @@ from hyperinc import (
     equal_partition_certificate,
     is_finer,
     matvec,
+    random_hypergraph,
     root_of_unity_certificate,
     root_of_unity_vector,
     uniform_cycle,
@@ -143,6 +145,20 @@ API_CASES = {
     "cycle size 4.0": (lambda: uniform_cycle(4.0, 2), InvalidParameters),
     "cycle size True": (lambda: uniform_cycle(True, 2), InvalidParameters),
     "window size 2.0": (lambda: uniform_cycle(4, 2.0), InvalidParameters),
+    "random vertex count True": (lambda: random_hypergraph(True, 1), InvalidParameters),
+    "random vertex count 4.0": (lambda: random_hypergraph(4.0, 2), InvalidParameters),
+    "random edge count 2.0": (lambda: random_hypergraph(4, 2.0), InvalidParameters),
+    "random edge count True": (lambda: random_hypergraph(4, True, None, 1), InvalidParameters),
+    "random max size True": (lambda: random_hypergraph(4, 2, True, 1), InvalidParameters),
+    "random max size 2.5": (lambda: random_hypergraph(4, 2, 2.5, 1), InvalidParameters),
+    # a str or bytes is a sequence, but of characters or bytes, not of weights
+    "weights as a str": (lambda: custom_weighting(h, "123"), InvalidParameters),
+    "weights as bytes": (lambda: custom_weighting(h, b"\x01\x02\x03"), InvalidParameters),
+    "weights as a bytearray": (lambda: custom_weighting(h, bytearray(b"\x01\x02\x03")), InvalidParameters),
+    # labels are strings, so 1 and "1" are one label, given twice
+    "vector keys 1 and '1'": (lambda: VertexVector({1: 2, "1": 3}), InvalidParameters),
+    "vector keys 1 and '1', one zero": (lambda: VertexVector({1: 0, "1": 3}), InvalidParameters),
+    "matvec keys 1 and '1'": (lambda: matvec(edge_vertex_incidence(h), {1: 2, "1": 3}), InvalidParameters),
     # a bool is an int to Python, but no number to the arithmetic, as a float is not
     "zeta + True": (lambda: zeta(4) + True, TypeError),
     "True - zeta": (lambda: True - zeta(4), TypeError),

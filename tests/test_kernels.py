@@ -52,9 +52,9 @@ from conftest import random_instance
 
 def count_finder_steps(monkeypatch) -> dict[str, int]:
     """Counts, while the finder runs, of the patterns ``_patterns`` yields
-    and of the calls to ``_masks`` (one per vector built), ``_spread`` and
+    and of the calls to ``_assignment`` (one per vector built), ``_spread`` and
     ``_mask_certificate``."""
-    counts = dict.fromkeys(["_patterns", "_masks", "_spread", "_mask_certificate"], 0)
+    counts = dict.fromkeys(["_patterns", "_assignment", "_spread", "_mask_certificate"], 0)
     patterns = kernels._patterns
 
     def counting_patterns(*args):
@@ -69,7 +69,7 @@ def count_finder_steps(monkeypatch) -> dict[str, int]:
         return wrapper
 
     monkeypatch.setattr(kernels, "_patterns", counting_patterns)
-    for name in ("_masks", "_spread", "_mask_certificate"):
+    for name in ("_assignment", "_spread", "_mask_certificate"):
         monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     return counts
 
@@ -479,7 +479,7 @@ class TestFinder:
         # 58 pivots may take V, and those choices are refused before any is built
         with pytest.raises(InstanceTooLarge, match=f"at least {3 * 58 + 2**58 - 1} counted"):
             find_certificates_exhaustive(path, RATIO_EDGE_PARTITION)
-        assert counts == {"_patterns": 1, "_masks": 1, "_spread": 0, "_mask_certificate": 0}
+        assert counts == {"_patterns": 1, "_assignment": 1, "_spread": 0, "_mask_certificate": 0}
 
         counts.update(dict.fromkeys(counts, 0))
         one_edge = build_hypergraph([str(i) for i in range(13)], [["0", "1"]])
