@@ -23,20 +23,13 @@ from .hypergraph import Hypergraph, build_hypergraph
 from .kernels import (
     GENERAL_COMBINATION,
     ROOT_OF_UNITY_CYCLE,
-    UNIT_PAIR,
-    EQUAL_EDGE_PARTITION,
-    EQUAL_VERTEX_PARTITION,
-    RATIO_EDGE_PARTITION,
-    RATIO_VERTEX_PARTITION,
+    SET_KINDS,
     THREE_SET_RELATION,
+    UNIT_PAIR,
     KernelCertificate,
-    dual_side_certificate,
-    equal_partition_certificate,
+    _set_certificate,
     general_combination_certificate,
-    ratio_partition_certificate,
     root_of_unity_certificate,
-    three_set_certificate,
-    unit_pair_certificate,
 )
 from .linalg import exact_rational
 from .spectra import EdgeWeighting, custom_weighting
@@ -226,13 +219,6 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
             raise ParseError(f"certificate kind {kind!r} needs set {name!r}")
         return parse_labels(sets[name], f"set {name!r}")
 
-    if kind == EQUAL_EDGE_PARTITION:
-        return equal_partition_certificate(h, need("U"), need("V"))
-    if kind == RATIO_EDGE_PARTITION:
-        return ratio_partition_certificate(h, need("U"), need("V"), parse_fraction(data.get("ratio", "1")))
-    if kind == THREE_SET_RELATION:
-        u, v = (need(name) if name in sets else [] for name in ("U", "V"))
-        return three_set_certificate(h, u, v, need("W"), parse_fraction(data.get("ratio", "1")))
     if kind == GENERAL_COMBINATION:
         parts = data.get("parts")
         pairs = []
@@ -261,20 +247,40 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
                     raise ParseError(f"missing coefficient for set {name!r}")
                 pairs.append((need(name), parse_fraction(coefficients[name])))
         return general_combination_certificate(h, pairs)
-    if kind == UNIT_PAIR:
-        u, v = ([data[n]] if n in data else need(n) if n in sets else [] for n in ("u", "v"))
-        if len(u) != 1 or len(v) != 1:
-            raise ParseError("unit pair needs one vertex 'u' and one vertex 'v'")
-        return unit_pair_certificate(h, *parse_labels(u + v, "unit pair 'u' and 'v'"))
     if kind == ROOT_OF_UNITY_CYCLE:
         order, power = data.get("order"), data.get("power")
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (order, power)):
             raise ParseError("root-of-unity certificate needs integer 'order' and 'power'")
         return root_of_unity_certificate(h, order, power)
-    if kind in (EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION):
-        r = parse_fraction(data.get("ratio", "1"))
-        return dual_side_certificate(h, need("E"), need("F"), r)
-    raise ParseError(f"unknown certificate kind {kind!r}")
+    if kind not in SET_KINDS:
+        raise ParseError(f"unknown certificate kind {kind!r}")
+    members = []
+    for name in SET_KINDS[kind][1]:
+        if kind == UNIT_PAIR and name in data:
+            members.append(parse_labels([data[name]], f"unit pair {name!r}"))
+        elif name in sets or kind != THREE_SET_RELATION or name == "W":
+            members.append(need(name))
+        else:
+            members.append([])  # U or V of a three-set relation may be left out
+    if kind == UNIT_PAIR and any(len(m) != 1 for m in members):
+        raise ParseError("unit pair needs one vertex 'u' and one vertex 'v'")
+    r = parse_fraction(data.get("ratio", 1))
+    cert = _set_certificate(h, kind, members, r)
+    # the side, sets, coefficients and ratio the JSON states must be the built ones
+    built = {name: (set(m), c) for (name, m), c in zip(cert.sets, cert.coefficients)}
+    coefficients = data.get("coefficients", {})
+    if not isinstance(coefficients, dict):
+        raise ParseError("'coefficients' must map set names to fractions")
+    wrong = [key for key, agrees in [
+        ("side", data.get("side", cert.side) == cert.side),
+        ("sets", all(n in built and set(need(n)) == built[n][0] for n in sets)),
+        ("coefficients", all(n in built and parse_fraction(x) == built[n][1]
+                             for n, x in coefficients.items())),
+        ("ratio", "ratio" not in data or r == cert.ratio),
+    ] if not agrees]
+    if wrong:
+        raise ParseError(f"the {cert.kind} built from the JSON disagrees with its {' and '.join(wrong)}")
+    return cert
 
 
 def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:

@@ -9,6 +9,7 @@ two must always agree; a disagreement would be a bug, not a data error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,12 +56,17 @@ ROOT_OF_UNITY_CYCLE = "root_of_unity_cycle"
 EQUAL_VERTEX_PARTITION = "equal_vertex_partition"
 RATIO_VERTEX_PARTITION = "ratio_vertex_partition"
 
-VERTEX_SIDE_KINDS = frozenset(
-    {EQUAL_EDGE_PARTITION, RATIO_EDGE_PARTITION, THREE_SET_RELATION,
-     GENERAL_COMBINATION, UNIT_PAIR, ROOT_OF_UNITY_CYCLE}
-)
-EDGE_SIDE_KINDS = frozenset({EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION})
-ALL_KINDS = VERTEX_SIDE_KINDS | EDGE_SIDE_KINDS
+# Each set kind: the side it certifies ("B": sets of vertices, "I": sets of
+# edges), its set names in order and each set's coefficient (a, b), a + b*r.
+SET_KINDS = {
+    EQUAL_EDGE_PARTITION: ("B", ("U", "V"), ((1, 0), (-1, 0))),
+    RATIO_EDGE_PARTITION: ("B", ("U", "V"), ((1, 0), (0, -1))),
+    THREE_SET_RELATION: ("B", ("U", "V", "W"), ((-1, 0), (1, 0), (0, 1))),
+    UNIT_PAIR: ("B", ("u", "v"), ((1, 0), (-1, 0))),
+    EQUAL_VERTEX_PARTITION: ("I", ("E", "F"), ((1, 0), (-1, 0))),
+    RATIO_VERTEX_PARTITION: ("I", ("E", "F"), ((1, 0), (0, -1))),
+}
+ALL_KINDS = frozenset({*SET_KINDS, GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE})
 
 FINDER_BOUND = 4**10  # counted steps one finder search may take
 OUTPUT_BOUND = 2**24  # incidence cells its certificates may take to check and report
@@ -157,23 +163,25 @@ def _check_sets(h: Hypergraph, side: str, named: Sequence[tuple[str, Iterable[st
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=256)  # a find builds and verifies its hits at few ratios
+def _coefficients(pairs, r) -> tuple[Fraction, ...]:
+    """The coefficient a + b*r of each pair (a, b)."""
+    return tuple([Fraction(a) if not b else a + b * r for a, b in pairs])
+
+
 def _mask_certificate(h: Hypergraph, kind: str, masks: Sequence[int], r=None, coefficients=None):
-    """The certificate of a set ``kind`` on disjoint ``masks``, at ratio ``r`` or with
-    ``coefficients`` (general combination); members in index order, unchecked."""
-    side, names = "B", ("U", "V")
+    """The certificate of a set ``kind`` at ratio ``r``, or of a general
+    combination with ``coefficients``, on disjoint ``masks``; members in
+    index order, unchecked."""
     if kind == GENERAL_COMBINATION:
-        names = [f"U{i}" for i in range(1, len(masks) + 1)]
-    elif kind == THREE_SET_RELATION:
-        names, coefficients = ("U", "V", "W"), (Fraction(-1), Fraction(1), r)
-    elif kind == UNIT_PAIR:
-        names, coefficients = ("u", "v"), (Fraction(1), Fraction(-1))
-    elif kind == EQUAL_EDGE_PARTITION:
-        coefficients, r = (Fraction(1), Fraction(-1)), None
-    else:  # chi(U) - r*chi(V) on vertices, or chi(E) - r*chi(F) on edges
-        coefficients = (Fraction(1), -r)
-        if kind != RATIO_EDGE_PARTITION:
-            side, names = "I", ("E", "F")
-            kind = EQUAL_VERTEX_PARTITION if r == 1 else RATIO_VERTEX_PARTITION
+        side, names = "B", [f"U{i}" for i in range(1, len(masks) + 1)]
+    else:
+        side, names, pairs = SET_KINDS[kind]
+        if kind == EQUAL_VERTEX_PARTITION or kind == RATIO_VERTEX_PARTITION and r == 1:
+            kind, r = EQUAL_VERTEX_PARTITION, Fraction(1)  # the ratio vertex partition at r = 1
+        elif not any(b for _, b in pairs):
+            r = None  # no coefficient reads r
+        coefficients = _coefficients(pairs, r)
     labels = h.vertices if side == "B" else h.edge_labels
     sets = tuple(
         (name, tuple(labels[i] for i in bit_indices(mask))) for name, mask in zip(names, masks)
@@ -181,23 +189,27 @@ def _mask_certificate(h: Hypergraph, kind: str, masks: Sequence[int], r=None, co
     return KernelCertificate(kind, side, sets, coefficients, ratio=r)
 
 
+def _set_certificate(h: Hypergraph, kind: str, members: Sequence[Iterable[str]], r=1):
+    """The certificate of a set ``kind`` on the label sets ``members``, one
+    per set of the kind in order, at ratio ``r``.  Every set must be
+    non-empty, except U and V of a three-set relation."""
+    r = Fraction(exact_rational(r))
+    side, names, _ = SET_KINDS[kind]
+    masks = _check_sets(h, side, list(zip(names, members)))
+    for name, mask in zip(names, masks):
+        if not mask and (kind != THREE_SET_RELATION or name == "W"):
+            raise EmptySubset(f"set {name!r} of a {kind} certificate is empty")
+    return _mask_certificate(h, kind, masks, r)
+
+
 def equal_partition_certificate(h: Hypergraph, u: Iterable[str], v: Iterable[str]) -> KernelCertificate:
     """chi(U) - chi(V); in the kernel of B_H iff |e & U| = |e & V| for all e."""
-    masks = _check_sets(h, "B", [("U", u), ("V", v)])
-    if not all(masks):
-        raise EmptySubset("equal partitions need two non-empty sets")
-    return _mask_certificate(h, EQUAL_EDGE_PARTITION, masks)
+    return _set_certificate(h, EQUAL_EDGE_PARTITION, (u, v))
 
 
-def ratio_partition_certificate(
-    h: Hypergraph, u: Iterable[str], v: Iterable[str], r
-) -> KernelCertificate:
+def ratio_partition_certificate(h: Hypergraph, u: Iterable[str], v: Iterable[str], r) -> KernelCertificate:
     """chi(U) - r*chi(V); in the kernel iff |e & U| : |e & V| = r on every edge."""
-    r = Fraction(exact_rational(r))
-    masks = _check_sets(h, "B", [("U", u), ("V", v)])
-    if not all(masks):
-        raise EmptySubset("ratio partitions need two non-empty sets")
-    return _mask_certificate(h, RATIO_EDGE_PARTITION, masks, r)
+    return _set_certificate(h, RATIO_EDGE_PARTITION, (u, v), r)
 
 
 def three_set_certificate(
@@ -206,11 +218,7 @@ def three_set_certificate(
     """r*chi(W) - (chi(U) - chi(V)); kernel membership iff
     (|e & U| - |e & V|) : |e & W| = r edge by edge (edges missing W must
     balance U against V).  U or V may be empty; W may not."""
-    r = Fraction(exact_rational(r))
-    masks = _check_sets(h, "B", [("U", u), ("V", v), ("W", w)])
-    if not masks[2]:
-        raise EmptySubset("the scaled set W must be non-empty")
-    return _mask_certificate(h, THREE_SET_RELATION, masks, r)
+    return _set_certificate(h, THREE_SET_RELATION, (u, v, w), r)
 
 
 def general_combination_certificate(
@@ -230,7 +238,7 @@ def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
     u, v = str(u), str(v)
     if u == v:
         raise InvalidParameters("unit pair needs two distinct vertices")
-    return _mask_certificate(h, UNIT_PAIR, _check_sets(h, "B", [("u", [u]), ("v", [v])]))
+    return _set_certificate(h, UNIT_PAIR, ([u], [v]))
 
 
 def root_of_unity_certificate(h: Hypergraph, r: int, power: int) -> KernelCertificate:
@@ -242,17 +250,11 @@ def root_of_unity_certificate(h: Hypergraph, r: int, power: int) -> KernelCertif
     return KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (), (), order=r, power=power)
 
 
-def dual_side_certificate(
-    h: Hypergraph, e: Iterable[str], f: Iterable[str], r=1
-) -> KernelCertificate:
+def dual_side_certificate(h: Hypergraph, e: Iterable[str], f: Iterable[str], r=1) -> KernelCertificate:
     """chi(E) - r*chi(F) on edges; kernel of the vertex-edge incidence matrix
     iff every vertex sees the two edge sets in the ratio r (r = 1 is the equal
     partition of vertices)."""
-    r = Fraction(exact_rational(r))
-    masks = _check_sets(h, "I", [("E", e), ("F", f)])
-    if not all(masks):
-        raise EmptySubset("edge-side partitions need two non-empty edge sets")
-    return _mask_certificate(h, RATIO_VERTEX_PARTITION, masks, r)
+    return _set_certificate(h, RATIO_VERTEX_PARTITION, (e, f), r)
 
 
 # -- verification -----------------------------------------------------------------
@@ -285,8 +287,6 @@ def _combinatorial_side(h: Hypergraph, c: KernelCertificate, masks: Sequence[int
             return False
         n = h.n_vertices
         return k % c.order == 0 and n % c.order == 0 and c.power % c.order != 0
-    if c.kind not in ALL_KINDS:
-        raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
     # sum(c_i * |row & S_i|) = 0 on every edge (side B) or every vertex (side I),
     # with the coefficients scaled to integers once
     rows = h.edge_masks if c.side == "B" else h.star_masks
@@ -307,8 +307,19 @@ def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
     condition on the resolved sets.  For the if-and-only-if kinds the two
     sides must agree exactly (a mismatch raises).  For root-of-unity
     certificates the counting premise is only sufficient, so it is required to
-    imply the algebraic side but not conversely.
+    imply the algebraic side but not conversely.  A certificate's side, set
+    names and coefficients at its ratio must be those of its kind in
+    ``SET_KINDS``; the other kinds certify B_H, with one coefficient a set.
     """
+    if c.kind not in ALL_KINDS:
+        raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
+    side, names, pairs = SET_KINDS.get(c.kind, ("B", None, None))
+    if c.side != side or len(c.coefficients) != len(c.sets) or names is not None and (
+        tuple(name for name, _ in c.sets) != names
+        or c.ratio is None and any(b for _, b in pairs)
+        or tuple(c.coefficients) != _coefficients(pairs, c.ratio)
+    ):
+        raise InvalidParameters(f"the side, sets or coefficients are not those of a {c.kind}")
     if c.kind == ROOT_OF_UNITY_CYCLE:
         root_of_unity_certificate(h, c.order, c.power)  # its vertex labels; it has no sets
     masks = _check_sets(h, c.side, c.sets)
@@ -433,10 +444,8 @@ def extension_theorem_check(h: Hypergraph, u: Iterable[str]) -> bool:
 
 # A finder assigns each ground element a code: 0 (unused) or i + 1 for the
 # i-th set.  As a symbol, code s stands for the coordinate value a + b*r of
-# its pair (a, b); a kernel vector is fixed by its values at the free columns.
-_SIGNED = ((0, 0), (1, 0), (-1, 0))  # unused 0, U = 1, V = -1
-_RATIO = ((0, 0), (1, 0), (0, -1))  # unused 0, U = 1, V = -r
-_THREE_SET = ((0, 0), (1, 0), (-1, 0), (0, -1))  # unused 0, U = 1, V = -1, W = -r
+# its pair (a, b): (0, 0) for unused, else the set's coefficient in
+# ``SET_KINDS``.  A kernel vector is fixed by its values at the free columns.
 
 
 def _patterns(kernel, free, symbols):
@@ -477,7 +486,7 @@ def _decodes(kernel, free, symbols, n_zero, charge):
     A pivot pins r unless one symbol takes its value at every r.  A pattern
     is decoded at each r at which its first pinning pivot takes a symbol's
     value; a pattern with no pinning pivot at r = 1 and, if r has a symbol
-    (the last), at r = 0, 1 and -1, where that symbol's value -r is
+    (the last), at r = 0, 1 and -1, where that symbol's value may be
     another's.  At such an r a pivot on a shared value may take either
     symbol, and each choice is yielded in which r's set meets a column, or
     every choice at r = 1.  A decode there is skipped when more sets are
@@ -572,15 +581,13 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     sets) are counted too and refused above ``OUTPUT_BOUND``.  Output order
     is deterministic.
     """
-    if kind not in ALL_KINDS:
-        raise InvalidParameters(f"unknown certificate kind {kind!r}")
-    if kind in (GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE):
-        raise InvalidParameters(
-            f"kind {kind!r} has no finite certificate family to enumerate"
-        )
+    if kind not in SET_KINDS:
+        raise InvalidParameters(f"kind {kind!r} has no finite certificate family to enumerate"
+                                if kind in ALL_KINDS else f"unknown certificate kind {kind!r}")
 
     # the ground elements are the columns: edges (I_H) or vertices (B_H)
-    if kind in EDGE_SIDE_KINDS:
+    side, _, pairs = SET_KINDS[kind]
+    if side == "I":
         columns, n_rows, incidence = h.edge_masks, h.n_vertices, vertex_edge_incidence
     else:
         columns, n_rows, incidence = h.star_masks, h.n_edges, edge_vertex_incidence
@@ -614,8 +621,7 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     kernel = proven_kernel(incidence(h).entries, n)
     zero = [j for j, column in enumerate(columns) if not column]  # meet no row
     free = [j for j in kernel[2] if columns[j]]
-    symbols = {THREE_SET_RELATION: _THREE_SET, RATIO_EDGE_PARTITION: _RATIO,
-               RATIO_VERTEX_PARTITION: _RATIO}.get(kind, _SIGNED)
+    symbols = ((0, 0), *pairs)
     charge(len(symbols) ** len(free) * len(kernel[0]))
     cores = [
         (_assignment(n, free, codes, kernel[0], pivot_codes), r)

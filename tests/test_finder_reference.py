@@ -34,7 +34,6 @@ from hyperinc.formats import load_hypergraph
 from hyperinc.hypergraph import bit_indices, compute_units
 from hyperinc.kernels import (
     ALL_KINDS,
-    EDGE_SIDE_KINDS,
     EQUAL_EDGE_PARTITION,
     EQUAL_VERTEX_PARTITION,
     GENERAL_COMBINATION,
@@ -44,15 +43,6 @@ from hyperinc.kernels import (
     THREE_SET_RELATION,
     UNIT_PAIR,
     KernelCertificate,
-    dual_side_certificate,
-    equal_partition_certificate,
-    ratio_partition_certificate,
-    three_set_certificate,
-    unit_pair_certificate,
-    _RATIO,
-    _SIGNED,
-    _THREE_SET,
-    _mask_certificate,
     _patterns,
 )
 from hyperinc.linalg import edge_vertex_incidence, proven_kernel, vertex_edge_incidence
@@ -60,6 +50,50 @@ from hyperinc.linalg import edge_vertex_incidence, proven_kernel, vertex_edge_in
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LABEL_POOL = [str(i) for i in range(12)] + ["a", "b", "x1", "x10", "x2", "z"]
 ENUMERABLE_KINDS = sorted(ALL_KINDS - {GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE})
+
+
+# -- the references' own kinds -------------------------------------------------------
+
+# The sides, symbol tables and certificate builder of the finder before one
+# table described each set kind, copied so that a fault in that table cannot
+# sit on both sides of a comparison.  Every reference builds its
+# certificates with ``_mask_certificate`` below, none with a constructor.
+EDGE_SIDE_KINDS = frozenset({EQUAL_VERTEX_PARTITION, RATIO_VERTEX_PARTITION})
+_SIGNED = ((0, 0), (1, 0), (-1, 0))  # unused 0, U = 1, V = -1
+_RATIO = ((0, 0), (1, 0), (0, -1))  # unused 0, U = 1, V = -r
+_THREE_SET = ((0, 0), (1, 0), (-1, 0), (0, -1))  # unused 0, U = 1, V = -1, W = -r
+
+
+def _mask_certificate(h: Hypergraph, kind: str, masks, r=None) -> KernelCertificate:
+    """The certificate of a set ``kind`` on disjoint ``masks`` at ratio ``r``;
+    members in index order."""
+    side, names = "B", ("U", "V")
+    if kind == THREE_SET_RELATION:
+        names, coefficients = ("U", "V", "W"), (Fraction(-1), Fraction(1), r)
+    elif kind == UNIT_PAIR:
+        names, coefficients = ("u", "v"), (Fraction(1), Fraction(-1))
+    elif kind == EQUAL_EDGE_PARTITION:
+        coefficients, r = (Fraction(1), Fraction(-1)), None
+    else:  # chi(U) - r*chi(V) on vertices, or chi(E) - r*chi(F) on edges
+        coefficients = (Fraction(1), -r)
+        if kind != RATIO_EDGE_PARTITION:
+            side, names = "I", ("E", "F")
+            kind = EQUAL_VERTEX_PARTITION if r == 1 else RATIO_VERTEX_PARTITION
+    labels = h.vertices if side == "B" else h.edge_labels
+    sets = tuple(
+        (name, tuple(labels[i] for i in bit_indices(mask))) for name, mask in zip(names, masks)
+    )
+    return KernelCertificate(kind, side, sets, coefficients, ratio=r)
+
+
+def _unit_pairs(h: Hypergraph) -> list[KernelCertificate]:
+    """The unit pair certificates, each unit's pairs in member order."""
+    index = h.vertex_index
+    return [
+        _mask_certificate(h, UNIT_PAIR, (1 << index(u), 1 << index(v)))
+        for unit in compute_units(h).units
+        for u, v in itertools.combinations(unit.members, 2)
+    ]
 
 
 # -- the slow reference --------------------------------------------------------------
@@ -124,10 +158,7 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
 
     results: list[KernelCertificate] = []
     if kind == UNIT_PAIR:
-        for unit in compute_units(h).units:
-            for u, v in itertools.combinations(unit.members, 2):
-                results.append(unit_pair_certificate(h, u, v))
-        return results
+        return _unit_pairs(h)
 
     if kind == THREE_SET_RELATION:
         # 4-way assignment, all three sets non-empty
@@ -141,8 +172,7 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
                 for row in rows
             )
             if r is not None:
-                u_set, v_set, w_set = ([ground[i] for i in bit_indices(m)] for m in (u, v, w))
-                results.append(three_set_certificate(h, u_set, v_set, w_set, r))
+                results.append(_mask_certificate(h, kind, (u, v, w), r))
         return results
 
     for u_idx, v_idx in _pair_assignments(len(ground)):
@@ -152,15 +182,8 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
             r = Fraction(1) if all(cu == cv for cu, cv in counts) else None
         else:
             r = _fraction_ratio(counts)
-        if r is None:
-            continue
-        u_set, v_set = [ground[i] for i in u_idx], [ground[i] for i in v_idx]
-        if kind == EQUAL_EDGE_PARTITION:
-            results.append(equal_partition_certificate(h, u_set, v_set))
-        elif kind == RATIO_EDGE_PARTITION:
-            results.append(ratio_partition_certificate(h, u_set, v_set, r))
-        else:
-            results.append(dual_side_certificate(h, u_set, v_set, r))
+        if r is not None:
+            results.append(_mask_certificate(h, kind, (u, v), r))
     return results
 
 
@@ -235,10 +258,7 @@ def find_certificates_pruned(h: Hypergraph, kind: str) -> list[KernelCertificate
 
     results: list[KernelCertificate] = []
     if kind == UNIT_PAIR:
-        for unit in compute_units(h).units:
-            for u, v in itertools.combinations(unit.members, 2):
-                results.append(unit_pair_certificate(h, u, v))
-        return results
+        return _unit_pairs(h)
 
     # pairs test |row & U| = r * |row & V|; the three-set kind tests
     # |row & U| - |row & V| = r * |row & W|; an equal kind needs r = 1
@@ -251,15 +271,7 @@ def find_certificates_pruned(h: Hypergraph, kind: str) -> list[KernelCertificate
         )
         if r is None or (r != 1 and kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION)):
             continue
-        sets = [[ground[i] for i in bit_indices(m)] for m in masks]
-        if kind == THREE_SET_RELATION:
-            results.append(three_set_certificate(h, *sets, r))
-        elif kind == EQUAL_EDGE_PARTITION:
-            results.append(equal_partition_certificate(h, *sets))
-        elif kind == RATIO_EDGE_PARTITION:
-            results.append(ratio_partition_certificate(h, *sets, r))
-        else:
-            results.append(dual_side_certificate(h, *sets, r))
+        results.append(_mask_certificate(h, kind, masks, r))
     return results
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from hyperinc.cli import main
+from hyperinc.formats import certificate_from_json, certificate_to_json, load_certificate, load_hypergraph
 from hyperinc.kernels import ALL_KINDS, GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -106,6 +107,25 @@ def test_report_is_byte_identical(command, instance):
 def test_verify_report_is_byte_identical(certificate):
     report = certificate.removesuffix(".cert.json") + ".verify.json"
     check_report(report, verify_argv(certificate))
+
+
+def test_reported_certificates_load_as_reported():
+    """Every certificate file loads, and every certificate a find or verify
+    report holds loads as the certificate it reports."""
+    for certificate in CERTIFICATES:
+        h = load_hypergraph(str(GOLDEN / (certificate.split(".")[0] + ".txt")))
+        load_certificate(h, str(GOLDEN / certificate))
+    loaded = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(report, dict) or report.get("command") not in ("find", "verify"):
+            continue
+        h = load_hypergraph(str(GOLDEN / report["file"]))
+        for data in report.get("certificates", [report.get("certificate")]):
+            built = certificate_to_json(certificate_from_json(h, data))
+            assert built == {key: data[key] for key in built}
+            loaded += 1
+    assert loaded > 1000
 
 
 if __name__ == "__main__":

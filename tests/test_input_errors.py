@@ -106,10 +106,43 @@ def test_cli_exits_two_with_the_error_report(tmp_path, monkeypatch, capsys, argv
 
 h = build_hypergraph(["1", "2", "3"], [["1", "2"], ["2", "3"], ["1", "3"]])
 cycle = uniform_cycle(12, 8)
+square = build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"], ["1", "3"], ["2", "4"]])
+ONE_TWO = (("U", ("1",)), ("V", ("2",)))
+# hand-built certificates whose side, set names or coefficients at their ratio
+# are not their kind's, or with one coefficient too few
+STRAY_CERTIFICATES = {
+    "equal edge partition on side I": (
+        square, KernelCertificate("equal_edge_partition", "I", (("U", ("e1", "e2")), ("V", ("e3", "e4"))), (1, -1))
+    ),
+    "side 'b'": (h, KernelCertificate("equal_edge_partition", "b", ONE_TWO, (1, -1))),
+    "equal partition of three sets": (
+        square, KernelCertificate("equal_edge_partition", "B", (*ONE_TWO, ("W", ("3",))), (1, -1, 0))
+    ),
+    "set names E and F on side B": (
+        square, KernelCertificate("equal_edge_partition", "B", (("E", ("1", "4")), ("F", ("2", "3"))), (1, -1))
+    ),
+    "ratio coefficient off its ratio": (
+        square, KernelCertificate("ratio_edge_partition", "B", (("U", ("1", "4")), ("V", ("2", "3"))), (1, -1), 2)
+    ),
+    "ratio kind with no ratio": (
+        square, KernelCertificate("ratio_edge_partition", "B", (("U", ("1", "4")), ("V", ("2", "3"))), (1, -1))
+    ),
+    "general combination on side I": (
+        square, KernelCertificate("general_combination", "I", (("U1", ("e1", "e2")), ("U2", ("e3", "e4"))), (1, -1))
+    ),
+    "general combination, one coefficient for two sets": (
+        h, KernelCertificate("general_combination", "B", ONE_TWO, (0,))
+    ),
+    "root of unity on side I": (cycle, KernelCertificate(ROOT_OF_UNITY_CYCLE, "I", (), (), order=4, power=1)),
+}
 API_CASES = {
     "unknown kind to verify_certificate": (
         lambda: verify_certificate(h, KernelCertificate("no_such_kind", "B", (), ())), InvalidParameters
     ),
+    **{
+        f"verify {name}": (lambda g=g, c=c: verify_certificate(g, c), InvalidParameters)
+        for name, (g, c) in STRAY_CERTIFICATES.items()
+    },
     "row longer than the column labels": (lambda: RationalMatrix([[1, 2]], ["r"], ["a"]), DimensionMismatch),
     "more row labels than rows": (lambda: RationalMatrix([[1]], ["r", "s"], ["a"]), DimensionMismatch),
     "weight sequence of the wrong length": (lambda: custom_weighting(h, [1, 1]), InvalidParameters),
