@@ -74,9 +74,14 @@ def cmd_rank(args) -> dict:
     h = load_hypergraph(args.file)
     b = edge_vertex_incidence(h)
     i = vertex_edge_incidence(h)
-    ns_b = rank_and_nullspace(b)
-    # I_H's rows at B_H's pivot columns span I_H's row space
-    ns_i = rank_and_nullspace(i, ns_b.pivots)
+    # the second side's rows at the first's pivot columns span its row space;
+    # I_H goes first when it has fewer distinct rows than B_H has rows
+    if len(set(h.star_masks)) < h.n_edges:
+        ns_i = rank_and_nullspace(i)
+        ns_b = rank_and_nullspace(b, ns_i.pivots)
+    else:
+        ns_b = rank_and_nullspace(b)
+        ns_i = rank_and_nullspace(i, ns_b.pivots)
     failures = []
     if ns_b.rank != ns_i.rank:
         failures.append("rank(B_H) != rank(I_H)")

@@ -3,13 +3,17 @@
 Everything here is tolerance-free.  Every rank, kernel basis and span
 dimension comes from ``proven_kernel``: one exact fraction-free elimination
 (Bareiss forward, then back-substitution on the free columns) of a
-denominator-cleared integer copy.  Its null-space bases are the normalised
-RREF bases, so they are deterministic, and it re-multiplies every basis
-vector through the integer matrix before returning, which bounds the rank
-above; ranks modulo primes (GF(2), then primes above 2**20) bound it below.
-Given rows that span the row space, it eliminates only those, and none when
-they are as many as the columns, but proves on every row: ``hyperinc rank``
-eliminates B_H fully and I_H only on B_H's pivot rows, when at all.
+denominator-cleared integer copy, of each distinct column and row once; a
+later copy of a column takes its vector from the column it copies, so a
+unit's copies in B_H add nothing to the elimination.  Its null-space bases
+are the normalised RREF bases, so they are deterministic, and it
+re-multiplies every basis vector, copies included, through the integer
+matrix before returning, which bounds the rank above; ranks modulo primes
+(GF(2), then primes above 2**20) bound it below.  Given rows that span the
+row space, it eliminates only those, and none when they are as many as the
+distinct columns, but proves on every row: ``hyperinc rank`` eliminates one
+side fully, I_H when B_H has fewer distinct columns than rows, and the other
+only on the first side's pivot rows, when at all.
 """
 
 from __future__ import annotations
@@ -130,8 +134,9 @@ class RationalMatrix:
 @dataclass(frozen=True)
 class NullspaceBasis:
     """Exact kernel basis together with the RREF pivot columns it was read
-    from; their count is the rank it certifies.  ``hyperinc rank`` reads
-    B_H's pivot columns here: I_H's rows there span I_H's row space."""
+    from; their count is the rank it certifies.  ``hyperinc rank`` reads the
+    pivot columns of B_H or I_H here: the other's rows there span its row
+    space."""
 
     pivots: tuple[int, ...]
     cols: int
@@ -230,29 +235,47 @@ def proven_kernel(
     rows: list[list[int]], n_cols: int, spanning: Sequence[int] | None = None
 ) -> tuple[list[int], int, dict[int, dict[int, int]]]:
     """The one exact elimination: of a copy of integer ``rows`` (``n_cols``
-    columns), the pivot columns, d and the kernel basis, which maps each free
-    column f, in order, to d times its RREF kernel vector as an integer dict
-    (d at f and, for each pivot column, minus f's entry in that pivot's row).
-    ``_proven_rank`` proves the rank and the basis on all of ``rows`` before
-    they are returned.  ``spanning``, if given, indexes rows that span the row
-    space; only those are eliminated, and none when they are as many as the
-    columns (no kernel, d = 1).  Rows that do not span fail the proof, and
-    indices that repeat or do not index ``rows`` raise InvalidParameters.
+    columns each), the pivot columns, d and the kernel basis, which maps each
+    free column f, in order, to d times its RREF kernel vector as an integer
+    dict (d at f and, for each pivot column, minus f's entry in that pivot's
+    row).  Only the first copy of each group of equal columns is eliminated:
+    a later copy m of column f is never a pivot, and its vector is d at m and
+    -d at f when f is a pivot, or f's vector with d moved from f to m when f
+    is free.  ``spanning``, if given, indexes rows that span the row space;
+    only those are eliminated, and none when they are as many as the
+    distinct columns (d = 1).  Otherwise each distinct row is eliminated
+    once, which keeps the pivots and the RREF but may change d (and so the
+    scale of every vector).  ``_proven_rank`` proves the rank and the basis
+    on all of ``rows`` before they are returned.  Rows that do not span fail
+    the proof; a row of another length than ``n_cols``, and indices that are
+    not ints, repeat or do not index ``rows``, raise InvalidParameters.
     """
-    if spanning is not None and len(set(spanning) & set(range(len(rows)))) != len(spanning):
+    if any(len(row) != n_cols for row in rows):
+        raise InvalidParameters(f"every row must have {n_cols} entries")
+    if spanning is not None and (
+        any(isinstance(i, bool) or not isinstance(i, int) for i in spanning)
+        or len(set(spanning) & set(range(len(rows)))) != len(spanning)
+    ):
         raise InvalidParameters(f"spanning rows must be distinct indices below {len(rows)}: {list(spanning)}")
-    if spanning is not None and len(spanning) == n_cols:
-        pivots, reduced, d = list(range(n_cols)), [], 1
-    else:
-        chosen = range(len(rows)) if spanning is None else spanning
-        pivots, reduced, d = _fraction_free_rref([rows[i][:] for i in chosen])
+    # each distinct row once, unless the rows are chosen
+    chosen = list(dict.fromkeys(map(tuple, rows))) if spanning is None else [rows[i] for i in spanning]
+    first: dict[tuple, int] = {}  # each distinct column -> the index of its first copy
+    lead = [first.setdefault(column, j) for j, column in enumerate(zip(*chosen) if chosen else [()] * n_cols)]
+    distinct = list(first.values())
+    if spanning is not None and len(spanning) == len(distinct):
+        found, reduced, d = range(len(distinct)), [], 1
+    else:  # the chosen rows on the first copies
+        found, reduced, d = _fraction_free_rref(list(map(list, chosen if len(first) == n_cols else zip(*first))))
+    pivots = [distinct[k] for k in found]
     pivot_set = set(pivots)
-    free = [f for f in range(n_cols) if f not in pivot_set]
-    basis = {f: {f: d} for f in free}
+    free = [f for f in distinct if f not in pivot_set]
+    # a copy of column f takes f's vector with d moved to the copy: -d at a pivot f
+    tail = {p: {p: -d} for p in pivots} | {f: {} for f in free}
     for p, row in zip(pivots, reduced):
         for f, x in zip(free, row):
             if x:
-                basis[f][p] = -x
+                tail[f][p] = -x
+    basis = {j: {j: d, **tail[f]} for j, f in enumerate(lead) if j not in pivot_set}
     _proven_rank(rows, n_cols, basis.values())
     return pivots, d, basis
 
@@ -288,8 +311,9 @@ def rank_and_nullspace(m: RationalMatrix, spanning: Sequence[int] | None = None)
     The basis vector for a free column f has 1 at f and, for each pivot
     column, minus the RREF coefficient of f in that pivot's row.  The rank and
     every basis vector are proven by ``proven_kernel`` on all of ``m``'s rows;
-    ``hyperinc rank`` passes B_H's ``pivots`` as ``spanning``, so I_H is
-    eliminated on rank(B_H) rows, or not at all when that is |E|.
+    ``hyperinc rank`` passes the first side's ``pivots`` as ``spanning``, so
+    the other side is eliminated on rank(B_H) rows, or not at all when that
+    is its count of distinct columns.
     """
     pivots, d, basis = proven_kernel(_cleared_integer_rows(m.entries), m.cols, spanning)
     vectors = tuple(

@@ -325,12 +325,13 @@ def test_gf2_alone_passes_a_hadamard_bound_of_1(monkeypatch):
 
 
 def test_re_multiplication_is_wired_in(monkeypatch):
-    m = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
+    # no two columns are equal, so the first free column, c, is eliminated
+    m = RationalMatrix([[1, 1, 0], [0, 1, 1]], ["r1", "r2"], ["a", "b", "c"])
     eliminate = linalg._fraction_free_rref
 
     def corrupted(rows):
         pivots, reduced, d = eliminate(rows)
-        reduced[0][0] += 1  # the coefficient of the first free column, b, in pivot row a
+        reduced[0][0] += 1  # the coefficient of the first free column, c, in pivot row a
         return pivots, reduced, d
 
     monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
@@ -346,22 +347,25 @@ def test_re_multiplication_is_wired_in(monkeypatch):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# each entry point that eliminates, on an input with a pivot and a free column
-# (nullity_decomposition eliminates the contraction, whose b is isolated);
-# ``rank`` eliminates B_H, then I_H on its rows at B_H's pivot columns: none
-# for dense_14x11 (rank 11 = |E|), 8 of 12 for units_12x9 (rank 8 < |E| = 9)
+# each entry point that eliminates, on an input whose first free column is no
+# copy of an earlier column (nullity_decomposition eliminates the contraction,
+# whose b is isolated); ``rank`` eliminates B_H, then I_H on its
+# rows at B_H's pivot columns, none for dense_14x11 (rank 11 = |E|), or, when
+# B_H has fewer distinct columns than rows, I_H's distinct rows first, as for
+# units_12x9 (8 distinct stars, 9 edges), then B_H on none, at rank 8
 ELIMINATING_ENTRY_POINTS = {
     "rank, I_H of full row rank": lambda: cmd_rank(Namespace(file=str(GOLDEN / "dense_14x11.txt"))),
     "rank, I_H rank-deficient": lambda: cmd_rank(Namespace(file=str(GOLDEN / "units_12x9.txt"))),
-    "rank_and_nullspace": lambda: rank_and_nullspace(_matrix([[1, 1, 0], [0, 0, 1]])),
+    "rank_and_nullspace": lambda: rank_and_nullspace(_matrix([[1, 1, 0], [0, 1, 1]])),
     "nullity_decomposition": lambda: nullity_decomposition(
         build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"]])
     ),
     "find_certificates_exhaustive": lambda: find_certificates_exhaustive(
-        build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]]), EQUAL_EDGE_PARTITION
+        build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]]),
+        EQUAL_EDGE_PARTITION,
     ),
     "span_dimension": lambda: span_dimension(
-        [VertexVector({"a": 1, "b": 1}), VertexVector({"c": 1}), VertexVector({"a": 2, "b": 2, "c": 3})]
+        [VertexVector({"a": 1, "b": 1}), VertexVector({"b": 1, "c": 1}), VertexVector({"a": 2, "b": 3, "c": 1})]
     ),
 }
 

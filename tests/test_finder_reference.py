@@ -40,6 +40,7 @@ from hyperinc.kernels import (
     RATIO_EDGE_PARTITION,
     RATIO_VERTEX_PARTITION,
     ROOT_OF_UNITY_CYCLE,
+    SET_KINDS,
     THREE_SET_RELATION,
     UNIT_PAIR,
     KernelCertificate,
@@ -652,13 +653,25 @@ def test_bench_shapes_match_reference():
             assert found == expected and repr(found) == repr(expected)
 
 
-@pytest.mark.parametrize("fault", ["extra_pivot", "missing_pivot", "wrong_entry"])
+# per fault, the message on B_H of ``PAIR_SHAPES[0]`` (side "B": one of its
+# free columns is eliminated, the others copy a pivot) and on I_H (side "I":
+# two free columns are eliminated)
+ECHELON_FAULTS = {
+    "extra_pivot": {"B": "rank disagreement", "I": "re-multiplication"},
+    "missing_pivot": {"B": "re-multiplication", "I": "re-multiplication"},
+    "wrong_entry": {"B": "re-multiplication", "I": "re-multiplication"},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ECHELON_FAULTS))
 def test_echelon_faults_are_caught(monkeypatch, fault):
     """A wrong echelon form raises instead of returning a shorter list.  The
-    basis is re-multiplied before the modular rank is taken, and each fault
-    moves a basis vector: a pivot too many or too few shifts the free columns
-    that the reduced entries are read against, and a wrong reduced entry
-    moves its own vector."""
+    basis is re-multiplied before the modular rank is taken.  A pivot too few
+    shifts the free columns that the reduced entries are read against, and a
+    wrong reduced entry moves its own vector.  A pivot too many shifts them
+    too on I_H; on B_H it takes the one free column that is eliminated, the
+    vectors left, of copies, stay right but one too few, and the modular rank
+    refutes the rank they claim."""
     h = PAIR_SHAPES[0]
     eliminate = linalg._fraction_free_rref
 
@@ -672,11 +685,13 @@ def test_echelon_faults_are_caught(monkeypatch, fault):
             reduced[0][0] += 1  # the first free column's entry in the first pivot row
         return pivots, reduced, d
 
-    for kind in (EQUAL_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION):
+    kinds = (EQUAL_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION)
+    assert {SET_KINDS[kind][0] for kind in kinds} == {"B", "I"}
+    for kind in kinds:
         assert kernels.find_certificates_exhaustive(h, kind)
     monkeypatch.setattr(linalg, "_fraction_free_rref", faulty)
-    for kind in (EQUAL_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION):
-        with pytest.raises(ArithmeticError, match="re-multiplication"):
+    for kind in kinds:
+        with pytest.raises(ArithmeticError, match=ECHELON_FAULTS[fault][SET_KINDS[kind][0]]):
             kernels.find_certificates_exhaustive(h, kind)
 
 

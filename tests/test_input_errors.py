@@ -26,6 +26,7 @@ from hyperinc import (
     is_finer,
     matvec,
     random_hypergraph,
+    rank_and_nullspace,
     root_of_unity_certificate,
     root_of_unity_vector,
     uniform_cycle,
@@ -35,6 +36,7 @@ from hyperinc import (
 from hyperinc.cli import main
 from hyperinc.errors import DimensionMismatch, InvalidParameters
 from hyperinc.kernels import ROOT_OF_UNITY_CYCLE
+from hyperinc.linalg import proven_kernel
 
 H = "e1: 1 2 3 5\ne2: 1 3 4 5\ne3: 1 2 4 5\n"  # vertices 1..5, edges e1..e3
 
@@ -135,6 +137,7 @@ STRAY_CERTIFICATES = {
     ),
     "root of unity on side I": (cycle, KernelCertificate(ROOT_OF_UNITY_CYCLE, "I", (), (), order=4, power=1)),
 }
+WIDE = RationalMatrix([[1, 0, 1], [0, 1, 1]], ["r", "s"], ["a", "b", "c"])  # rows 0 and 1 span it
 API_CASES = {
     "unknown kind to verify_certificate": (
         lambda: verify_certificate(h, KernelCertificate("no_such_kind", "B", (), ())), InvalidParameters
@@ -196,6 +199,13 @@ API_CASES = {
     "zeta + True": (lambda: zeta(4) + True, TypeError),
     "True - zeta": (lambda: True - zeta(4), TypeError),
     "zeta * False": (lambda: zeta(4) * False, TypeError),
+    # spanning rows are int indices, not a float or bools read as rows 1 and 0,
+    # and every row of an elimination has n_cols entries
+    "spanning row 1.0": (lambda: rank_and_nullspace(WIDE, [1.0, 0]), InvalidParameters),
+    "spanning rows True, False": (lambda: rank_and_nullspace(WIDE, [True, False]), InvalidParameters),
+    "kernel row longer than n_cols": (lambda: proven_kernel([[1, 0, 1]], 2), InvalidParameters),
+    "kernel rows of two lengths": (lambda: proven_kernel([[1, 0], [1]], 2), InvalidParameters),
+    "kernel row shorter than n_cols": (lambda: proven_kernel([[1, 0], [1, 1]], 3), InvalidParameters),
 }
 # a vector value that is no number, beside a rational one, on both row forms of B_H
 b = edge_vertex_incidence(h)

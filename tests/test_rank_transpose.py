@@ -2,12 +2,14 @@
 
 ``rank_reference`` below is the body of the earlier ``cli.cmd_rank``, kept
 as a test-only reference: it eliminated B_H and its transpose I_H in full.
-The current handler eliminates I_H only on its rows at B_H's pivot columns,
-and not at all when rank(B_H) = |E|; rank(I_H) is still proven on all of
-I_H's rows.  The reports and both ``NullspaceBasis`` results must agree
-exactly, and a row set that does not span I_H's row space, or that claims
-more independent rows than there are, must fail the proof; row indices that
-repeat or index no row are refused as InvalidParameters.
+The current handler eliminates one side first, I_H when B_H has fewer
+distinct columns than rows and B_H otherwise, and the other side only on
+its rows at the first side's pivot columns, not at all when those are as
+many as its distinct columns; both ranks are still proven on all rows.  The
+reports and both ``NullspaceBasis`` results must agree exactly, and a row
+set that does not span the row space, or that claims more independent rows
+than there are, must fail the proof; row indices that repeat or index no
+row are refused as InvalidParameters.
 """
 
 import argparse
@@ -119,6 +121,11 @@ def basis_fields(ns) -> tuple:
     return ns.rank, ns.cols, ns.nullity, [list(v.entries.items()) for v in ns.vectors]
 
 
+def i_h_first(h: Hypergraph) -> bool:
+    """Whether ``rank`` eliminates I_H first: B_H has fewer distinct columns than rows."""
+    return len(set(h.star_masks)) < h.n_edges
+
+
 def test_matches_two_elimination_reference(monkeypatch, tmp_path):
     paths = rank_cases(tmp_path)
     bases = recorded_bases(monkeypatch)
@@ -128,44 +135,51 @@ def test_matches_two_elimination_reference(monkeypatch, tmp_path):
         report = cli.cmd_rank(argparse.Namespace(file=path))
         expected, ns_b, ns_i = rank_reference(path)
         assert json.dumps(report, indent=2) == json.dumps(expected, indent=2), path
-        assert bases == [ns_b, ns_i], path
-        assert [basis_fields(ns) for ns in bases] == [basis_fields(ns_b), basis_fields(ns_i)], path
+        first = i_h_first(load_hypergraph(path))
+        in_order = [ns_i, ns_b] if first else [ns_b, ns_i]
+        assert bases == in_order, path
+        assert list(map(basis_fields, bases)) == list(map(basis_fields, in_order)), path
         edges, vertices = report["edges"], report["vertices"]
         shapes.add(
             ("rank |E|" if ns_b.rank == edges else "rank < |E|")
             + (", |E| > |V|" if edges > vertices else "")
             + (", edgeless" if not edges else "")
             + (", one edge" if edges == 1 else "")
+            + (", I_H first" if first else "")
         )
     assert {
-        "rank |E|", "rank < |E|", "rank < |E|, |E| > |V|", "rank |E|, edgeless", "rank |E|, one edge"
-    } <= shapes
+        "rank |E|", "rank < |E|", "rank |E|, edgeless", "rank |E|, one edge",
+        "rank < |E|, I_H first", "rank < |E|, |E| > |V|, I_H first",  # |E| > |V| takes I_H first
+    } <= shapes, shapes
 
 
 def test_one_full_elimination_per_rank(monkeypatch, tmp_path, capsys):
-    """``rank`` eliminates B_H fully and I_H on rank(B_H) rows, or not at
-    all when rank(B_H) = |E|; ``cli.rank_and_nullspace``, which the
-    benchmark's elimination span wraps, is still entered twice."""
+    """``rank`` eliminates the distinct rows of its first side, I_H when B_H
+    has fewer distinct columns than rows, and the other side on rank(B_H)
+    rows, or not at all when the first side's distinct rows, which are the
+    other side's distinct columns, number rank(B_H); rank-dense's slot of 20
+    clones takes one elimination, of its 42 distinct stars.
+    ``cli.rank_and_nullspace``, which the benchmark's elimination span wraps,
+    is still entered twice."""
     eliminated = []
     eliminate = linalg._fraction_free_rref
     monkeypatch.setattr(linalg, "_fraction_free_rref", lambda rows: eliminated.append(len(rows)) or eliminate(rows))
     bases = recorded_bases(monkeypatch)
-    full = deficient = 0
+    counts = {(first, once): 0 for first in (False, True) for once in (False, True)}
     for path in rank_cases(tmp_path):
         eliminated.clear()
         bases.clear()
         assert main(["rank", str(path), "--json"]) == 0, path.name
         report = json.loads(capsys.readouterr().out)
-        rank, edges = int(report["rank"]), report["edges"]
+        h = load_hypergraph(str(path))
+        rank, first = int(report["rank"]), i_h_first(h)
         assert len(bases) == 2, path.name
-        assert eliminated[0] == edges, path.name
-        if rank == edges:
-            assert eliminated == [edges], path.name
-            full += 1
-        else:
-            assert eliminated == [edges, rank], path.name
-            deficient += 1
-    assert full >= 10 and deficient >= 10
+        distinct = len(set(h.star_masks)) if first else h.n_edges  # edges are distinct
+        assert eliminated == ([distinct] if rank == distinct else [distinct, rank]), path.name
+        counts[first, rank == distinct] += 1
+        if path.name.startswith("dense3_"):
+            assert first and eliminated == [42], path.name
+    assert min(counts.values()) >= 5, counts
 
 
 # -- the transpose's proof is its own ------------------------------------------------
@@ -176,6 +190,11 @@ FULL_ROW_RANK = build_hypergraph(
 DEFICIENT = build_hypergraph(
     ["1", "2", "3", "4", "5"], [["1", "2", "5"], ["3", "4"], ["1", "3", "5"], ["2", "4"]]
 )  # rank 3 < |E| = 4 (e1 + e2 = e3 + e4), and rows 0 and 4 of I_H are equal (the unit {1, 5})
+
+
+I_H_FIRST = build_hypergraph(
+    ["1", "2", "3", "4"], [["1", "2", "4"], ["2", "3"], ["1", "3", "4"], ["1", "2", "3", "4"]]
+)  # 4 shares 1's star: 3 distinct stars < |E| = 4, rank 3
 
 
 def pivot_rows(h: Hypergraph) -> list[int]:
@@ -277,3 +296,29 @@ def test_wrong_entry_in_the_i_h_elimination_is_caught(monkeypatch, tmp_path):
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         run_rank(DEFICIENT, tmp_path)
     assert calls == [4, 3]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("call", [1, 2], ids=["I_H, eliminated first", "B_H, not eliminated, with a copy"])
+def test_wrong_modular_rank_on_the_i_h_first_path_is_caught(monkeypatch, tmp_path, call, shift):
+    """``rank`` on ``I_H_FIRST`` eliminates I_H's 3 distinct rows, then takes
+    B_H's rows at I_H's 3 pivot columns, as many as B_H's distinct columns,
+    and eliminates nothing; column 4 copies column 1.  A modular rank one
+    off on either side is caught."""
+    eliminated = []
+    eliminate = linalg._fraction_free_rref
+    monkeypatch.setattr(linalg, "_fraction_free_rref", lambda rows: eliminated.append(len(rows)) or eliminate(rows))
+    report = run_rank(I_H_FIRST, tmp_path)
+    assert i_h_first(I_H_FIRST) and report["rank"] == "3" and report["failures"] == []
+    assert report["kernel_basis"] == [{"1": "-1", "4": "1"}] and eliminated == [3]
+    modular_rank = linalg._modular_rank
+    calls = []
+
+    def shifted(rows, ceiling):
+        calls.append(len(rows))
+        return modular_rank(rows, ceiling) + (shift if len(calls) == call else 0)
+
+    monkeypatch.setattr(linalg, "_modular_rank", shifted)
+    with pytest.raises(ArithmeticError, match="rank disagreement"):
+        run_rank(I_H_FIRST, tmp_path)
+    assert calls == [I_H_FIRST.n_vertices, I_H_FIRST.n_edges][:call]
