@@ -57,6 +57,7 @@ from .kernels import (
     three_set_certificate,
     unit_pair_certificate,
     verify_certificate,
+    verify_certificates,
 )
 from .linalg import (
     NullspaceBasis,

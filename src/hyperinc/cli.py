@@ -42,6 +42,7 @@ from .kernels import (
     find_certificates_exhaustive,
     nullity_decomposition,
     verify_certificate,
+    verify_certificates,
 )
 from .linalg import (
     edge_vertex_incidence,
@@ -241,20 +242,18 @@ def render_verify(report) -> list[str]:
 def cmd_find(args) -> dict:
     h = load_hypergraph(args.file)
     certs = find_certificates_exhaustive(h, args.kind)
-    failures = []
-    serialized = []
-    for cert in certs:
-        check = verify_certificate(h, cert)
-        if not check.valid:
-            failures.append(f"found certificate failed verification: {cert}")
-        serialized.append(certificate_to_json(cert, check))
+    checks = verify_certificates(h, certs)
     return {
         "command": "find",
         "file": args.file,
         "kind": args.kind,
         "count": len(certs),
-        "certificates": serialized,
-        "failures": failures,
+        "certificates": [certificate_to_json(cert, check) for cert, check in zip(certs, checks)],
+        "failures": [
+            f"found certificate failed verification: {cert}"
+            for cert, check in zip(certs, checks)
+            if not check.valid
+        ],
     }
 
 

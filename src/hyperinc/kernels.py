@@ -42,6 +42,7 @@ from .linalg import (
     edge_vertex_incidence,
     exact_rational,
     matvec,
+    packed_matvec,
     proven_kernel,
     rank_and_nullspace,
     vertex_edge_incidence,
@@ -69,7 +70,7 @@ SET_KINDS = {
 ALL_KINDS = frozenset({*SET_KINDS, GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE})
 
 FINDER_BOUND = 4**10  # counted steps one finder search may take
-OUTPUT_BOUND = 2**24  # incidence cells its certificates may take to check and report
+OUTPUT_BOUND = 2**24  # size of one find's output: columns + rows x set elements, per certificate
 
 
 @dataclass(frozen=True)
@@ -298,19 +299,11 @@ def _combinatorial_side(h: Hypergraph, c: KernelCertificate, masks: Sequence[int
     )
 
 
-def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
-    """Check a certificate against a hypergraph, both ways.
-
-    The certificate's sets are resolved against ``h`` once.  The algebraic
-    side multiplies the induced vector through the certified incidence
-    matrix, built from ``h``; the combinatorial side replays the counting
-    condition on the resolved sets.  For the if-and-only-if kinds the two
-    sides must agree exactly (a mismatch raises).  For root-of-unity
-    certificates the counting premise is only sufficient, so it is required to
-    imply the algebraic side but not conversely.  A certificate's side, set
-    names and coefficients at its ratio must be those of its kind in
-    ``SET_KINDS``; the other kinds certify B_H, with one coefficient a set.
-    """
+def _resolved_sets(h: Hypergraph, c: KernelCertificate) -> tuple[int, ...]:
+    """The masks of a certificate's sets, once its kind, side, set names and
+    coefficients are checked against ``SET_KINDS`` (the other kinds certify
+    B_H, with one coefficient a set) and a root-of-unity certificate's
+    vertex labels against 0..n-1."""
     if c.kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
     side, names, pairs = SET_KINDS.get(c.kind, ("B", None, None))
@@ -322,20 +315,76 @@ def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
         raise InvalidParameters(f"the side, sets or coefficients are not those of a {c.kind}")
     if c.kind == ROOT_OF_UNITY_CYCLE:
         root_of_unity_certificate(h, c.order, c.power)  # its vertex labels; it has no sets
-    masks = _check_sets(h, c.side, c.sets)
-    matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
-    residual = matvec(matrix, c.induced_vector(h))
-    algebraic = all(value == 0 for value in residual.values())
-    combinatorial = _combinatorial_side(h, c, masks)
-    if c.kind == ROOT_OF_UNITY_CYCLE:
-        if combinatorial and not algebraic:
-            raise ArithmeticError("window premise held but the product was non-zero")
-    elif combinatorial != algebraic:
-        raise ArithmeticError(
-            f"counting and algebra disagree for kind {c.kind}: "
-            f"combinatorial={combinatorial}, algebraic={algebraic}"
-        )
-    return CertificateCheck(valid=algebraic, residual=residual, combinatorial=combinatorial)
+    return _check_sets(h, c.side, c.sets)
+
+
+def verify_certificates(h: Hypergraph, certs: Sequence[KernelCertificate]) -> list[CertificateCheck]:
+    """Check certificates against a hypergraph, both ways, in order.
+
+    Each certificate's kind is checked, its sets are resolved against ``h``
+    and its counting condition is replayed on them, one at a time.  The
+    algebraic side multiplies the induced vectors through the certified
+    incidence matrix: those with exact rational coefficients together, by
+    ``packed_matvec``; a cyclotomic one, or one with an inexact coefficient
+    (which ``matvec`` refuses), by ``matvec``.  The two sides must agree (a
+    mismatch raises), except that a root-of-unity certificate's counting
+    premise is only sufficient: it must imply the algebraic side, not
+    conversely.  An exception is raised once the certificates before its own
+    are checked, so it is the one checking them one by one raises first.
+    """
+    resolved, error = [], None
+    try:
+        for c in certs:
+            resolved.append((c, _resolved_sets(h, c)))
+    except Exception as exc:  # raised once the certificates before it are checked
+        error = exc
+    exact = {"B": [], "I": []}  # side -> (position, integer vector, scale) of each exact certificate
+    for i, (c, masks) in enumerate(resolved):
+        if c.kind != ROOT_OF_UNITY_CYCLE and all(
+            isinstance(q, (int, Fraction)) and not isinstance(q, bool) for q in c.coefficients
+        ):
+            scale = math.lcm(*(q.denominator for q in c.coefficients))
+            vector = {
+                j: q.numerator * (scale // q.denominator)
+                for q, mask in zip(c.coefficients, masks)
+                for j in bit_indices(mask)
+            }
+            exact[c.side].append((i, vector, scale))
+    residuals = {}
+    for side, group in exact.items():
+        if group:
+            positions, vectors, scales = zip(*group)
+            matrix = edge_vertex_incidence(h) if side == "B" else vertex_edge_incidence(h)
+            residuals.update(zip(positions, packed_matvec(matrix, vectors, scales)))
+    checks = []
+    for i, (c, masks) in enumerate(resolved):
+        residual = residuals.get(i)
+        if residual is None:
+            matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
+            residual = matvec(matrix, c.induced_vector(h))
+        algebraic = all(value == 0 for value in residual.values())
+        combinatorial = _combinatorial_side(h, c, masks)
+        if c.kind == ROOT_OF_UNITY_CYCLE:
+            if combinatorial and not algebraic:
+                raise ArithmeticError("window premise held but the product was non-zero")
+        elif combinatorial != algebraic:
+            raise ArithmeticError(
+                f"counting and algebra disagree for kind {c.kind}: "
+                f"combinatorial={combinatorial}, algebraic={algebraic}"
+            )
+        checks.append(CertificateCheck(valid=algebraic, residual=residual, combinatorial=combinatorial))
+    if error is not None:
+        raise error
+    return checks
+
+
+def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
+    """Check one certificate against a hypergraph, both ways, by
+    ``verify_certificates``.  A certificate's side, set names and
+    coefficients at its ratio must be those of its kind in ``SET_KINDS``;
+    the other kinds certify B_H, with one coefficient a set.
+    """
+    return verify_certificates(h, [c])[0]
 
 
 # -- S_W subspaces ------------------------------------------------------------------
@@ -576,10 +625,12 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     unit pair, one per choice past the first where a pivot's value is taken
     by two symbols (``_decodes``), and what the spread adds to the cores,
     |cores| * (3^|Z| - 1) (4^|Z| - 1 for the three-set kind).  Before a
-    certificate is built, the cells that checking and reporting the output
-    take (per certificate, one per column and one per row and element of its
-    sets) are counted too and refused above ``OUTPUT_BOUND``.  Output order
-    is deterministic.
+    certificate is built, the size of the output is counted too, and refused
+    above ``OUTPUT_BOUND``: per certificate, one cell per column (its field
+    in each packed column of ``verify_certificates``) and one per row and
+    element of its sets (the incidence cells in its sets' columns).  It
+    measures what checking and reporting the output grow with; it counts no
+    step of either.  Output order is deterministic.
     """
     if kind not in SET_KINDS:
         raise InvalidParameters(f"kind {kind!r} has no finite certificate family to enumerate"
@@ -629,7 +680,7 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
     ]
     charge(len(cores) * (len(symbols) ** len(zero) - 1))
     hits = sorted(_spread(cores, zero, len(symbols) - 1), key=lambda hit: hit[0])
-    # the product indexes every column and reads each row at the sets' elements
+    # per certificate: one cell per column, one per row and element of its sets
     check_output(sum(n + n_rows * (n - assignment.count(0)) for assignment, _ in hits))
     certificates = []
     for assignment, r in hits:

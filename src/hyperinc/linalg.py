@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, compress, count
 from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
@@ -30,6 +30,9 @@ from .hypergraph import Hypergraph, VertexVector, _str_keyed, bit_indices
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _ZERO = Fraction(0)  # shared by every zero row of a product; Fractions are immutable
+# vectors ``packed_matvec`` packs into one integer per column: the cost of
+# packing and reading a pack grows with the square of its size
+PACKED_VECTORS = 64
 
 # optional sign, digits, then optional /digits or .digits; no exponent, which
 # would let a short string such as "1e-10000000" stall Fraction()
@@ -280,22 +283,29 @@ def proven_kernel(
     return pivots, d, basis
 
 
+def _pack(vectors: Sequence[dict[int, int]], n_cols: int, largest: int) -> tuple[int, list[int]]:
+    """Integer dict vectors (column index -> entry) packed into one integer
+    per column, vector k as signed w-bit field k: w, and the integers.  A
+    row of entries at most ``largest`` in size times vector k is below
+    2**(w - 1) in size, so field k of the row times the packed columns is
+    that product, and the row's total is 0 only when every product is 0."""
+    w = (largest * max((sum(map(abs, v.values())) for v in vectors), default=0)).bit_length() + 1
+    packed = [0] * n_cols
+    for k, vector in enumerate(vectors):
+        for j, x in vector.items():
+            packed[j] += x << w * k
+    return w, packed
+
+
 def _proven_rank(rows: list[list[int]], n_cols: int, kernel) -> int:
     """The rank of integer ``rows`` (``n_cols`` columns), proven from
     ``kernel``, independent integer dict vectors (column index -> entry): each
     is re-multiplied through ``rows`` (rank <= n_cols - their count), and
     ``_modular_rank`` proves the rank is at least that, so they span the
-    kernel.  One pass multiplies them all: vector k fills w-bit field k of one
-    integer per column, and each product is below 2**(w - 1) in size, so a
-    row times the packed columns is 0 only when all its products are 0.
+    kernel.  One pass multiplies them all, packed by ``_pack``.
     """
     kernel = list(kernel)
-    largest = max(map(abs, chain.from_iterable(rows)), default=0)
-    w = (largest * max((sum(map(abs, v.values())) for v in kernel), default=0)).bit_length() + 1
-    packed = [0] * n_cols
-    for k, scaled in enumerate(kernel):
-        for j, x in scaled.items():
-            packed[j] += x << w * k
+    _, packed = _pack(kernel, n_cols, max(map(abs, chain.from_iterable(rows)), default=0))
     if kernel and any(sum(a * packed[j] for j, a in enumerate(row) if a) for row in rows):
         raise ArithmeticError("null-space basis vector failed re-multiplication")
     rank = n_cols - len(kernel)
@@ -423,8 +433,8 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     ``CyclotomicNumber``; any other value (a bool, a float, a string) raises
     InvalidParameters.  Each row is read only at the vector's non-zero
     support, in column order, and folded from its (cell, value) pairs: a
-    rational vector in integers, one Fraction per row (mask rows add their
-    bits' values directly), any other vector by the ``_row_sum`` of the type
+    rational vector in integers, one Fraction per row (through mask rows by
+    ``packed_matvec``), any other vector by the ``_row_sum`` of the type
     of its first value that is not rational, which for ``CyclotomicNumber``
     adds the row into one terms map and builds one number.  A row the
     support misses is the shared ``Fraction(0)``.
@@ -454,23 +464,58 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
         fold = next(type(v) for _, v in support if not isinstance(v, (int, Fraction)))._row_sum
     if m._masks is None:
         products = ([(row[j], v) for j, v in support if row[j]] for row in m.entries)
+    elif rational:  # the one vector of a packed product
+        return packed_matvec(m, [dict(support)], [scale])[0]
     else:
-        # cell (i, j) is bit j of row mask i: walk the bits a row shares with the support
-        bit_value = {1 << j: v for j, v in support}
-        support_mask = sum(bit_value)
-        if rational:
-            result: dict[str, object] = {}
-            for label, mask in zip(m.row_labels, m._masks):
-                hit, total = mask & support_mask, 0
-                while hit:
-                    low = hit & -hit  # the lowest set bit, so columns come in order
-                    total += bit_value[low]
-                    hit ^= low
-                result[label] = Fraction(total, scale) if total else _ZERO
-            return result
-        value = dict(support)
+        # cell (i, j) is bit j of row mask i: read a row at the bits it shares with the support
+        value, support_mask = dict(support), sum(1 << j for j, _ in support)
         products = ([(1, value[j]) for j in bit_indices(mask & support_mask)] for mask in m._masks)
     return {label: fold(p) if p else _ZERO for label, p in zip(m.row_labels, products)}
+
+
+def _row_totals(m: RationalMatrix, packed: list[int]) -> list[int]:
+    """Each row of an integer ``m`` times the packed columns; a mask row is
+    read only at the columns where ``packed`` is non-zero."""
+    if m._masks is None:
+        return [sum(a * packed[j] for j, a in enumerate(row) if a) for row in m.entries]
+    column = {1 << j: x for j, x in enumerate(packed) if x}
+    support = sum(column)
+
+    def total(hit):
+        out = 0
+        while hit:
+            low = hit & -hit  # the lowest set bit
+            out += column[low]
+            hit ^= low
+        return out
+
+    return [total(hit) if (hit := mask & support) else 0 for mask in m._masks]
+
+
+def packed_matvec(
+    m: RationalMatrix, vectors: Sequence[dict[int, int]], scales: Sequence[int]
+) -> list[dict[str, Fraction]]:
+    """The product of an integer ``m`` with each integer dict vector
+    (column index -> entry) divided by its scale, keyed by row labels: the
+    vectors are packed by ``_pack``, ``PACKED_VECTORS`` at a time, and each
+    row is multiplied once per pack.  A row total of 0 is 0 for every vector
+    of the pack; a non-zero one is read field by field.  Each vector gets a
+    dict of its own, with the shared ``Fraction(0)`` where its product is 0."""
+    largest = 1 if m._masks is not None else max(map(abs, chain.from_iterable(m.entries)), default=0)
+    products = [dict.fromkeys(m.row_labels, _ZERO) for _ in vectors]
+    for start in range(0, len(vectors), PACKED_VECTORS):
+        w, packed = _pack(vectors[start:start + PACKED_VECTORS], m.cols, largest)
+        low, half = (1 << w) - 1, 1 << (w - 1)
+        totals = _row_totals(m, packed)
+        for label, total in compress(zip(m.row_labels, totals), totals):
+            k = start
+            while total:
+                field = ((total + half) & low) - half  # signed: the residue in [-half, half)
+                if field:
+                    products[k][label] = Fraction(field, scales[k])
+                total = (total - field) >> w
+                k += 1
+    return products
 
 
 def span_dimension(vectors: Iterable[VertexVector]) -> int:

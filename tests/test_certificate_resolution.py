@@ -3,9 +3,9 @@
 The finder builds its certificates from its own disjoint masks, so ``find``
 resolves sets only where it verifies them: one ``_check_sets`` call per
 certificate reported, for every enumerable kind, all inside
-``verify_certificate``.  ``verify`` resolves a loaded certificate once in its
-public constructor and once in ``verify_certificate``, and inside
-``verify_certificate`` no set label is looked up anywhere else.
+``verify_certificates``.  ``verify`` resolves a loaded certificate once in its
+public constructor and once in ``verify_certificate``, and inside either no
+set label is looked up anywhere else.
 """
 
 import json
@@ -44,11 +44,12 @@ def test_one_resolution_per_certificate(tmp_path, monkeypatch, capsys):
     check_sets = flag("check", kernels._check_sets)
 
     def counted(*args):
-        calls.append(inside["verify"])  # whether the call came from verify_certificate
+        calls.append(inside["verify"])  # whether the call came from verifying
         return check_sets(*args)
 
     monkeypatch.setattr(kernels, "_check_sets", counted)
     monkeypatch.setattr(cli, "verify_certificate", flag("verify", kernels.verify_certificate))
+    monkeypatch.setattr(cli, "verify_certificates", flag("verify", kernels.verify_certificates))
     for name in ("vertex_index", "edge_index"):
         def lookup(self, label, resolve=getattr(Hypergraph, name)):
             assert inside["check"] or not inside["verify"], "a set label resolved outside _check_sets"

@@ -553,15 +553,15 @@ class TestFind:
     def test_found_certificate_failing_verification_is_reported(self, equal_file, monkeypatch, capsys, as_json):
         """The first certificate found, forced to fail verification, fails the
         run with exit 1 and is named in the failures."""
-        verify_certificate = cli.verify_certificate
+        verify_certificates = cli.verify_certificates
         checked = []
 
-        def first_fails(h, cert):
-            checked.append(cert)
-            check = verify_certificate(h, cert)
-            return dataclasses.replace(check, valid=False) if len(checked) == 1 else check
+        def first_fails(h, certs):
+            checked.extend(certs)
+            checks = verify_certificates(h, certs)
+            return [dataclasses.replace(checks[0], valid=False)] + checks[1:]
 
-        monkeypatch.setattr(cli, "verify_certificate", first_fails)
+        monkeypatch.setattr(cli, "verify_certificates", first_fails)
         assert main(["find", equal_file, "--kind", "equal_edge_partition"] + ["--json"] * as_json) == 1
         out = capsys.readouterr().out
         failure = f"found certificate failed verification: {checked[0]}"
@@ -605,7 +605,7 @@ class TestFind:
         path = tmp_path / "twins.hg"
         path.write_text("\n".join(lines) + "\n")
         checked = []
-        monkeypatch.setattr(cli, "verify_certificate", lambda *args, **kwargs: checked.append(args))
+        monkeypatch.setattr(cli, "verify_certificates", lambda *args, **kwargs: checked.append(args))
         assert main(["find", str(path), "--kind", "unit_pair", "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["error"] == "InstanceTooLarge" and "output bound" in report["message"]

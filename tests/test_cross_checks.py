@@ -6,9 +6,14 @@ leave every other test green.  The tests below inject the fault each of four
 checks exists for and pin its message; the rule at the end asks that every
 such message in the package be matched by a literal
 ``pytest.raises(ArithmeticError, match=...)`` somewhere in ``tests/``.
+
+``verify_certificates`` multiplies many certificates in one packed pass; each
+part of that pass is shown to fail here too: a wrong counting verdict, a row
+total lost, and fields at the sign boundary of their width.
 """
 
 import ast
+import functools
 import importlib.util
 import re
 from fractions import Fraction
@@ -17,9 +22,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from hyperinc import kernels, spectra, uniform_cycle
-from hyperinc.kernels import root_of_unity_certificate, sw_subspace, verify_certificate
+from hyperinc import build_hypergraph, kernels, linalg, spectra, uniform_cycle
+from hyperinc.kernels import (
+    equal_partition_certificate,
+    general_combination_certificate,
+    ratio_partition_certificate,
+    root_of_unity_certificate,
+    sw_subspace,
+    verify_certificate,
+    verify_certificates,
+)
 from hyperinc.spectra import predict_unit_eigenpairs, unit_weighting
+
+from test_verify_reference import verify_certificate_reference
 
 PACKAGE = Path(importlib.util.find_spec("hyperinc").origin).parent
 TESTS = Path(__file__).resolve().parent
@@ -73,6 +88,83 @@ def test_dependent_eigenvectors_raise(monkeypatch, unit_example):
     monkeypatch.setattr(spectra, "span_dimension", lambda vectors: span_dimension(vectors) - 1)
     with pytest.raises(ArithmeticError, match="eigenvectors are not linearly independent"):
         predict_unit_eigenpairs(unit_example, w)
+
+
+# -- the packed pass of verify_certificates --------------------------------------
+
+
+def test_a_wrong_counting_verdict_raises(monkeypatch, equal_partition_example):
+    """Counting patched to the opposite verdict, on a valid and on an
+    invalid certificate among others, raises the disagreement."""
+    h = equal_partition_example
+    valid = equal_partition_certificate(h, ["1", "5"], ["2", "3", "4"])
+    invalid = equal_partition_certificate(h, ["1", "5"], ["2", "3"])
+    assert [c.valid for c in verify_certificates(h, [valid, invalid])] == [True, False]
+    counting = kernels._combinatorial_side
+    for wrong in (valid, invalid):
+        monkeypatch.setattr(
+            kernels, "_combinatorial_side", lambda g, c, masks: (c == wrong) != counting(g, c, masks)
+        )
+        with pytest.raises(ArithmeticError, match="counting and algebra disagree"):
+            verify_certificates(h, [valid, invalid, valid])
+        monkeypatch.undo()
+
+
+# vertices a and b lie only in e1, c and d only in e2, w in no edge
+BOUNDARY_H = build_hypergraph(["a", "b", "c", "d", "w"], [["a", "b"], ["c", "d"]], ["e1", "e2"])
+
+
+def test_a_lost_row_total_is_caught(monkeypatch):
+    """The one non-zero row total of a pass, where one certificate is
+    non-zero, patched to 0 raises the disagreement."""
+    h = BOUNDARY_H
+    certs = [ratio_partition_certificate(h, u, v, 1) for u, v in ((["a"], ["b"]), (["b"], ["w"]), (["c"], ["d"]))]
+    checks = verify_certificates(h, certs)
+    assert [c.valid for c in checks] == [True, False, True]
+    assert [label for label, v in checks[1].residual.items() if v] == ["e1"]
+    row_totals = linalg._row_totals
+
+    def losing(m, packed):
+        return [0 if label == "e1" else t for label, t in zip(m.row_labels, row_totals(m, packed))]
+
+    monkeypatch.setattr(linalg, "_row_totals", losing)
+    with pytest.raises(ArithmeticError, match="counting and algebra disagree"):
+        verify_certificates(h, certs)
+
+
+def boundary_lists():
+    """Certificate lists whose only non-zero row is e1: a ratio-2**64
+    certificate beside ratio-1 ones, and general combinations whose products
+    are +-(2**127 - 1) or +-(2**128 - 1), each the largest its field holds."""
+    h = BOUNDARY_H
+    ratio = functools.partial(ratio_partition_certificate, h)
+    combination = functools.partial(general_combination_certificate, h)
+    yield [ratio(["a"], ["b"], 1), ratio(["a"], ["b"], 2**64), ratio(["b"], ["w"], 1), ratio(["c"], ["d"], 1)]
+    yield [ratio(["b"], ["w"], 1), ratio(["a"], ["b"], 2**64), ratio(["a"], ["b"], 1)]
+    for top in (2**127 - 1, 2**128 - 1):
+        yield [
+            combination([(["a"], top)]),
+            ratio(["c"], ["d"], 1),
+            combination([(["b"], -top)]),
+            ratio(["b"], ["w"], 1),
+            ratio(["a"], ["b"], 2**64),
+        ]
+
+
+@pytest.mark.parametrize("certs", list(boundary_lists()))
+def test_fields_at_the_sign_boundary_decode_exactly(certs):
+    h = BOUNDARY_H
+    checks = verify_certificates(h, certs)
+    assert checks == [verify_certificate_reference(h, c) for c in certs]
+    assert all(check.residual["e2"] == 0 for check in checks)
+    assert any(not check.valid for check in checks) and any(check.valid for check in checks)
+
+
+def test_the_boundary_products_fill_their_width():
+    """2**127 - 1 is the largest product a 128-bit field holds, and
+    2**128 - 1 the largest a 129-bit one holds."""
+    assert linalg._pack([{0: 2**127 - 1}], 1, 1)[0] == 128
+    assert linalg._pack([{0: 2**128 - 1}], 1, 1)[0] == 129
 
 
 # -- the rule ---------------------------------------------------------------------

@@ -101,12 +101,12 @@ def flipped(m: RationalMatrix, i: int, j: int, dense: bool) -> RationalMatrix:
 
 
 def inject(monkeypatch, name: str, bad: RationalMatrix) -> None:
-    """Make the ``name`` matrix that ``verify_certificate`` builds be ``bad``;
+    """Make the ``name`` matrix that ``verify_certificates`` builds be ``bad``;
     every other build in ``kernels`` (the finder's) stays true."""
     true = getattr(kernels, name)
 
     def build(h):
-        return bad if sys._getframe(1).f_code is verify_certificate.__code__ else true(h)
+        return bad if sys._getframe(1).f_code is kernels.verify_certificates.__code__ else true(h)
 
     monkeypatch.setattr(kernels, name, build)
 
