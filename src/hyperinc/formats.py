@@ -27,7 +27,9 @@ from .kernels import (
     THREE_SET_RELATION,
     UNIT_PAIR,
     KernelCertificate,
-    _set_certificate,
+    _coefficients,
+    _mask_certificate,
+    _resolved_sets,
     general_combination_certificate,
     root_of_unity_certificate,
 )
@@ -206,9 +208,10 @@ def certificate_to_json(cert: KernelCertificate, check=None) -> dict:
 
 
 def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
-    """Rebuild a certificate from its JSON form, resolving labels against h."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ParseError("certificate JSON needs a 'kind' field")
+    """Rebuild a certificate from its JSON form, resolving labels against h: a set
+    kind as stated, with the kind's side, coefficients and ratio 1 by default."""
+    if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
+        raise ParseError("certificate JSON needs a string 'kind' field")
     kind = data["kind"]
     sets = data.get("sets", {})
     if not isinstance(sets, dict):
@@ -254,33 +257,30 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
         return root_of_unity_certificate(h, order, power)
     if kind not in SET_KINDS:
         raise ParseError(f"unknown certificate kind {kind!r}")
-    members = []
-    for name in SET_KINDS[kind][1]:
-        if kind == UNIT_PAIR and name in data:
-            members.append(parse_labels([data[name]], f"unit pair {name!r}"))
-        elif name in sets or kind != THREE_SET_RELATION or name == "W":
-            members.append(need(name))
-        else:
-            members.append([])  # U or V of a three-set relation may be left out
-    if kind == UNIT_PAIR and any(len(m) != 1 for m in members):
-        raise ParseError("unit pair needs one vertex 'u' and one vertex 'v'")
-    r = parse_fraction(data.get("ratio", 1))
-    cert = _set_certificate(h, kind, members, r)
-    # the side, sets, coefficients and ratio the JSON states must be the built ones
-    built = {name: (set(m), c) for (name, m), c in zip(cert.sets, cert.coefficients)}
+    side, names, pairs = SET_KINDS[kind]
     coefficients = data.get("coefficients", {})
     if not isinstance(coefficients, dict):
         raise ParseError("'coefficients' must map set names to fractions")
-    wrong = [key for key, agrees in [
-        ("side", data.get("side", cert.side) == cert.side),
-        ("sets", all(n in built and set(need(n)) == built[n][0] for n in sets)),
-        ("coefficients", all(n in built and parse_fraction(x) == built[n][1]
-                             for n, x in coefficients.items())),
-        ("ratio", "ratio" not in data or r == cert.ratio),
-    ] if not agrees]
-    if wrong:
-        raise ParseError(f"the {cert.kind} built from the JSON disagrees with its {' and '.join(wrong)}")
-    return cert
+    stated = []  # (name, labels) of each set the JSON states, the kind's first
+    for name in dict.fromkeys([*names, *sets, *coefficients]):
+        if kind == UNIT_PAIR and name in data:  # "u": "1", which "sets" may state again
+            stated.append((name, parse_labels([data[name]], f"unit pair {name!r}")))
+            if name in sets and set(need(name)) != set(stated[-1][1]):
+                stated.append((name, need(name)))  # a second, other u
+        elif name in sets or name in names and (kind != THREE_SET_RELATION or name == "W"):
+            stated.append((name, need(name)))
+        else:
+            stated.append((name, []))  # U or V of a three-set relation, or a stray coefficient's set
+    r = Fraction(parse_fraction(data.get("ratio", 1)))
+    r = r if "ratio" in data or any(b for _, b in pairs) else None  # ratio kinds default to 1
+    default = dict(zip(names, _coefficients(pairs, r)))
+    numbers = tuple(parse_fraction(coefficients[n]) if n in coefficients else default.get(n, 0) for n, _ in stated)
+    cert = KernelCertificate(kind, data.get("side", side), tuple(stated), numbers, r)
+    try:
+        masks = _resolved_sets(h, cert)
+    except InvalidParameters as exc:  # a field that is not the kind's
+        raise ParseError(str(exc)) from None
+    return _mask_certificate(h, kind, masks, r)
 
 
 def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:

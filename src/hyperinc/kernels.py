@@ -170,37 +170,29 @@ def _coefficients(pairs, r) -> tuple[Fraction, ...]:
     return tuple([Fraction(a) if not b else a + b * r for a, b in pairs])
 
 
-def _mask_certificate(h: Hypergraph, kind: str, masks: Sequence[int], r=None, coefficients=None):
-    """The certificate of a set ``kind`` at ratio ``r``, or of a general
-    combination with ``coefficients``, on disjoint ``masks``; members in
-    index order, unchecked."""
+def _certificate(kind: str, members: Sequence[Iterable[str]], r=None, coefficients=None):
+    """The certificate of a set ``kind`` at ratio ``r`` (if a coefficient
+    reads it), or of a general combination with ``coefficients``, on the
+    label sets ``members``, one per set in order; unchecked."""
     if kind == GENERAL_COMBINATION:
-        side, names = "B", [f"U{i}" for i in range(1, len(masks) + 1)]
+        side, names = "B", [f"U{i}" for i in range(1, len(members) + 1)]
     else:
         side, names, pairs = SET_KINDS[kind]
-        if kind == EQUAL_VERTEX_PARTITION or kind == RATIO_VERTEX_PARTITION and r == 1:
-            kind, r = EQUAL_VERTEX_PARTITION, Fraction(1)  # the ratio vertex partition at r = 1
-        elif not any(b for _, b in pairs):
-            r = None  # no coefficient reads r
+        r = r if any(b for _, b in pairs) else None
         coefficients = _coefficients(pairs, r)
-    labels = h.vertices if side == "B" else h.edge_labels
-    sets = tuple(
-        (name, tuple(labels[i] for i in bit_indices(mask))) for name, mask in zip(names, masks)
-    )
-    return KernelCertificate(kind, side, sets, coefficients, ratio=r)
+    return KernelCertificate(kind, side, tuple(zip(names, members)), coefficients, r)
+
+
+def _mask_certificate(h: Hypergraph, kind: str, masks: Sequence[int], r=None, coefficients=None):
+    """``_certificate`` on disjoint ``masks``, members in index order."""
+    labels = h.edge_labels if SET_KINDS.get(kind, ("B",))[0] == "I" else h.vertices
+    return _certificate(kind, [tuple(labels[i] for i in bit_indices(mask)) for mask in masks], r, coefficients)
 
 
 def _set_certificate(h: Hypergraph, kind: str, members: Sequence[Iterable[str]], r=1):
-    """The certificate of a set ``kind`` on the label sets ``members``, one
-    per set of the kind in order, at ratio ``r``.  Every set must be
-    non-empty, except U and V of a three-set relation."""
-    r = Fraction(exact_rational(r))
-    side, names, _ = SET_KINDS[kind]
-    masks = _check_sets(h, side, list(zip(names, members)))
-    for name, mask in zip(names, masks):
-        if not mask and (kind != THREE_SET_RELATION or name == "W"):
-            raise EmptySubset(f"set {name!r} of a {kind} certificate is empty")
-    return _mask_certificate(h, kind, masks, r)
+    """The checked certificate of a set ``kind`` on the label sets ``members``."""
+    c = _certificate(kind, members, Fraction(exact_rational(r)))
+    return _mask_certificate(h, kind, _resolved_sets(h, c), c.ratio)
 
 
 def equal_partition_certificate(h: Hypergraph, u: Iterable[str], v: Iterable[str]) -> KernelCertificate:
@@ -226,12 +218,9 @@ def general_combination_certificate(
     h: Hypergraph, parts: Sequence[tuple[Iterable[str], object]]
 ) -> KernelCertificate:
     """sum(c_i * chi(U_i)) over pairwise disjoint U_i, not all of them empty."""
-    named = [(f"U{i + 1}", members) for i, (members, _) in enumerate(parts)]
-    masks = _check_sets(h, "B", named)
-    if not any(masks):
-        raise EmptySubset("a general combination needs at least one non-empty part")
     coeffs = tuple(Fraction(exact_rational(c)) for _, c in parts)
-    return _mask_certificate(h, GENERAL_COMBINATION, masks, coefficients=coeffs)
+    c = _certificate(GENERAL_COMBINATION, [members for members, _ in parts], coefficients=coeffs)
+    return _mask_certificate(h, GENERAL_COMBINATION, _resolved_sets(h, c), coefficients=coeffs)
 
 
 def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
@@ -244,18 +233,17 @@ def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
 
 def root_of_unity_certificate(h: Hypergraph, r: int, power: int) -> KernelCertificate:
     """The vector i -> (zeta_r**power)**i on vertices labelled 0..n-1."""
-    _checked_int(power, "power", 1, _checked_int(r, "root order", 2))
-    expected = {str(i) for i in range(h.n_vertices)}
-    if set(h.vertices) != expected:
-        raise UnknownVertex("root-of-unity certificates need vertices labelled 0..n-1")
-    return KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (), (), order=r, power=power)
+    c = KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (), (), order=r, power=power)
+    _resolved_sets(h, c)
+    return c
 
 
 def dual_side_certificate(h: Hypergraph, e: Iterable[str], f: Iterable[str], r=1) -> KernelCertificate:
     """chi(E) - r*chi(F) on edges; kernel of the vertex-edge incidence matrix
-    iff every vertex sees the two edge sets in the ratio r (r = 1 is the equal
-    partition of vertices)."""
-    return _set_certificate(h, RATIO_VERTEX_PARTITION, (e, f), r)
+    iff every vertex sees the two edge sets in the ratio r.  At r = 1, read by
+    ``exact_rational``, it is the equal vertex partition, which has no ratio."""
+    r = exact_rational(r)
+    return _set_certificate(h, EQUAL_VERTEX_PARTITION if r == 1 else RATIO_VERTEX_PARTITION, (e, f), r)
 
 
 # -- verification -----------------------------------------------------------------
@@ -300,33 +288,48 @@ def _combinatorial_side(h: Hypergraph, c: KernelCertificate, masks: Sequence[int
 
 
 def _resolved_sets(h: Hypergraph, c: KernelCertificate) -> tuple[int, ...]:
-    """The masks of a certificate's sets, once its kind, side, set names and
-    coefficients are checked against ``SET_KINDS`` (the other kinds certify
-    B_H, with one coefficient a set) and a root-of-unity certificate's
-    vertex labels against 0..n-1."""
+    """The masks of a certificate's sets, by the one rule on what a
+    certificate may state, which every builder and ``verify_certificates``
+    check: the kind is known; coefficients and ratio are ints or Fractions;
+    the side, set names, coefficients and ratio (stated exactly when a
+    coefficient reads it) are the kind's in ``SET_KINDS`` (others: side B, no
+    ratio), a unit pair's sets single vertices; a root-of-unity certificate's
+    order, power and vertex labels 0..n-1; the sets resolve and are disjoint,
+    and none is empty but U or V of a three-set relation (a general
+    combination needs one non-empty)."""
     if c.kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
-    side, names, pairs = SET_KINDS.get(c.kind, ("B", None, None))
-    if c.side != side or len(c.coefficients) != len(c.sets) or names is not None and (
-        tuple(name for name, _ in c.sets) != names
-        or c.ratio is None and any(b for _, b in pairs)
-        or tuple(c.coefficients) != _coefficients(pairs, c.ratio)
+    numbers = c.coefficients if c.ratio is None else (*c.coefficients, c.ratio)
+    if not all(isinstance(q, (int, Fraction)) and not isinstance(q, bool) for q in numbers):
+        raise InvalidParameters(f"the coefficients and ratio of a {c.kind} must be ints or Fractions")
+    side, names, pairs = SET_KINDS.get(c.kind, ("B", None, ()))
+    if c.side != side or len(c.coefficients) != len(c.sets) or (c.ratio is None) == any(b for _, b in pairs) or (
+        names is not None and tuple(name for name, _ in c.sets) != names
+        or names is not None and tuple(c.coefficients) != _coefficients(pairs, c.ratio)
+        or c.kind == UNIT_PAIR and any(len(members) != 1 for _, members in c.sets)
     ):
-        raise InvalidParameters(f"the side, sets or coefficients are not those of a {c.kind}")
+        raise InvalidParameters(f"the side, sets, coefficients or ratio are not those of a {c.kind}")
     if c.kind == ROOT_OF_UNITY_CYCLE:
-        root_of_unity_certificate(h, c.order, c.power)  # its vertex labels; it has no sets
-    return _check_sets(h, c.side, c.sets)
+        _checked_int(c.power, "power", 1, _checked_int(c.order, "root order", 2))
+        if set(h.vertices) != {str(i) for i in range(h.n_vertices)}:
+            raise UnknownVertex("root-of-unity certificates need vertices labelled 0..n-1")
+    masks = _check_sets(h, c.side, c.sets)
+    if c.kind == GENERAL_COMBINATION and not any(masks):
+        raise EmptySubset("a general combination needs at least one non-empty part")
+    for name, mask in zip(names or (), masks):
+        if not mask and (c.kind != THREE_SET_RELATION or name == "W"):
+            raise EmptySubset(f"set {name!r} of a {c.kind} certificate is empty")
+    return masks
 
 
 def verify_certificates(h: Hypergraph, certs: Sequence[KernelCertificate]) -> list[CertificateCheck]:
     """Check certificates against a hypergraph, both ways, in order.
 
-    Each certificate's kind is checked, its sets are resolved against ``h``
+    Each certificate is checked and its sets resolved by ``_resolved_sets``,
     and its counting condition is replayed on them, one at a time.  The
     algebraic side multiplies the induced vectors through the certified
-    incidence matrix: those with exact rational coefficients together, by
-    ``packed_matvec``; a cyclotomic one, or one with an inexact coefficient
-    (which ``matvec`` refuses), by ``matvec``.  The two sides must agree (a
+    incidence matrix: the rational ones together, by ``packed_matvec``; a
+    root-of-unity one by ``matvec``.  The two sides must agree (a
     mismatch raises), except that a root-of-unity certificate's counting
     premise is only sufficient: it must imply the algebraic side, not
     conversely.  An exception is raised once the certificates before its own
@@ -338,11 +341,9 @@ def verify_certificates(h: Hypergraph, certs: Sequence[KernelCertificate]) -> li
             resolved.append((c, _resolved_sets(h, c)))
     except Exception as exc:  # raised once the certificates before it are checked
         error = exc
-    exact = {"B": [], "I": []}  # side -> (position, integer vector, scale) of each exact certificate
+    exact = {"B": [], "I": []}  # side -> (position, integer vector, scale) of each rational certificate
     for i, (c, masks) in enumerate(resolved):
-        if c.kind != ROOT_OF_UNITY_CYCLE and all(
-            isinstance(q, (int, Fraction)) and not isinstance(q, bool) for q in c.coefficients
-        ):
+        if c.kind != ROOT_OF_UNITY_CYCLE:
             scale = math.lcm(*(q.denominator for q in c.coefficients))
             vector = {
                 j: q.numerator * (scale // q.denominator)
@@ -359,9 +360,8 @@ def verify_certificates(h: Hypergraph, certs: Sequence[KernelCertificate]) -> li
     checks = []
     for i, (c, masks) in enumerate(resolved):
         residual = residuals.get(i)
-        if residual is None:
-            matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
-            residual = matvec(matrix, c.induced_vector(h))
+        if residual is None:  # a root-of-unity vector, on side B
+            residual = matvec(edge_vertex_incidence(h), c.induced_vector(h))
         algebraic = all(value == 0 for value in residual.values())
         combinatorial = _combinatorial_side(h, c, masks)
         if c.kind == ROOT_OF_UNITY_CYCLE:
@@ -380,10 +380,7 @@ def verify_certificates(h: Hypergraph, certs: Sequence[KernelCertificate]) -> li
 
 def verify_certificate(h: Hypergraph, c: KernelCertificate) -> CertificateCheck:
     """Check one certificate against a hypergraph, both ways, by
-    ``verify_certificates``.  A certificate's side, set names and
-    coefficients at its ratio must be those of its kind in ``SET_KINDS``;
-    the other kinds certify B_H, with one coefficient a set.
-    """
+    ``verify_certificates``."""
     return verify_certificates(h, [c])[0]
 
 

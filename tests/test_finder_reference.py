@@ -67,19 +67,17 @@ _THREE_SET = ((0, 0), (1, 0), (-1, 0), (0, -1))  # unused 0, U = 1, V = -1, W = 
 
 def _mask_certificate(h: Hypergraph, kind: str, masks, r=None) -> KernelCertificate:
     """The certificate of a set ``kind`` on disjoint ``masks`` at ratio ``r``;
-    members in index order."""
-    side, names = "B", ("U", "V")
+    members in index order.  Each kind is kept, and an equal kind states no
+    ratio."""
+    side, names = ("I", ("E", "F")) if kind in EDGE_SIDE_KINDS else ("B", ("U", "V"))
     if kind == THREE_SET_RELATION:
         names, coefficients = ("U", "V", "W"), (Fraction(-1), Fraction(1), r)
     elif kind == UNIT_PAIR:
         names, coefficients = ("u", "v"), (Fraction(1), Fraction(-1))
-    elif kind == EQUAL_EDGE_PARTITION:
+    elif kind in (EQUAL_EDGE_PARTITION, EQUAL_VERTEX_PARTITION):
         coefficients, r = (Fraction(1), Fraction(-1)), None
     else:  # chi(U) - r*chi(V) on vertices, or chi(E) - r*chi(F) on edges
         coefficients = (Fraction(1), -r)
-        if kind != RATIO_EDGE_PARTITION:
-            side, names = "I", ("E", "F")
-            kind = EQUAL_VERTEX_PARTITION if r == 1 else RATIO_VERTEX_PARTITION
     labels = h.vertices if side == "B" else h.edge_labels
     sets = tuple(
         (name, tuple(labels[i] for i in bit_indices(mask))) for name, mask in zip(names, masks)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -223,6 +224,7 @@ class TestCertificateJson:
         edges, vertices = {"E": ["e1", "e2"], "F": ["e3", "e4"]}, {"U": ["1", "4"], "V": ["2", "3"]}
         for data in (
             {"kind": "equal_vertex_partition", "sets": edges, "ratio": "2"},
+            {"kind": "equal_vertex_partition", "sets": edges, "ratio": "1"},
             {"kind": "equal_vertex_partition", "sets": edges, "side": "B"},
             {"kind": "equal_edge_partition", "sets": vertices, "ratio": "2"},
             {"kind": "equal_edge_partition", "sets": vertices, "ratio": "1"},
@@ -232,23 +234,26 @@ class TestCertificateJson:
             {"kind": "ratio_edge_partition", "sets": vertices, "ratio": "2", "coefficients": {"V": "-1"}},
             {"kind": "three_set_relation", "sets": {"W": ["1"]}, "ratio": "2", "coefficients": {"W": "-2"}},
             {"kind": "unit_pair", "u": "1", "v": "2", "sets": {"u": ["3"], "v": ["4"]}},
+            {"kind": "unit_pair", "u": "1", "v": "2", "sets": {"u": [], "v": ["2"]}},
             {"kind": "unit_pair", "u": "1", "v": "2", "sets": {"u": ["1"], "v": ["2"], "w": []}},
         ):
-            with pytest.raises(ParseError, match="built from the JSON disagrees"):
+            with pytest.raises(ParseError, match="are not those of a"):
                 certificate_from_json(h, data)
         with pytest.raises(ParseError, match="'coefficients'"):
             certificate_from_json(h, {"kind": "equal_edge_partition", "sets": vertices, "coefficients": ["1"]})
 
     def test_json_that_states_what_was_built_loads(self):
         """Every field a report writes may be given back; sets compare as label
-        sets, and a ratio vertex partition at r = 1 is the equal one."""
+        sets, and each vertex partition keeps its kind: the equal one states no
+        ratio, and the ratio one at r = 1 is not read as the equal one."""
         h = parse_hypergraph("vertices: 1 2 3 4\ne1: 1 2\ne2: 3 4\ne3: 1 3\ne4: 2 4\n")
         edges = {"E": ["e2", "e1"], "F": ["e3", "e4"]}
         equal = certificate_from_json(h, {"kind": "equal_vertex_partition", "sets": edges})
-        assert equal.ratio == 1 and equal.coefficients == (1, -1)
-        stated = {"side": "I", "sets": edges, "coefficients": {"E": "1", "F": "-1"}, "ratio": "1"}
-        for kind in ("equal_vertex_partition", "ratio_vertex_partition"):
-            assert certificate_from_json(h, {"kind": kind, **stated}) == equal
+        assert equal.ratio is None and equal.coefficients == (1, -1)
+        stated = {"side": "I", "sets": edges, "coefficients": {"E": "1", "F": "-1"}}
+        assert certificate_from_json(h, {"kind": "equal_vertex_partition", **stated}) == equal
+        ratio = certificate_from_json(h, {"kind": "ratio_vertex_partition", **stated, "ratio": "1"})
+        assert ratio == dataclasses.replace(equal, kind="ratio_vertex_partition", ratio=1)
         pair = {"kind": "unit_pair", "u": 1, "v": "2", "sets": {"u": [1], "v": ["2"]}}
         assert certificate_from_json(h, pair) == unit_pair_certificate(h, "1", "2")
 

@@ -259,7 +259,7 @@ def test_counting_side():
                 )
             elif c.kind == "three_set_relation":
                 expected = all(cu - cv == c.ratio * cw for cu, cv, cw in counts)
-            elif c.kind == "equal_edge_partition":
+            elif c.kind in ("equal_edge_partition", "equal_vertex_partition"):
                 expected = all(cu == cv for cu, cv in counts)
             else:
                 expected = all(ce == c.ratio * cf for ce, cf in counts)

@@ -9,6 +9,7 @@ that no subcommand makes.
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -34,8 +35,8 @@ from hyperinc import (
     zeta,
 )
 from hyperinc.cli import main
-from hyperinc.errors import DimensionMismatch, InvalidParameters
-from hyperinc.kernels import ROOT_OF_UNITY_CYCLE
+from hyperinc.errors import DimensionMismatch, EmptySubset, InvalidParameters
+from hyperinc.kernels import GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE, SET_KINDS, UNIT_PAIR, _coefficients
 from hyperinc.linalg import proven_kernel
 
 H = "e1: 1 2 3 5\ne2: 1 3 4 5\ne3: 1 2 4 5\n"  # vertices 1..5, edges e1..e3
@@ -55,6 +56,7 @@ CLI_CASES = {
     "second vertices header": (["rank", "{file}"], "vertices: 1 2\nvertices: 1 2\ne1: 1 2\n", None, "ParseError"),
     "edge with no vertices": (["rank", "{file}"], "vertices: 1 2\ne1:\n", None, "ParseError"),
     "edges not an object": (["rank", "{file}"], '{"edges": [["1", "2"]]}', None, "ParseError"),
+    "certificate kind not a string": (*certificate({"kind": ["equal_edge_partition"]}), "ParseError"),
     "certificate missing a set": (
         *certificate({"kind": "equal_edge_partition", "sets": {"U": ["1"]}}), "ParseError"
     ),
@@ -111,7 +113,8 @@ cycle = uniform_cycle(12, 8)
 square = build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"], ["1", "3"], ["2", "4"]])
 ONE_TWO = (("U", ("1",)), ("V", ("2",)))
 # hand-built certificates whose side, set names or coefficients at their ratio
-# are not their kind's, or with one coefficient too few
+# are not their kind's, with one coefficient too few, or whose numbers are
+# not exact
 STRAY_CERTIFICATES = {
     "equal edge partition on side I": (
         square, KernelCertificate("equal_edge_partition", "I", (("U", ("e1", "e2")), ("V", ("e3", "e4"))), (1, -1))
@@ -136,7 +139,27 @@ STRAY_CERTIFICATES = {
         h, KernelCertificate("general_combination", "B", ONE_TWO, (0,))
     ),
     "root of unity on side I": (cycle, KernelCertificate(ROOT_OF_UNITY_CYCLE, "I", (), (), order=4, power=1)),
+    # a ratio is stated exactly when a coefficient reads it
+    "equal edge partition at ratio 7": (
+        square, KernelCertificate("equal_edge_partition", "B", (("U", ("1", "4")), ("V", ("2", "3"))), (1, -1), 7)
+    ),
+    # coefficients are ints or Fractions, also where no product reads them
+    "float coefficient on an empty set": (cycle, KernelCertificate("general_combination", "B", (("U1", ()),), (0.5,))),
+    "coefficient 0.0": (cycle, KernelCertificate("general_combination", "B", (("U1", ("0",)),), (0.0,))),
+    "True on an empty set": (cycle, KernelCertificate("general_combination", "B", (("U1", ()),), (True,))),
 }
+
+
+def all_sets_empty(kind):
+    """A certificate of ``kind`` whose sets are all empty, its coefficients
+    otherwise the kind's at ratio 2 (if a coefficient reads it)."""
+    if kind == GENERAL_COMBINATION:
+        return KernelCertificate(kind, "B", (("U1", ()), ("U2", ())), (1, -1))
+    side, names, pairs = SET_KINDS[kind]
+    r = Fraction(2) if any(b for _, b in pairs) else None
+    return KernelCertificate(kind, side, tuple((name, ()) for name in names), _coefficients(pairs, r), r)
+
+
 WIDE = RationalMatrix([[1, 0, 1], [0, 1, 1]], ["r", "s"], ["a", "b", "c"])  # rows 0 and 1 span it
 API_CASES = {
     "unknown kind to verify_certificate": (
@@ -145,6 +168,14 @@ API_CASES = {
     **{
         f"verify {name}": (lambda g=g, c=c: verify_certificate(g, c), InvalidParameters)
         for name, (g, c) in STRAY_CERTIFICATES.items()
+    },
+    # a unit pair's sets are one vertex each, so empty ones are not a unit pair's
+    **{
+        f"verify {kind} with every set empty": (
+            lambda kind=kind: verify_certificate(square, all_sets_empty(kind)),
+            InvalidParameters if kind == UNIT_PAIR else EmptySubset,
+        )
+        for kind in [*SET_KINDS, GENERAL_COMBINATION]
     },
     "row longer than the column labels": (lambda: RationalMatrix([[1, 2]], ["r"], ["a"]), DimensionMismatch),
     "more row labels than rows": (lambda: RationalMatrix([[1]], ["r", "s"], ["a"]), DimensionMismatch),

@@ -1,9 +1,12 @@
 """``verify_certificates`` checked against the per-certificate check it replaced.
 
-``verify_certificate_reference`` is the earlier body of ``verify_certificate``,
-kept verbatim: each certificate's kind checked, its sets resolved, its induced
-vector multiplied through the incidence matrix by ``matvec`` and its counting
-condition replayed, one certificate at a time.  ``verify_certificates``
+``verify_certificate_reference`` is the earlier body of ``verify_certificate``:
+each certificate checked, its sets resolved, its induced vector multiplied
+through the incidence matrix by ``matvec`` and its counting condition
+replayed, one certificate at a time.  Its check of what a certificate may
+state is written out here, apart from ``kernels._resolved_sets``, by the same
+rule: exact numbers, the kind's side, sets, coefficients and ratio, and no
+empty set that the kind forbids.  ``verify_certificates``
 multiplies all the exact rational certificates of one side in one packed
 pass.  On every finder kind over the golden corpus and 120 seeded instances,
 on certificates made invalid on purpose, on general combinations with random
@@ -53,22 +56,37 @@ def verify_certificate_reference(h, c) -> CertificateCheck:
     condition on the resolved sets.  For the if-and-only-if kinds the two
     sides must agree exactly (a mismatch raises).  For root-of-unity
     certificates the counting premise is only sufficient, so it is required to
-    imply the algebraic side but not conversely.  A certificate's side, set
-    names and coefficients at its ratio must be those of its kind in
-    ``SET_KINDS``; the other kinds certify B_H, with one coefficient a set.
+    imply the algebraic side but not conversely.  A certificate's
+    coefficients and ratio must be ints or Fractions; its side, set names
+    and coefficients at its ratio must be those of its kind in
+    ``SET_KINDS``, with a ratio exactly when a coefficient reads it (the
+    other kinds certify B_H, with one coefficient a set and no ratio), and a
+    unit pair's sets single vertices; its sets must be non-empty, except U
+    and V of a three-set relation, and not all empty in a general
+    combination.
     """
     if c.kind not in ALL_KINDS:
         raise kernels.InvalidParameters(f"unknown certificate kind {c.kind!r}")
-    side, names, pairs = SET_KINDS.get(c.kind, ("B", None, None))
-    if c.side != side or len(c.coefficients) != len(c.sets) or names is not None and (
-        tuple(name for name, _ in c.sets) != names
-        or c.ratio is None and any(b for _, b in pairs)
-        or tuple(c.coefficients) != kernels._coefficients(pairs, c.ratio)
-    ):
-        raise kernels.InvalidParameters(f"the side, sets or coefficients are not those of a {c.kind}")
+    for q in c.coefficients + (() if c.ratio is None else (c.ratio,)):
+        if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+            raise kernels.InvalidParameters(f"the coefficients and ratio of a {c.kind} must be ints or Fractions")
+    side, names, pairs = SET_KINDS.get(c.kind, ("B", None, ()))
+    reads_ratio = any(b for _, b in pairs)
+    if c.side != side or len(c.coefficients) != len(c.sets) or (c.ratio is not None) != reads_ratio or (
+        names is not None and (
+            tuple(name for name, _ in c.sets) != names
+            or tuple(c.coefficients) != kernels._coefficients(pairs, c.ratio)
+        )
+    ) or c.kind == kernels.UNIT_PAIR and any(len(members) != 1 for _, members in c.sets):
+        raise kernels.InvalidParameters(f"the side, sets, coefficients or ratio are not those of a {c.kind}")
     if c.kind == ROOT_OF_UNITY_CYCLE:
-        root_of_unity_certificate(h, c.order, c.power)  # its vertex labels; it has no sets
+        root_of_unity_certificate(h, c.order, c.power)  # its order, power and vertex labels; it has no sets
     masks = kernels._check_sets(h, c.side, c.sets)
+    if c.kind == GENERAL_COMBINATION and not any(masks):
+        raise kernels.EmptySubset("a general combination needs at least one non-empty part")
+    for (name, _), mask in zip(c.sets if names else (), masks):
+        if not mask and (c.kind != THREE_SET_RELATION or name == "W"):
+            raise kernels.EmptySubset(f"set {name!r} of a {c.kind} certificate is empty")
     matrix = edge_vertex_incidence(h) if c.side == "B" else vertex_edge_incidence(h)
     residual = matvec(matrix, c.induced_vector(h))
     algebraic = all(value == 0 for value in residual.values())
@@ -133,21 +151,24 @@ def found(h, per_kind=None):
 
 def broken(h, rng, c):
     """``c`` made invalid, or left valid, on purpose: one element moved to
-    another set or out of every set, or the ratio moved; unchecked."""
-    side, _, _ = SET_KINDS[c.kind]
+    another set (replacing a unit pair's vertex) or out of every set, leaving
+    no set empty that must not be, or the ratio moved; unchecked."""
+    side, names, _ = SET_KINDS[c.kind]
     n = h.n_vertices if side == "B" else h.n_edges
     masks = list(kernels._check_sets(h, side, c.sets))
     r = c.ratio
     if rng.random() < 0.3 and r is not None and c.kind in (RATIO_EDGE_PARTITION, RATIO_VERTEX_PARTITION, THREE_SET_RELATION):
         r = r + rng.choice([1, -1, Fraction(1, 2), Fraction(2, 3)])
     else:
-        j = rng.randrange(n)
-        masks = [m & ~(1 << j) for m in masks]
-        target = rng.randrange(len(masks) + 1)
-        if target < len(masks):
-            masks[target] |= 1 << j
-    if c.kind == RATIO_VERTEX_PARTITION and r == 1:
-        r = Fraction(3, 2)  # at 1 it is built as the equal partition
+        for _ in range(10):
+            j = rng.randrange(n)
+            moved = [m & ~(1 << j) for m in masks]
+            target = rng.randrange(len(masks) + 1)
+            if target < len(masks):
+                moved[target] = 1 << j if c.kind == kernels.UNIT_PAIR else moved[target] | 1 << j
+            if all(m or c.kind == THREE_SET_RELATION and name != "W" for name, m in zip(names, moved)):
+                masks = moved
+                break
     return kernels._mask_certificate(h, c.kind, masks, r)
 
 
@@ -156,6 +177,7 @@ def random_combination(h, rng):
     random rational coefficients, zero and large ones among them."""
     codes = [rng.randrange(5) for _ in range(h.n_vertices)]
     masks = [sum(1 << j for j, s in enumerate(codes) if s == i) for i in range(1, 5)]
+    masks[0] |= 0 if any(masks) else 1  # not every part empty
     coefficients = tuple(
         Fraction(rng.choice([0, 1, -1, 3, -2**70, 2**64]), rng.choice([1, 2, 3, 7, 2**40]))
         for _ in masks
@@ -222,10 +244,18 @@ def test_root_of_unity_certificates_agree(n, k):
 
 def bad_certificates(h):
     """Hand-built certificates that the check refuses, each for another
-    reason, or takes through ``matvec`` for an inexact coefficient."""
+    reason."""
     u, v = h.vertices[:2]
     equal = kernels.EQUAL_EDGE_PARTITION
+    one_minus_one = (Fraction(1), Fraction(-1))
     return [
+        KernelCertificate(equal, "B", (("U", (u,)), ("V", (v,))), one_minus_one, ratio=Fraction(7)),
+        KernelCertificate(equal, "B", (("U", ()), ("V", ())), one_minus_one),
+        KernelCertificate(GENERAL_COMBINATION, "B", (("U1", ()), ("U2", ())), one_minus_one),
+        KernelCertificate(GENERAL_COMBINATION, "B", (), ()),
+        KernelCertificate(GENERAL_COMBINATION, "B", (("U1", (u,)),), (Fraction(1),), ratio=Fraction(1)),
+        KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (), (), ratio=Fraction(1), order=4, power=1),
+        KernelCertificate(RATIO_EDGE_PARTITION, "B", (("U", (u,)), ("V", (v,))), (Fraction(1), Fraction(-1, 2)), ratio=0.5),
         KernelCertificate("no_such_kind", "B", (), ()),
         KernelCertificate(equal, "I", (("U", (u,)), ("V", (v,))), (Fraction(1), Fraction(-1))),
         KernelCertificate(equal, "B", (("U", (u,)), ("V", (u,))), (Fraction(1), Fraction(-1))),
@@ -253,7 +283,7 @@ def test_refused_certificates_raise_as_the_loop_does():
             seen.add(alone[0])
         for at in (0, 5, len(others)):
             assert_agree(h, others[:at] + [bad] + others[at:])
-    assert {kernels.InvalidParameters, kernels.OverlappingSets, kernels.UnknownVertex} <= seen
+    assert {kernels.InvalidParameters, kernels.OverlappingSets, kernels.UnknownVertex, kernels.EmptySubset} <= seen
 
 
 # -- the API contract ------------------------------------------------------------
