@@ -27,11 +27,8 @@ from .kernels import (
     THREE_SET_RELATION,
     UNIT_PAIR,
     KernelCertificate,
+    _checked,
     _coefficients,
-    _mask_certificate,
-    _resolved_sets,
-    general_combination_certificate,
-    root_of_unity_certificate,
 )
 from .linalg import exact_rational
 from .spectra import EdgeWeighting, custom_weighting
@@ -208,59 +205,42 @@ def certificate_to_json(cert: KernelCertificate, check=None) -> dict:
 
 
 def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
-    """Rebuild a certificate from its JSON form, resolving labels against h: a set
-    kind as stated, with the kind's side, coefficients and ratio 1 by default."""
+    """The certificate a JSON states, labels resolved against h, checked by
+    the one rule (``kernels._checked``).  Its kind, side, sets (``sets``, a
+    general combination's ``parts``, a unit pair's ``u`` and ``v``),
+    coefficients, ratio, order and power are read as stated; a side or
+    coefficient left out is the kind's, a ratio left out 1 if a coefficient
+    reads it.  A malformed field, or one not the kind's, raises ParseError."""
     if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
         raise ParseError("certificate JSON needs a string 'kind' field")
     kind = data["kind"]
-    sets = data.get("sets", {})
-    if not isinstance(sets, dict):
-        raise ParseError("'sets' must map set names to label arrays")
+    side, names, pairs = SET_KINDS.get(kind, ("B", (), ()))
+    sets, coefficients = data.get("sets", {}), data.get("coefficients", {})
+    if "parts" in data:  # a general combination's other way to write sets and coefficients
+        if kind != GENERAL_COMBINATION or "sets" in data or "coefficients" in data:
+            raise ParseError("only a general combination states 'parts', and then no 'sets' or 'coefficients'")
+        if not isinstance(data["parts"], list):
+            raise ParseError("'parts' must be an array")
+        parts = [[x["set"], x["coefficient"]] if isinstance(x, dict) and {"set", "coefficient"} <= x.keys() else x
+                 for x in data["parts"]]
+        for i, x in enumerate(parts):
+            if not (isinstance(x, list) and len(x) == 2):
+                raise ParseError(f"part {i} must be [members, coefficient] or an object with 'set' and 'coefficient'")
+    elif kind == GENERAL_COMBINATION:
+        if not (isinstance(sets, dict) and isinstance(coefficients, dict) and sets and sets.keys() == coefficients.keys()):
+            raise ParseError("general combination needs 'parts' or 'sets' with a coefficient for each")
+        parts = [[members, coefficients[name]] for name, members in sets.items()]
+    if kind == GENERAL_COMBINATION:  # its sets are U1, U2, ... in order, as general_combination_certificate names them
+        sets = {f"U{i}": members for i, (members, _) in enumerate(parts, start=1)}
+        coefficients = {f"U{i}": q for i, (_, q) in enumerate(parts, start=1)}
+    if not isinstance(sets, dict) or not isinstance(coefficients, dict):
+        raise ParseError("'sets' and 'coefficients' must map set names to label arrays and to fractions")
 
     def need(name: str) -> list[str]:
         if name not in sets:
             raise ParseError(f"certificate kind {kind!r} needs set {name!r}")
         return parse_labels(sets[name], f"set {name!r}")
 
-    if kind == GENERAL_COMBINATION:
-        parts = data.get("parts")
-        pairs = []
-        if parts is not None:
-            if not isinstance(parts, list):
-                raise ParseError("'parts' must be an array")
-            for i, item in enumerate(parts):
-                if isinstance(item, dict) and {"set", "coefficient"} <= item.keys():
-                    members, coeff = item["set"], item["coefficient"]
-                elif isinstance(item, list) and len(item) == 2:
-                    members, coeff = item
-                else:
-                    raise ParseError(
-                        f"part {i} must be [members, coefficient] or an object with "
-                        "'set' and 'coefficient'"
-                    )
-                pairs.append((parse_labels(members, f"part {i}"), parse_fraction(coeff)))
-        else:
-            coefficients = data.get("coefficients")
-            if not sets or not isinstance(coefficients, dict):
-                raise ParseError(
-                    "general combination needs 'parts' or 'sets' with 'coefficients'"
-                )
-            for name in sets:
-                if name not in coefficients:
-                    raise ParseError(f"missing coefficient for set {name!r}")
-                pairs.append((need(name), parse_fraction(coefficients[name])))
-        return general_combination_certificate(h, pairs)
-    if kind == ROOT_OF_UNITY_CYCLE:
-        order, power = data.get("order"), data.get("power")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (order, power)):
-            raise ParseError("root-of-unity certificate needs integer 'order' and 'power'")
-        return root_of_unity_certificate(h, order, power)
-    if kind not in SET_KINDS:
-        raise ParseError(f"unknown certificate kind {kind!r}")
-    side, names, pairs = SET_KINDS[kind]
-    coefficients = data.get("coefficients", {})
-    if not isinstance(coefficients, dict):
-        raise ParseError("'coefficients' must map set names to fractions")
     stated = []  # (name, labels) of each set the JSON states, the kind's first
     for name in dict.fromkeys([*names, *sets, *coefficients]):
         if kind == UNIT_PAIR and name in data:  # "u": "1", which "sets" may state again
@@ -275,12 +255,11 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
     r = r if "ratio" in data or any(b for _, b in pairs) else None  # ratio kinds default to 1
     default = dict(zip(names, _coefficients(pairs, r)))
     numbers = tuple(parse_fraction(coefficients[n]) if n in coefficients else default.get(n, 0) for n, _ in stated)
-    cert = KernelCertificate(kind, data.get("side", side), tuple(stated), numbers, r)
+    cert = KernelCertificate(kind, data.get("side", side), tuple(stated), numbers, r, data.get("order"), data.get("power"))
     try:
-        masks = _resolved_sets(h, cert)
+        return _checked(h, cert)
     except InvalidParameters as exc:  # a field that is not the kind's
         raise ParseError(str(exc)) from None
-    return _mask_certificate(h, kind, masks, r)
 
 
 def load_certificate(h: Hypergraph, path: str) -> KernelCertificate:

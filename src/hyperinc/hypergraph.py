@@ -306,6 +306,8 @@ def induced_subhypergraph(
     semantics).  Also returns the surjective map from original edge index to
     induced edge index for every original edge with a non-empty trace.
     """
+    if isinstance(u, str):
+        raise InvalidParameters(f"the inducing vertex set is the string {u!r}, not a collection of labels")
     uset = frozenset(str(x) for x in u)
     if not uset:
         raise EmptySubset("inducing vertex set is empty")

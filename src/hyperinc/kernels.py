@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -145,12 +145,14 @@ class NullityDecomposition:
 
 def _check_sets(h: Hypergraph, side: str, named: Sequence[tuple[str, Iterable[str]]]):
     """Resolve named label sets to bitmasks over the vertices (side "B") or
-    the edges (side "I"), one mask per set.  Unknown labels, a label repeated
-    within a set and sets that share a label are rejected."""
+    the edges (side "I"), one mask per set.  A str as a set, unknown labels, a
+    label repeated within a set and sets that share a label are rejected."""
     index, labels = (h.vertex_index, h.vertices) if side == "B" else (h.edge_index, h.edge_labels)
     out = []
     seen = 0
     for name, members in named:
+        if isinstance(members, str):
+            raise InvalidParameters(f"set {name!r} is the string {members!r}, not a collection of labels")
         positions = sorted(index(m) for m in members)
         repeated = {labels[a] for a, b in zip(positions, positions[1:]) if a == b}
         if repeated:
@@ -170,29 +172,31 @@ def _coefficients(pairs, r) -> tuple[Fraction, ...]:
     return tuple([Fraction(a) if not b else a + b * r for a, b in pairs])
 
 
-def _certificate(kind: str, members: Sequence[Iterable[str]], r=None, coefficients=None):
+def _certificate(kind: str, members: Sequence[Iterable[str]], r=None):
     """The certificate of a set ``kind`` at ratio ``r`` (if a coefficient
-    reads it), or of a general combination with ``coefficients``, on the
-    label sets ``members``, one per set in order; unchecked."""
-    if kind == GENERAL_COMBINATION:
-        side, names = "B", [f"U{i}" for i in range(1, len(members) + 1)]
-    else:
-        side, names, pairs = SET_KINDS[kind]
-        r = r if any(b for _, b in pairs) else None
-        coefficients = _coefficients(pairs, r)
-    return KernelCertificate(kind, side, tuple(zip(names, members)), coefficients, r)
+    reads it) on the label sets ``members``, one per set in order; unchecked."""
+    side, names, pairs = SET_KINDS[kind]
+    r = r if any(b for _, b in pairs) else None
+    return KernelCertificate(kind, side, tuple(zip(names, members)), _coefficients(pairs, r), r)
 
 
-def _mask_certificate(h: Hypergraph, kind: str, masks: Sequence[int], r=None, coefficients=None):
+def _mask_certificate(h: Hypergraph, kind: str, masks: Sequence[int], r=None):
     """``_certificate`` on disjoint ``masks``, members in index order."""
-    labels = h.edge_labels if SET_KINDS.get(kind, ("B",))[0] == "I" else h.vertices
-    return _certificate(kind, [tuple(labels[i] for i in bit_indices(mask)) for mask in masks], r, coefficients)
+    labels = h.vertices if SET_KINDS[kind][0] == "B" else h.edge_labels
+    return _certificate(kind, [tuple(labels[i] for i in bit_indices(mask)) for mask in masks], r)
+
+
+def _checked(h: Hypergraph, c: KernelCertificate) -> KernelCertificate:
+    """``c`` checked by ``_resolved_sets``, with its members in index order."""
+    masks = _resolved_sets(h, c)
+    labels = h.vertices if c.side == "B" else h.edge_labels
+    sets = tuple((name, tuple(labels[i] for i in bit_indices(mask))) for (name, _), mask in zip(c.sets, masks))
+    return replace(c, sets=sets)
 
 
 def _set_certificate(h: Hypergraph, kind: str, members: Sequence[Iterable[str]], r=1):
     """The checked certificate of a set ``kind`` on the label sets ``members``."""
-    c = _certificate(kind, members, Fraction(exact_rational(r)))
-    return _mask_certificate(h, kind, _resolved_sets(h, c), c.ratio)
+    return _checked(h, _certificate(kind, members, Fraction(exact_rational(r))))
 
 
 def equal_partition_certificate(h: Hypergraph, u: Iterable[str], v: Iterable[str]) -> KernelCertificate:
@@ -219,8 +223,8 @@ def general_combination_certificate(
 ) -> KernelCertificate:
     """sum(c_i * chi(U_i)) over pairwise disjoint U_i, not all of them empty."""
     coeffs = tuple(Fraction(exact_rational(c)) for _, c in parts)
-    c = _certificate(GENERAL_COMBINATION, [members for members, _ in parts], coefficients=coeffs)
-    return _mask_certificate(h, GENERAL_COMBINATION, _resolved_sets(h, c), coefficients=coeffs)
+    sets = tuple((f"U{i}", members) for i, (members, _) in enumerate(parts, start=1))
+    return _checked(h, KernelCertificate(GENERAL_COMBINATION, "B", sets, coeffs))
 
 
 def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
@@ -232,10 +236,9 @@ def unit_pair_certificate(h: Hypergraph, u: str, v: str) -> KernelCertificate:
 
 
 def root_of_unity_certificate(h: Hypergraph, r: int, power: int) -> KernelCertificate:
-    """The vector i -> (zeta_r**power)**i on vertices labelled 0..n-1."""
-    c = KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (), (), order=r, power=power)
-    _resolved_sets(h, c)
-    return c
+    """The vector i -> (zeta_r**power)**i on vertices labelled 0..n-1, checked
+    by the one rule: the root order r >= 2 and the power >= 1 are ints."""
+    return _checked(h, KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (), (), order=r, power=power))
 
 
 def dual_side_certificate(h: Hypergraph, e: Iterable[str], f: Iterable[str], r=1) -> KernelCertificate:
@@ -293,22 +296,25 @@ def _resolved_sets(h: Hypergraph, c: KernelCertificate) -> tuple[int, ...]:
     check: the kind is known; coefficients and ratio are ints or Fractions;
     the side, set names, coefficients and ratio (stated exactly when a
     coefficient reads it) are the kind's in ``SET_KINDS`` (others: side B, no
-    ratio), a unit pair's sets single vertices; a root-of-unity certificate's
-    order, power and vertex labels 0..n-1; the sets resolve and are disjoint,
-    and none is empty but U or V of a three-set relation (a general
-    combination needs one non-empty)."""
+    ratio, no set of a root-of-unity certificate, free names of a general
+    combination's), a unit pair's sets single vertices; only a root-of-unity
+    certificate states an order and a power, ints >= 2 and >= 1, on vertex
+    labels 0..n-1; the sets resolve and are disjoint, and none is empty but
+    U or V of a three-set relation (a general combination needs one non-empty)."""
     if c.kind not in ALL_KINDS:
         raise InvalidParameters(f"unknown certificate kind {c.kind!r}")
     numbers = c.coefficients if c.ratio is None else (*c.coefficients, c.ratio)
     if not all(isinstance(q, (int, Fraction)) and not isinstance(q, bool) for q in numbers):
         raise InvalidParameters(f"the coefficients and ratio of a {c.kind} must be ints or Fractions")
-    side, names, pairs = SET_KINDS.get(c.kind, ("B", None, ()))
+    side, names, pairs = SET_KINDS.get(c.kind, ("B", None if c.kind == GENERAL_COMBINATION else (), ()))
     if c.side != side or len(c.coefficients) != len(c.sets) or (c.ratio is None) == any(b for _, b in pairs) or (
         names is not None and tuple(name for name, _ in c.sets) != names
         or names is not None and tuple(c.coefficients) != _coefficients(pairs, c.ratio)
         or c.kind == UNIT_PAIR and any(len(members) != 1 for _, members in c.sets)
     ):
         raise InvalidParameters(f"the side, sets, coefficients or ratio are not those of a {c.kind}")
+    if c.kind != ROOT_OF_UNITY_CYCLE and (c.order, c.power) != (None, None):
+        raise InvalidParameters(f"a {c.kind} states no root order or power")
     if c.kind == ROOT_OF_UNITY_CYCLE:
         _checked_int(c.power, "power", 1, _checked_int(c.order, "root order", 2))
         if set(h.vertices) != {str(i) for i in range(h.n_vertices)}:

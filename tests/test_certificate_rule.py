@@ -25,7 +25,16 @@ for these changes:
   reports the coefficient first;
 * a unit pair's sets are single vertices: the earlier ``_set_certificate``
   built a unit pair of larger sets, which its loader refused and no public
-  constructor asks for, so ``unit_pair_certificate`` is compared here.
+  constructor asks for, so ``unit_pair_certificate`` is compared here;
+* JSON that states a field its kind does not have is refused with
+  ParseError, where the earlier loader dropped it: an ``order`` or a
+  ``power`` on any kind but the root-of-unity one, a ``ratio`` or a side
+  other than B on a general combination or a root-of-unity certificate,
+  ``sets`` or ``coefficients`` on a root-of-unity certificate, and ``parts``
+  beside ``sets`` or ``coefficients`` or on any kind but a general
+  combination;
+* a root order or power out of range in JSON raises ParseError, as every
+  other refused field of a file does, not InvalidParameters.
 """
 
 import dataclasses
@@ -255,7 +264,9 @@ SET_RULE_FAULTS = ["unknown label", "shared label", "repeated label", "empty set
 FIELD_FAULTS = [
     "side", "extra set", "coefficient", "stray coefficient", "ratio", "bad ratio",
     "bad coefficient", "missing set", "coefficients not an object", "unit pair vertex stated twice",
+    "order", "power",
 ]
+STRAY_FIELDS = {"order", "power"}  # field faults the earlier loader dropped
 
 
 def broken_set(rng, h, side, sets, names, required, fault):
@@ -335,6 +346,8 @@ def json_case(rng, h, kind):
         data["sets"] = {**sets, "u": [x for x in rng.choice([[], labels[:1], labels[-2:]]) if x != data["u"]]}
     elif field_fault == "unit pair vertex stated twice":
         field_fault = None
+    elif field_fault in STRAY_FIELDS:
+        data[field_fault] = rng.choice([1, 3, 7, 0, "2"])
     return data, kind == EQUAL_VERTEX_PARTITION and "ratio" in data, field_fault
 
 
@@ -358,14 +371,34 @@ def test_json_loads_as_the_reference_does():
                 data, stated_ratio, field_fault = json_case(rng, h, kind)
                 reference = outcome(lambda: certificate_from_json_reference(h, data))
                 expected = expected_outcome(reference, kind, stated_ratio, field_fault is not None)
+                expected = ParseError if field_fault in STRAY_FIELDS else expected
                 assert outcome(lambda: certificate_from_json(h, data)) == expected, data
                 counts["built" if isinstance(expected, KernelCertificate) else "refused"] += 1
                 counts["changed"] += expected != reference
     assert min(counts.values()) > 200, counts
 
 
+# fields that a general combination written with "parts", one written with
+# "sets" and "coefficients", or a root-of-unity certificate does not have
+STRAYS = {
+    "parts": ["ratio", "side", "sets", "coefficients", "order", "power"],
+    "sets": ["ratio", "side", "order", "power", "parts"],
+    ROOT_OF_UNITY_CYCLE: ["ratio", "side", "sets", "coefficients", "parts"],
+}
+
+
+def stray_value(rng, h, field):
+    label = rng.choice(list(h.vertices))
+    return {
+        "ratio": rng.choice(["5", "1", 0]), "side": "I", "order": rng.choice([3, 4]), "power": 1,
+        "sets": {rng.choice(["U", "U1"]): [label]}, "coefficients": {"U1": rng.choice(["1", "-2"])},
+        "parts": [[[label], "1"]],
+    }[field]
+
+
 def test_other_json_kinds_load_as_the_reference_does():
-    """General combinations and root-of-unity certificates, valid and not."""
+    """General combinations, in either form, and root-of-unity certificates,
+    valid and not, and with a field their kind does not have."""
     rng = random.Random(43002)
     cycles = [uniform_cycle(n, k) for n, k in ((6, 3), (8, 4), (12, 8))]
     built = refused = 0
@@ -378,16 +411,30 @@ def test_other_json_kinds_load_as_the_reference_does():
             ]
             if rng.random() < 0.2:
                 parts.append([["nowhere"], "1"])
+            names = [f"U{i}" for i in range(1, len(parts) + 1)]
             cases = [
-                {"kind": GENERAL_COMBINATION, "parts": parts},
-                {"kind": ROOT_OF_UNITY_CYCLE, "order": rng.choice([1, 2, 3, 4, 2.0]), "power": rng.choice([0, 1, 2, 5])},
+                ("parts", {"kind": GENERAL_COMBINATION, "parts": parts}),
+                ("sets", {"kind": GENERAL_COMBINATION, "sets": {n: m for n, (m, _) in zip(names, parts)},
+                          "coefficients": {n: q for n, (_, q) in zip(names, parts)}}),
+                (ROOT_OF_UNITY_CYCLE, {"kind": ROOT_OF_UNITY_CYCLE, "order": rng.choice([1, 2, 3, 4, 2.0]),
+                                       "power": rng.choice([0, 1, 2, 5])}),
             ]
-            for data in cases:
-                expected = outcome(lambda: certificate_from_json_reference(h, data))
+            for form, data in cases:
+                if rng.random() < 0.2:
+                    data["side"] = "B"  # the side of both kinds, which they may state
+                reference = outcome(lambda: certificate_from_json_reference(h, data))
+                stray = rng.choice(STRAYS[form]) if rng.random() < 0.25 else None
+                if stray:
+                    data[stray] = stray_value(rng, h, stray)
+                    expected = ParseError
+                elif form == ROOT_OF_UNITY_CYCLE and reference is InvalidParameters:
+                    expected = ParseError  # an order or power out of range
+                else:
+                    expected = reference
                 assert outcome(lambda: certificate_from_json(h, data)) == expected, data
                 built += isinstance(expected, KernelCertificate)
                 refused += not isinstance(expected, KernelCertificate)
-    assert built > 300 and refused > 300
+    assert built >= 300 and refused >= 300, (built, refused)
 
 
 def test_constructors_build_as_the_reference_does():

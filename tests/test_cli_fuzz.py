@@ -6,6 +6,7 @@ run through ``rank``, ``units``, ``contract``, ``verify``, ``spectra`` and
 ``find`` of every kind.  Whatever the input, ``main`` must return 0, 1 or 2
 and raise nothing: a malformed input is an exit-2 report, and a search whose
 counted work passes the finder bound is refused with exit 2 instead of run.
+The certificate a ``verify --json`` reports loads back to the one verified.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from hyperinc.cli import main
+from hyperinc.formats import certificate_from_json, load_certificate, load_hypergraph
 from hyperinc.kernels import ALL_KINDS
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -109,9 +111,11 @@ WEIGHTS = st.one_of(
 )
 
 
-def run_main(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+def run_main(argv) -> tuple[int, str]:
+    """The exit code and standard output of ``main``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv), out.getvalue()
 
 
 @st.composite
@@ -135,6 +139,16 @@ def inputs(draw):
          "verify", "unit", True)
 @example(("e1: 0 1\ne2: 1 2\ne3: 2 0", '{"kind": "root_of_unity_cycle", "order": 1000000, "power": 999999}'),
          "verify", "unit", False)
+# certificates that verify, one of each way a file states its sets, to load back
+@example(("e1: 0 1\ne2: 2 3\n", '{"kind": "equal_edge_partition", "sets": {"U": ["0", "2"], "V": ["1", "3"]}}'),
+         "verify", "unit", True)
+@example(("e1: 0 1 2\ne2: 1 2 3\n", '{"kind": "general_combination", "parts": [[["0"], "1"], [["3"], "-1"]]}'),
+         "verify", "unit", True)
+@example(("e1: 0 1\ne2: 0 1 2\n", '{"kind": "unit_pair", "u": "0", "v": "1"}'), "verify", "unit", True)
+@example(("e1: 0\ne2: 1\ne3: 0 1\n", '{"kind": "equal_vertex_partition", "sets": {"E": ["e3"], "F": ["e1", "e2"]}}'),
+         "verify", "unit", True)
+@example(("e1: 0 1\ne2: 1 2\ne3: 2 3\ne4: 3 0\n", '{"kind": "root_of_unity_cycle", "order": 2, "power": 1}'),
+         "verify", "unit", True)
 def test_main_exits_0_1_or_2(files, command, weights, as_json):
     hypergraph, certificate = files
     with tempfile.TemporaryDirectory() as scratch:
@@ -155,4 +169,9 @@ def test_main_exits_0_1_or_2(files, command, weights, as_json):
             argv += ["--weighting", weights, "--matrix"]
         if as_json:
             argv.append("--json")
-        assert run_main(argv) in (0, 1, 2)
+        code, out = run_main(argv)
+        assert code in (0, 1, 2)
+        if name == "verify" and as_json and code != 2:
+            # the certificate reported loads back to the certificate verified
+            h = load_hypergraph(str(graph))
+            assert certificate_from_json(h, json.loads(out)["certificate"]) == load_certificate(h, str(cert))

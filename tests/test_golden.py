@@ -109,6 +109,17 @@ def test_verify_report_is_byte_identical(certificate):
     check_report(report, verify_argv(certificate))
 
 
+@pytest.mark.parametrize("certificate", CERTIFICATES)
+def test_verified_certificate_loads_back_as_verified(certificate):
+    """The certificate ``verify --json`` reports loads back to the certificate
+    it verified, for every kind a golden file holds."""
+    h = load_hypergraph(str(GOLDEN / (certificate.split(".")[0] + ".txt")))
+    verified = load_certificate(h, str(GOLDEN / certificate))
+    code, out = run_report(verify_argv(certificate))
+    assert code in (0, 1)
+    assert certificate_from_json(h, json.loads(out)["certificate"]) == verified
+
+
 def test_reported_certificates_load_as_reported():
     """Every certificate file loads, and every certificate a find or verify
     report holds loads as the certificate it reports."""

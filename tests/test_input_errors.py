@@ -24,12 +24,15 @@ from hyperinc import (
     cyclotomic_polynomial,
     edge_vertex_incidence,
     equal_partition_certificate,
+    extension_theorem_check,
+    induced_subhypergraph,
     is_finer,
     matvec,
     random_hypergraph,
     rank_and_nullspace,
     root_of_unity_certificate,
     root_of_unity_vector,
+    sw_subspace,
     uniform_cycle,
     verify_certificate,
     zeta,
@@ -86,10 +89,31 @@ CLI_CASES = {
         *certificate({"kind": "equal_vertex_partition", "sets": {"E": [], "F": ["e1"]}}), "EmptySubset"
     ),
     "root order below 2": (
-        *certificate({"kind": "root_of_unity_cycle", "order": 1, "power": 1}), "InvalidParameters"
+        *certificate({"kind": "root_of_unity_cycle", "order": 1, "power": 1}), "ParseError"
     ),
     "vertices not 0..n-1": (
         *certificate({"kind": "root_of_unity_cycle", "order": 2, "power": 1}), "UnknownVertex"
+    ),
+    # a field the kind does not have is refused, not dropped
+    "general combination with a ratio, on side I": (
+        *certificate({"kind": "general_combination", "parts": [[["1"], "1"]], "ratio": "5", "side": "I"}),
+        "ParseError",
+    ),
+    **{
+        f"root of unity stating {field}": (
+            *certificate({"kind": "root_of_unity_cycle", "order": 2, "power": 1, field: value}), "ParseError"
+        )
+        for field, value in {"ratio": "2", "sets": {"U": ["1"]}, "coefficients": {"U": "1"}, "side": "I"}.items()
+    },
+    "equal partition stating an order": (
+        *certificate({"kind": "equal_edge_partition", "sets": {"U": ["1"], "V": ["2"]}, "order": 3}), "ParseError"
+    ),
+    "parts on an equal partition": (
+        *certificate({"kind": "equal_edge_partition", "sets": {"U": ["1"], "V": ["2"]}, "parts": [[["1"], "1"]]}),
+        "ParseError",
+    ),
+    "parts and sets": (
+        *certificate({"kind": "general_combination", "parts": [[["1"], "1"]], "sets": {"U1": ["1"]}}), "ParseError"
     ),
 }
 
@@ -147,6 +171,19 @@ STRAY_CERTIFICATES = {
     "float coefficient on an empty set": (cycle, KernelCertificate("general_combination", "B", (("U1", ()),), (0.5,))),
     "coefficient 0.0": (cycle, KernelCertificate("general_combination", "B", (("U1", ("0",)),), (0.0,))),
     "True on an empty set": (cycle, KernelCertificate("general_combination", "B", (("U1", ()),), (True,))),
+    # an order and a power belong to a root-of-unity certificate, which states no set
+    "equal edge partition with an order and a power": (
+        uniform_cycle(6, 3),
+        KernelCertificate("equal_edge_partition", "B", (("U", ("0", "3")), ("V", ("1", "4"))), (1, -1), order=3, power=7),
+    ),
+    "root of unity with a set U": (
+        uniform_cycle(6, 3), KernelCertificate(ROOT_OF_UNITY_CYCLE, "B", (("U", ("0",)),), (1,), order=3, power=1)
+    ),
+    # a str is one label, not the set of its characters
+    "equal edge partition of two str sets": (
+        build_hypergraph(["1", "2", "3", "4", "12", "34"], [["1", "3"], ["2", "4"], ["12", "34"]]),
+        KernelCertificate("equal_edge_partition", "B", (("U", "12"), ("V", "34")), (1, -1)),
+    ),
 }
 
 
@@ -160,6 +197,7 @@ def all_sets_empty(kind):
     return KernelCertificate(kind, side, tuple((name, ()) for name in names), _coefficients(pairs, r), r)
 
 
+labels_12 = STRAY_CERTIFICATES["equal edge partition of two str sets"][0]
 WIDE = RationalMatrix([[1, 0, 1], [0, 1, 1]], ["r", "s"], ["a", "b", "c"])  # rows 0 and 1 span it
 API_CASES = {
     "unknown kind to verify_certificate": (
@@ -237,6 +275,11 @@ API_CASES = {
     "kernel row longer than n_cols": (lambda: proven_kernel([[1, 0, 1]], 2), InvalidParameters),
     "kernel rows of two lengths": (lambda: proven_kernel([[1, 0], [1]], 2), InvalidParameters),
     "kernel row shorter than n_cols": (lambda: proven_kernel([[1, 0], [1, 1]], 3), InvalidParameters),
+    # a set of labels given as a str, where "12" is a vertex besides "1" and "2"
+    "partition sets as str": (lambda: equal_partition_certificate(labels_12, "12", "34"), InvalidParameters),
+    "S_W of a str": (lambda: sw_subspace(labels_12, "12"), InvalidParameters),
+    "induced by a str": (lambda: induced_subhypergraph(labels_12, "12"), InvalidParameters),
+    "extension check on a str": (lambda: extension_theorem_check(labels_12, "12"), InvalidParameters),
 }
 # a vector value that is no number, beside a rational one, on both row forms of B_H
 b = edge_vertex_incidence(h)

@@ -24,6 +24,7 @@ import pytest
 from hyperinc import kernels, linalg, uniform_cycle
 from hyperinc.errors import InstanceTooLarge
 from hyperinc.formats import load_hypergraph
+from hyperinc.hypergraph import bit_indices
 from hyperinc.kernels import (
     ALL_KINDS,
     GENERAL_COMBINATION,
@@ -182,7 +183,8 @@ def random_combination(h, rng):
         Fraction(rng.choice([0, 1, -1, 3, -2**70, 2**64]), rng.choice([1, 2, 3, 7, 2**40]))
         for _ in masks
     )
-    return kernels._mask_certificate(h, GENERAL_COMBINATION, masks, coefficients=coefficients)
+    sets = tuple((f"U{i}", tuple(h.vertices[j] for j in bit_indices(m))) for i, m in enumerate(masks, start=1))
+    return KernelCertificate(GENERAL_COMBINATION, "B", sets, coefficients)
 
 
 # -- agreement ------------------------------------------------------------------
