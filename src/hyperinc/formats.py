@@ -210,10 +210,16 @@ def certificate_from_json(h: Hypergraph, data: dict) -> KernelCertificate:
     general combination's ``parts``, a unit pair's ``u`` and ``v``),
     coefficients, ratio, order and power are read as stated; a side or
     coefficient left out is the kind's, a ratio left out 1 if a coefficient
-    reads it.  A malformed field, or one not the kind's, raises ParseError."""
+    reads it.  A malformed field, one not the kind's, or a key it does not
+    read (a misspelt field; the ``valid`` and ``residual`` that ``verify
+    --json`` adds are let through) raises ParseError."""
     if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
         raise ParseError("certificate JSON needs a string 'kind' field")
     kind = data["kind"]
+    unread = data.keys() - {"kind", "side", "sets", "coefficients", "parts", "ratio", "order", "power",
+                            "valid", "residual", *("uv" if kind == UNIT_PAIR else "")}
+    if unread:
+        raise ParseError(f"a {kind} certificate has no field {', '.join(map(repr, sorted(unread, key=str)))}")
     side, names, pairs = SET_KINDS.get(kind, ("B", (), ()))
     sets, coefficients = data.get("sets", {}), data.get("coefficients", {})
     if "parts" in data:  # a general combination's other way to write sets and coefficients

@@ -38,6 +38,7 @@ from .hypergraph import (
     unit_contraction,
 )
 from .linalg import (
+    _full_rank,
     _proven_rank,
     edge_vertex_incidence,
     exact_rational,
@@ -442,31 +443,44 @@ def sw_subspace(h: Hypergraph, w: Iterable[str]) -> SWReport:
 def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
     """Exact rank/nullity of B_H and of its unit contraction C, with identities.
 
-    One elimination: ``proven_kernel`` proves C's rank r and kernel basis.
-    As B_H = B_C S, S mapping each vertex to its unit, a basis vector y lifts
-    to H with y[u] on the first member of unit u, and each other member m adds
-    e_m - e_first: |V| - r vectors, independent as only e_m - e_first is
-    non-zero at m and the rest are C's basis on the first members.
-    ``_proven_rank`` proves rank(B_H) from them on B_H's own rows, and with
-    it the identities rank(B_H) = rank(C) and nullity(H) = nullity(C) + |V| -
-    #units: re-multiplying the lifted vectors gives <=, B_H's modular rank
-    >=.  Apart from that, H must be its own contraction when every unit is
-    one vertex.
+    B_H = B_C S, S mapping each vertex to its unit, is checked column by
+    column, so each member m of a unit but its first adds e_m - e_first to
+    ker B_H.  When C's rows reach rank min(|E|, #units) over GF(2) and over
+    GF(3) (``_full_rank``), that is rank(C), and nothing is eliminated:
+    rank(B_H) is proven on B_H's own rows by the same two stages when rank(C)
+    = |E|, else by ``_proven_rank`` from the differences.  Otherwise
+    ``proven_kernel`` proves C's rank r and kernel basis; a basis vector y
+    lifts to H with y[u] on the first member of unit u, and with the
+    differences these |V| - r independent vectors prove rank(B_H) by
+    ``_proven_rank``.  Either way rank(B_H) must equal rank(C), so nullity(H)
+    = nullity(C) + |V| - #units, and H must be its own contraction when every
+    unit is one vertex.
     """
     contracted, vertex_map, _ = contraction = unit_contraction(h)
     n_units = contracted.n_vertices
-    pivots, _, basis = proven_kernel(edge_vertex_incidence(contracted).entries, n_units)
-    contraction_rank = len(pivots)
+    deficiency = h.n_vertices - n_units
+    if deficiency == 0 and contracted != h:
+        raise ArithmeticError("a hypergraph of single-vertex units is not its own contraction")
     unit_of = {label: u for u, label in enumerate(contracted.vertices)}
     units = [unit_of[vertex_map[v]] for v in h.vertices]  # the unit of each column of B_H
     first = {u: i for i, u in reversed(list(enumerate(units)))}  # its first member's column
     lifted = [{i: 1, first[u]: -1} for i, u in enumerate(units) if first[u] != i]
-    lifted += ({first[u]: x for u, x in y.items()} for y in basis.values())
-    rank = _proven_rank(edge_vertex_incidence(h).entries, h.n_vertices, lifted)
+    if any(star != contracted.star_masks[u] for star, u in zip(h.star_masks, units)):
+        raise ArithmeticError("B_H = B_C S failed re-multiplication: a column of B_H is not its unit's in C")
+    if _full_rank(contracted.edge_masks, n_units):  # rank(C) = min(|E|, #units), nothing eliminated
+        contraction_rank = min(h.n_edges, n_units)
+        if contraction_rank == h.n_edges:
+            rank = h.n_edges if _full_rank(h.edge_masks, h.n_vertices) else None
+        else:
+            rank = _proven_rank(edge_vertex_incidence(h).entries, h.n_vertices, lifted)
+    else:
+        pivots, _, basis = proven_kernel(edge_vertex_incidence(contracted).entries, n_units)
+        contraction_rank = len(pivots)
+        lifted += ({first[u]: x for u, x in y.items()} for y in basis.values())
+        rank = _proven_rank(edge_vertex_incidence(h).entries, h.n_vertices, lifted)
+    if rank != contraction_rank:
+        raise ArithmeticError(f"rank disagreement: rank(B_H) is not rank(C) = {contraction_rank}")
     nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
-    deficiency = h.n_vertices - n_units
-    if deficiency == 0 and contracted != h:
-        raise ArithmeticError("a hypergraph of single-vertex units is not its own contraction")
     return NullityDecomposition(
         rank=rank,
         nullity=nullity,

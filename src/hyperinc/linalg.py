@@ -9,11 +9,16 @@ unit's copies in B_H add nothing to the elimination.  Its null-space bases
 are the normalised RREF bases, so they are deterministic, and it
 re-multiplies every basis vector, copies included, through the integer
 matrix before returning, which bounds the rank above; ranks modulo primes
-(GF(2), then primes above 2**20) bound it below.  Given rows that span the
-row space, it eliminates only those, and none when they are as many as the
-distinct columns, but proves on every row: ``hyperinc rank`` eliminates one
-side fully, I_H when B_H has fewer distinct columns than rows, and the other
-only on the first side's pivot rows, when at all.
+(GF(2), then primes above 2**20) bound it below.  A 0/1 matrix of full
+rank min(rows, cols) needs no elimination (``_full_rank``): its ranks over
+GF(2), by an XOR basis of its row masks, and over GF(3), by a bitsliced
+basis of two masks per row, both reach that dimension bound, which neither
+may pass; ``hyperinc contract`` proves so the unit contraction's rank and,
+when it is |E|, B_H's.  Given rows that span the row space,
+``proven_kernel`` eliminates only those, and none when they are as many as
+the distinct columns, but proves on every row: ``hyperinc rank`` eliminates
+one side fully, I_H when B_H has fewer distinct columns than rows, and the
+other only on the first side's pivot rows, when at all.
 """
 
 from __future__ import annotations
@@ -369,14 +374,19 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return r
 
 
-def _rank_gf2(rows: list[list[int]]) -> int:
-    """Rank of integer ``rows`` over GF(2): each row becomes the bitmask of
-    its odd entries, and an XOR basis keeps one mask per leading bit."""
+def _odd_mask(row: Sequence[int]) -> int:
+    """The bitmask of an integer row's odd entries, its first entry the highest bit."""
+    mask = 0
+    for x in row:
+        mask = mask << 1 | x & 1
+    return mask
+
+
+def _rank_gf2(masks: Iterable[int]) -> int:
+    """Rank over GF(2) of rows given as bitmasks of their odd entries: an
+    XOR basis keeps one mask per leading bit."""
     basis: dict[int, int] = {}  # leading bit -> the one basis mask with it
-    for row in rows:
-        mask = 0
-        for x in row:
-            mask = mask << 1 | x & 1
+    for mask in masks:
         while mask:
             top = mask.bit_length()
             if top not in basis:
@@ -384,6 +394,38 @@ def _rank_gf2(rows: list[list[int]]) -> int:
                 break
             mask ^= basis[top]
     return len(basis)
+
+
+def _rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
+    """Rank over GF(3) of rows given bitsliced, as two masks: the entries
+    = 1 and the entries = 2 (mod 3).  A basis keeps one row per leading bit,
+    scaled to lead with 1 (times 2 swaps the masks); a row leading with 1
+    takes the basis row negated, one leading with 2 the basis row as it is,
+    and a + b is t = (a1 | b2) ^ (a2 | b1), ((a2 | b2) ^ t, (a1 | b1) ^ t)."""
+    basis: dict[int, tuple[int, int]] = {}
+    for one, two in rows:
+        while one | two:
+            top = (one | two).bit_length()
+            if top not in basis:
+                basis[top] = (one, two) if one >> top - 1 else (two, one)
+                break
+            b1, b2 = basis[top][::-1] if one >> top - 1 else basis[top]
+            t = (one | b2) ^ (two | b1)
+            one, two = (two | b2) ^ t, (one | b1) ^ t
+    return len(basis)
+
+
+def _full_rank(masks: Sequence[int], n_cols: int) -> bool:
+    """Whether the 0/1 rows with these bitmasks, on ``n_cols`` columns, have
+    rank min(rows, n_cols) over Q, proven with no elimination: that is the
+    dimension bound, and it is reached when their ranks over GF(2) and over
+    GF(3) both reach it, neither being above the rational rank.  A rank above
+    the bound raises."""
+    bound = min(len(masks), n_cols)
+    ranks = _rank_gf2(masks), _rank_gf3([(mask, 0) for mask in masks])
+    if max(ranks) > bound:
+        raise ArithmeticError(f"rank disagreement: GF(2) and GF(3) ranks {ranks} above the dimension bound {bound}")
+    return min(ranks) == bound
 
 
 def _modular_rank(rows: list[list[int]], ceiling: int) -> int:
@@ -399,7 +441,7 @@ def _modular_rank(rows: list[list[int]], ceiling: int) -> int:
     """
     best, product, bound = 0, 1, None
     for p in chain([2], map(_prime, count())):
-        rank = _rank_gf2(rows) if p == 2 else _rank_mod_p(rows, p)
+        rank = _rank_gf2(map(_odd_mask, rows)) if p == 2 else _rank_mod_p(rows, p)
         if rank >= ceiling:
             return rank
         best = max(best, rank)

@@ -646,6 +646,12 @@ class TestSpectra:
         proc = run_cli("spectra", str(path), "--weighting", "banerjee")
         assert proc.returncode == 2
 
+    def test_text_report_without_multi_vertex_units(self, tmp_path, capsys):
+        path = tmp_path / "p.hg"
+        path.write_text("e1: 1 2\ne2: 2 3\n")
+        assert main(["spectra", str(path)]) == 0
+        assert "no multi-vertex units: no predicted eigenpairs" in capsys.readouterr().out
+
 
 class TestUnreadableInput:
     """A file that cannot be read, decoded or written exits 2 with an error

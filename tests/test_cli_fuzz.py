@@ -79,28 +79,49 @@ SET_NAMES = {
 }
 
 
+# the fields each kind states besides its sets; a unit pair may state u and v
+# as labels instead of sets, and the loader refuses any other field
+KIND_FIELDS = {
+    "ratio_edge_partition": ("ratio",), "three_set_relation": ("ratio",), "ratio_vertex_partition": ("ratio",),
+    "general_combination": ("parts",), "root_of_unity_cycle": ("order", "power"),
+}
+FIELDS = {
+    "ratio": FRACTIONS,
+    "order": st.integers(-2, 12) | st.integers(-2, 10**6) | st.booleans() | st.text(max_size=3),
+    "power": st.integers(-2, 12) | st.integers(-2, 10**6) | st.none(),
+    "parts": st.lists(st.tuples(st.lists(LABELS, max_size=3, unique=True), FRACTIONS).map(list), max_size=3) | JSON,
+}
+
+
 def certificate_file(draw, vertices):
-    """Mostly the sets a kind names, disjoint and drawn from the instance's
-    labels, with optional fields that may be malformed; else any JSON."""
+    """Mostly the fields of one kind alone: the sets it names, disjoint and
+    drawn from the instance's labels, and its other fields, which may be
+    malformed; sometimes, besides them, fields of other kinds or a key the
+    loader does not read; else any JSON."""
     if draw(st.sampled_from([False] * 9 + [True])):
         return json.dumps(draw(JSON))
     kind = draw(st.sampled_from(sorted(SET_NAMES)))
-    names = SET_NAMES[kind] if draw(st.integers(0, 3)) else draw(st.sampled_from(["UVWEFuv", "U", ""]))
+    stray = draw(st.sampled_from([False] * 4 + [True]))
+    names = SET_NAMES[kind] if draw(st.sampled_from([True] * 3 + [False])) else draw(
+        st.sampled_from(["UVWEFuv", "U", ""])
+    )
     pool = ["e1", "e2", "e3", "e4"] if names == "EF" else vertices
     sets = {name: [] for name in names}
-    for label in pool:
-        name = draw(st.sampled_from([*names, None]))
+    for i, label in enumerate(pool):
+        # label i goes to set i mod the names and None, shifted by the draw
+        name = [*names, None][(i + draw(st.integers(0, len(names)))) % (len(names) + 1)]
         if name:
             sets[name].append(label)
-    data = {"kind": kind, "sets": sets}
-    for key, values in [
-        ("ratio", FRACTIONS),
-        ("order", st.integers(-2, 10**6) | st.booleans() | st.text(max_size=3)),
-        ("power", st.integers(-2, 10**6) | st.none()),
-        ("parts", st.lists(st.tuples(st.lists(LABELS, max_size=3, unique=True), FRACTIONS).map(list), max_size=3) | JSON),
-    ]:
-        if draw(st.booleans()):
+    data = {"kind": kind}
+    if kind == "unit_pair" and draw(st.booleans()):
+        data.update(u=draw(st.sampled_from(vertices)), v=draw(st.sampled_from(vertices)))
+    elif names or stray:
+        data["sets"] = sets
+    for key, values in FIELDS.items():
+        if key in KIND_FIELDS.get(kind, ()) or stray and draw(st.booleans()):
             data[key] = draw(values)
+    if stray and draw(st.booleans()):
+        data[draw(st.sampled_from(["ratoi", "u", "w", "valid", "residual"]))] = draw(FRACTIONS)
     return json.dumps(data)
 
 
@@ -116,6 +137,15 @@ def run_main(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         return main(argv), out.getvalue()
+
+
+def verify_exit(files) -> int:
+    """The exit code of ``verify`` on a hypergraph file and a certificate file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        graph, cert = Path(scratch, "h.hg"), Path(scratch, "c.json")
+        for path, text in zip((graph, cert), files):
+            path.write_text(text, encoding="utf-8")
+        return run_main(["verify", str(graph), "--certificate", str(cert)])[0]
 
 
 @st.composite
@@ -175,3 +205,20 @@ def test_main_exits_0_1_or_2(files, command, weights, as_json):
             # the certificate reported loads back to the certificate verified
             h = load_hypergraph(str(graph))
             assert certificate_from_json(h, json.loads(out)["certificate"]) == load_certificate(h, str(cert))
+
+
+def test_drawn_verify_inputs_load():
+    """Drawn inputs, not only the ``@example``s above, reach ``verify``'s
+    exit 0 and exit 1: most drawn certificate files state only their kind's
+    fields, so many of them load."""
+    codes = []
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs())
+    def run(files):
+        codes.append(verify_exit(files))
+
+    run()
+    assert set(codes) == {0, 1, 2}
+    assert codes.count(0) + codes.count(1) >= len(codes) // 10

@@ -3,10 +3,12 @@
 ``nullity_decomposition_reference`` below is the earlier
 ``nullity_decomposition``, kept as a test-only reference: it ran a proven
 elimination (``proven_kernel`` now) on both B_H and the unit contraction C.
-The current one eliminates only C, lifts C's kernel basis to H and proves
-rank(B_H) on B_H's own rows.  Both must agree on every field, and a fault in
-the lift, in the contraction's vertex map or in the modular rank of B_H must
-raise.
+The current one eliminates nothing when C's ranks over GF(2) and GF(3) both
+reach the dimension bound min(|E|, #units), and otherwise only C, lifting C's
+kernel basis to H; either way it proves rank(B_H) on B_H's own rows.  Both
+must agree on every field.  On both paths a fault in the lift or the unit
+differences, in the contraction's vertex map or edges, or in any rank stage
+must raise or leave the numbers right.
 """
 
 import random
@@ -17,7 +19,7 @@ import pytest
 from conftest import random_instance, with_extra_vertices
 from hyperinc import build_hypergraph, kernels, linalg
 from hyperinc.cli import main
-from hyperinc.formats import serialize_hypergraph_text
+from hyperinc.formats import load_hypergraph, serialize_hypergraph_text
 from hyperinc.hypergraph import Hypergraph, unit_contraction
 from hyperinc.kernels import NullityDecomposition, nullity_decomposition
 from hyperinc.linalg import edge_vertex_incidence, proven_kernel
@@ -101,40 +103,96 @@ def agreement_cases():
     return cases
 
 
-def test_matches_two_elimination_reference():
+
+
+def with_edges(h: Hypergraph, *edges) -> Hypergraph:
+    """``h`` with more edges, named on from its last."""
+    names = [f"e{h.n_edges + i}" for i in range(1, len(edges) + 1)]
+    return build_hypergraph(h.vertices, [*h.edges, *edges], [*h.edge_labels, *names])
+
+
+# on ``unit_example`` (C is 5 x 6 of rank 5 = |E|): e2 + e4 keeps the units and
+# makes C 6 x 6 of rank 5; {1, 2, 10} and {3, 4, 11} make it 7 x 6 of rank 6 = #units
+DEFICIENT = [str(i) for i in range(1, 10)]
+TALL = (["1", "2", "10"], ["3", "4", "11"])
+# a 0/1 matrix of determinant -3: rank 4 over Q and GF(2), 3 over GF(3)
+DET_3 = build_hypergraph(["a", "b", "c", "d"], [["c", "d"], ["b", "d"], ["a", "d"], ["a", "b", "c"]])
+C7 = Path(__file__).resolve().parent / "golden" / "empty_kernel_c7.txt"  # determinant 2
+
+
+def stages_reach(h: Hypergraph) -> bool:
+    """Whether the contraction's ranks mod 2 and mod 3, by ``_rank_mod_p``,
+    reach min(|E|, #units): exactly then ``contract`` eliminates nothing."""
+    contracted = unit_contraction(h)[0]
+    rows = edge_vertex_incidence(contracted).entries
+    return all(linalg._rank_mod_p(rows, p) == min(contracted.n_edges, contracted.n_vertices) for p in (2, 3))
+
+
+def count_eliminations(monkeypatch) -> list:
+    """Log the rows of each fraction-free elimination."""
+    calls = []
+    eliminate = linalg._fraction_free_rref
+    monkeypatch.setattr(linalg, "_fraction_free_rref", lambda rows: calls.append(rows) or eliminate(rows))
+    return calls
+
+
+def test_matches_two_elimination_reference(monkeypatch):
+    """Agreement on every case, and the cases take both paths: no
+    elimination, and the one elimination of C."""
     cases = agreement_cases()
     assert any(nullity_decomposition(h).units_deficiency == 0 for _, h in cases)
     assert any(nullity_decomposition(h).contraction[0].n_edges == 0 for _, h in cases)
+    calls = count_eliminations(monkeypatch)
+    paths = set()
     for label, h in cases:
-        found, expected = nullity_decomposition(h), nullity_decomposition_reference(h)
+        calls.clear()
+        found = nullity_decomposition(h)
+        paths.add(len(calls))
+        assert len(calls) == (not stages_reach(h)), label
+        expected = nullity_decomposition_reference(h)
         assert found == expected, label
         assert found.contraction == expected.contraction, label
+    assert paths == {0, 1}
 
 
 def test_one_elimination_per_contract(monkeypatch, tmp_path, capsys):
-    """``contract`` eliminates the contraction alone: one fraction-free
-    elimination per call, on every golden instance and every rank-dense shape.
-    The reference, counted the same way, makes two."""
+    """``contract`` eliminates nothing when the contraction's ranks mod 2
+    and mod 3 reach the dimension bound, and the contraction alone
+    otherwise, on every golden instance and every rank-dense shape; both
+    happen.  The reference, counted the same way, makes two."""
     rng = random.Random(26)
     paths = list(GOLDEN_INSTANCES)
     for shape in ((40, 10, 30), (46, 0, 36), (42, 20, 44)):
         path = tmp_path / f"dense_{shape[0] + shape[1]}.txt"
         path.write_text(serialize_hypergraph_text(dense_instance(rng, *shape)), encoding="utf-8")
         paths.append(path)
-    calls = []
-    eliminate = linalg._fraction_free_rref
-    monkeypatch.setattr(linalg, "_fraction_free_rref", lambda rows: calls.append(rows) or eliminate(rows))
+    calls = count_eliminations(monkeypatch)
+    seen = set()
     for path in paths:
         calls.clear()
         assert main(["contract", str(path), "--json"]) == 0, path.name
-        assert len(calls) == 1, path.name
+        expected = 0 if stages_reach(load_hypergraph(str(path))) else 1
+        assert len(calls) == expected, path.name
+        seen.add(expected)
+    assert seen == {0, 1}
     capsys.readouterr()
     calls.clear()
     nullity_decomposition_reference(dense_instance(rng, 42, 20, 44))
     assert len(calls) == 2
 
 
-# -- the new proof is wired in ---------------------------------------------------
+def test_gf3_falling_short_takes_the_elimination_path(monkeypatch):
+    """GF(2) reaches rank 4 on ``DET_3``, GF(3) does not, so C is
+    eliminated once, and the numbers are the reference's."""
+    masks = DET_3.edge_masks
+    assert (linalg._rank_gf2(masks), linalg._rank_gf3([(m, 0) for m in masks])) == (4, 3)
+    calls = count_eliminations(monkeypatch)
+    found = nullity_decomposition(DET_3)
+    assert len(calls) == 1 and found.rank == 4
+    assert found == nullity_decomposition_reference(DET_3)
+
+
+# -- the proof is wired in, on both paths ------------------------------------------
 
 
 def moved(h: Hypergraph, vector: dict[int, int]) -> dict[int, int]:
@@ -150,6 +208,26 @@ def moved(h: Hypergraph, vector: dict[int, int]) -> dict[int, int]:
     return vector
 
 
+def faulty_kernel(monkeypatch, h: Hypergraph, fault: str) -> list:
+    """Patch ``_proven_rank`` in ``kernels`` to move or drop the first unit
+    difference, or the last vector; log the length of each vector given."""
+    prove = kernels._proven_rank
+    seen = []
+
+    def faulty(rows, n_cols, kernel):
+        kernel = list(kernel)
+        seen.append([len(v) for v in kernel])
+        index = -1 if "basis" in fault else 0
+        if fault.startswith("move"):
+            kernel[index] = moved(h, kernel[index])
+        else:
+            del kernel[index]
+        return prove(rows, n_cols, kernel)
+
+    monkeypatch.setattr(kernels, "_proven_rank", faulty)
+    return seen
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
@@ -162,42 +240,74 @@ def moved(h: Hypergraph, vector: dict[int, int]) -> dict[int, int]:
 def test_wrong_lift_is_caught(monkeypatch, unit_example, fault, message):
     """A lifted vector on a member of the wrong unit fails the re-multiplication
     through B_H; a vector too few claims a rank that the modular rank of B_H
-    refutes.  In the unit example the differences come first, the one lifted
-    basis vector last."""
-    prove = kernels._proven_rank
-    seen = []
-
-    def faulty(rows, n_cols, kernel):
-        kernel = list(kernel)
-        seen.append([len(v) for v in kernel])
-        index = -1 if "basis" in fault else 0
-        if fault.startswith("move"):
-            kernel[index] = moved(unit_example, kernel[index])
-        else:
-            del kernel[index]
-        return prove(rows, n_cols, kernel)
-
-    assert nullity_decomposition(unit_example).contraction_nullity == 1
-    monkeypatch.setattr(kernels, "_proven_rank", faulty)
+    refutes.  C is rank-deficient here, so it is eliminated; the differences
+    come first, the one lifted basis vector last."""
+    h = with_edges(unit_example, DEFICIENT)
+    assert not stages_reach(h)
+    assert nullity_decomposition(h).contraction_nullity == 1
+    seen = faulty_kernel(monkeypatch, h, fault)
     with pytest.raises(ArithmeticError, match=message):
-        nullity_decomposition(unit_example)
+        nullity_decomposition(h)
     ((*differences, basis_vector),) = seen
     assert differences == [2] * 5 and basis_vector > 2
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("move a unit difference", "re-multiplication"), ("drop a unit difference", "rank disagreement")],
+)
+def test_wrong_difference_is_caught_on_the_full_rank_path(monkeypatch, unit_example, fault, message):
+    """rank(C) = #units < |E|, proven mod 2 and mod 3: rank(B_H) is proven
+    from the five unit differences alone, and the same faults are caught."""
+    h = with_edges(unit_example, *TALL)
+    assert stages_reach(h)
+    assert nullity_decomposition(h).contraction_rank == 6 < h.n_edges
+    seen = faulty_kernel(monkeypatch, h, fault)
+    with pytest.raises(ArithmeticError, match=message):
+        nullity_decomposition(h)
+    assert seen == [[2] * 5]
 
 
 def test_vertex_map_merging_a_non_unit_is_caught(monkeypatch):
     """A vertex map that sends b, which shares no star with c and d, into
     their unit keeps every rank and count, so only the re-multiplication of
-    e_c - e_b through B_H sees it."""
-    h = build_hypergraph(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]])
+    B_H = B_C S at b's column sees it: on a contraction of full rank, and on
+    one made rank-deficient by the edge {a, b, c, d} and the isolated e."""
     contract = kernels.unit_contraction
 
     def merged(h):
         contracted, vertex_map, edge_map = contract(h)
         return contracted, {**vertex_map, "b": vertex_map["c"]}, edge_map
 
-    assert nullity_decomposition(h).rank == 2
-    monkeypatch.setattr(kernels, "unit_contraction", merged)
+    for extra, full in (([], True), ([["a", "b", "c", "d"]], False)):
+        h = build_hypergraph(["a", "b", "c", "d", "e"], [["a", "b"], ["c", "d"], *extra])
+        assert stages_reach(h) == full
+        assert nullity_decomposition(h).rank == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "unit_contraction", merged)
+            with pytest.raises(ArithmeticError, match="re-multiplication"):
+                nullity_decomposition(h)
+
+
+@pytest.mark.parametrize("path", ["full rank", "rank-deficient"])
+def test_corrupted_contraction_edge_is_caught(monkeypatch, path):
+    """A contraction whose first edge gains the unit of x keeps its path: C
+    stays of full rank, or keeps e's zero column and rank 3 < 4.  B_H's
+    columns no longer match C's."""
+    edges = [["a", "b"], ["c", "d"], ["x"]] + [["a", "b", "c", "d"]] * (path != "full rank")
+    h = build_hypergraph(["a", "b", "c", "d", "x", "e"], edges)
+    contract = kernels.unit_contraction
+
+    def corrupted(h):
+        contracted, vertex_map, edge_map = contract(h)
+        edges = [set(e) for e in contracted.edges]
+        edges[0].add(vertex_map["x"])
+        return Hypergraph(contracted.vertices, edges, contracted.edge_labels), vertex_map, edge_map
+
+    assert stages_reach(h) == (path == "full rank")
+    assert nullity_decomposition(h).rank == 3
+    monkeypatch.setattr(kernels, "unit_contraction", corrupted)
+    assert stages_reach(h) == (path == "full rank")
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         nullity_decomposition(h)
 
@@ -205,15 +315,81 @@ def test_vertex_map_merging_a_non_unit_is_caught(monkeypatch):
 @pytest.mark.parametrize("shift", [1, -1])
 def test_wrong_modular_rank_of_b_h_is_caught(monkeypatch, unit_example, shift):
     """A modular rank of B_H one too high or one too low; the contraction's,
-    taken first, has fewer columns and stays right."""
+    taken first, has fewer columns and stays right.  C is rank-deficient
+    here, so it is eliminated."""
+    h = with_edges(unit_example, DEFICIENT)
     modular_rank = linalg._modular_rank
     on_h = []
 
     def shifted(rows, ceiling):
-        on_h.append(bool(rows) and len(rows[0]) == unit_example.n_vertices)
+        on_h.append(bool(rows) and len(rows[0]) == h.n_vertices)
         return modular_rank(rows, ceiling) + (shift if on_h[-1] else 0)
 
     monkeypatch.setattr(linalg, "_modular_rank", shifted)
     with pytest.raises(ArithmeticError, match="rank disagreement"):
-        nullity_decomposition(unit_example)
+        nullity_decomposition(h)
     assert on_h == [False, True]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("stage", ["_rank_gf2", "_rank_gf3", "_modular_rank"])
+def test_wrong_rank_of_b_h_is_caught_on_the_full_rank_path(monkeypatch, unit_example, stage, shift):
+    """With rank(C) = |E| (``unit_example``) the GF(2) and GF(3) ranks of
+    B_H's rows, taken after C's, prove rank(B_H); with rank(C) = #units <
+    |E| the modular rank in ``_proven_rank`` does.  One too high or one too
+    low on B_H is caught."""
+    h = unit_example if stage != "_modular_rank" else with_edges(unit_example, *TALL)
+    real = getattr(linalg, stage)
+    calls = []
+
+    def shifted(*args):
+        calls.append(args)
+        return real(*args) + (shift if len(calls) == 1 + (stage != "_modular_rank") else 0)
+
+    assert stages_reach(h)
+    monkeypatch.setattr(linalg, stage, shifted)
+    with pytest.raises(ArithmeticError, match="rank disagreement"):
+        nullity_decomposition(h)
+    assert len(calls) == 1 + (stage != "_modular_rank")
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("stage", ["_rank_gf2", "_rank_gf3", "_rank_mod_p", "_modular_rank"])
+def test_no_shifted_rank_stage_gives_a_wrong_rank(monkeypatch, unit_example, stage, shift):
+    """Each rank stage one too high or one too low, at each of its calls in
+    turn and at all of them, on contractions of full row rank, of full
+    column rank, rank-deficient, and of full rank where GF(2) (C7) or GF(3)
+    (``DET_3``) falls short: ``nullity_decomposition`` raises or returns
+    the reference's numbers, never a wrong rank."""
+    cases = {
+        "full row rank": unit_example,
+        "full column rank": with_edges(unit_example, *TALL),
+        "rank-deficient": with_edges(unit_example, DEFICIENT),
+        "GF(2) short": load_hypergraph(str(C7)),
+        "GF(3) short": DET_3,
+    }
+    real = getattr(linalg, stage)
+    calls, target = [], []
+
+    def shifted(*args):
+        calls.append(args)
+        return real(*args) + (shift if target in ([], [len(calls) - 1]) else 0)
+
+    raised = 0
+    for label, h in cases.items():
+        expected = nullity_decomposition_reference(h)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, stage, shifted)
+            calls.clear()
+            target[:] = [-1]  # shift no call: count them
+            assert nullity_decomposition(h) == expected, label
+            for target[:] in [[k] for k in range(len(calls))] + [[]]:
+                calls.clear()
+                try:
+                    found = nullity_decomposition(h)
+                except ArithmeticError as exc:
+                    assert "disagreement" in str(exc), label
+                    raised += 1
+                else:
+                    assert found == expected, (label, target)
+    assert raised

@@ -288,7 +288,7 @@ def test_prime_falling_short_falls_back(monkeypatch, n_primes):
 
 
 def test_gf2_falling_short_falls_through_to_the_primes(monkeypatch):
-    assert linalg._rank_gf2(DET_2) == 2
+    assert linalg._rank_gf2(map(linalg._odd_mask, DET_2)) == 2
     primes = _count_rank_mod_p_calls(monkeypatch)
     assert rank_and_nullspace(_matrix(DET_2)).rank == 3
     assert primes == [2, linalg._prime(0)]
@@ -337,10 +337,11 @@ def test_re_multiplication_is_wired_in(monkeypatch):
     monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         rank_and_nullspace(m)
-    # nullity_decomposition eliminates only the unit contraction C, so C needs
-    # a free column at b: here b is isolated, and the unit {c, d} is contracted
-    h = build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"]])
-    assert edge_vertex_incidence(unit_contraction(h)[0]).entries == [[1, 0, 0], [0, 0, 1]]
+    # nullity_decomposition eliminates only the unit contraction C, and only
+    # when C is rank-deficient, so C needs a free column at b: here b is
+    # isolated, the unit {c, d} is contracted, and C has rank 2 < 3
+    h = build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"], ["a", "c", "d"]])
+    assert edge_vertex_incidence(unit_contraction(h)[0]).entries == [[1, 0, 0], [0, 0, 1], [1, 0, 1]]
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         nullity_decomposition(h)
 
@@ -349,7 +350,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # each entry point that eliminates, on an input whose first free column is no
 # copy of an earlier column (nullity_decomposition eliminates the contraction,
-# whose b is isolated); ``rank`` eliminates B_H, then I_H on its
+# rank-deficient and with b isolated); ``rank`` eliminates B_H, then I_H on its
 # rows at B_H's pivot columns, none for dense_14x11 (rank 11 = |E|), or, when
 # B_H has fewer distinct columns than rows, I_H's distinct rows first, as for
 # units_12x9 (8 distinct stars, 9 edges), then B_H on none, at rank 8
@@ -358,7 +359,7 @@ ELIMINATING_ENTRY_POINTS = {
     "rank, I_H rank-deficient": lambda: cmd_rank(Namespace(file=str(GOLDEN / "units_12x9.txt"))),
     "rank_and_nullspace": lambda: rank_and_nullspace(_matrix([[1, 1, 0], [0, 1, 1]])),
     "nullity_decomposition": lambda: nullity_decomposition(
-        build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"]])
+        build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"], ["a", "c", "d"]])
     ),
     "find_certificates_exhaustive": lambda: find_certificates_exhaustive(
         build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]]),
@@ -515,10 +516,10 @@ def test_echelon_matches_gauss_jordan_reference():
 
 
 def test_gf2_rank_matches_prime_field_rank_at_2():
-    """The bit-row GF(2) rank against ``_rank_mod_p`` run at p = 2, on every
-    echelon case and on more matrices of the three rank-dense shapes, each
-    with its transpose: 30 x 50 with 10 duplicate columns, 36 x 46, and
-    44 x 62 with 20."""
+    """The bit-row GF(2) rank, of each row's ``_odd_mask``, against
+    ``_rank_mod_p`` run at p = 2, on every echelon case and on more matrices
+    of the three rank-dense shapes, each with its transpose: 30 x 50 with 10
+    duplicate columns, 36 x 46, and 44 x 62 with 20."""
     cases = list(_echelon_cases(seed=2203))
     rng = random.Random(2203)
     for index in range(20):
@@ -528,7 +529,42 @@ def test_gf2_rank_matches_prime_field_rank_at_2():
             cases.append((f"0/1 {rows}x{base + clones} #{index} transposed", [list(c) for c in zip(*b)]))
     deficient = 0
     for label, rows in cases:
-        rank = linalg._rank_gf2(rows)
+        rank = linalg._rank_gf2(map(linalg._odd_mask, rows))
         assert rank == linalg._rank_mod_p(rows, 2), label
         deficient += rank < len(linalg.proven_kernel(rows, len(rows[0]) if rows else 0)[0])
     assert deficient
+
+
+def _bitsliced(rows: list[list[int]]) -> list[tuple[int, int]]:
+    """Each integer row as the masks of its entries = 1 and = 2 (mod 3)."""
+    return [
+        tuple(sum(1 << j for j, x in enumerate(row) if x % 3 == r) for r in (1, 2)) for row in rows
+    ]
+
+
+# a 0/1 matrix of determinant -3: rank 4 over Q and GF(2), 3 over GF(3)
+DET_3 = [[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 0]]
+
+
+def test_gf3_rank_matches_prime_field_rank_at_3():
+    """The bitsliced GF(3) rank against ``_rank_mod_p`` run at p = 3, on
+    every echelon case (negative and large entries among them: wide, tall,
+    square and rank-deficient), on seeded 0/1 masks of the three rank-dense
+    shapes and their transposes, and on ``DET_3``, where it falls short of
+    the rational rank."""
+    cases = list(_echelon_cases(seed=2204))
+    rng = random.Random(2204)
+    for index in range(20):
+        for rows, base, clones in ((30, 40, 10), (36, 46, 0), (44, 42, 20), (6, 9, 0), (9, 6, 0), (8, 8, 0)):
+            b = _dense_01(rng, rows, base, clones)
+            cases.append((f"0/1 {rows}x{base + clones} #{index}", b))
+            cases.append((f"0/1 {rows}x{base + clones} #{index} transposed", [list(c) for c in zip(*b)]))
+    cases.append(("determinant -3", DET_3))
+    assert any(abs(x) > 3 for _, rows in cases for row in rows for x in row)
+    assert any(x < 0 for _, rows in cases for row in rows for x in row)
+    short = 0
+    for label, rows in cases:
+        rank = linalg._rank_gf3(_bitsliced(rows))
+        assert rank == linalg._rank_mod_p(rows, 3), label
+        short += rank < len(linalg.proven_kernel(rows, len(rows[0]) if rows else 0)[0])
+    assert short and linalg._rank_gf3(_bitsliced(DET_3)) == 3

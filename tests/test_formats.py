@@ -163,6 +163,24 @@ class TestCertificateJson:
         assert set(data["residual"]) == {"e1", "e2", "e3"}
         assert all(v == "0" for v in data["residual"].values())
 
+    def test_verified_report_loads_back(self, equal_partition_example):
+        # the valid and residual a verify report adds are the only keys read past
+        cert = equal_partition_certificate(equal_partition_example, ["1", "5"], ["2", "3", "4"])
+        data = certificate_to_json(cert, verify_certificate(equal_partition_example, cert))
+        assert certificate_from_json(equal_partition_example, data) == cert
+
+    def test_unread_key_rejected(self):
+        h = uniform_cycle(6, 3)
+        sets = {"U": ["0", "3"], "V": ["1", "4"]}
+        for data, key in (
+            ({"kind": "ratio_edge_partition", "sets": sets, "ratoi": "2"}, "ratoi"),  # not read as r = 1
+            ({"kind": "equal_edge_partition", "sets": sets, "u": "0"}, "u"),  # only a unit pair states u
+            ({"kind": "unit_pair", "u": "0", "v": "3", "w": "1"}, "w"),
+            ({"kind": "root_of_unity_cycle", "order": 3, "power": 1, "Order": 3}, "Order"),
+        ):
+            with pytest.raises(ParseError, match=f"no field '{key}'"):
+                certificate_from_json(h, data)
+
     def test_unknown_kind(self, unit_example):
         with pytest.raises(ParseError):
             certificate_from_json(unit_example, {"kind": "nonsense"})

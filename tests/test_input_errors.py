@@ -115,6 +115,14 @@ CLI_CASES = {
     "parts and sets": (
         *certificate({"kind": "general_combination", "parts": [[["1"], "1"]], "sets": {"U1": ["1"]}}), "ParseError"
     ),
+    # a key the loader does not read is refused, not dropped
+    "misspelt ratio": (
+        *certificate({"kind": "ratio_edge_partition", "sets": {"U": ["1"], "V": ["2"]}, "ratoi": "2"}), "ParseError"
+    ),
+    "u on an equal partition": (
+        *certificate({"kind": "equal_edge_partition", "sets": {"U": ["1"], "V": ["2"]}, "u": "1"}), "ParseError"
+    ),
+    "unknown key on a unit pair": (*certificate({"kind": "unit_pair", "u": "1", "v": "2", "w": "3"}), "ParseError"),
 }
 
 
