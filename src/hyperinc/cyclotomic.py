@@ -136,13 +136,16 @@ class CyclotomicNumber:
     first use and kept.  ``+``, ``-``, ``*`` and ``==`` take ints, Fractions
     and numbers of the same order, but no bool; a constant equals the rational
     it is at any order.  The order is an int of at least 1, and the
-    constructor reads each coefficient by ``exact_rational``.
+    constructor reads each coefficient by ``exact_rational``, from a sequence
+    that is no ``str``, ``bytes`` or ``bytearray``.
     """
 
     __slots__ = ("order", "_terms", "_coeffs")
 
     def __init__(self, order: int, coeffs):
         _checked_int(order, "cyclotomic order", 1)
+        if isinstance(coeffs, (str, bytes, bytearray)):  # a sequence, but not of coefficients
+            raise InvalidParameters(f"coefficients must be a sequence of rationals, got {coeffs!r}")
         terms: dict[int, Rationalish] = {}
         for i, c in enumerate(coeffs):
             terms[i % order] = terms.get(i % order, 0) + exact_rational(c)
@@ -295,9 +298,13 @@ def root_of_unity_vector(n: int, r: int, power: int) -> VertexVector:
     """The vector on residues 0..n-1 whose i-th entry is (zeta_r**power)**i.
 
     With power == r the root is 1 and this degenerates to the all-ones
-    vector; powers 1..r-1 give the non-trivial roots.
+    vector; powers 1..r-1 give the non-trivial roots.  One ``zeta`` is built
+    per distinct exponent power * i mod r, never a table of all r, and the
+    entries at one exponent are that one object.
     """
     _checked_int(n, "length n", 0)
     _checked_int(power, "power", 1, _checked_int(r, "root order", 2))
-    return VertexVector({str(i): zeta(r, power * i) for i in range(n)})
+    exponents = [power * i % r for i in range(n)]
+    roots = {e: zeta(r, e) for e in set(exponents)}
+    return VertexVector({str(i): roots[e] for i, e in enumerate(exponents)})
 

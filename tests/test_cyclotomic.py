@@ -95,6 +95,13 @@ class TestArithmetic:
         assert len({one, True}) == 2
         assert one == 1 and zeta(4, 2) == -1 and CyclotomicNumber(3, []) == 0
 
+    def test_string_or_bytes_is_no_coefficient_list(self):
+        # each is a sequence, but "12" was once read as 1 + 2*z3 and b"12" as 49 + 50*z3
+        for coeffs in ("12", b"12", bytearray(b"12"), ""):
+            with pytest.raises(InvalidParameters, match="sequence of rationals"):
+                CyclotomicNumber(3, coeffs)
+        assert CyclotomicNumber(3, ["1", "2"]) == 1 + 2 * zeta(3)
+
     def test_geometric_sum_identity(self):
         # full cycles of any non-trivial root sum to zero, exactly
         def geometric_sum(r, j):

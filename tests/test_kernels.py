@@ -255,19 +255,38 @@ class TestRootOfUnity:
 
     def test_induced_vector_builds_n_terms_not_r(self, monkeypatch):
         """At order 10**6 the induced vector is built from its 12 entries, one
-        term each; a table of all r powers of zeta is never built."""
+        term each; a table of all r powers of zeta is never built.  Entries at
+        equal exponents are one object, and one number is built per distinct
+        exponent, so never more than n."""
 
         def table(r):
             raise AssertionError(f"built a table of {r} powers")
 
+        real = cyclotomic.CyclotomicNumber._of_terms.__func__
+        built = []
+
+        def counting(cls, order, terms):
+            built.append(order)
+            return real(cls, order, terms)
+
         monkeypatch.setattr(cyclotomic, "zeta_power_table", table)
         monkeypatch.setattr(kernels, "zeta_power_table", table)
+        monkeypatch.setattr(cyclotomic.CyclotomicNumber, "_of_terms", classmethod(counting))
         h, r = uniform_cycle(12, 8), 10**6
         vector = root_of_unity_certificate(h, r, 3).induced_vector(h)
         assert {k: v._terms for k, v in vector.entries.items()} == {
             str(i): {3 * i: 1} for i in range(12)
         }
         assert all(v.order == r for v in vector.entries.values())
+        assert len(built) == 12
+        # order 8, power 6: exponents 6i mod 8 take the four values 0, 6, 4 and 2
+        for order, power, distinct in ((8, 6, 4), (4, 4, 1), (10**6, 3, 12)):
+            built.clear()
+            entries = root_of_unity_certificate(h, order, power).induced_vector(h).entries
+            assert len(built) == distinct <= h.n_vertices
+            for i, j in itertools.combinations(range(12), 2):
+                same = power * i % order == power * j % order
+                assert (entries[str(i)] is entries[str(j)]) == same
 
 
 class TestDualSide:

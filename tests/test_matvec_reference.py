@@ -8,10 +8,18 @@ give the same keys in the same order, equal values and identical ``str()``
 for every entry.  The reference runs on the matrix as it used to be built,
 with every cell a ``Fraction``.  Incidence matrices keep their rows as
 bitmasks; their product must also match the same matrix built from dense rows.
+
+``cell_matvec`` is the earlier mask product, kept verbatim: it reads each
+mask row cell by cell at the support and folds every row on its own.
+``linalg.matvec`` reads a row as one bit count per distinct value when there
+are at most as many values as the mean row has cells, and folds each
+distinct tuple of counts once; both must agree exactly on both sides of that
+rule.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,9 +30,11 @@ from hyperinc import (
     uniform_cycle,
     vertex_edge_incidence,
 )
+from hyperinc import linalg
 from hyperinc.cyclotomic import CyclotomicNumber, root_of_unity_vector, zeta
 from hyperinc.errors import DimensionMismatch, InvalidParameters
-from hyperinc.linalg import _ZERO, RationalMatrix, matvec
+from hyperinc.hypergraph import _str_keyed, bit_indices
+from hyperinc.linalg import _ZERO, RationalMatrix, matvec, packed_matvec
 
 from conftest import random_instance
 
@@ -263,12 +273,21 @@ def error_of(f, *args):
     return str(caught.value)
 
 
-def test_mixed_orders_in_one_row_raise_the_same_error():
-    for m in both_row_forms([[1, 0, 0, 0], [1, 1, 1, 1]], list("abcd")):
-        x = {"a": zeta(3, 1), "b": Fraction(1, 2), "c": zeta(3, 2), "d": zeta(5, 1)}
-        message = error_of(matvec, m, x)
-        assert message == error_of(reference_matvec, as_fraction_matrix(m), x)
-        assert message == "mixing cyclotomic orders 3 and 5"
+def test_mixed_orders_in_one_row_raise_the_same_error(grouped):
+    """The second case is read by value groups on its mask form: b's order 5
+    comes first in the row, though a, which shares c's value, comes first in
+    the vector, and the message follows the row."""
+    third = zeta(3, 1)
+    cases = (
+        ([[1, 0, 0, 0], [1, 1, 1, 1]], {"a": third, "b": Fraction(1, 2), "c": zeta(3, 2), "d": zeta(5, 1)}, "3 and 5"),
+        ([[0, 1, 1, 1], [1, 1, 1, 1]], {"a": third, "b": zeta(5, 1), "c": third, "d": Fraction(1, 2)}, "5 and 3"),
+    )
+    for entries, x, orders in cases:
+        for m in both_row_forms(entries, list("abcd")):
+            message = error_of(matvec, m, x)
+            assert message == error_of(reference_matvec, as_fraction_matrix(m), x)
+            assert message == f"mixing cyclotomic orders {orders}"
+    assert len(grouped) == 1
 
 
 def test_dense_rational_matrix_times_cyclotomic_vector():
@@ -294,10 +313,9 @@ def test_row_with_no_hit_is_the_shared_zero():
 
 
 def test_one_number_is_built_per_hit_row(monkeypatch):
-    """Each row with a hit is added into one terms map and wrapped once: pairwise
-    adds would build one number per hit."""
-    h = uniform_cycle(12, 8)
-    x = root_of_unity_vector(12, 4, 1)
+    """Each row with a hit is added into one terms map and wrapped once, never
+    pairwise (one number per hit); a grouped mask product builds one number per
+    distinct row sum, and a vector that misses a row builds nothing for it."""
     real = CyclotomicNumber._of_terms.__func__
     built = []
 
@@ -305,14 +323,181 @@ def test_one_number_is_built_per_hit_row(monkeypatch):
         built.append(order)
         return real(cls, order, terms)
 
-    monkeypatch.setattr(CyclotomicNumber, "_of_terms", classmethod(counting))
-    for m in (edge_vertex_incidence(h), dense_copy(edge_vertex_incidence(h))):
+    def numbers_built(m, x):
+        monkeypatch.setattr(CyclotomicNumber, "_of_terms", classmethod(counting))
         built.clear()
         product = matvec(m, x)
-        assert len(built) == h.n_edges == len(product)
-    # a vector that misses some rows builds nothing for them
+        monkeypatch.undo()
+        return len(built), product
+
+    # every window of 8 on the 12-cycle meets each residue mod 4 twice: one row sum
+    h = uniform_cycle(12, 8)
+    x = root_of_unity_vector(12, 4, 1)
+    mask = edge_vertex_incidence(h)
+    assert numbers_built(mask, x)[0] == 1
+    assert numbers_built(dense_copy(mask), x)[0] == h.n_edges
+    # 30 values against edges of 2 or 3 cells: read cell by cell, one number per row
+    rng = random.Random(46004)
+    sparse = Hypergraph(
+        [str(i) for i in range(30)],
+        list({frozenset(rng.sample([str(i) for i in range(30)], rng.randint(2, 3))) for _ in range(25)}),
+    )
+    count, product = numbers_built(edge_vertex_incidence(sparse), root_of_unity_vector(30, 199, 1))
+    assert count == sparse.n_edges == len(product)
     m = edge_vertex_incidence(Hypergraph(list("abcd"), [["a", "b"], ["c"], ["b", "d"]]))
-    x = {"a": zeta(3, 1), "b": zeta(3, 2)}
-    built.clear()
-    product = matvec(m, x)
-    assert len(built) == 2 and product["e2"] is _ZERO
+    count, product = numbers_built(m, {"a": zeta(3, 1), "b": zeta(3, 2)})
+    assert count == 2 and product["e2"] is _ZERO
+
+
+# -- one bit count per distinct value per row ------------------------------------
+
+
+def cell_matvec(m: RationalMatrix, x) -> dict[str, object]:
+    """Exact matrix-vector product, keyed by row labels.
+
+    ``x`` may be a ``VertexVector`` or a plain mapping, keyed by ``str`` of
+    each key (two keys with one string raise InvalidParameters); its support
+    must be covered by the column labels.  Each value is an ``int``, a
+    ``Fraction`` or of a type with a ``_row_sum``, such as
+    ``CyclotomicNumber``; any other value (a bool, a float, a string) raises
+    InvalidParameters.  Each row is read only at the vector's non-zero
+    support, in column order, and folded from its (cell, value) pairs: a
+    rational vector in integers, one Fraction per row (through mask rows by
+    ``packed_matvec``), any other vector by the ``_row_sum`` of the type
+    of its first value that is not rational, which for ``CyclotomicNumber``
+    adds the row into one terms map and builds one number.  A row the
+    support misses is the shared ``Fraction(0)``.
+    """
+    entries = x.entries if isinstance(x, VertexVector) else _str_keyed(x)
+    for k, v in entries.items():
+        if isinstance(v, bool):  # an int to Python, but no number here, not even False
+            raise InvalidParameters(f"vector entry {k!r} is {v!r}, not exact")
+    col_index = {c: j for j, c in enumerate(m.col_labels)}
+    outside = [k for k, v in entries.items() if v != 0 and k not in col_index]
+    if outside:
+        raise DimensionMismatch(f"vector support outside matrix columns: {sorted(outside)}")
+    support = sorted((col_index[k], v) for k, v in entries.items() if v != 0)
+    rational = all(isinstance(v, (int, Fraction)) for _, v in support)
+    if rational:
+        # clear the vector's denominators once, sum integers, then one Fraction per row
+        scale = lcm(*(v.denominator for _, v in support))
+        support = [(j, v.numerator * (scale // v.denominator)) for j, v in support]
+
+        def fold(products):
+            return Fraction(sum(c * v for c, v in products), scale)
+    else:
+        # a value that is not rational would make the product inexact, or not a number
+        for j, v in support:
+            if not isinstance(v, (int, Fraction)) and not hasattr(type(v), "_row_sum"):
+                raise InvalidParameters(f"vector entry {m.col_labels[j]!r} is {v!r}, not exact")
+        fold = next(type(v) for _, v in support if not isinstance(v, (int, Fraction)))._row_sum
+    if m._masks is None:
+        products = ([(row[j], v) for j, v in support if row[j]] for row in m.entries)
+    elif rational:  # the one vector of a packed product
+        return packed_matvec(m, [dict(support)], [scale])[0]
+    else:
+        # cell (i, j) is bit j of row mask i: read a row at the bits it shares with the support
+        value, support_mask = dict(support), sum(1 << j for j, _ in support)
+        products = ([(1, value[j]) for j in bit_indices(mask & support_mask)] for mask in m._masks)
+    return {label: fold(p) if p else _ZERO for label, p in zip(m.row_labels, products)}
+
+
+@pytest.fixture
+def grouped(monkeypatch):
+    """The number of products read by value groups, not cell by cell."""
+    real, calls = linalg._value_sums, []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_value_sums", counting)
+    return calls
+
+
+def assert_same_as_cells(m, x):
+    expected, got = cell_matvec(m, x), matvec(m, x)
+    assert list(got) == list(expected)
+    for k, value in expected.items():
+        assert got[k] == value
+        assert str(got[k]) == str(value)
+        assert type(got[k]) is type(value)
+        assert (got[k] is _ZERO) == (value is _ZERO)
+    return got
+
+
+def labelled_from_zero(rng, n, n_edges, sizes):
+    """A random hypergraph on the vertices 0..n-1, as root-of-unity vectors key them."""
+    labels = [str(i) for i in range(n)]
+    edges = {frozenset(rng.sample(labels, rng.randint(*sizes))) for _ in range(n_edges)}
+    return Hypergraph(labels, list(edges))
+
+
+def test_cycles_at_every_power_agree_with_cells(grouped):
+    """C(a*r, b*r) at every power 1..r: at most r values against rows of b*r
+    cells, so every product is grouped, and it is zero exactly when r does not
+    divide the power."""
+    rng = random.Random(46001)
+    products = 0
+    for r in (2, 3, 4, 5, 6, 12, 15, 30):
+        a, b = rng.choice(((2, 1), (3, 1), (3, 2), (5, 2), (5, 3)))
+        n = a * r
+        m = edge_vertex_incidence(uniform_cycle(n, b * r))
+        for power in range(1, r + 1):
+            got = assert_same_as_cells(m, root_of_unity_vector(n, r, power))
+            assert all(v == 0 for v in got.values()) == (power % r != 0)
+            products += 1
+    assert len(grouped) == products
+
+
+def test_random_hypergraphs_agree_with_cells_on_both_sides_of_the_rule(grouped):
+    """Low orders against dense rows are grouped; high orders against sparse
+    rows are read cell by cell; a mean row between them can go either way."""
+    rng = random.Random(46002)
+    products = 0
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        h = labelled_from_zero(rng, n, rng.randint(1, 30), rng.choice(((1, min(3, n)), (1, n), (n // 2 + 1, n))))
+        m = edge_vertex_incidence(h)
+        for r in (rng.choice((2, 3, 4, 6)), rng.choice((7, 12, 60)), rng.choice((101, 199, 997))):
+            assert_same_as_cells(m, root_of_unity_vector(n, r, rng.randint(1, r)))
+            products += 1
+    assert 0 < len(grouped) < products
+
+
+def test_equal_values_in_separate_objects(grouped):
+    """Values are grouped by identity: equal numbers built apart are groups of
+    their own, and the sums still agree."""
+    rng = random.Random(46003)
+    for n, k, r in ((36, 24, 12), (60, 30, 30), (40, 16, 8)):
+        m = edge_vertex_incidence(uniform_cycle(n, k))
+        power = rng.randint(1, r - 1)
+        apart = {str(i): zeta(r, power * i) for i in range(n)}  # one object per entry
+        copies = [{e: zeta(r, e) for e in range(r)} for _ in range(2)]
+        twice = {str(i): copies[i % 2][power * i % r] for i in range(n)}  # two objects per value
+        rebuilt = {str(i): CyclotomicNumber(r, [0] * (power * i % r) + [1]) for i in range(n)}
+        for x in (apart, twice, rebuilt, VertexVector(twice)):
+            got = assert_same_as_cells(m, x)
+            assert all(v == 0 for v in got.values())
+    assert len(grouped) == 6  # the two-object vectors; one object per entry is too many values
+
+
+def test_mixed_rational_and_cyclotomic_values_with_explicit_zeros(grouped):
+    """Plain mappings drawing each entry from a few shared values, rational,
+    cyclotomic and zero (0, Fraction(0) and the zero number), on hypergraphs
+    with rows the support misses: those are the shared zero on both sides."""
+    rng = random.Random(46005)
+    missed = 0
+    for _ in range(40):
+        n = rng.randint(4, 24)
+        h = labelled_from_zero(rng, n, rng.randint(2, 20), (1, n))
+        r = rng.choice((3, 4, 6, 12))
+        pool = [zeta(r, 1), -zeta(r, 2), Fraction(1, 2), 3, CyclotomicNumber(r, [1, Fraction(-1, 3)]),
+                0, Fraction(0), CyclotomicNumber(r, [])]
+        values = rng.sample(pool, rng.randint(2, len(pool)))
+        x = {str(i): rng.choice(values) for i in rng.sample(range(n), rng.randint(1, n))}
+        if not any(isinstance(v, CyclotomicNumber) and v != 0 for v in x.values()):
+            x["0"] = zeta(r, 1)
+        got = assert_same_as_cells(edge_vertex_incidence(h), x)
+        missed += sum(v is _ZERO for v in got.values())
+    assert missed and grouped
