@@ -479,12 +479,10 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     ``packed_matvec``), any other vector by the ``_row_sum`` of the type
     of its first value that is not rational, which for ``CyclotomicNumber``
     adds the row into one terms map and builds one number.  Through mask
-    rows such a vector has one column mask per distinct value object; when
-    those are at most as many as the mean row's support cells, a row is read
-    as one bit count per mask and each distinct tuple of counts is folded
-    once (``_value_sums``), so rows with one sum share one number, else a
-    row is read cell by cell.  A row the support misses is the shared
-    ``Fraction(0)``.
+    rows such a vector has one column mask per distinct value object, a row
+    is read as one bit count per mask, and only the first row with each
+    tuple of counts is folded (``_value_sums``), so rows with one sum share
+    one number.  A row the support misses is the shared ``Fraction(0)``.
     """
     entries = x.entries if isinstance(x, VertexVector) else _str_keyed(x)
     for k, v in entries.items():
@@ -514,36 +512,31 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
     elif rational:  # the one vector of a packed product
         return packed_matvec(m, [dict(support)], [scale])[0]
     else:
-        # cell (i, j) is bit j of row mask i: a row is read at the bits it shares with the support
-        support_mask = sum(1 << j for j, _ in support)
-        hits = [mask & support_mask for mask in m._masks]
-        if len({id(v) for _, v in support}) * m.rows <= sum([hit.bit_count() for hit in hits]):
-            return _value_sums(m, support, fold)  # no more values (by identity) than the mean row's cells
-        cell = {j: (1, v) for j, v in support}
-        products = ([cell[j] for j in bit_indices(hit)] for hit in hits)
+        return _value_sums(m, support, fold)
     return {label: fold(p) if p else _ZERO for label, p in zip(m.row_labels, products)}
 
 
 def _value_sums(m: RationalMatrix, support: Sequence[tuple[int, object]], fold) -> dict[str, object]:
-    """``matvec`` of a mask matrix by the (column, value) pairs ``support``,
-    with one column mask per distinct value object: a row is its count of
-    bits in each mask, and each distinct tuple of counts is folded once, so
-    rows with one sum share one number.  The fold takes the values a row hits
-    in the row's column order (lowest bit first), so a row mixing orders
-    raises as it does cell by cell."""
-    groups: dict[int, list] = {}  # id of each value -> [the mask of its columns, the value]
+    """``matvec`` of a mask matrix by the (column, value) pairs ``support``.
+
+    Cell (i, j) is bit j of row mask i.  Each distinct value object gets the
+    mask of its columns, and a row's bit count in each mask is its key: rows
+    with one key hit the same values equally often, so they have one sum.
+    The first row with a key is folded from its own cells in column order, as
+    any row would be, so a row mixing orders raises at the first such row."""
+    value, support_mask = dict(support), sum(1 << j for j, _ in support)
+    groups: dict[int, int] = {}  # id of each value -> the mask of its columns
     for j, v in support:
-        groups.setdefault(id(v), [0, v])[0] |= 1 << j
-    masks, values = zip(*groups.values())
+        groups[id(v)] = groups.get(id(v), 0) | 1 << j
+    masks = list(groups.values())
     sums: dict[tuple[int, ...], object] = {}
     out = {}
     for label, row in zip(m.row_labels, m._masks):
         counts = tuple([(row & mask).bit_count() for mask in masks])
         total = sums.get(counts)
         if total is None:
-            hits = (row & mask for mask in masks)
-            hit = sorted((x & -x, c, v) for x, c, v in zip(hits, counts, values) if c)
-            total = sums[counts] = fold([(c, v) for _, c, v in hit]) if hit else _ZERO
+            cells = [(1, value[j]) for j in bit_indices(row & support_mask)]
+            total = sums[counts] = fold(cells) if cells else _ZERO
         out[label] = total
     return out
 
