@@ -517,13 +517,11 @@ def matvec(m: RationalMatrix, x) -> dict[str, object]:
 
 
 def _value_sums(m: RationalMatrix, support: Sequence[tuple[int, object]], fold) -> dict[str, object]:
-    """``matvec`` of a mask matrix by the (column, value) pairs ``support``.
-
-    Cell (i, j) is bit j of row mask i.  Each distinct value object gets the
-    mask of its columns, and a row's bit count in each mask is its key: rows
-    with one key hit the same values equally often, so they have one sum.
-    The first row with a key is folded from its own cells in column order, as
-    any row would be, so a row mixing orders raises at the first such row."""
+    """``matvec`` of a mask matrix by the (column, value) pairs ``support``;
+    cell (i, j) is bit j of row mask i.  Rows with one tuple of bit counts hit
+    the same values equally often, so they share the sum of the first such
+    row, folded from its own cells in column order as any row would be; a row
+    mixing orders raises at the first such row."""
     value, support_mask = dict(support), sum(1 << j for j, _ in support)
     groups: dict[int, int] = {}  # id of each value -> the mask of its columns
     for j, v in support:
