@@ -75,14 +75,8 @@ def cmd_rank(args) -> dict:
     h = load_hypergraph(args.file)
     b = edge_vertex_incidence(h)
     i = vertex_edge_incidence(h)
-    # the second side's rows at the first's pivot columns span its row space;
-    # I_H goes first when it has fewer distinct rows than B_H has rows
-    if len(set(h.star_masks)) < h.n_edges:
-        ns_i = rank_and_nullspace(i)
-        ns_b = rank_and_nullspace(b, ns_i.pivots)
-    else:
-        ns_b = rank_and_nullspace(b)
-        ns_i = rank_and_nullspace(i, ns_b.pivots)
+    ns_b = rank_and_nullspace(b)
+    ns_i = rank_and_nullspace(i)
     failures = []
     if ns_b.rank != ns_i.rank:
         failures.append("rank(B_H) != rank(I_H)")

@@ -38,7 +38,7 @@ from .hypergraph import (
     unit_contraction,
 )
 from .linalg import (
-    _full_rank,
+    _ladder,
     _proven_rank,
     edge_vertex_incidence,
     exact_rational,
@@ -445,16 +445,15 @@ def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
 
     B_H = B_C S, S mapping each vertex to its unit, is checked column by
     column, so each member m of a unit but its first adds e_m - e_first to
-    ker B_H.  When C's rows reach rank min(|E|, #units) over GF(2) and over
-    GF(3) (``_full_rank``), that is rank(C), and nothing is eliminated:
-    rank(B_H) is proven on B_H's own rows by the same two stages when rank(C)
-    = |E|, else by ``_proven_rank`` from the differences.  Otherwise
-    ``proven_kernel`` proves C's rank r and kernel basis; a basis vector y
-    lifts to H with y[u] on the first member of unit u, and with the
-    differences these |V| - r independent vectors prove rank(B_H) by
-    ``_proven_rank``.  Either way rank(B_H) must equal rank(C), so nullity(H)
-    = nullity(C) + |V| - #units, and H must be its own contraction when every
-    unit is one vertex.
+    ker B_H.  When |E| < #units and two stages of ``_ladder`` reach rank |E|
+    on C's rows, that is rank(C), and nothing is eliminated: rank(B_H) is
+    proven on B_H's own rows by two stages at |E| too.  Otherwise
+    ``proven_kernel`` proves C's rank r and kernel basis, with no elimination
+    when two stages reach r = #units; a basis vector y lifts to H with y[u]
+    on the first member of unit u, and with the differences these |V| - r
+    independent vectors prove rank(B_H) by ``_proven_rank``.  Either way
+    rank(B_H) must equal rank(C), so nullity(H) = nullity(C) + |V| - #units,
+    and H must be its own contraction when every unit is one vertex.
     """
     contracted, vertex_map, _ = contraction = unit_contraction(h)
     n_units = contracted.n_vertices
@@ -467,17 +466,16 @@ def nullity_decomposition(h: Hypergraph) -> NullityDecomposition:
     lifted = [{i: 1, first[u]: -1} for i, u in enumerate(units) if first[u] != i]
     if any(star != contracted.star_masks[u] for star, u in zip(h.star_masks, units)):
         raise ArithmeticError("B_H = B_C S failed re-multiplication: a column of B_H is not its unit's in C")
-    if _full_rank(contracted.edge_masks, n_units):  # rank(C) = min(|E|, #units), nothing eliminated
-        contraction_rank = min(h.n_edges, n_units)
-        if contraction_rank == h.n_edges:
-            rank = h.n_edges if _full_rank(h.edge_masks, h.n_vertices) else None
-        else:
-            rank = _proven_rank(edge_vertex_incidence(h).entries, h.n_vertices, lifted)
+    b, c = edge_vertex_incidence(h), edge_vertex_incidence(contracted)
+    # rank(C) = |E| < #units, proven by two stages with nothing eliminated, and rank(B_H) by two on B_H
+    if h.n_edges < n_units and _ladder(c, h.n_edges, needed=2, primes=False)[2] == 2:
+        contraction_rank = h.n_edges
+        rank = h.n_edges if _ladder(b, h.n_edges, needed=2, primes=False)[2] == 2 else None
     else:
-        pivots, _, basis = proven_kernel(edge_vertex_incidence(contracted).entries, n_units)
+        pivots, _, basis = proven_kernel(c)
         contraction_rank = len(pivots)
         lifted += ({first[u]: x for u, x in y.items()} for y in basis.values())
-        rank = _proven_rank(edge_vertex_incidence(h).entries, h.n_vertices, lifted)
+        rank = _proven_rank(b, lifted)
     if rank != contraction_rank:
         raise ArithmeticError(f"rank disagreement: rank(B_H) is not rank(C) = {contraction_rank}")
     nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
@@ -631,8 +629,8 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
 
     The certificates are kernel vectors of the incidence matrix, so the
     search walks the values at the free columns of one proven kernel basis
-    (``proven_kernel``: basis re-multiplied, rank proven over GF(2), then
-    primes above 2**20) once, with one symbol table per kind.
+    (``proven_kernel``: basis re-multiplied, rank proven by the stages of
+    ``_ladder``) once, with one symbol table per kind.
     Zero columns Z, the elements that meet no row, are free and change no
     count, so they are left out of that walk and spread over each hit after
     it.  Each family of candidates is counted before it is built, and the
@@ -686,7 +684,7 @@ def find_certificates_exhaustive(h: Hypergraph, kind: str) -> list[KernelCertifi
         pairs = (pair for unit in units for pair in itertools.combinations(unit, 2))
         return [_mask_certificate(h, UNIT_PAIR, (1 << u, 1 << v)) for u, v in pairs]
 
-    kernel = proven_kernel(incidence(h).entries, n)
+    kernel = proven_kernel(incidence(h))
     zero = [j for j, column in enumerate(columns) if not column]  # meet no row
     free = [j for j in kernel[2] if columns[j]]
     symbols = ((0, 0), *pairs)

@@ -1,24 +1,25 @@
 """Exact matrices over Q: incidence matrices, rank, null-space bases.
 
-Everything here is tolerance-free.  Every rank, kernel basis and span
-dimension comes from ``proven_kernel``: one exact fraction-free elimination
-(Bareiss forward, then back-substitution on the free columns) of a
-denominator-cleared integer copy, of each distinct column and row once; a
-later copy of a column takes its vector from the column it copies, so a
-unit's copies in B_H add nothing to the elimination.  Its null-space bases
-are the normalised RREF bases, so they are deterministic, and it
-re-multiplies every basis vector, copies included, through the integer
-matrix before returning, which bounds the rank above; ranks modulo primes
-(GF(2), then primes above 2**20) bound it below.  A 0/1 matrix of full
-rank min(rows, cols) needs no elimination (``_full_rank``): its ranks over
-GF(2), by an XOR basis of its row masks, and over GF(3), by a bitsliced
-basis of two masks per row, both reach that dimension bound, which neither
-may pass; ``hyperinc contract`` proves so the unit contraction's rank and,
-when it is |E|, B_H's.  Given rows that span the row space,
-``proven_kernel`` eliminates only those, and none when they are as many as
-the distinct columns, but proves on every row: ``hyperinc rank`` eliminates
-one side fully, I_H when B_H has fewer distinct columns than rows, and the
-other only on the first side's pivot rows, when at all.
+Everything here is tolerance-free.  A rank is bounded below by one ladder
+of independent stages (``_ladder``), run in order on an integer matrix:
+GF(2) by an XOR basis of the row masks, GF(3) by a bitsliced basis of two
+masks per row, a dense elimination mod 5, then mod the primes above 2**20.
+A rank mod p never exceeds the rank over Q; each stage also names the rows
+of its basis.  An incidence matrix feeds GF(2) and GF(3) its own row masks;
+integer rows are first reduced to their residue masks.
+
+Every kernel basis, and the rank it certifies, comes from ``proven_kernel``:
+one exact fraction-free elimination (Bareiss forward, then back-substitution
+on the free columns) of each distinct column once, on the rows of the stage
+of highest rank; a later copy of a column takes its vector from the column
+it copies.  Its null-space bases are the normalised RREF bases, so they are
+deterministic, and every basis vector, copies included, is re-multiplied
+through all rows (``_proven_rank``), which bounds the rank above.  Rows that
+fall short of spanning fail that product and every distinct row is
+eliminated instead.  Two stages at the dimension bound min(rows, cols)
+prove full rank with no elimination; a stage above it raises.  ``hyperinc
+contract`` proves so the unit contraction's rank and B_H's, and ``hyperinc
+rank`` eliminates at most rank x distinct-columns cells of each side.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ class RationalMatrix:
     """Labelled matrix with exact rational entries, each read by
     ``exact_rational``, which keeps an ``int`` or a ``Fraction`` as given.
 
-    An incidence matrix keeps its 0/1 rows as bitmasks: cell (i, j) is bit j
-    of row mask i, and the list ``entries`` is built from the masks the first
-    time something asks for it.
+    An incidence matrix keeps its 0/1 rows and columns as bitmasks: cell
+    (i, j) is bit j of row mask i and bit i of column mask j, and the list
+    ``entries`` is built from the masks the first time something asks for it.
     """
 
-    __slots__ = ("_entries", "_masks", "row_labels", "col_labels")
+    __slots__ = ("_entries", "_masks", "_col_masks", "row_labels", "col_labels")
 
     def __init__(
         self,
@@ -95,13 +96,15 @@ class RationalMatrix:
             raise InvalidParameters("matrix labels must be unique")
         self._entries: list[list[int | Fraction]] | None = rows
         self._masks: tuple[int, ...] | None = None
+        self._col_masks: tuple[int, ...] | None = None
 
     @classmethod
-    def _from_masks(cls, masks: Sequence[int], row_labels, col_labels) -> "RationalMatrix":
-        """The 0/1 matrix whose row i is the bitmask ``masks[i]``; the labels are
-        a ``Hypergraph``'s, so unique strings, and every mask fits in the columns."""
+    def _from_masks(cls, masks: Sequence[int], col_masks: Sequence[int], row_labels, col_labels) -> "RationalMatrix":
+        """The 0/1 matrix whose row i is the bitmask ``masks[i]`` and column j
+        ``col_masks[j]``; the labels are a ``Hypergraph``'s, so unique strings,
+        and the masks are its edges and stars, so they describe one matrix."""
         m = cls.__new__(cls)
-        m._entries, m._masks = None, tuple(masks)
+        m._entries, m._masks, m._col_masks = None, tuple(masks), tuple(col_masks)
         m.row_labels, m.col_labels = row_labels, col_labels
         return m
 
@@ -142,9 +145,7 @@ class RationalMatrix:
 @dataclass(frozen=True)
 class NullspaceBasis:
     """Exact kernel basis together with the RREF pivot columns it was read
-    from; their count is the rank it certifies.  ``hyperinc rank`` reads the
-    pivot columns of B_H or I_H here: the other's rows there span its row
-    space."""
+    from; their count is the rank it certifies."""
 
     pivots: tuple[int, ...]
     cols: int
@@ -172,12 +173,23 @@ def _mask_rows(masks: Sequence[int], width: int) -> list[list[int]]:
 
 def edge_vertex_incidence(h: Hypergraph) -> RationalMatrix:
     """|E| x |V| 0/1 matrix; rows are hyperedges, columns are vertices."""
-    return RationalMatrix._from_masks(h.edge_masks, h.edge_labels, h.vertices)
+    return RationalMatrix._from_masks(h.edge_masks, h.star_masks, h.edge_labels, h.vertices)
 
 
 def vertex_edge_incidence(h: Hypergraph) -> RationalMatrix:
     """The transpose: rows are vertices, columns are hyperedges."""
-    return RationalMatrix._from_masks(h.star_masks, h.vertices, h.edge_labels)
+    return RationalMatrix._from_masks(h.star_masks, h.edge_masks, h.vertices, h.edge_labels)
+
+
+def _integer_matrix(rows: list[list[int]], n_cols: int) -> RationalMatrix:
+    """The matrix of integer ``rows``, kept as they are, labelled by position;
+    a row of another length than ``n_cols`` raises InvalidParameters."""
+    if any(len(row) != n_cols for row in rows):
+        raise InvalidParameters(f"every row must have {n_cols} entries")
+    m = RationalMatrix.__new__(RationalMatrix)
+    m._entries, m._masks, m._col_masks = rows, None, None
+    m.row_labels, m.col_labels = tuple(map(str, range(len(rows)))), tuple(map(str, range(n_cols)))
+    return m
 
 
 def _fraction_free_rref(rows: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
@@ -239,52 +251,77 @@ def _cleared_integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]
     return out
 
 
-def proven_kernel(
-    rows: list[list[int]], n_cols: int, spanning: Sequence[int] | None = None
-) -> tuple[list[int], int, dict[int, dict[int, int]]]:
-    """The one exact elimination: of a copy of integer ``rows`` (``n_cols``
-    columns each), the pivot columns, d and the kernel basis, which maps each
-    free column f, in order, to d times its RREF kernel vector as an integer
-    dict (d at f and, for each pivot column, minus f's entry in that pivot's
-    row).  Only the first copy of each group of equal columns is eliminated:
-    a later copy m of column f is never a pivot, and its vector is d at m and
-    -d at f when f is a pivot, or f's vector with d moved from f to m when f
-    is free.  ``spanning``, if given, indexes rows that span the row space;
-    only those are eliminated, and none when they are as many as the
-    distinct columns (d = 1).  Otherwise each distinct row is eliminated
-    once, which keeps the pivots and the RREF but may change d (and so the
-    scale of every vector).  ``_proven_rank`` proves the rank and the basis
-    on all of ``rows`` before they are returned.  Rows that do not span fail
-    the proof; a row of another length than ``n_cols``, and indices that are
-    not ints, repeat or do not index ``rows``, raise InvalidParameters.
+def proven_kernel(m: RationalMatrix) -> tuple[list[int], int, dict[int, dict[int, int]]]:
+    """The one exact elimination: of an integer matrix ``m`` (a mask matrix,
+    or integer rows by ``_integer_matrix``), the pivot columns, d and the
+    kernel basis, which maps each free column f, in order, to d times its
+    RREF kernel vector as an integer dict (d at f and, for each pivot column,
+    minus f's entry in that pivot's row).
+
+    Equal rows and equal columns are found by their masks, or by their
+    entries for integer rows.  Only the first copy of each column is
+    eliminated: a later copy m of column f is never a pivot, and its vector
+    is d at m and -d at f when f is a pivot, or f's vector with d moved from
+    f to m when f is free.  GF(2), GF(3) and mod 5 (``_ladder``) run up to
+    the ceiling min(distinct rows, distinct columns), and only the basis
+    rows of the first stage of highest rank are eliminated; Bareiss must
+    find as many pivots as that rank.  When two stages reach as many as the
+    distinct columns, nothing is eliminated (d = 1).  ``_proven_rank``
+    proves the rank and the basis on every row of ``m`` before they are
+    returned; a kernel of fewer than the distinct rows that fails its
+    product (the stage fell short of the rank over Q) is replaced by the
+    elimination of every distinct row, proven the same way.  The rows
+    eliminated may change d, not the RREF.
     """
-    if any(len(row) != n_cols for row in rows):
-        raise InvalidParameters(f"every row must have {n_cols} entries")
-    if spanning is not None and (
-        any(isinstance(i, bool) or not isinstance(i, int) for i in spanning)
-        or len(set(spanning) & set(range(len(rows)))) != len(spanning)
-    ):
-        raise InvalidParameters(f"spanning rows must be distinct indices below {len(rows)}: {list(spanning)}")
-    # each distinct row once, unless the rows are chosen
-    chosen = list(dict.fromkeys(map(tuple, rows))) if spanning is None else [rows[i] for i in spanning]
-    first: dict[tuple, int] = {}  # each distinct column -> the index of its first copy
-    lead = [first.setdefault(column, j) for j, column in enumerate(zip(*chosen) if chosen else [()] * n_cols)]
+    if m._masks is not None:
+        row_keys, col_keys = m._masks, m._col_masks
+    else:
+        row_keys, col_keys = map(tuple, m.entries), None
+    first_row: dict = {}  # each distinct row -> the index of its first copy
+    for i, key in enumerate(row_keys):
+        first_row.setdefault(key, i)
+    distinct_rows = list(first_row.values())
+    if col_keys is None:  # the columns of integer rows, on the distinct rows
+        col_keys = zip(*map(m.entries.__getitem__, distinct_rows)) if distinct_rows else [()] * m.cols
+    first: dict = {}  # each distinct column -> the index of its first copy
+    lead = [first.setdefault(key, j) for j, key in enumerate(col_keys)]
     distinct = list(first.values())
-    if spanning is not None and len(spanning) == len(distinct):
-        found, reduced, d = range(len(distinct)), [], 1
-    else:  # the chosen rows on the first copies
-        found, reduced, d = _fraction_free_rref(list(map(list, chosen if len(first) == n_cols else zip(*first))))
-    pivots = [distinct[k] for k in found]
-    pivot_set = set(pivots)
-    free = [f for f in distinct if f not in pivot_set]
-    # a copy of column f takes f's vector with d moved to the copy: -d at a pivot f
-    tail = {p: {p: -d} for p in pivots} | {f: {} for f in free}
-    for p, row in zip(pivots, reduced):
-        for f, x in zip(free, row):
-            if x:
-                tail[f][p] = -x
-    basis = {j: {j: d, **tail[f]} for j, f in enumerate(lead) if j not in pivot_set}
-    _proven_rank(rows, n_cols, basis.values())
+    ceiling = min(len(distinct_rows), len(distinct))
+    # at as many as the distinct columns, two stages leave nothing to eliminate
+    rank, rows, reached = _ladder(m, ceiling, needed=1 + (ceiling == len(distinct)), primes=False)
+
+    def basis_of(found, reduced, d):
+        """The pivots, d and kernel basis from the pivots ``found`` among the
+        first copies and the free-column block ``reduced`` of d times the RREF."""
+        pivots = [distinct[k] for k in found]
+        pivot_set = set(pivots)
+        free = [f for f in distinct if f not in pivot_set]
+        # a copy of column f takes f's vector with d moved to the copy: -d at a pivot f
+        tail = {p: {p: -d} for p in pivots} | {f: {} for f in free}
+        for p, row in zip(pivots, reduced):
+            for f, x in zip(free, row):
+                if x:
+                    tail[f][p] = -x
+        return pivots, d, {j: {j: d, **tail[f]} for j, f in enumerate(lead) if j not in pivot_set}
+
+    def eliminated(chosen: list[int]):
+        """``basis_of`` the elimination of the rows at ``chosen``, on the first copies."""
+        entries = m.entries
+        return basis_of(*_fraction_free_rref([[entries[i][j] for j in distinct] for i in chosen]))
+
+    if reached == 2:
+        pivots, d, basis = basis_of(range(len(distinct)), [], 1)
+    else:
+        pivots, d, basis = eliminated(sorted(rows))
+        if len(pivots) != rank:
+            raise ArithmeticError(f"rank disagreement: {len(pivots)} pivots on {rank} rows independent mod p")
+    try:
+        _proven_rank(m, basis.values(), rank)
+    except _OutsideKernel:
+        if reached == 2 or len(rows) == len(distinct_rows):
+            raise
+        pivots, d, basis = eliminated(distinct_rows)  # the stage fell short of the rank over Q
+        _proven_rank(m, basis.values())
     return pivots, d, basis
 
 
@@ -302,35 +339,43 @@ def _pack(vectors: Sequence[dict[int, int]], n_cols: int, largest: int) -> tuple
     return w, packed
 
 
-def _proven_rank(rows: list[list[int]], n_cols: int, kernel) -> int:
-    """The rank of integer ``rows`` (``n_cols`` columns), proven from
-    ``kernel``, independent integer dict vectors (column index -> entry): each
-    is re-multiplied through ``rows`` (rank <= n_cols - their count), and
-    ``_modular_rank`` proves the rank is at least that, so they span the
-    kernel.  One pass multiplies them all, packed by ``_pack``.
+def _largest(m: RationalMatrix) -> int:
+    """The largest size of an entry of an integer ``m``: 1 for a mask matrix."""
+    return 1 if m._masks is not None else max(map(abs, chain.from_iterable(m.entries)), default=0)
+
+
+class _OutsideKernel(ArithmeticError):
+    """A vector of a kernel basis that some row does not annihilate."""
+
+
+def _proven_rank(m: RationalMatrix, kernel, lower: int = 0) -> int:
+    """The rank of an integer ``m``, proven from ``kernel``, independent
+    integer dict vectors (column index -> entry): each is re-multiplied
+    through every row (rank <= cols - their count), all in one pass of
+    ``_row_totals`` over them packed by ``_pack``, and the rank is at least
+    that by ``lower``, the rank a stage already showed, when it is that, and
+    else by ``_ladder``; so they span the kernel.
     """
     kernel = list(kernel)
-    _, packed = _pack(kernel, n_cols, max(map(abs, chain.from_iterable(rows)), default=0))
-    if kernel and any(sum(a * packed[j] for j, a in enumerate(row) if a) for row in rows):
-        raise ArithmeticError("null-space basis vector failed re-multiplication")
-    rank = n_cols - len(kernel)
-    modular = _modular_rank(rows, rank)
+    if kernel and any(_row_totals(m, _pack(kernel, m.cols, _largest(m))[1])):
+        raise _OutsideKernel("null-space basis vector failed re-multiplication")
+    rank = m.cols - len(kernel)
+    modular = lower if lower >= rank else _ladder(m, rank)[0]
     if modular != rank:
         raise ArithmeticError(f"rank disagreement: modular {modular} vs {rank} from the kernel basis")
     return rank
 
 
-def rank_and_nullspace(m: RationalMatrix, spanning: Sequence[int] | None = None) -> NullspaceBasis:
+def rank_and_nullspace(m: RationalMatrix) -> NullspaceBasis:
     """Exact rank and a deterministic kernel basis.
 
     The basis vector for a free column f has 1 at f and, for each pivot
     column, minus the RREF coefficient of f in that pivot's row.  The rank and
-    every basis vector are proven by ``proven_kernel`` on all of ``m``'s rows;
-    ``hyperinc rank`` passes the first side's ``pivots`` as ``spanning``, so
-    the other side is eliminated on rank(B_H) rows, or not at all when that
-    is its count of distinct columns.
+    every basis vector are proven by ``proven_kernel`` on all of ``m``'s rows:
+    a mask matrix's as they are, any other's cleared of denominators.
     """
-    pivots, d, basis = proven_kernel(_cleared_integer_rows(m.entries), m.cols, spanning)
+    integer = m if m._masks is not None else _integer_matrix(_cleared_integer_rows(m.entries), m.cols)
+    pivots, d, basis = proven_kernel(integer)
     vectors = tuple(
         VertexVector({m.col_labels[j]: Fraction(x, d) for j, x in scaled.items()})
         for scaled in basis.values()
@@ -351,10 +396,12 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of integer ``rows`` over GF(p); each step touches only the
-    columns after its pivot."""
+def _rank_mod_p(rows: list[list[int]], p: int, limit: int | None = None) -> tuple[int, list[int]]:
+    """Rank of integer ``rows`` over GF(p), stopped at a rank of ``limit``, and
+    the indices of the rows in its basis, the rows that end up as pivot rows;
+    each step touches only the columns after its pivot."""
     m = [[x % p for x in row] for row in rows]
+    order = list(range(len(m)))  # the row of ``rows`` at each position of m
     n_rows, n_cols = len(m), len(m[0]) if m else 0
     r = 0
     for c in range(n_cols):
@@ -362,6 +409,7 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
+        order[r], order[pivot_row] = order[pivot_row], order[r]
         inv = pow(m[r][c], -1, p)
         tail = [x * inv % p for x in m[r][c + 1:]]
         for i in range(r + 1, n_rows):
@@ -369,100 +417,133 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
             if f:
                 m[i][c + 1:] = [(a - f * b) % p for a, b in zip(m[i][c + 1:], tail)]
         r += 1
-        if r == n_rows:
+        if r in (n_rows, limit):
             break
-    return r
+    return r, order[:r]
 
 
-def _odd_mask(row: Sequence[int]) -> int:
-    """The bitmask of an integer row's odd entries, its first entry the highest bit."""
-    mask = 0
-    for x in row:
-        mask = mask << 1 | x & 1
-    return mask
-
-
-def _rank_gf2(masks: Iterable[int]) -> int:
-    """Rank over GF(2) of rows given as bitmasks of their odd entries: an
-    XOR basis keeps one mask per leading bit."""
+def _rank_gf2(masks: Iterable[int], limit: int | None = None) -> tuple[int, list[int]]:
+    """Rank over GF(2) of rows given as bitmasks of their odd entries, stopped
+    at a rank of ``limit``, and the indices of the rows in its basis: an XOR
+    basis keeps one mask per leading bit."""
     basis: dict[int, int] = {}  # leading bit -> the one basis mask with it
-    for mask in masks:
+    rows = []
+    for i, mask in enumerate(masks):
         while mask:
             top = mask.bit_length()
-            if top not in basis:
+            if (b := basis.get(top)) is None:
                 basis[top] = mask
+                rows.append(i)
                 break
-            mask ^= basis[top]
-    return len(basis)
+            mask ^= b
+        if len(rows) == limit:
+            break
+    return len(rows), rows
 
 
-def _rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
+def _rank_gf3(rows: Iterable[tuple[int, int]], limit: int | None = None) -> tuple[int, list[int]]:
     """Rank over GF(3) of rows given bitsliced, as two masks: the entries
-    = 1 and the entries = 2 (mod 3).  A basis keeps one row per leading bit,
-    scaled to lead with 1 (times 2 swaps the masks); a row leading with 1
-    takes the basis row negated, one leading with 2 the basis row as it is,
-    and a + b is t = (a1 | b2) ^ (a2 | b1), ((a2 | b2) ^ t, (a1 | b1) ^ t)."""
+    = 1 and the entries = 2 (mod 3), stopped at a rank of ``limit``, and the
+    indices of the rows in its basis.  A basis keeps one row per leading bit, scaled to lead with 1
+    (times 2 swaps the masks); a row leading with 1 takes the basis row
+    negated, one leading with 2 the basis row as it is, and a + b is t =
+    (a1 | b2) ^ (a2 | b1), ((a2 | b2) ^ t, (a1 | b1) ^ t)."""
     basis: dict[int, tuple[int, int]] = {}
-    for one, two in rows:
-        while one | two:
-            top = (one | two).bit_length()
-            if top not in basis:
+    found = []
+    for i, (one, two) in enumerate(rows):
+        while lead := one | two:
+            top = lead.bit_length()
+            if (b := basis.get(top)) is None:
                 basis[top] = (one, two) if one >> top - 1 else (two, one)
+                found.append(i)
                 break
-            b1, b2 = basis[top][::-1] if one >> top - 1 else basis[top]
+            b2, b1 = b if one >> top - 1 else b[::-1]
             t = (one | b2) ^ (two | b1)
             one, two = (two | b2) ^ t, (one | b1) ^ t
-    return len(basis)
+        if len(found) == limit:
+            break
+    return len(found), found
 
 
-def _full_rank(masks: Sequence[int], n_cols: int) -> bool:
-    """Whether the 0/1 rows with these bitmasks, on ``n_cols`` columns, have
-    rank min(rows, n_cols) over Q, proven with no elimination: that is the
-    dimension bound, and it is reached when their ranks over GF(2) and over
-    GF(3) both reach it, neither being above the rational rank.  A rank above
-    the bound raises."""
-    bound = min(len(masks), n_cols)
-    ranks = _rank_gf2(masks), _rank_gf3([(mask, 0) for mask in masks])
-    if max(ranks) > bound:
-        raise ArithmeticError(f"rank disagreement: GF(2) and GF(3) ranks {ranks} above the dimension bound {bound}")
-    return min(ranks) == bound
+def _residues(rows: Iterable[Sequence[int]], p: int) -> list:
+    """The rows of the GF(2) or the GF(3) stage for integer ``rows``: the mask
+    of each row's odd entries, or the masks of its entries = 1 and = 2
+    (mod 3); bit j stands for column j, as in an incidence matrix's masks."""
+    out = []
+    for row in rows:
+        masks = [0, 0, 0]  # the columns of each residue mod p
+        for j, x in enumerate(row):
+            masks[x % p] |= 1 << j
+        out.append(masks[1] if p == 2 else (masks[1], masks[2]))
+    return out
 
 
-def _modular_rank(rows: list[list[int]], ceiling: int) -> int:
-    """The rank over Q of integer ``rows``, known to be at most ``ceiling``.
+def _stage(m: RationalMatrix, k: int, limit: int | None) -> tuple[int, int, list[int]]:
+    """Stage k of the ladder on an integer ``m``, stopped at a rank of
+    ``limit``: p, the rank mod p and the indices of the rows in its basis,
+    for p = 2, 3 and 5 at k = 0, 1 and 2, then the primes above 2**20.  A mask
+    matrix feeds GF(2) and GF(3) its row masks, any other its rows' residues."""
+    if k == 0:
+        return 2, *_rank_gf2(m._masks if m._masks is not None else _residues(m.entries, 2), limit)
+    if k == 1:
+        return 3, *_rank_gf3([(x, 0) for x in m._masks] if m._masks is not None else _residues(m.entries, 3), limit)
+    p = 5 if k == 2 else _prime(k - 3)
+    return p, *_rank_mod_p(m.entries, p, limit)
 
-    The rank mod p never exceeds the rational rank, so GF(2), then the primes
-    above 2**20 are tried in order until one reaches ``ceiling``.  A prime
-    falls short only when it divides every maximal non-zero minor, and
-    Hadamard bounds such a minor by the product of the row norms; so once the
-    primes' product exceeds that bound (compared squared, in integers) the
-    largest rank seen is the rational rank.  A rank above ``ceiling`` is
-    returned as soon as it is seen.
+
+def _ladder(m: RationalMatrix, ceiling: int, needed: int = 1, primes: bool = True) -> tuple[int, list[int], int]:
+    """The stages of ``_stage`` on an integer ``m`` whose rank over Q is at
+    most ``ceiling``, in order until ``needed`` of them reach it, or, without
+    ``primes``, until GF(2), GF(3) and mod 5 have run or two of them agree
+    below it: the highest rank seen, the basis rows of the first stage with
+    it, and how many stages reached ``ceiling``.  Without ``primes``
+    ``ceiling`` is a dimension bound, and every stage stops on reaching it:
+    no later row can raise its rank.
+
+    The rank mod p never exceeds the rank over Q, so a stage above
+    ``ceiling``, or one with other than as many basis rows as its rank,
+    raises.  A prime falls short only when it divides every maximal non-zero
+    minor, and Hadamard bounds such a minor by the product of the row norms;
+    so once the product of the primes tried, 2, 3 and 5 among them, exceeds
+    that bound (compared squared, in integers), the highest rank seen is the
+    rank over Q, and the ladder stops.
     """
-    best, product, bound = 0, 1, None
-    for p in chain([2], map(_prime, count())):
-        rank = _rank_gf2(map(_odd_mask, rows)) if p == 2 else _rank_mod_p(rows, p)
-        if rank >= ceiling:
-            return rank
-        best = max(best, rank)
-        if bound is None:
-            bound = prod(max(1, sum(a * a for a in row)) for row in rows)
-        product *= p * p
-        if product > bound:
-            return best
+    best, best_rows, reached, seen = -1, [], 0, set()
+    product, bound = 1, None
+    limit = min(m.rows, m.cols) if primes else ceiling
+    for k in count() if primes else range(3):
+        p, rank, rows = _stage(m, k, limit)
+        if rank != len(rows):
+            raise ArithmeticError(f"rank disagreement: rank {rank} mod {p} from {len(rows)} basis rows")
+        if rank > ceiling:
+            raise ArithmeticError(f"rank disagreement: rank {rank} mod {p} above the ceiling {ceiling}")
+        if rank > best:
+            best, best_rows = rank, rows
+        reached += rank == ceiling
+        if reached == needed or not primes and rank < ceiling and rank in seen:
+            break
+        seen.add(rank)
+        if primes:
+            if bound is None:
+                bound = prod(max(1, sum(a * a for a in row)) for row in m.entries)
+            product *= p * p
+            if product > bound:
+                break
+    return best, best_rows, reached
 
 
 def rank_modular_oracle(m: RationalMatrix) -> int:
-    """The exact rank over Q of an integer matrix, from ranks over GF(2),
-    then over primes above 2**20.
+    """The exact rank over Q of an integer matrix, from its ranks modulo
+    2, 3, 5 and then primes above 2**20.
 
-    An elimination independent of ``rank_and_nullspace``: ``_modular_rank``
-    with the trivial ceiling min(rows, cols).
+    An elimination independent of ``rank_and_nullspace``: ``_ladder`` with
+    the trivial ceiling min(rows, cols).
     """
-    if any(x.denominator != 1 for row in m.entries for x in row):
-        raise NonIntegerEntries("modular rank oracle requires integer entries")
-    rows = [[int(x) for x in row] for row in m.entries]
-    return _modular_rank(rows, min(m.rows, m.cols))
+    if m._masks is None:
+        if any(x.denominator != 1 for row in m.entries for x in row):
+            raise NonIntegerEntries("modular rank oracle requires integer entries")
+        m = _integer_matrix([[int(x) for x in row] for row in m.entries], m.cols)
+    return _ladder(m, min(m.rows, m.cols))[0]
 
 
 def matvec(m: RationalMatrix, x) -> dict[str, object]:
@@ -567,7 +648,7 @@ def packed_matvec(
     row is multiplied once per pack.  A row total of 0 is 0 for every vector
     of the pack; a non-zero one is read field by field.  Each vector gets a
     dict of its own, with the shared ``Fraction(0)`` where its product is 0."""
-    largest = 1 if m._masks is not None else max(map(abs, chain.from_iterable(m.entries)), default=0)
+    largest = _largest(m)
     products = [dict.fromkeys(m.row_labels, _ZERO) for _ in vectors]
     for start in range(0, len(vectors), PACKED_VECTORS):
         w, packed = _pack(vectors[start:start + PACKED_VECTORS], m.cols, largest)
@@ -589,4 +670,4 @@ def span_dimension(vectors: Iterable[VertexVector]) -> int:
     vecs = list(vectors)
     labels = sorted({k for v in vecs for k in v.support()})
     rows = _cleared_integer_rows([exact_rational(v.value(k)) for k in labels] for v in vecs)
-    return len(proven_kernel(rows, len(labels))[0])
+    return len(proven_kernel(_integer_matrix(rows, len(labels)))[0])

@@ -104,10 +104,12 @@ class TestRank:
     def test_rank_disagreement_is_reported(self, unit_file, monkeypatch, capsys, as_json):
         """I_H's rank one short of B_H's (forced) fails the run with exit 1."""
         rank_and_nullspace = cli.rank_and_nullspace
+        calls = []
 
-        def short(m, *spanning):
-            ns = rank_and_nullspace(m, *spanning)
-            if spanning:  # the second call, on I_H
+        def short(m):
+            ns = rank_and_nullspace(m)
+            calls.append(m)
+            if len(calls) == 2:  # the second call, on I_H
                 ns = dataclasses.replace(ns, pivots=ns.pivots[:-1], cols=ns.cols - 1)
             return ns
 

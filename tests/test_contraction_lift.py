@@ -3,26 +3,36 @@
 ``nullity_decomposition_reference`` below is the earlier
 ``nullity_decomposition``, kept as a test-only reference: it ran a proven
 elimination (``proven_kernel`` now) on both B_H and the unit contraction C.
-The current one eliminates nothing when C's ranks over GF(2) and GF(3) both
-reach the dimension bound min(|E|, #units), and otherwise only C, lifting C's
-kernel basis to H; either way it proves rank(B_H) on B_H's own rows.  Both
+The current one eliminates nothing when two rank stages (of GF(2), GF(3) and
+mod 5) reach the dimension bound min(|E|, #units) on C, and otherwise only C,
+lifting C's kernel basis to H; either way it proves rank(B_H) on B_H's own
+rows.  Both
 must agree on every field.  On both paths a fault in the lift or the unit
 differences, in the contraction's vertex map or edges, or in any rank stage
 must raise or leave the numbers right.
 """
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from conftest import random_instance, with_extra_vertices
+from conftest import (
+    STAGES,
+    bench_workloads,
+    random_instance,
+    shift_stages,
+    shifted_ladder,
+    stage_of,
+    with_extra_vertices,
+)
 from hyperinc import build_hypergraph, kernels, linalg
 from hyperinc.cli import main
 from hyperinc.formats import load_hypergraph, serialize_hypergraph_text
 from hyperinc.hypergraph import Hypergraph, unit_contraction
 from hyperinc.kernels import NullityDecomposition, nullity_decomposition
-from hyperinc.linalg import edge_vertex_incidence, proven_kernel
+from hyperinc.linalg import _integer_matrix, edge_vertex_incidence, proven_kernel
 
 GOLDEN_INSTANCES = sorted((Path(__file__).resolve().parent / "golden").glob("*.txt"))
 
@@ -36,10 +46,10 @@ def nullity_decomposition_reference(h: Hypergraph) -> NullityDecomposition:
     ``proven_kernel`` (kernel re-multiplied, rank proven by modular ranks),
     so each nullity is the column count minus the rank.
     """
-    rank = len(proven_kernel(edge_vertex_incidence(h).entries, h.n_vertices)[0])
+    rank = len(proven_kernel(_integer_matrix(edge_vertex_incidence(h).entries, h.n_vertices))[0])
     contracted, _, _ = contraction = unit_contraction(h)
     n_units = contracted.n_vertices
-    contraction_rank = len(proven_kernel(edge_vertex_incidence(contracted).entries, n_units)[0])
+    contraction_rank = len(proven_kernel(_integer_matrix(edge_vertex_incidence(contracted).entries, n_units))[0])
     nullity, contraction_nullity = h.n_vertices - rank, n_units - contraction_rank
     deficiency = h.n_vertices - n_units
 
@@ -115,17 +125,24 @@ def with_edges(h: Hypergraph, *edges) -> Hypergraph:
 # makes C 6 x 6 of rank 5; {1, 2, 10} and {3, 4, 11} make it 7 x 6 of rank 6 = #units
 DEFICIENT = [str(i) for i in range(1, 10)]
 TALL = (["1", "2", "10"], ["3", "4", "11"])
-# a 0/1 matrix of determinant -3: rank 4 over Q and GF(2), 3 over GF(3)
+# a 0/1 matrix of determinant -3: rank 4 over Q, GF(2) and mod 5, 3 over GF(3)
 DET_3 = build_hypergraph(["a", "b", "c", "d"], [["c", "d"], ["b", "d"], ["a", "d"], ["a", "b", "c"]])
+# a 0/1 matrix of determinant 6, of distinct columns: rank 6 over Q and mod 5,
+# less over GF(2) and GF(3)
+DET_6 = build_hypergraph(
+    list("abcdef"), [list("abce"), list("bcde"), list("abd"), list("acdf"), list("adef"), list("acde")]
+)
 C7 = Path(__file__).resolve().parent / "golden" / "empty_kernel_c7.txt"  # determinant 2
 
 
 def stages_reach(h: Hypergraph) -> bool:
-    """Whether the contraction's ranks mod 2 and mod 3, by ``_rank_mod_p``,
-    reach min(|E|, #units): exactly then ``contract`` eliminates nothing."""
+    """Whether two of the contraction's ranks mod 2, 3 and 5, by
+    ``_rank_mod_p``, reach min(|E|, #units): exactly then ``contract``
+    eliminates nothing."""
     contracted = unit_contraction(h)[0]
     rows = edge_vertex_incidence(contracted).entries
-    return all(linalg._rank_mod_p(rows, p) == min(contracted.n_edges, contracted.n_vertices) for p in (2, 3))
+    bound = min(contracted.n_edges, contracted.n_vertices)
+    return sum(linalg._rank_mod_p(rows, p)[0] == bound for p in (2, 3, 5)) >= 2
 
 
 def count_eliminations(monkeypatch) -> list:
@@ -156,10 +173,12 @@ def test_matches_two_elimination_reference(monkeypatch):
 
 
 def test_one_elimination_per_contract(monkeypatch, tmp_path, capsys):
-    """``contract`` eliminates nothing when the contraction's ranks mod 2
-    and mod 3 reach the dimension bound, and the contraction alone
+    """``contract`` eliminates nothing when two of the contraction's ranks
+    mod 2, 3 and 5 reach the dimension bound, and the contraction alone
     otherwise, on every golden instance and every rank-dense shape; both
-    happen.  The reference, counted the same way, makes two."""
+    happen.  The reference, counted the same way, makes two on the slot of
+    10 clones, where B_H and C have rank 30, below their 40 distinct
+    columns."""
     rng = random.Random(26)
     paths = list(GOLDEN_INSTANCES)
     for shape in ((40, 10, 30), (46, 0, 36), (42, 20, 44)):
@@ -177,19 +196,47 @@ def test_one_elimination_per_contract(monkeypatch, tmp_path, capsys):
     assert seen == {0, 1}
     capsys.readouterr()
     calls.clear()
-    nullity_decomposition_reference(dense_instance(rng, 42, 20, 44))
+    nullity_decomposition_reference(dense_instance(rng, 40, 10, 30))
     assert len(calls) == 2
 
 
 def test_gf3_falling_short_takes_the_elimination_path(monkeypatch):
-    """GF(2) reaches rank 4 on ``DET_3``, GF(3) does not, so C is
-    eliminated once, and the numbers are the reference's."""
-    masks = DET_3.edge_masks
-    assert (linalg._rank_gf2(masks), linalg._rank_gf3([(m, 0) for m in masks])) == (4, 3)
+    """GF(2) and mod 5 reach rank 4 on ``DET_3`` and GF(3) does not: two
+    stages prove it, and nothing is eliminated.  On ``DET_6`` GF(2) and GF(3)
+    agree on rank 5, below the rank 6 that mod 5 alone would reach, so C is
+    eliminated on GF(2)'s 5 basis rows, whose kernel fails the product with
+    the sixth, and then on all 6.  The numbers are the reference's."""
     calls = count_eliminations(monkeypatch)
-    found = nullity_decomposition(DET_3)
-    assert len(calls) == 1 and found.rank == 4
-    assert found == nullity_decomposition_reference(DET_3)
+    for h, ranks, eliminations in ((DET_3, (4, 3, 4), 0), (DET_6, (5, 5, 6), 2)):
+        rows = edge_vertex_incidence(h).entries
+        assert tuple(linalg._rank_mod_p(rows, p)[0] for p in (2, 3, 5)) == ranks
+        calls.clear()
+        found = nullity_decomposition(h)
+        assert len(calls) == eliminations and found.rank == h.n_vertices
+        assert found == nullity_decomposition_reference(h)
+
+
+@pytest.mark.parametrize("seed", [47003, 47009])
+def test_contraction_short_mod_2_tries_no_large_prime(monkeypatch, tmp_path, capsys, seed):
+    """On rank-dense's slot of 20 clones at these seeds, the contraction (44 x
+    42, of full column rank) falls short mod 2, and GF(3) and mod 5 prove its
+    rank: neither ``rank`` nor ``contract`` tries a prime above 2**20, and
+    ``contract`` eliminates nothing."""
+    bench_workloads().build_pool("rank-dense", seed, tmp_path)
+    path = str(tmp_path / "dense3.txt")
+    h = load_hypergraph(path)
+    contracted = unit_contraction(h)[0]
+    assert (contracted.n_edges, contracted.n_vertices) == (44, 42)
+    assert linalg._rank_gf2(contracted.edge_masks)[0] < 42
+    log = shift_stages(monkeypatch)
+    calls = count_eliminations(monkeypatch)
+    for command in ("rank", "contract"):
+        log.clear()
+        calls.clear()
+        assert main([command, path, "--json"]) == 0
+        assert log and max(log) < 2**20, command
+    assert calls == []
+    capsys.readouterr()
 
 
 # -- the proof is wired in, on both paths ------------------------------------------
@@ -214,7 +261,7 @@ def faulty_kernel(monkeypatch, h: Hypergraph, fault: str) -> list:
     prove = kernels._proven_rank
     seen = []
 
-    def faulty(rows, n_cols, kernel):
+    def faulty(m, kernel, lower=0):
         kernel = list(kernel)
         seen.append([len(v) for v in kernel])
         index = -1 if "basis" in fault else 0
@@ -222,7 +269,7 @@ def faulty_kernel(monkeypatch, h: Hypergraph, fault: str) -> list:
             kernel[index] = moved(h, kernel[index])
         else:
             del kernel[index]
-        return prove(rows, n_cols, kernel)
+        return prove(m, kernel, lower)
 
     monkeypatch.setattr(kernels, "_proven_rank", faulty)
     return seen
@@ -316,16 +363,9 @@ def test_corrupted_contraction_edge_is_caught(monkeypatch, path):
 def test_wrong_modular_rank_of_b_h_is_caught(monkeypatch, unit_example, shift):
     """A modular rank of B_H one too high or one too low; the contraction's,
     taken first, has fewer columns and stays right.  C is rank-deficient
-    here, so it is eliminated."""
+    here, so it is eliminated, on the rows its ladder chose."""
     h = with_edges(unit_example, DEFICIENT)
-    modular_rank = linalg._modular_rank
-    on_h = []
-
-    def shifted(rows, ceiling):
-        on_h.append(bool(rows) and len(rows[0]) == h.n_vertices)
-        return modular_rank(rows, ceiling) + (shift if on_h[-1] else 0)
-
-    monkeypatch.setattr(linalg, "_modular_rank", shifted)
+    on_h = shifted_ladder(monkeypatch, shift, lambda m: m.cols == h.n_vertices)
     with pytest.raises(ArithmeticError, match="rank disagreement"):
         nullity_decomposition(h)
     assert on_h == [False, True]
@@ -336,60 +376,82 @@ def test_wrong_modular_rank_of_b_h_is_caught(monkeypatch, unit_example, shift):
 def test_wrong_rank_of_b_h_is_caught_on_the_full_rank_path(monkeypatch, unit_example, stage, shift):
     """With rank(C) = |E| (``unit_example``) the GF(2) and GF(3) ranks of
     B_H's rows, taken after C's, prove rank(B_H); with rank(C) = #units <
-    |E| the modular rank in ``_proven_rank`` does.  One too high or one too
-    low on B_H is caught."""
-    h = unit_example if stage != "_modular_rank" else with_edges(unit_example, *TALL)
-    real = getattr(linalg, stage)
-    calls = []
+    |E| the ladder in ``_proven_rank`` does (``_modular_rank`` stands for it).
+    One too high or one too low on B_H, and only there, is caught."""
+    assert stages_reach(unit_example) and stages_reach(with_edges(unit_example, *TALL))
+    if stage == "_modular_rank":
+        h = with_edges(unit_example, *TALL)
+        calls = shifted_ladder(monkeypatch, shift, lambda m: m.cols == h.n_vertices)
+    else:
+        h = unit_example
+        real = getattr(linalg, stage)
+        calls = []
 
-    def shifted(*args):
-        calls.append(args)
-        return real(*args) + (shift if len(calls) == 1 + (stage != "_modular_rank") else 0)
+        def shifted(rows, limit=None):
+            rank, basis = real(rows, limit)
+            calls.append(len(calls) == 1)  # the second call, on B_H
+            return rank + shift * calls[-1], basis
 
-    assert stages_reach(h)
-    monkeypatch.setattr(linalg, stage, shifted)
+        monkeypatch.setattr(linalg, stage, shifted)
     with pytest.raises(ArithmeticError, match="rank disagreement"):
         nullity_decomposition(h)
-    assert len(calls) == 1 + (stage != "_modular_rank")
+    assert calls == [False, True]
+
+
+def test_b_h_below_rank_c_is_caught(monkeypatch, unit_example):
+    """rank(C) = |E| by GF(2) and GF(3), taken first; with both one too low on
+    B_H's rows, they agree below |E| and prove no rank for B_H, and rank(B_H)
+    must equal rank(C)."""
+    log = shift_stages(monkeypatch, -1, ("GF(2)", "GF(3)"), at={2, 3})
+    with pytest.raises(ArithmeticError, match=r"rank\(B_H\) is not rank\(C\)"):
+        nullity_decomposition(unit_example)
+    assert log == [2, 3, 2, 3]
+
+
+# each routine shifted, by the stages of ``_ladder`` it runs: ``_rank_mod_p``
+# runs mod 5 and the primes, and ``_modular_rank``, the name the ladder had,
+# stands for every stage
+SHIFTED = {"_rank_gf2": ("GF(2)",), "_rank_gf3": ("GF(3)",), "_rank_mod_p": ("mod 5", "primes"), "_modular_rank": STAGES}
 
 
 @pytest.mark.parametrize("shift", [1, -1])
-@pytest.mark.parametrize("stage", ["_rank_gf2", "_rank_gf3", "_rank_mod_p", "_modular_rank"])
+@pytest.mark.parametrize("stage", sorted(SHIFTED))
 def test_no_shifted_rank_stage_gives_a_wrong_rank(monkeypatch, unit_example, stage, shift):
     """Each rank stage one too high or one too low, at each of its calls in
     turn and at all of them, on contractions of full row rank, of full
-    column rank, rank-deficient, and of full rank where GF(2) (C7) or GF(3)
-    (``DET_3``) falls short: ``nullity_decomposition`` raises or returns
-    the reference's numbers, never a wrong rank."""
+    column rank, rank-deficient, and of full rank where GF(2) (C7), GF(3)
+    (``DET_3``) or both (``DET_6``) fall short: ``nullity_decomposition``
+    raises or returns the reference's numbers, never a wrong rank.  A stage
+    of GF(2), GF(3) or ``_rank_mod_p`` one too high names a row outside its
+    basis too, and one too low drops a basis row, or the rank moves alone.
+    Every stage at once names a row outside its basis only one too low: all
+    of them naming a dependent row is no single fault, and only an
+    elimination would see it where two stages reach the dimension bound."""
     cases = {
         "full row rank": unit_example,
         "full column rank": with_edges(unit_example, *TALL),
         "rank-deficient": with_edges(unit_example, DEFICIENT),
         "GF(2) short": load_hypergraph(str(C7)),
         "GF(3) short": DET_3,
+        "GF(2) and GF(3) short": DET_6,
     }
-    real = getattr(linalg, stage)
-    calls, target = [], []
-
-    def shifted(*args):
-        calls.append(args)
-        return real(*args) + (shift if target in ([], [len(calls) - 1]) else 0)
-
+    stages = SHIFTED[stage]
+    modes = [False] if stages == STAGES and shift > 0 else [False, True]
     raised = 0
-    for label, h in cases.items():
+    for (label, h), consistent in itertools.product(cases.items(), modes):
         expected = nullity_decomposition_reference(h)
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, stage, shifted)
-            calls.clear()
-            target[:] = [-1]  # shift no call: count them
+            log = shift_stages(patch, shift, stages, consistent, at=())  # shift no call: count them
             assert nullity_decomposition(h) == expected, label
-            for target[:] in [[k] for k in range(len(calls))] + [[]]:
-                calls.clear()
+            n_calls = sum(stage_of(p) in stages for p in log)
+        for at in [{k} for k in range(n_calls)] + [None]:
+            with monkeypatch.context() as patch:
+                shift_stages(patch, shift, stages, consistent, at)
                 try:
                     found = nullity_decomposition(h)
                 except ArithmeticError as exc:
                     assert "disagreement" in str(exc), label
                     raised += 1
                 else:
-                    assert found == expected, (label, target)
+                    assert found == expected, (label, consistent, at)
     assert raised

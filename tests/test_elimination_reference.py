@@ -32,6 +32,7 @@ from hyperinc import (
     span_dimension,
     unit_contraction,
 )
+from conftest import STAGES, shift_stages, stage_of
 from hyperinc import linalg
 from hyperinc.cli import cmd_rank
 
@@ -198,27 +199,10 @@ def test_matches_sympy():
         assert list(ns.vectors) == expected, label
 
 
-def _count_rank_mod_p_calls(monkeypatch, shift: int = 0, shift_gf2: bool = True) -> list:
-    """Patch ``_rank_gf2`` and ``_rank_mod_p`` to log the prime of each stage
-    (2 for GF(2)) and add ``shift`` to its answer (at GF(2) only if
-    ``shift_gf2``); more than ten calls fail."""
-    primes = []
-    rank_gf2, rank_mod_p = linalg._rank_gf2, linalg._rank_mod_p
-
-    def counted(rows, p):
-        primes.append(p)
-        assert len(primes) <= 10, "the modular rank did not stop"
-        if p == 2:
-            return rank_gf2(rows) + (shift if shift_gf2 else 0)
-        return rank_mod_p(rows, p) + shift
-
-    monkeypatch.setattr(linalg, "_rank_gf2", lambda rows: counted(rows, 2))
-    monkeypatch.setattr(linalg, "_rank_mod_p", counted)
-    return primes
-
-
-# determinant 2: rank 3 over Q, rank 2 over GF(2)
+# determinant 2: rank 3 over Q, 2 over GF(2), 3 over GF(3) and mod 5
 DET_2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+# determinant 30: rank 2 over Q, 1 modulo 2, 3 and 5
+DET_30 = [[1, 1], [1, 31]]
 
 
 def _matrix(rows: list[list[int]]) -> RationalMatrix:
@@ -228,35 +212,43 @@ def _matrix(rows: list[list[int]]) -> RationalMatrix:
 
 
 def test_rank_cross_check_is_wired_in(monkeypatch):
-    """A modular rank one too high fails at once; one too low at every stage
-    fails once the primes pass the Hadamard bound.  GF(2) proves these ranks,
-    so the GF(2) stage is the one shifted.  On the tall rank-2 matrix, GF(2)
-    one too high claims full column rank: a proof that trusted that claim to
-    skip the elimination would return rank 3 with no error."""
+    """A GF(2) rank that is not its count of basis rows fails at once; one
+    too high fails; one too low at every stage fails once the primes pass the
+    Hadamard bound.  GF(2) proves these ranks, so the GF(2) stage is the one
+    shifted alone.  On the tall rank-2 matrix, GF(2) one too high claims full
+    column rank: a proof that trusted that claim to skip the elimination
+    would return rank 3 with no error."""
     wide = RationalMatrix([[1, 1, 0], [0, 0, 1]], ["r1", "r2"], ["a", "b", "c"])
     tall = _matrix([[1, 0, 1], [0, 1, 1], [1, 1, 2], [2, 1, 3]])
     h = build_hypergraph(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]])
     assert rank_and_nullspace(wide).rank == rank_and_nullspace(tall).rank == 2
     assert find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
-    for shift in (1, -1):
-        with monkeypatch.context() as patch:
-            primes = _count_rank_mod_p_calls(patch, shift)
-            for m in (wide, tall):
+    runs = (
+        lambda: rank_and_nullspace(wide),
+        lambda: rank_and_nullspace(tall),
+        lambda: find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION),
+    )
+    faults = [(1, ("GF(2)",), False), (-1, ("GF(2)",), False), (1, ("GF(2)",), True), (-1, STAGES, True)]
+    for shift, stages, consistent in faults:
+        for run in runs:
+            with monkeypatch.context() as patch:
+                log = shift_stages(patch, shift, stages, consistent)
                 with pytest.raises(ArithmeticError, match="rank disagreement"):
-                    rank_and_nullspace(m)
-            with pytest.raises(ArithmeticError, match="rank disagreement"):
-                find_certificates_exhaustive(h, EQUAL_EDGE_PARTITION)
-            assert primes[0] == 2
+                    run()
+                assert log[0] == 2
 
 
 @pytest.mark.parametrize("shift", [1, -1])
 def test_prime_stage_after_gf2_is_cross_checked(monkeypatch, shift):
-    """GF(2) falls short on ``DET_2``, so the prime p0 decides: a rank one
-    too high or too low there is caught."""
-    primes = _count_rank_mod_p_calls(monkeypatch, shift, shift_gf2=False)
+    """GF(2), GF(3) and mod 5 fall short on ``DET_30``, so the prime p0
+    decides: a rank one too high or too low there is caught.  GF(2) and
+    GF(3) agree on rank 1, the row they choose has a kernel that fails the
+    product with the other row, and after every row is eliminated the proof
+    runs the stages from GF(2) on."""
+    log = shift_stages(monkeypatch, shift, ("primes",))
     with pytest.raises(ArithmeticError, match="rank disagreement"):
-        rank_and_nullspace(_matrix(DET_2))
-    assert primes == [2, linalg._prime(0)]
+        rank_and_nullspace(_matrix(DET_30))
+    assert log == [2, 3, 2, 3, 5, linalg._prime(0)]
 
 
 def test_generated_primes_are_the_primes_above_2_20():
@@ -273,55 +265,66 @@ def test_generated_primes_are_the_primes_above_2_20():
 
 @pytest.mark.parametrize("n_primes", [1, 2])
 def test_prime_falling_short_falls_back(monkeypatch, n_primes):
-    """Determinant 2 * p0 (or 2 * p0 * p1): GF(2) and the first prime (or
-    two) give rank 1, the Hadamard bound is not yet passed, and the next
-    prime proves rank 2."""
-    det = 2 * linalg._prime(0) * (linalg._prime(1) if n_primes == 2 else 1)
+    """Determinant 30 * p0 (or 30 * p0 * p1): GF(2), GF(3), mod 5 and the
+    first prime (or two) give rank 1, the Hadamard bound is not yet passed,
+    and the next prime proves rank 2."""
+    det = 30 * linalg._prime(0) * (linalg._prime(1) if n_primes == 2 else 1)
     m = RationalMatrix([[1, 1], [1, 1 + det]], ["r1", "r2"], ["a", "b"])
-    primes = _count_rank_mod_p_calls(monkeypatch)
-    expected = [2] + [linalg._prime(i) for i in range(n_primes + 1)]
+    log = shift_stages(monkeypatch)
+    expected = [2, 3, 5] + [linalg._prime(i) for i in range(n_primes + 1)]
     assert rank_and_nullspace(m).rank == 2
-    assert primes == expected
-    primes.clear()
+    assert log == [2, 3] + expected
+    log.clear()
     assert rank_modular_oracle(m) == 2
-    assert primes == expected
+    assert log == expected
 
 
 def test_gf2_falling_short_falls_through_to_the_primes(monkeypatch):
-    assert linalg._rank_gf2(map(linalg._odd_mask, DET_2)) == 2
-    primes = _count_rank_mod_p_calls(monkeypatch)
+    """GF(2) falls short on ``DET_2``, and GF(3) and mod 5 prove its full rank
+    with nothing eliminated (the oracle stops at GF(3)); GF(2), GF(3) and mod
+    5 all fall short on ``DET_30``, and the first prime proves it, after GF(2)
+    and GF(3) agreeing on rank 1 chose a row that does not span."""
+    assert linalg._rank_gf2(linalg._residues(DET_2, 2))[0] == 2
+    log = shift_stages(monkeypatch)
     assert rank_and_nullspace(_matrix(DET_2)).rank == 3
-    assert primes == [2, linalg._prime(0)]
-    primes.clear()
+    assert log == [2, 3, 5]
+    log.clear()
     assert rank_modular_oracle(_matrix(DET_2)) == 3
-    assert primes == [2, linalg._prime(0)]
+    assert log == [2, 3]
+    log.clear()
+    assert rank_and_nullspace(_matrix(DET_30)).rank == 2
+    assert log == [2, 3, 2, 3, 5, linalg._prime(0)]
+    log.clear()
+    assert rank_modular_oracle(_matrix(DET_30)) == 2
+    assert log == [2, 3, 5, linalg._prime(0)]
 
 
 def test_odd_determinant_is_proven_by_gf2_alone(monkeypatch):
     """A 0/1 matrix with odd determinant (here -1) has full rank over GF(2):
-    no prime above 2**20 is tried."""
+    the oracle tries no other stage, and ``rank_and_nullspace`` only GF(3)
+    besides, the second stage that full rank needs with no elimination."""
     rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 0]]
-    primes = _count_rank_mod_p_calls(monkeypatch)
+    log = shift_stages(monkeypatch)
     assert rank_and_nullspace(_matrix(rows)).rank == 4
     assert rank_modular_oracle(_matrix(rows)) == 4
-    assert primes == [2, 2]
+    assert log == [2, 3, 2]
 
 
 def test_hadamard_bound_stops_a_rank_deficient_oracle(monkeypatch):
     """Rank 1 below the ceiling 2: GF(2) multiplies the product by 4, which
-    does not pass the squared Hadamard bound 4, so p0 is tried, and then the
-    product does."""
+    does not pass the squared Hadamard bound 4, so GF(3) is tried, and then
+    the product does."""
     m = RationalMatrix([[1, 1], [1, 1]], ["r1", "r2"], ["a", "b"])
-    primes = _count_rank_mod_p_calls(monkeypatch)
+    log = shift_stages(monkeypatch)
     assert rank_modular_oracle(m) == 1
-    assert primes == [2, linalg._prime(0)]
+    assert log == [2, 3]
 
 
 def test_gf2_alone_passes_a_hadamard_bound_of_1(monkeypatch):
     """Rank 1 below the ceiling 2, and the squared Hadamard bound is 1 < 4."""
-    primes = _count_rank_mod_p_calls(monkeypatch)
+    log = shift_stages(monkeypatch)
     assert rank_modular_oracle(_matrix([[1, 0], [0, 0]])) == 1
-    assert primes == [2]
+    assert log == [2]
 
 
 def test_re_multiplication_is_wired_in(monkeypatch):
@@ -350,14 +353,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # each entry point that eliminates, on an input whose first free column is no
 # copy of an earlier column (nullity_decomposition eliminates the contraction,
-# rank-deficient and with b isolated); ``rank`` eliminates B_H, then I_H on its
-# rows at B_H's pivot columns, none for dense_14x11 (rank 11 = |E|), or, when
-# B_H has fewer distinct columns than rows, I_H's distinct rows first, as for
-# units_12x9 (8 distinct stars, 9 edges), then B_H on none, at rank 8
+# rank-deficient and with b isolated); ``rank`` eliminates the side that has
+# fewer pivots than distinct columns: B_H of dense_14x11 (rank 11 = |E|), I_H
+# of units_12x9 (8 distinct stars, 9 edges, rank 8); on the matrix of
+# determinant 30 with a zero column, the kernel of the row GF(2) chooses fails
+# the product with the other row, every row is eliminated, and the first prime
+# proves the rank
 ELIMINATING_ENTRY_POINTS = {
     "rank, I_H of full row rank": lambda: cmd_rank(Namespace(file=str(GOLDEN / "dense_14x11.txt"))),
     "rank, I_H rank-deficient": lambda: cmd_rank(Namespace(file=str(GOLDEN / "units_12x9.txt"))),
     "rank_and_nullspace": lambda: rank_and_nullspace(_matrix([[1, 1, 0], [0, 1, 1]])),
+    "rank_and_nullspace, the primes deciding": lambda: rank_and_nullspace(_matrix([[1, 1, 0], [1, 31, 0]])),
     "nullity_decomposition": lambda: nullity_decomposition(
         build_hypergraph(["a", "b", "c", "d"], [["a"], ["c", "d"], ["a", "c", "d"]])
     ),
@@ -374,8 +380,9 @@ ELIMINATING_ENTRY_POINTS = {
 @pytest.mark.parametrize("fault", ["wrong_entry", 1, -1])
 @pytest.mark.parametrize("entry", sorted(ELIMINATING_ENTRY_POINTS))
 def test_every_elimination_is_proven(monkeypatch, entry, fault):
-    """A wrong entry in the free-column block of the elimination, or a modular
-    rank one too high or too low, raises at every entry point that eliminates."""
+    """A wrong entry in the free-column block of the elimination raises at
+    every entry point that eliminates, and so does each of the four rank
+    stages one too high or one too low, wherever it runs."""
     run = ELIMINATING_ENTRY_POINTS[entry]
     run()
     if fault == "wrong_entry":
@@ -387,13 +394,29 @@ def test_every_elimination_is_proven(monkeypatch, entry, fault):
             return pivots, reduced, d
 
         monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
-        message = "re-multiplication"
-    else:
-        modular_rank = linalg._modular_rank
-        monkeypatch.setattr(linalg, "_modular_rank", lambda rows, ceiling: modular_rank(rows, ceiling) + fault)
-        message = "rank disagreement"
-    with pytest.raises(ArithmeticError, match=message):
-        run()
+        with pytest.raises(ArithmeticError, match="re-multiplication"):
+            run()
+        return
+    for stage in STAGES:
+        with monkeypatch.context() as patch:
+            log = shift_stages(patch, fault, (stage,), consistent=False)
+            try:
+                run()
+            except ArithmeticError as exc:
+                assert "rank disagreement" in str(exc), stage
+            else:
+                assert stage not in map(stage_of, log), stage
+
+
+def test_every_stage_runs_at_an_eliminating_entry_point(monkeypatch):
+    """So each stage one off is caught somewhere above."""
+    ran = set()
+    for run in ELIMINATING_ENTRY_POINTS.values():
+        with monkeypatch.context() as patch:
+            log = shift_stages(patch)
+            run()
+            ran.update(map(stage_of, log))
+    assert ran == set(STAGES)
 
 
 def _re_multiplication_reference(rows: list[list[int]], kernel: list[dict[int, int]]) -> bool:
@@ -405,28 +428,41 @@ def _re_multiplication_reference(rows: list[list[int]], kernel: list[dict[int, i
     )
 
 
-def _re_multiplication_passes(rows, n_cols, kernel) -> bool:
+def _re_multiplication_passes(m: RationalMatrix, kernel) -> bool:
+    """Whether ``_proven_rank`` takes ``kernel`` on ``m``, told a rank that
+    agrees, so only the re-multiplication decides."""
     try:
-        linalg._proven_rank(rows, n_cols, kernel)
+        linalg._proven_rank(m, kernel, m.cols - len(kernel))
     except ArithmeticError as exc:
         assert "re-multiplication" in str(exc)
         return False
     return True
 
 
-def test_packed_re_multiplication_matches_per_vector_reference(monkeypatch):
+def _mask_matrix(rows: list[list[int]]) -> RationalMatrix:
+    """The 0/1 ``rows`` as a mask matrix, as an incidence matrix holds them."""
+    n_cols = len(rows[0]) if rows else 0
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    col_masks = [sum(1 << i for i, row in enumerate(rows) if row[j]) for j in range(n_cols)]
+    return RationalMatrix._from_masks(masks, col_masks, tuple(map(str, range(len(rows)))), tuple(map(str, range(n_cols))))
+
+
+def test_packed_re_multiplication_matches_per_vector_reference():
     """``_proven_rank`` multiplies all kernel vectors through the rows in one
-    pass over packed integers.  It must judge as the per-vector check does:
-    on every echelon case, the true basis, and the basis with one entry of one
-    vector moved by +-1; and on products that would carry from one field into
-    the next if the fields were narrower.  The modular rank is made to agree,
-    so only the re-multiplication decides."""
-    monkeypatch.setattr(linalg, "_modular_rank", lambda rows, ceiling: ceiling)
+    pass of ``_row_totals`` over packed integers, mask rows at their set
+    bits and integer rows entry by entry.  It must judge as the per-vector
+    check does: on every echelon case, as integer rows and, when 0/1, as mask
+    rows too, the true basis, and the basis with one entry of one vector
+    moved by +-1; and on products that would carry from one field into the
+    next if the fields were narrower."""
     rng = random.Random(2612)
-    rejected = 0
+    rejected = masks = 0
     for label, rows in _echelon_cases(seed=2612):
         n_cols = len(rows[0]) if rows else 0
-        basis = list(linalg.proven_kernel(rows, n_cols)[2].values())
+        forms = [linalg._integer_matrix(rows, n_cols)]
+        if all(x in (0, 1) for row in rows for x in row):
+            forms.append(_mask_matrix(rows))
+        basis = list(linalg.proven_kernel(forms[0])[2].values())
         variants = [basis]
         if basis:
             wrong = [dict(v) for v in basis]
@@ -435,14 +471,16 @@ def test_packed_re_multiplication_matches_per_vector_reference(monkeypatch):
             variants.append(wrong)
         for kernel in variants:
             expected = _re_multiplication_reference(rows, kernel)
-            assert _re_multiplication_passes(rows, n_cols, kernel) == expected, label
+            for m in forms:
+                assert _re_multiplication_passes(m, kernel) == expected, label
             rejected += not expected
-    assert rejected > 100
+            masks += len(forms) - 1
+    assert rejected > 100 and masks > 20
     # one row [1, 1]: products 2**e and -1 would cancel in fields of e bits
-    for e in range(1, 80):
-        kernel = [{0: 1 << e}, {1: -1}]
-        assert not _re_multiplication_passes([[1, 1]], 2, kernel)
-        assert _re_multiplication_passes([[1, 1]], 2, [{0: 1 << e, 1: -(1 << e)}, {0: -1, 1: 1}])
+    for m in (linalg._integer_matrix([[1, 1]], 2), _mask_matrix([[1, 1]])):
+        for e in range(1, 80):
+            assert not _re_multiplication_passes(m, [{0: 1 << e}, {1: -1}])
+            assert _re_multiplication_passes(m, [{0: 1 << e, 1: -(1 << e)}, {0: -1, 1: 1}])
 
 
 def _dense_01(rng: random.Random, rows: int, base: int, clones: int) -> list[list[int]]:
@@ -496,11 +534,15 @@ def _echelon_cases(seed: int):
 
 
 def test_echelon_matches_gauss_jordan_reference():
-    """Pivots, d and the basis read off the reference's rows: d at each free
+    """Pivots and the basis read off the reference's rows: d at each free
     column f and, for each pivot, minus f's entry in that pivot's row, in
-    column order."""
+    column order.  The rows eliminated are a stage's basis rows, so each
+    vector divided by d is the reference's, and with d the vector itself
+    where every row is eliminated, in order: at full row rank below the
+    distinct columns."""
     cases = list(_echelon_cases(seed=1717))
     assert len(cases) >= 250
+    exact = 0
     for label, rows in cases:
         n_cols = len(rows[0]) if rows else 0
         expected = [row[:] for row in rows]
@@ -510,36 +552,78 @@ def test_echelon_matches_gauss_jordan_reference():
             (f, [(f, d)] + [(p, -row[f]) for p, row in zip(pivots, expected) if row[f]])
             for f in range(n_cols) if f not in pivots
         ]
-        found_pivots, found_d, found_basis = linalg.proven_kernel(rows, n_cols)
-        assert (found_pivots, found_d) == (pivots, d), label
-        assert [(f, list(v.items())) for f, v in found_basis.items()] == basis, label
+        found_pivots, found_d, found_basis = linalg.proven_kernel(linalg._integer_matrix(rows, n_cols))
+        found = [(f, list(v.items())) for f, v in found_basis.items()]
+        assert found_pivots == pivots, label
+        assert [(f, [(j, Fraction(x, found_d)) for j, x in v]) for f, v in found] == [
+            (f, [(j, Fraction(x, d)) for j, x in v]) for f, v in basis
+        ], label
+        if len(pivots) == len(rows) < len(set(zip(*rows))):
+            assert (found_d, found) == (d, basis), label
+            exact += 1
+    assert exact > 50
 
 
-def test_gf2_rank_matches_prime_field_rank_at_2():
-    """The bit-row GF(2) rank, of each row's ``_odd_mask``, against
-    ``_rank_mod_p`` run at p = 2, on every echelon case and on more matrices
-    of the three rank-dense shapes, each with its transpose: 30 x 50 with 10
-    duplicate columns, 36 x 46, and 44 x 62 with 20."""
-    cases = list(_echelon_cases(seed=2203))
-    rng = random.Random(2203)
+def _stage(m: RationalMatrix, p: int) -> tuple[int, list[int]]:
+    """The rank and basis rows of the stage of ``linalg._stage`` at p = 2, 3 or
+    5, stopped at the dimension bound min(rows, cols), and the same without
+    the stop."""
+    q, rank, rows = linalg._stage(m, (2, 3, 5).index(p), min(m.rows, m.cols))
+    assert q == p and (rank, rows) == linalg._stage(m, (2, 3, 5).index(p), None)[1:]
+    return rank, rows
+
+
+def _forms(rows: list[list[int]]) -> list[RationalMatrix]:
+    """Integer ``rows``, which reach GF(2) and GF(3) through their residues,
+    and, when they are 0/1, the mask matrix of them too."""
+    n_cols = len(rows[0]) if rows else 0
+    forms = [linalg._integer_matrix(rows, n_cols)]
+    if all(x in (0, 1) for row in rows for x in row):
+        forms.append(_mask_matrix(rows))
+    return forms
+
+
+def _dense_slot_cases(rng: random.Random, shapes) -> list:
+    """Seeded 0/1 matrices of each (rows, base, clones) shape, each with its transpose."""
+    cases = []
     for index in range(20):
-        for rows, base, clones in ((30, 40, 10), (36, 46, 0), (44, 42, 20)):
+        for rows, base, clones in shapes:
             b = _dense_01(rng, rows, base, clones)
             cases.append((f"0/1 {rows}x{base + clones} #{index}", b))
             cases.append((f"0/1 {rows}x{base + clones} #{index} transposed", [list(c) for c in zip(*b)]))
-    deficient = 0
+    return cases
+
+
+def _assert_stage_matches(p: int, cases) -> int:
+    """Stage p of the ladder against ``_rank_mod_p(rows, p)`` on every case, in
+    each of its forms; its basis rows alone have that rank again at stage p.
+    Returns how many cases it put below the rank over Q."""
+    assert any(abs(x) > 5 for _, rows in cases for row in rows for x in row)
+    assert any(x < 0 for _, rows in cases for row in rows for x in row)
+    short = 0
     for label, rows in cases:
-        rank = linalg._rank_gf2(map(linalg._odd_mask, rows))
-        assert rank == linalg._rank_mod_p(rows, 2), label
-        deficient += rank < len(linalg.proven_kernel(rows, len(rows[0]) if rows else 0)[0])
-    assert deficient
+        expected = linalg._rank_mod_p(rows, p)[0]
+        for m in _forms(rows):
+            rank, basis = _stage(m, p)
+            assert rank == expected == len(basis) == len(set(basis)), label
+            alone = [rows[i] for i in basis]
+            assert _stage(linalg._integer_matrix(alone, m.cols), p)[0] == rank, label
+        short += expected < len(linalg.proven_kernel(_forms(rows)[0])[0])
+    return short
 
 
-def _bitsliced(rows: list[list[int]]) -> list[tuple[int, int]]:
-    """Each integer row as the masks of its entries = 1 and = 2 (mod 3)."""
-    return [
-        tuple(sum(1 << j for j, x in enumerate(row) if x % 3 == r) for r in (1, 2)) for row in rows
-    ]
+# the rank-dense shapes of the benchmark, as (rows, base columns, copies)
+DENSE_SLOT_SHAPES = ((30, 40, 10), (36, 46, 0), (44, 42, 20))
+
+
+def test_gf2_rank_matches_prime_field_rank_at_2():
+    """GF(2), on masks and on the residues of integer rows, against
+    ``_rank_mod_p`` run at p = 2, on every echelon case (negative and large
+    entries among them) and on matrices of the three rank-dense shapes, each
+    with its transpose: 30 x 50 with 10 duplicate columns, 36 x 46, and 44 x
+    62 with 20."""
+    rng = random.Random(2203)
+    assert _assert_stage_matches(2, list(_echelon_cases(seed=2203)) + _dense_slot_cases(rng, DENSE_SLOT_SHAPES))
 
 
 # a 0/1 matrix of determinant -3: rank 4 over Q and GF(2), 3 over GF(3)
@@ -552,19 +636,22 @@ def test_gf3_rank_matches_prime_field_rank_at_3():
     square and rank-deficient), on seeded 0/1 masks of the three rank-dense
     shapes and their transposes, and on ``DET_3``, where it falls short of
     the rational rank."""
-    cases = list(_echelon_cases(seed=2204))
     rng = random.Random(2204)
-    for index in range(20):
-        for rows, base, clones in ((30, 40, 10), (36, 46, 0), (44, 42, 20), (6, 9, 0), (9, 6, 0), (8, 8, 0)):
-            b = _dense_01(rng, rows, base, clones)
-            cases.append((f"0/1 {rows}x{base + clones} #{index}", b))
-            cases.append((f"0/1 {rows}x{base + clones} #{index} transposed", [list(c) for c in zip(*b)]))
-    cases.append(("determinant -3", DET_3))
-    assert any(abs(x) > 3 for _, rows in cases for row in rows for x in row)
-    assert any(x < 0 for _, rows in cases for row in rows for x in row)
-    short = 0
-    for label, rows in cases:
-        rank = linalg._rank_gf3(_bitsliced(rows))
-        assert rank == linalg._rank_mod_p(rows, 3), label
-        short += rank < len(linalg.proven_kernel(rows, len(rows[0]) if rows else 0)[0])
-    assert short and linalg._rank_gf3(_bitsliced(DET_3)) == 3
+    shapes = DENSE_SLOT_SHAPES + ((6, 9, 0), (9, 6, 0), (8, 8, 0))
+    cases = list(_echelon_cases(seed=2204)) + _dense_slot_cases(rng, shapes) + [("determinant -3", DET_3)]
+    assert _assert_stage_matches(3, cases)
+    assert _stage(linalg._integer_matrix(DET_3, 4), 3)[0] == 3
+
+
+# determinant 5: rank 3 over Q, GF(2) and GF(3), 2 mod 5
+DET_5 = [[1, 0, 0], [0, 1, 1], [0, 1, 6]]
+
+
+def test_mod_5_stage_matches_prime_field_rank_at_5():
+    """The dense mod-5 stage, fed an incidence matrix's masks or integer rows,
+    against ``_rank_mod_p`` run at p = 5 on the same cases, and on ``DET_5``,
+    where it falls short of the rational rank."""
+    rng = random.Random(2205)
+    cases = list(_echelon_cases(seed=2205)) + _dense_slot_cases(rng, DENSE_SLOT_SHAPES) + [("determinant 5", DET_5)]
+    assert _assert_stage_matches(5, cases)
+    assert [_stage(linalg._integer_matrix(DET_5, 3), p)[0] for p in (2, 3, 5)] == [3, 3, 2]

@@ -434,7 +434,7 @@ def find_certificates_split(h: Hypergraph, kind: str) -> tuple[list[KernelCertif
                 f"over the output bound {kernels.OUTPUT_BOUND}"
             )
 
-    kernel = proven_kernel(incidence(h).entries, n)
+    kernel = proven_kernel(incidence(h))
     zero = sum(1 << j for j, column in enumerate(columns) if not column)  # meet no row
     nonzero = ((1 << n) - 1) ^ zero
     n_zero = zero.bit_count()
@@ -655,21 +655,18 @@ def test_bench_shapes_match_reference():
 # free columns is eliminated, the others copy a pivot) and on I_H (side "I":
 # two free columns are eliminated)
 ECHELON_FAULTS = {
-    "extra_pivot": {"B": "rank disagreement", "I": "re-multiplication"},
-    "missing_pivot": {"B": "re-multiplication", "I": "re-multiplication"},
+    "extra_pivot": {"B": "rank disagreement", "I": "rank disagreement"},
+    "missing_pivot": {"B": "rank disagreement", "I": "rank disagreement"},
     "wrong_entry": {"B": "re-multiplication", "I": "re-multiplication"},
 }
 
 
 @pytest.mark.parametrize("fault", sorted(ECHELON_FAULTS))
 def test_echelon_faults_are_caught(monkeypatch, fault):
-    """A wrong echelon form raises instead of returning a shorter list.  The
-    basis is re-multiplied before the modular rank is taken.  A pivot too few
-    shifts the free columns that the reduced entries are read against, and a
-    wrong reduced entry moves its own vector.  A pivot too many shifts them
-    too on I_H; on B_H it takes the one free column that is eliminated, the
-    vectors left, of copies, stay right but one too few, and the modular rank
-    refutes the rank they claim."""
+    """A wrong echelon form raises instead of returning a shorter list.  A
+    pivot too many or too few is not the rank of the stage whose basis rows
+    were eliminated, and a wrong reduced entry moves its own vector, which
+    fails the re-multiplication."""
     h = PAIR_SHAPES[0]
     eliminate = linalg._fraction_free_rref
 

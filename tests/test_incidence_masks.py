@@ -92,9 +92,10 @@ def test_verify_and_units_build_no_dense_rows(tmp_path, monkeypatch, capsys):
 def flipped(m: RationalMatrix, i: int, j: int, dense: bool) -> RationalMatrix:
     """``m`` with cell (i, j) changed: a flipped bit, or a dense cell plus one."""
     if not dense:
-        masks = list(m._masks)
+        masks, col_masks = list(m._masks), list(m._col_masks)
         masks[i] ^= 1 << j
-        return RationalMatrix._from_masks(masks, m.row_labels, m.col_labels)
+        col_masks[j] ^= 1 << i
+        return RationalMatrix._from_masks(masks, col_masks, m.row_labels, m.col_labels)
     rows = [list(row) for row in m.entries]
     rows[i][j] += 1
     return RationalMatrix(rows, m.row_labels, m.col_labels)

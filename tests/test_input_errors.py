@@ -29,7 +29,6 @@ from hyperinc import (
     is_finer,
     matvec,
     random_hypergraph,
-    rank_and_nullspace,
     root_of_unity_certificate,
     root_of_unity_vector,
     sw_subspace,
@@ -40,7 +39,7 @@ from hyperinc import (
 from hyperinc.cli import main
 from hyperinc.errors import DimensionMismatch, EmptySubset, InvalidParameters
 from hyperinc.kernels import GENERAL_COMBINATION, ROOT_OF_UNITY_CYCLE, SET_KINDS, UNIT_PAIR, _coefficients
-from hyperinc.linalg import proven_kernel
+from hyperinc.linalg import _integer_matrix, proven_kernel
 
 H = "e1: 1 2 3 5\ne2: 1 3 4 5\ne3: 1 2 4 5\n"  # vertices 1..5, edges e1..e3
 
@@ -206,7 +205,6 @@ def all_sets_empty(kind):
 
 
 labels_12 = STRAY_CERTIFICATES["equal edge partition of two str sets"][0]
-WIDE = RationalMatrix([[1, 0, 1], [0, 1, 1]], ["r", "s"], ["a", "b", "c"])  # rows 0 and 1 span it
 API_CASES = {
     "unknown kind to verify_certificate": (
         lambda: verify_certificate(h, KernelCertificate("no_such_kind", "B", (), ())), InvalidParameters
@@ -276,13 +274,10 @@ API_CASES = {
     "zeta + True": (lambda: zeta(4) + True, TypeError),
     "True - zeta": (lambda: True - zeta(4), TypeError),
     "zeta * False": (lambda: zeta(4) * False, TypeError),
-    # spanning rows are int indices, not a float or bools read as rows 1 and 0,
-    # and every row of an elimination has n_cols entries
-    "spanning row 1.0": (lambda: rank_and_nullspace(WIDE, [1.0, 0]), InvalidParameters),
-    "spanning rows True, False": (lambda: rank_and_nullspace(WIDE, [True, False]), InvalidParameters),
-    "kernel row longer than n_cols": (lambda: proven_kernel([[1, 0, 1]], 2), InvalidParameters),
-    "kernel rows of two lengths": (lambda: proven_kernel([[1, 0], [1]], 2), InvalidParameters),
-    "kernel row shorter than n_cols": (lambda: proven_kernel([[1, 0], [1, 1]], 3), InvalidParameters),
+    # every row of an elimination has n_cols entries
+    "kernel row longer than n_cols": (lambda: proven_kernel(_integer_matrix([[1, 0, 1]], 2)), InvalidParameters),
+    "kernel rows of two lengths": (lambda: proven_kernel(_integer_matrix([[1, 0], [1]], 2)), InvalidParameters),
+    "kernel row shorter than n_cols": (lambda: proven_kernel(_integer_matrix([[1, 0], [1, 1]], 3)), InvalidParameters),
     # a set of labels given as a str, where "12" is a vertex besides "1" and "2"
     "partition sets as str": (lambda: equal_partition_certificate(labels_12, "12", "34"), InvalidParameters),
     "S_W of a str": (lambda: sw_subspace(labels_12, "12"), InvalidParameters),

@@ -1,37 +1,51 @@
 """``hyperinc rank`` against the two-elimination handler it replaced.
 
-``rank_reference`` below is the body of the earlier ``cli.cmd_rank``, kept
-as a test-only reference: it eliminated B_H and its transpose I_H in full.
-The current handler eliminates one side first, I_H when B_H has fewer
-distinct columns than rows and B_H otherwise, and the other side only on
-its rows at the first side's pivot columns, not at all when those are as
-many as its distinct columns; both ranks are still proven on all rows.  The
-reports and both ``NullspaceBasis`` results must agree exactly, and a row
-set that does not span the row space, or that claims more independent rows
-than there are, must fail the proof; row indices that repeat or index no
-row are refused as InvalidParameters.
+``rank_reference`` below is the earlier ``cli.cmd_rank``, kept as a
+test-only reference: it eliminated B_H and its transpose I_H in full, every
+row and column.  The current handler eliminates each side at most once, on
+the basis rows of its rank stage of highest rank and its distinct columns,
+and not at all when two stages show its rank is its count of distinct
+columns; both ranks are still proven on all rows.  The reports and both
+``NullspaceBasis`` results must agree exactly.  Rows a stage chooses that
+do not span the row space fail the product and every distinct row is
+eliminated instead; rows a stage claims independent that are not fail the
+rank.
 """
 
 import argparse
-import importlib.util
 import json
 import random
-import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import random_instance, with_extra_vertices
+from conftest import bench_workloads, random_instance, shifted_ladder, with_extra_vertices
 from hyperinc import build_hypergraph, cli, linalg
 from hyperinc.cli import _basis_json, main
-from hyperinc.errors import InvalidParameters
 from hyperinc.formats import load_hypergraph, serialize_hypergraph_text
 from hyperinc.generators import random_hypergraph
-from hyperinc.hypergraph import Hypergraph
-from hyperinc.linalg import edge_vertex_incidence, rank_and_nullspace, vertex_edge_incidence
+from hyperinc.hypergraph import Hypergraph, VertexVector
+from hyperinc.linalg import NullspaceBasis, edge_vertex_incidence, rank_and_nullspace, vertex_edge_incidence
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_INSTANCES = sorted((ROOT / "tests" / "golden").glob("*.txt"))
+
+
+def full_elimination(m) -> NullspaceBasis:
+    """The kernel basis of a fraction-free elimination of every row and
+    column of ``m``, each vector read in order: 1 at its free column f, then
+    minus f's RREF entry in each pivot row."""
+    pivots, reduced, d = linalg._fraction_free_rref([list(row) for row in m.entries])
+    free = [f for f in range(m.cols) if f not in pivots]
+    vectors = []
+    for k, f in enumerate(free):
+        coords = {m.col_labels[f]: Fraction(1)}
+        for p, row in zip(pivots, reduced):
+            if row[k]:
+                coords[m.col_labels[p]] = Fraction(-row[k], d)
+        vectors.append(VertexVector(coords))
+    return NullspaceBasis(pivots=tuple(pivots), cols=m.cols, vectors=tuple(vectors))
 
 
 def rank_reference(path: str):
@@ -39,8 +53,8 @@ def rank_reference(path: str):
     h = load_hypergraph(path)
     b = edge_vertex_incidence(h)
     i = vertex_edge_incidence(h)
-    ns_b = rank_and_nullspace(b)
-    ns_i = rank_and_nullspace(i)
+    ns_b = full_elimination(b)
+    ns_i = full_elimination(i)
     failures = []
     if ns_b.rank != ns_i.rank:
         failures.append("rank(B_H) != rank(I_H)")
@@ -58,16 +72,6 @@ def rank_reference(path: str):
         "failures": failures,
     }
     return report, ns_b, ns_i
-
-
-def bench_workloads():
-    """``bench/workloads.py``, loaded by path: the rank-dense shapes and
-    their generator are the benchmark's own."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def rank_cases(tmp_path: Path) -> list[Path]:
@@ -121,11 +125,6 @@ def basis_fields(ns) -> tuple:
     return ns.rank, ns.cols, ns.nullity, [list(v.entries.items()) for v in ns.vectors]
 
 
-def i_h_first(h: Hypergraph) -> bool:
-    """Whether ``rank`` eliminates I_H first: B_H has fewer distinct columns than rows."""
-    return len(set(h.star_masks)) < h.n_edges
-
-
 def test_matches_two_elimination_reference(monkeypatch, tmp_path):
     paths = rank_cases(tmp_path)
     bases = recorded_bases(monkeypatch)
@@ -135,50 +134,47 @@ def test_matches_two_elimination_reference(monkeypatch, tmp_path):
         report = cli.cmd_rank(argparse.Namespace(file=path))
         expected, ns_b, ns_i = rank_reference(path)
         assert json.dumps(report, indent=2) == json.dumps(expected, indent=2), path
-        first = i_h_first(load_hypergraph(path))
-        in_order = [ns_i, ns_b] if first else [ns_b, ns_i]
-        assert bases == in_order, path
-        assert list(map(basis_fields, bases)) == list(map(basis_fields, in_order)), path
+        assert bases == [ns_b, ns_i], path
+        assert list(map(basis_fields, bases)) == list(map(basis_fields, [ns_b, ns_i])), path
         edges, vertices = report["edges"], report["vertices"]
         shapes.add(
             ("rank |E|" if ns_b.rank == edges else "rank < |E|")
             + (", |E| > |V|" if edges > vertices else "")
             + (", edgeless" if not edges else "")
             + (", one edge" if edges == 1 else "")
-            + (", I_H first" if first else "")
+            + (", units" if len(set(load_hypergraph(path).star_masks)) < vertices else "")
         )
     assert {
-        "rank |E|", "rank < |E|", "rank |E|, edgeless", "rank |E|, one edge",
-        "rank < |E|, I_H first", "rank < |E|, |E| > |V|, I_H first",  # |E| > |V| takes I_H first
+        "rank |E|", "rank < |E|", "rank |E|, edgeless, units", "rank |E|, one edge",
+        "rank < |E|, units", "rank < |E|, |E| > |V|, units",
     } <= shapes, shapes
 
 
 def test_one_full_elimination_per_rank(monkeypatch, tmp_path, capsys):
-    """``rank`` eliminates the distinct rows of its first side, I_H when B_H
-    has fewer distinct columns than rows, and the other side on rank(B_H)
-    rows, or not at all when the first side's distinct rows, which are the
-    other side's distinct columns, number rank(B_H); rank-dense's slot of 20
-    clones takes one elimination, of its 42 distinct stars.
-    ``cli.rank_and_nullspace``, which the benchmark's elimination span wraps,
-    is still entered twice."""
+    """``rank`` eliminates each side on rank(B_H) of its rows and its
+    distinct columns, or not at all when the rank is its count of distinct
+    columns, in either order, B_H then I_H; rank-dense's slot of 20 clones
+    takes one elimination, of I_H's 42 distinct stars.  Both ways occur on
+    both sides.  ``cli.rank_and_nullspace``, which the benchmark's
+    elimination span wraps, is still entered twice."""
     eliminated = []
     eliminate = linalg._fraction_free_rref
     monkeypatch.setattr(linalg, "_fraction_free_rref", lambda rows: eliminated.append(len(rows)) or eliminate(rows))
     bases = recorded_bases(monkeypatch)
-    counts = {(first, once): 0 for first in (False, True) for once in (False, True)}
+    counts = {(b, i): 0 for b in (False, True) for i in (False, True)}
     for path in rank_cases(tmp_path):
         eliminated.clear()
         bases.clear()
         assert main(["rank", str(path), "--json"]) == 0, path.name
-        report = json.loads(capsys.readouterr().out)
+        rank = int(json.loads(capsys.readouterr().out)["rank"])
         h = load_hypergraph(str(path))
-        rank, first = int(report["rank"]), i_h_first(h)
         assert len(bases) == 2, path.name
-        distinct = len(set(h.star_masks)) if first else h.n_edges  # edges are distinct
-        assert eliminated == ([distinct] if rank == distinct else [distinct, rank]), path.name
-        counts[first, rank == distinct] += 1
+        # the distinct columns of B_H are the distinct stars; edges are distinct
+        sides = [rank < len(set(h.star_masks)), rank < h.n_edges]
+        assert eliminated == [rank] * sum(sides), path.name
+        counts[tuple(sides)] += 1
         if path.name.startswith("dense3_"):
-            assert first and eliminated == [42], path.name
+            assert sides == [False, True] and eliminated == [42], path.name
     assert min(counts.values()) >= 5, counts
 
 
@@ -199,7 +195,7 @@ I_H_FIRST = build_hypergraph(
 
 def pivot_rows(h: Hypergraph) -> list[int]:
     """B_H's pivot columns, from a separate elimination."""
-    return linalg.proven_kernel(edge_vertex_incidence(h).entries, h.n_vertices)[0]
+    return linalg.proven_kernel(edge_vertex_incidence(h))[0]
 
 
 def test_instances_are_what_they_claim():
@@ -207,7 +203,26 @@ def test_instances_are_what_they_claim():
     assert pivot_rows(DEFICIENT) == [0, 1, 2]
     for h in (FULL_ROW_RANK, DEFICIENT):
         i = vertex_edge_incidence(h)
-        assert rank_and_nullspace(i, pivot_rows(h)) == rank_and_nullspace(i)
+        assert rank_and_nullspace(i) == full_elimination(i)
+
+
+def chosen(monkeypatch, rows: list[int], reached: int = 0) -> list:
+    """Make the stages that choose the rows ``proven_kernel`` eliminates, on
+    the first matrix they run on, answer with ``rows``, a basis of their
+    rank; log the rows of each elimination."""
+    ladder = linalg._ladder
+    eliminated, calls = [], []
+
+    def choose(m, ceiling, needed=1, primes=True):
+        calls.append(primes)
+        if not primes and calls.count(False) == 1:
+            return len(rows), list(rows), reached
+        return ladder(m, ceiling, needed, primes)
+
+    eliminate = linalg._fraction_free_rref
+    monkeypatch.setattr(linalg, "_ladder", choose)
+    monkeypatch.setattr(linalg, "_fraction_free_rref", lambda block: eliminated.append(len(block)) or eliminate(block))
+    return eliminated
 
 
 @pytest.mark.parametrize(
@@ -222,9 +237,20 @@ def test_instances_are_what_they_claim():
     ],
     ids=["full 0 1", "full 2 4", "deficient 0 1", "deficient 3", "deficient 0 4 1", "deficient none"],
 )
-def test_rows_that_do_not_span_fail_re_multiplication(h, rows):
-    with pytest.raises(ArithmeticError, match="re-multiplication"):
-        rank_and_nullspace(vertex_edge_incidence(h), rows)
+def test_rows_that_do_not_span_fail_re_multiplication(monkeypatch, h, rows):
+    """Independent rows of I_H that do not span its row space leave a kernel
+    too large, which fails the product with the rows left out: every
+    distinct row is eliminated, and the basis is the one of all rows.  Rows
+    with two equal give fewer pivots than the rank claimed for them."""
+    i = vertex_edge_incidence(h)
+    expected = rank_and_nullspace(i)
+    eliminated = chosen(monkeypatch, rows)
+    if len(set(map(tuple, (i.entries[k] for k in rows)))) < len(rows):
+        with pytest.raises(ArithmeticError, match="rank disagreement"):
+            rank_and_nullspace(i)
+        return
+    assert rank_and_nullspace(i) == expected
+    assert eliminated == [len(rows), len(set(h.star_masks))]
 
 
 @pytest.mark.parametrize(
@@ -235,23 +261,14 @@ def test_rows_that_do_not_span_fail_re_multiplication(h, rows):
     ],
     ids=["distinct rows", "two equal rows"],
 )
-def test_as_many_dependent_rows_as_columns_fail_the_rank(h, rows):
-    """As many rows as columns are claimed independent with no elimination;
-    the modular rank of all of I_H's rows refutes the claim."""
+def test_as_many_dependent_rows_as_columns_fail_the_rank(monkeypatch, h, rows):
+    """As many rows as columns, claimed independent by one stage, would leave
+    nothing to eliminate if a second stage agreed; with one stage they are
+    eliminated, and fewer pivots than rows fail the rank."""
+    eliminated = chosen(monkeypatch, rows, reached=1)
     with pytest.raises(ArithmeticError, match="rank disagreement"):
-        rank_and_nullspace(vertex_edge_incidence(h), rows)
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [[5], [-1], [0, 0], [0, 4, 4, 1], [0, 1, 9, 2]],
-    ids=["past the end", "negative", "repeated", "as many as columns, repeated", "as many as columns, one past"],
-)
-def test_bad_row_indices_are_invalid_parameters(rows):
-    """I_H of ``DEFICIENT`` has 5 rows and 4 columns: a row index that is not
-    one of its rows, or that repeats, is refused before any elimination."""
-    with pytest.raises(InvalidParameters, match="spanning rows"):
-        rank_and_nullspace(vertex_edge_incidence(DEFICIENT), rows)
+        rank_and_nullspace(vertex_edge_incidence(h))
+    assert eliminated == [4]
 
 
 def run_rank(h: Hypergraph, tmp_path: Path) -> dict:
@@ -264,61 +281,51 @@ def run_rank(h: Hypergraph, tmp_path: Path) -> dict:
 @pytest.mark.parametrize("h", [FULL_ROW_RANK, DEFICIENT], ids=["full row rank", "deficient"])
 def test_wrong_modular_rank_of_i_h_is_caught(monkeypatch, tmp_path, h, shift):
     """A modular rank one off on I_H alone, the second proof of ``rank``;
-    B_H's, taken first, stays right."""
-    modular_rank = linalg._modular_rank
-    calls = []
-
-    def shifted(rows, ceiling):
-        calls.append(len(rows))
-        return modular_rank(rows, ceiling) + (shift if len(calls) == 2 else 0)
-
+    B_H's, taken first, stays right.  Where I_H needs no elimination, the
+    proof after it is shifted too."""
     assert run_rank(h, tmp_path)["failures"] == []
-    monkeypatch.setattr(linalg, "_modular_rank", shifted)
+    calls = []
+    on_i_h = shifted_ladder(monkeypatch, shift, lambda m: calls.append(m.rows) or m.row_labels == h.vertices)
     with pytest.raises(ArithmeticError, match="rank disagreement"):
         run_rank(h, tmp_path)
-    assert calls == [h.n_edges, h.n_vertices]
+    assert calls[:2] == [h.n_edges, h.n_vertices] and on_i_h[0] is False and all(on_i_h[1:])
 
 
 def test_wrong_entry_in_the_i_h_elimination_is_caught(monkeypatch, tmp_path):
-    """On a rank-deficient H, a wrong entry in the second elimination, of
-    I_H's pivot rows, fails the re-multiplication through all of I_H."""
+    """On a rank-deficient H, a wrong entry in the eliminations of I_H, of
+    the 3 rows a stage chose and then of its 4 distinct rows, fails the
+    re-multiplication through all of I_H."""
     eliminate = linalg._fraction_free_rref
     calls = []
 
     def corrupted(rows):
         calls.append(len(rows))
         pivots, reduced, d = eliminate(rows)
-        if len(calls) == 2:
+        if len(calls) >= 2:
             reduced[0][0] += 1
         return pivots, reduced, d
 
     monkeypatch.setattr(linalg, "_fraction_free_rref", corrupted)
     with pytest.raises(ArithmeticError, match="re-multiplication"):
         run_rank(DEFICIENT, tmp_path)
-    assert calls == [4, 3]
+    assert calls == [3, 3, 4]
 
 
 @pytest.mark.parametrize("shift", [1, -1])
 @pytest.mark.parametrize("call", [1, 2], ids=["I_H, eliminated first", "B_H, not eliminated, with a copy"])
 def test_wrong_modular_rank_on_the_i_h_first_path_is_caught(monkeypatch, tmp_path, call, shift):
-    """``rank`` on ``I_H_FIRST`` eliminates I_H's 3 distinct rows, then takes
-    B_H's rows at I_H's 3 pivot columns, as many as B_H's distinct columns,
-    and eliminates nothing; column 4 copies column 1.  A modular rank one
-    off on either side is caught."""
+    """``rank`` on ``I_H_FIRST``, which I_H once went first on, proves B_H's
+    rank 3, as many as its distinct columns (column 4 copies column 1), by
+    two stages with nothing eliminated, and eliminates I_H's 3 distinct
+    rows.  A modular rank one off on either side is caught."""
     eliminated = []
     eliminate = linalg._fraction_free_rref
     monkeypatch.setattr(linalg, "_fraction_free_rref", lambda rows: eliminated.append(len(rows)) or eliminate(rows))
     report = run_rank(I_H_FIRST, tmp_path)
-    assert i_h_first(I_H_FIRST) and report["rank"] == "3" and report["failures"] == []
+    assert report["rank"] == "3" and report["failures"] == []
     assert report["kernel_basis"] == [{"1": "-1", "4": "1"}] and eliminated == [3]
-    modular_rank = linalg._modular_rank
-    calls = []
-
-    def shifted(rows, ceiling):
-        calls.append(len(rows))
-        return modular_rank(rows, ceiling) + (shift if len(calls) == call else 0)
-
-    monkeypatch.setattr(linalg, "_modular_rank", shifted)
+    side = I_H_FIRST.vertices if call == 1 else I_H_FIRST.edge_labels
+    shifted = shifted_ladder(monkeypatch, shift, lambda m: m.row_labels == side)
     with pytest.raises(ArithmeticError, match="rank disagreement"):
         run_rank(I_H_FIRST, tmp_path)
-    assert calls == [I_H_FIRST.n_vertices, I_H_FIRST.n_edges][:call]
+    assert shifted[-1]
