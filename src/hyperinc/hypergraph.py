@@ -12,7 +12,6 @@ rows and columns are reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -90,9 +89,72 @@ def _str_keyed(entries: Mapping) -> dict:
     return keyed
 
 
-@dataclass(frozen=True)
-class VertexVector:
-    """Sparse exact vector keyed by vertex (or edge) labels.
+_set = object.__setattr__  # how a record's own ``__init__`` sets its fields
+
+
+class Record:
+    """Base of the package's small immutable values.
+
+    A record names its fields in ``__slots__``, in order.  It compares,
+    hashes and prints as a frozen dataclass would, over every field not in
+    ``_hidden``, and refuses assignment and deletion with AttributeError.
+    This ``__init__`` takes every field, by position or keyword; a record
+    built on a per-call path writes its own, setting each field with ``_set``.
+    ``replace``, ``copy``, ``deepcopy`` and ``pickle`` rebuild a record
+    through its ``__init__``, so that its checks run again.
+    """
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args))
+        repeated = values.keys() & kwargs.keys()
+        values.update(kwargs)
+        if len(args) > len(names) or repeated or values.keys() != set(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {names}, "
+                f"got {len(args)} by position and {sorted(kwargs)} by keyword"
+            )
+        for name, value in values.items():
+            _set(self, name, value)
+
+    def _shown(self) -> tuple:
+        """The values of the fields that equality, hashing and repr read."""
+        return tuple(getattr(self, name) for name in self.__slots__ if name not in self._hidden)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shown() == other._shown()
+
+    def __hash__(self):
+        return hash(self._shown())
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def replace(record: Record, **changes) -> Record:
+    """``record`` rebuilt through its ``__init__`` with the fields in
+    ``changes`` replaced, as ``dataclasses.replace`` does."""
+    return type(record)(**{**{name: getattr(record, name) for name in record.__slots__}, **changes})
+
+
+class VertexVector(Record):
+    """Sparse exact vector keyed by vertex (or edge) labels; a ``Record``
+    with the one field ``entries``.
 
     Absent labels are implicitly zero; explicit zeros are dropped on
     construction so equality is structural.  Keys are read by ``str``, and
@@ -100,13 +162,13 @@ class VertexVector:
     may be ``Fraction`` values or cyclotomic field elements.
     """
 
-    entries: Mapping[str, object]
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[str, object]):
         cleaned = {str(k): v for k, v in entries.items() if v != 0}
         if len(cleaned) < len(entries):  # zeros dropped, or keys merged by str()
             _str_keyed(entries)
-        object.__setattr__(self, "entries", cleaned)
+        _set(self, "entries", cleaned)
 
     def value(self, label: str):
         return self.entries.get(label, 0)
@@ -124,25 +186,28 @@ class VertexVector:
         return f"VertexVector({{{inner}}})"
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
     """A maximal set of vertices sharing one star; that star generates it.
 
     ``star`` is the shared star mask (bit i set when edge i contains every
     member); ``generator`` decodes it into the set of edge indices."""
 
-    members: tuple[str, ...]
-    star: int
+    __slots__ = ("members", "star")
+
+    def __init__(self, members: tuple[str, ...], star: int):
+        _set(self, "members", members)
+        _set(self, "star", star)
 
     @property
     def generator(self) -> frozenset[int]:
         return frozenset(bit_indices(self.star))
 
 
-@dataclass(frozen=True)
-class UnitPartition:
-    units: tuple[Unit, ...]
-    vertex_to_unit: Mapping[str, int]
+class UnitPartition(Record):
+    """The units of a hypergraph, ``units: tuple[Unit, ...]``, and the
+    position of each vertex's unit, ``vertex_to_unit: Mapping[str, int]``."""
+
+    __slots__ = ("units", "vertex_to_unit")
 
     def member_sets(self) -> tuple[frozenset[str], ...]:
         return tuple(frozenset(u.members) for u in self.units)

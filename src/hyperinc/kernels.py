@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -30,11 +29,14 @@ from .errors import (
 )
 from .hypergraph import (
     Hypergraph,
+    Record,
     VertexVector,
     _checked_int,
+    _set,
     bit_indices,
     compute_units,
     induced_subhypergraph,
+    replace,
     unit_contraction,
 )
 from .linalg import (
@@ -74,8 +76,7 @@ FINDER_BOUND = 4**10  # counted steps one finder search may take
 OUTPUT_BOUND = 2**24  # size of one find's output: columns + rows x set elements, per certificate
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
+class KernelCertificate(Record):
     """A structural kernel witness: named sets, coefficients, and kind.
 
     ``side`` is "B" when the induced vector lives on vertices (certifying the
@@ -85,13 +86,25 @@ class KernelCertificate:
     the root-of-unity kind, which stores the root order and power instead.
     """
 
-    kind: str
-    side: str
-    sets: tuple[tuple[str, tuple[str, ...]], ...]
-    coefficients: tuple[Fraction, ...]
-    ratio: Optional[Fraction] = None
-    order: Optional[int] = None
-    power: Optional[int] = None
+    __slots__ = ("kind", "side", "sets", "coefficients", "ratio", "order", "power")
+
+    def __init__(
+        self,
+        kind: str,
+        side: str,
+        sets: tuple[tuple[str, tuple[str, ...]], ...],
+        coefficients: tuple[Fraction, ...],
+        ratio: Optional[Fraction] = None,
+        order: Optional[int] = None,
+        power: Optional[int] = None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "side", side)
+        _set(self, "sets", sets)
+        _set(self, "coefficients", coefficients)
+        _set(self, "ratio", ratio)
+        _set(self, "order", order)
+        _set(self, "power", power)
 
     def induced_vector(self, h: Hypergraph) -> VertexVector:
         if self.kind == ROOT_OF_UNITY_CYCLE:
@@ -107,38 +120,48 @@ class KernelCertificate:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
-    valid: bool
-    residual: dict[str, object]
-    combinatorial: bool
+class CertificateCheck(Record):
+    """The outcome of ``verify_certificate``: whether the product is zero, its
+    residual per row, and whether the counting side holds."""
+
+    __slots__ = ("valid", "residual", "combinatorial")
+
+    def __init__(self, valid: bool, residual: dict[str, object], combinatorial: bool):
+        _set(self, "valid", valid)
+        _set(self, "residual", residual)
+        _set(self, "combinatorial", combinatorial)
 
 
-@dataclass(frozen=True)
-class SWSubspace:
-    """Vectors supported in a vertex set whose entries sum to zero."""
+class SWSubspace(Record):
+    """Vectors supported in a vertex set whose entries sum to zero: the
+    ``members: tuple[str, ...]`` and a ``basis: tuple[VertexVector, ...]``."""
 
-    members: tuple[str, ...]
-    basis: tuple[VertexVector, ...]
-
-
-@dataclass(frozen=True)
-class SWReport:
-    subspace: SWSubspace
-    contained_in_kernel: bool
-    maximal: bool
+    __slots__ = ("members", "basis")
 
 
-@dataclass(frozen=True)
-class NullityDecomposition:
-    rank: int
-    nullity: int
-    contraction_rank: int
-    contraction_nullity: int
-    n_units: int
-    units_deficiency: int
-    # the ``unit_contraction`` triple the identities were checked on
-    contraction: tuple[Hypergraph, dict, dict] = field(repr=False, compare=False)
+class SWReport(Record):
+    """An ``SWSubspace`` and whether it lies in the kernel and is maximal
+    there: ``subspace``, ``contained_in_kernel`` and ``maximal``."""
+
+    __slots__ = ("subspace", "contained_in_kernel", "maximal")
+
+
+class NullityDecomposition(Record):
+    """The rank and nullity of B_H and of its unit contraction C, the unit
+    count and the units' deficiency, all ints; ``contraction`` is the
+    ``unit_contraction`` triple the identities were checked on, left out of
+    equality, hashing and repr."""
+
+    __slots__ = (
+        "rank",
+        "nullity",
+        "contraction_rank",
+        "contraction_nullity",
+        "n_units",
+        "units_deficiency",
+        "contraction",
+    )
+    _hidden = ("contraction",)
 
 
 # -- constructors --------------------------------------------------------------

@@ -25,14 +25,13 @@ rank`` eliminates at most rank x distinct-columns cells of each side.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
-from .hypergraph import Hypergraph, VertexVector, _str_keyed, bit_indices
+from .hypergraph import Hypergraph, Record, VertexVector, _set, _str_keyed, bit_indices
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _ZERO = Fraction(0)  # shared by every zero row of a product; Fractions are immutable
@@ -142,17 +141,18 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class NullspaceBasis:
+class NullspaceBasis(Record):
     """Exact kernel basis together with the RREF pivot columns it was read
-    from; their count is the rank it certifies."""
+    from; their count is the rank it certifies.  DimensionMismatch unless
+    rank + nullity is the column count."""
 
-    pivots: tuple[int, ...]
-    cols: int
-    vectors: tuple[VertexVector, ...]
+    __slots__ = ("pivots", "cols", "vectors")
 
-    def __post_init__(self):
-        if self.rank + len(self.vectors) != self.cols:
+    def __init__(self, pivots: tuple[int, ...], cols: int, vectors: tuple[VertexVector, ...]):
+        _set(self, "pivots", pivots)
+        _set(self, "cols", cols)
+        _set(self, "vectors", vectors)
+        if len(pivots) + len(vectors) != cols:
             raise DimensionMismatch("rank + nullity must equal the column count")
 
     @property

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -34,8 +33,10 @@ from .errors import (
 )
 from .hypergraph import (
     Hypergraph,
+    Record,
     UnitPartition,
     VertexVector,
+    _set,
     bit_indices,
     compute_units,
     label_sort_key,
@@ -47,24 +48,21 @@ BANERJEE_WEIGHTING = "banerjee"
 CUSTOM_WEIGHTING = "custom"
 
 
-@dataclass(frozen=True)
-class EdgeWeighting:
+class EdgeWeighting(Record):
     """Positive rational weight per hyperedge, in edge order; each weight is
     read by ``exact_rational`` and stored as a Fraction."""
 
-    name: str
-    weights: tuple[Fraction, ...]
+    __slots__ = ("name", "weights")
 
-    def __post_init__(self):
+    def __init__(self, name: str, weights: Sequence[object]):
         try:
-            weights = tuple(
-                w if type(w) is Fraction else Fraction(exact_rational(w)) for w in self.weights
-            )
+            weights = tuple(w if type(w) is Fraction else Fraction(exact_rational(w)) for w in weights)
         except InvalidParameters as exc:
             raise InvalidParameters(f"weights must be finite rationals: {exc}") from None
         if any(w.numerator <= 0 for w in weights):  # a Fraction's denominator is positive
             raise InvalidParameters("edge weights must be positive")
-        object.__setattr__(self, "weights", weights)
+        _set(self, "name", name)
+        _set(self, "weights", weights)
 
     def weight(self, edge_index: int) -> Fraction:
         return self.weights[edge_index]
@@ -103,22 +101,19 @@ def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequenc
     return EdgeWeighting(CUSTOM_WEIGHTING, tuple(weights))
 
 
-@dataclass(frozen=True)
-class PredictedEigenpair:
-    """An eigenvalue with its certified eigenvectors and multiplicity bound."""
+class PredictedEigenpair(Record):
+    """An eigenvalue with its certified eigenvectors and multiplicity bound:
+    ``eigenvalue`` (a Fraction), the class ``members``, the ``eigenvectors``,
+    ``multiplicity_lower_bound`` and whether the product ``verified`` them."""
 
-    eigenvalue: Fraction
-    members: tuple[str, ...]
-    eigenvectors: tuple[VertexVector, ...]
-    multiplicity_lower_bound: int
-    verified: bool
+    __slots__ = ("eigenvalue", "members", "eigenvectors", "multiplicity_lower_bound", "verified")
 
 
-@dataclass(frozen=True)
-class MatrixEquivalence:
-    """Partition of the labels of a square matrix by row/column symmetry."""
+class MatrixEquivalence(Record):
+    """Partition of the labels of a square matrix by row/column symmetry,
+    as ``classes: tuple[tuple[str, ...], ...]``."""
 
-    classes: tuple[tuple[str, ...], ...]
+    __slots__ = ("classes",)
 
     def member_sets(self) -> tuple[frozenset[str], ...]:
         return tuple(frozenset(c) for c in self.classes)

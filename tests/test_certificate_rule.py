@@ -37,7 +37,6 @@ for these changes:
   other refused field of a file does, not InvalidParameters.
 """
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -62,7 +61,7 @@ from hyperinc.formats import (
     parse_fraction,
     parse_labels,
 )
-from hyperinc.hypergraph import _checked_int, bit_indices
+from hyperinc.hypergraph import _checked_int, bit_indices, replace
 from hyperinc.kernels import (
     EQUAL_VERTEX_PARTITION,
     GENERAL_COMBINATION,
@@ -238,8 +237,8 @@ def expected_outcome(reference, kind, stated_ratio, field_fault=False):
     fault besides its sets."""
     if isinstance(reference, KernelCertificate) and reference.kind == EQUAL_VERTEX_PARTITION:
         if kind == RATIO_VERTEX_PARTITION:
-            return dataclasses.replace(reference, kind=RATIO_VERTEX_PARTITION)
-        return ParseError if stated_ratio else dataclasses.replace(reference, ratio=None)
+            return replace(reference, kind=RATIO_VERTEX_PARTITION)
+        return ParseError if stated_ratio else replace(reference, ratio=None)
     if field_fault and reference in SET_FAULTS:
         return ParseError
     return reference

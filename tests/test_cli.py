@@ -1,7 +1,6 @@
 """End-to-end CLI tests, run as `python -m hyperinc` child processes."""
 
 import argparse
-import dataclasses
 import json
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from hyperinc.formats import (
     parse_hypergraph_text,
     serialize_hypergraph_text,
 )
-from hyperinc.hypergraph import uniform_cycle, unit_contraction
+from hyperinc.hypergraph import replace, uniform_cycle, unit_contraction
 from hyperinc.kernels import root_of_unity_certificate, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -110,7 +109,7 @@ class TestRank:
             ns = rank_and_nullspace(m)
             calls.append(m)
             if len(calls) == 2:  # the second call, on I_H
-                ns = dataclasses.replace(ns, pivots=ns.pivots[:-1], cols=ns.cols - 1)
+                ns = replace(ns, pivots=ns.pivots[:-1], cols=ns.cols - 1)
             return ns
 
         monkeypatch.setattr(cli, "rank_and_nullspace", short)
@@ -561,7 +560,7 @@ class TestFind:
         def first_fails(h, certs):
             checked.extend(certs)
             checks = verify_certificates(h, certs)
-            return [dataclasses.replace(checks[0], valid=False)] + checks[1:]
+            return [replace(checks[0], valid=False)] + checks[1:]
 
         monkeypatch.setattr(cli, "verify_certificates", first_fails)
         assert main(["find", equal_file, "--kind", "equal_edge_partition"] + ["--json"] * as_json) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from hyperinc.formats import (
     serialize_hypergraph_json,
     serialize_hypergraph_text,
 )
+from hyperinc.hypergraph import replace
 
 TEXT_SAMPLE = """\
 # sample file
@@ -271,7 +271,7 @@ class TestCertificateJson:
         stated = {"side": "I", "sets": edges, "coefficients": {"E": "1", "F": "-1"}}
         assert certificate_from_json(h, {"kind": "equal_vertex_partition", **stated}) == equal
         ratio = certificate_from_json(h, {"kind": "ratio_vertex_partition", **stated, "ratio": "1"})
-        assert ratio == dataclasses.replace(equal, kind="ratio_vertex_partition", ratio=1)
+        assert ratio == replace(equal, kind="ratio_vertex_partition", ratio=1)
         pair = {"kind": "unit_pair", "u": 1, "v": "2", "sets": {"u": [1], "v": ["2"]}}
         assert certificate_from_json(h, pair) == unit_pair_certificate(h, "1", "2")
 
