@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import __version__
+from . import __version__, _deferred
 from .errors import HyperincError, InvalidParameters
 from .formats import (
     certificate_from_json,  # unused here; bench/spans.py wraps it under this name
@@ -27,7 +27,6 @@ from .formats import (
     serialize_hypergraph_text,
     write_text,
 )
-from .generators import random_hypergraph
 from .hypergraph import (
     DEFAULT_ISO_BOUND,
     are_isomorphic,  # unused here; bench/spans.py wraps it under this name
@@ -49,12 +48,20 @@ from .linalg import (
     rank_and_nullspace,
     vertex_edge_incidence,
 )
-from .spectra import (
-    banerjee_weighting,
-    predict_unit_eigenpairs,
-    unit_weighting,
-    weighted_adjacency,
-)
+
+# Read through ``__getattr__``, which imports them on first use: rank, units,
+# contract, verify and find load neither spectra nor generators.
+_DEFERRED = {
+    "banerjee_weighting": "spectra",
+    "predict_unit_eigenpairs": "spectra",
+    "unit_weighting": "spectra",
+    "weighted_adjacency": "spectra",
+    "random_hypergraph": "generators",
+}
+
+
+def __getattr__(name):
+    return _deferred(globals(), _DEFERRED, name)
 
 
 def _vector_json(vec) -> dict[str, str]:
@@ -123,7 +130,7 @@ def cmd_generate(args) -> None:
     else:
         if len(params) != 2:
             raise InvalidParameters("generate random needs N (vertices) and M (edges)")
-        h = random_hypergraph(params[0], params[1], args.max_size, args.seed)
+        h = __getattr__("random_hypergraph")(params[0], params[1], args.max_size, args.seed)
     content = serialize_hypergraph_json(h) if args.json else serialize_hypergraph_text(h)
     if args.output:
         write_text(args.output, content)
@@ -269,12 +276,12 @@ def render_find(report) -> list[str]:
 def cmd_spectra(args) -> dict:
     h = load_hypergraph(args.file)
     if args.weighting == "unit":
-        w = unit_weighting(h)
+        w = __getattr__("unit_weighting")(h)
     elif args.weighting == "banerjee":
-        w = banerjee_weighting(h)
+        w = __getattr__("banerjee_weighting")(h)
     else:
         w = load_weighting(h, args.weighting)
-    pairs = predict_unit_eigenpairs(h, w)
+    pairs = __getattr__("predict_unit_eigenpairs")(h, w)
     failures = [
         f"eigenpair for class {{{','.join(p.members)}}} failed exact verification"
         for p in pairs
@@ -300,7 +307,7 @@ def cmd_spectra(args) -> dict:
         "failures": failures,
     }
     if args.matrix:
-        adjacency = weighted_adjacency(h, w)
+        adjacency = __getattr__("weighted_adjacency")(h, w)
         report["adjacency"] = {
             "labels": list(adjacency.row_labels),
             "rows": [[format_fraction(x) for x in row] for row in adjacency.entries],

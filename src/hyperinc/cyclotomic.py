@@ -14,13 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
 from operator import sub
-from typing import Union
 
 from .errors import InstanceTooLarge, InvalidParameters
 from .hypergraph import VertexVector, _checked_int
 from .linalg import exact_rational
 
-Rationalish = Union[int, Fraction]
+Rationalish = int | Fraction
 
 # list cells, trial divisions and subtractions one reduction may take
 REDUCTION_BOUND = 2_000_000
@@ -163,7 +162,7 @@ class CyclotomicNumber:
         return x
 
     @classmethod
-    def _row_sum(cls, products) -> Union["CyclotomicNumber", Fraction]:
+    def _row_sum(cls, products) -> CyclotomicNumber | Fraction:
         """The sum of c * x over the (c, x) pairs of one matrix row, or of the
         two operands of ``+`` or ``-``, c rational and x rational or a
         ``CyclotomicNumber``: every term is added raw into one terms map,

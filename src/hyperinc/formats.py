@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
+from . import _deferred
 from .errors import BadWeightFile, FileAccessError, InvalidParameters, ParseError
 from .hypergraph import Hypergraph, build_hypergraph
 from .kernels import (
@@ -31,7 +31,13 @@ from .kernels import (
     _coefficients,
 )
 from .linalg import exact_rational
-from .spectra import EdgeWeighting, custom_weighting
+
+# Read through ``__getattr__``, which imports spectra on first use.
+_DEFERRED = {"custom_weighting": "spectra"}
+
+
+def __getattr__(name):
+    return _deferred(globals(), _DEFERRED, name)
 
 
 def format_fraction(x) -> str:
@@ -98,7 +104,7 @@ def write_text(path: str, text: str) -> None:
 
 
 def parse_hypergraph_text(text: str) -> Hypergraph:
-    vertices: Optional[list[str]] = None
+    vertices: list[str] | None = None
     edges: dict[str, list[str]] = {}  # edge name -> members, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -289,6 +295,6 @@ def load_weighting(h: Hypergraph, path: str) -> EdgeWeighting:
         except ParseError as exc:
             raise BadWeightFile(f"weight for {name!r}: {exc}") from None
     try:
-        return custom_weighting(h, data)
+        return __getattr__("custom_weighting")(h, data)
     except InvalidParameters as exc:
         raise BadWeightFile(str(exc)) from None

@@ -6,12 +6,11 @@ import bisect
 import itertools
 import math
 import random
-from typing import Optional, Union
 
 from .errors import InvalidParameters
 from .hypergraph import Hypergraph, _checked_int
 
-RandomSource = Union[int, random.Random, None]
+RandomSource = int | random.Random | None
 
 
 def _rng(seed: RandomSource) -> random.Random:
@@ -23,7 +22,7 @@ def _rng(seed: RandomSource) -> random.Random:
 def random_hypergraph(
     n_vertices: int,
     n_edges: int,
-    max_size: Optional[int] = None,
+    max_size: int | None = None,
     seed: RandomSource = None,
 ) -> Hypergraph:
     """Distinct random hyperedges drawn uniformly among the non-empty vertex

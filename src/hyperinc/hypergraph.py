@@ -12,7 +12,7 @@ rows and columns are reproducible.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     CycleTooShort,
@@ -232,7 +232,7 @@ class Hypergraph:
         self,
         vertices: Iterable[str],
         edges: Sequence[Iterable[str]],
-        edge_labels: Optional[Sequence[str]] = None,
+        edge_labels: Sequence[str] | None = None,
     ):
         vlist = [str(v) for v in vertices]
         if not vlist:
@@ -330,13 +330,13 @@ class Hypergraph:
 def build_hypergraph(
     vertices: Iterable[str],
     edges: Sequence[Iterable[str]],
-    edge_labels: Optional[Sequence[str]] = None,
+    edge_labels: Sequence[str] | None = None,
 ) -> Hypergraph:
     """Validate and canonicalize raw input into a ``Hypergraph``."""
     return Hypergraph(vertices, edges, edge_labels)
 
 
-def _checked_int(value, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+def _checked_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
     """``value`` if it is an int, not a bool, in least..most (a bound left None
     is open); otherwise ``InvalidParameters``, so a float or a bool is never read
     as the int it is close to."""
@@ -467,7 +467,7 @@ def _incident_size_profile(h: Hypergraph) -> dict[str, tuple[int, ...]]:
     }
 
 
-def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[dict[str, str]]:
+def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> dict[str, str] | None:
     """Search for a vertex bijection carrying E(h1) exactly onto E(h2).
 
     Backtracking over vertices with incident-edge-size-profile pruning; meant

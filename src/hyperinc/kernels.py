@@ -12,13 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import (
-    root_of_unity_vector,
-    zeta_power_table,  # unused here; bench/spans.py wraps it under this name
-)
+from . import _deferred
 from .errors import (
     EmptySubset,
     InstanceTooLarge,
@@ -50,6 +47,16 @@ from .linalg import (
     rank_and_nullspace,
     vertex_edge_incidence,
 )
+
+# Read through ``__getattr__``, which imports cyclotomic on first use: only a
+# root-of-unity certificate needs it.  Nothing here calls zeta_power_table;
+# bench/spans.py wraps it under this name.
+_DEFERRED = {"root_of_unity_vector": "cyclotomic", "zeta_power_table": "cyclotomic"}
+
+
+def __getattr__(name):
+    return _deferred(globals(), _DEFERRED, name)
+
 
 EQUAL_EDGE_PARTITION = "equal_edge_partition"
 RATIO_EDGE_PARTITION = "ratio_edge_partition"
@@ -94,9 +101,9 @@ class KernelCertificate(Record):
         side: str,
         sets: tuple[tuple[str, tuple[str, ...]], ...],
         coefficients: tuple[Fraction, ...],
-        ratio: Optional[Fraction] = None,
-        order: Optional[int] = None,
-        power: Optional[int] = None,
+        ratio: Fraction | None = None,
+        order: int | None = None,
+        power: int | None = None,
     ):
         _set(self, "kind", kind)
         _set(self, "side", side)
@@ -108,7 +115,7 @@ class KernelCertificate(Record):
 
     def induced_vector(self, h: Hypergraph) -> VertexVector:
         if self.kind == ROOT_OF_UNITY_CYCLE:
-            return root_of_unity_vector(h.n_vertices, self.order, self.power)
+            return __getattr__("root_of_unity_vector")(h.n_vertices, self.order, self.power)
         return VertexVector(
             {m: coeff for (_, members), coeff in zip(self.sets, self.coefficients) for m in members}
         )
@@ -276,7 +283,7 @@ def dual_side_certificate(h: Hypergraph, e: Iterable[str], f: Iterable[str], r=1
 # -- verification -----------------------------------------------------------------
 
 
-def _window_length(h: Hypergraph) -> Optional[int]:
+def _window_length(h: Hypergraph) -> int | None:
     """If the vertices are residues 0..n-1 in canonical order and every edge
     is a cyclic window over them of one length k, return k; otherwise None."""
     n = h.n_vertices

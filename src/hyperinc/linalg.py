@@ -25,10 +25,10 @@ rank`` eliminates at most rank x distinct-columns cells of each side.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import isqrt, lcm, prod
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidParameters, NonIntegerEntries
 from .hypergraph import Hypergraph, Record, VertexVector, _set, _str_keyed, bit_indices

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
 from .errors import (
     GroundSetMismatch,
@@ -83,7 +83,7 @@ def banerjee_weighting(h: Hypergraph) -> EdgeWeighting:
     return EdgeWeighting(BANERJEE_WEIGHTING, tuple(by_size[size] for size in sizes))
 
 
-def custom_weighting(h: Hypergraph, weights: Union[Mapping[str, object], Sequence[object]]) -> EdgeWeighting:
+def custom_weighting(h: Hypergraph, weights: Mapping[str, object] | Sequence[object]) -> EdgeWeighting:
     """Explicit weights, either per edge name or as a sequence in edge order;
     ``EdgeWeighting`` reads each one by ``exact_rational``."""
     if isinstance(weights, Mapping):

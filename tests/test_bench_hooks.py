@@ -5,8 +5,14 @@ or a traced run would fail, or misfile time, only outside this test suite."""
 import ast
 import importlib
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import CHILD_ENV
+from hyperinc.formats import load_hypergraph
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -88,3 +94,71 @@ def test_tracer_only_imports_are_exactly_the_unused_patch_points():
                 assert name in used, f"{point} is used only by the tracer but is not marked"
         marked_count += len(marked)
     assert marked_count  # the mark is still matched at all
+
+
+# Runs each argv through hyperinc.cli.main in one process, with the tracer
+# installed before the first call when argv[1] is "traced", and prints the
+# outputs, the span names and whether uninstall restored every name.
+TRACED_CHILD = """
+import contextlib, importlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[2])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import hyperinc.cli
+tracer = spans.Tracer()
+if sys.argv[1] == "traced":
+    tracer.install()
+saved = list(tracer._saved)
+outputs = []
+for argv in json.loads(sys.argv[3]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = hyperinc.cli.main(argv)
+    outputs.append([code, out.getvalue()])
+tracer.uninstall()
+restored = all(
+    getattr(module, attr) is original
+    and original is getattr(importlib.import_module(original.__module__), original.__name__)
+    for module, attr, original in saved
+)
+print(json.dumps({"outputs": outputs, "spans": sorted({s[1] for s in tracer.spans}),
+                  "patched": len(saved), "restored": restored}))
+"""
+
+
+def test_the_tracer_wraps_what_deferred_calls_call(tmp_path):
+    """In a fresh process, the tracer installed before any call must see the
+    spectra and root-of-unity calls that load their modules on first use,
+    change no output, and restore every name it patched."""
+    golden = Path(__file__).resolve().parent / "golden"
+    cycle = str(golden / "cycle_12_8.txt")
+    weights = tmp_path / "weights.json"
+    h = load_hypergraph(cycle)
+    weights.write_text(json.dumps({e: f"{i + 1}/2" for i, e in enumerate(h.edge_labels)}))
+    calls = [
+        ["spectra", cycle, "--weighting", "banerjee", "--json"],
+        ["spectra", cycle, "--weighting", str(weights), "--matrix"],
+        ["verify", cycle, "--certificate", str(golden / "cycle_12_8.root_valid.cert.json")],
+        ["generate", "random", "6", "5", "--seed", "3"],
+    ]
+
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACED_CHILD, mode, str(SPANS), json.dumps(calls)],
+            env=CHILD_ENV, capture_output=True, text=True, check=True,
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    plain, traced = run("plain"), run("traced")
+    assert plain["spans"] == [] and plain["patched"] == 0
+    assert traced["outputs"] == plain["outputs"]
+    assert [code for code, _ in traced["outputs"]] == [0, 0, 0, 0]
+    assert {
+        "spectra.banerjee_weighting",
+        "spectra.custom_weighting",
+        "spectra.predict_unit_eigenpairs",
+        "spectra.weighted_adjacency",
+        "cyclotomic.matvec",
+    } <= set(traced["spans"])
+    assert traced["patched"] == len(patch_points())
+    assert traced["restored"]

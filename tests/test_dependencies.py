@@ -1,7 +1,8 @@
 """The runtime package is pure Python with no dependencies: every module of
 ``hyperinc`` imports only the package itself and the standard library, even
 though the tests may use ``sympy``, ``hypothesis`` or ``networkx``.  Its
-start-up stays light: the CLI loads no ``dataclasses``."""
+start-up stays light: the CLI loads no ``dataclasses``, and each command
+loads only the modules it calls."""
 
 import ast
 import os
@@ -9,10 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hyperinc
 from conftest import SRC
+from hyperinc.kernels import SET_KINDS
 
 PACKAGE = Path(hyperinc.__file__).resolve().parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CYCLE = str(GOLDEN / "cycle_12_8.txt")
 
 
 def imported_modules(path: Path):
@@ -53,3 +59,62 @@ def test_importing_the_cli_loads_no_dataclasses():
     loaded = set(proc.stdout.split())
     assert "hyperinc.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def modules_after(argv: list[str]) -> set[str]:
+    """The modules a fresh ``python -S`` holds after ``hyperinc.cli.main(argv)``,
+    with ``PYTHONPATH`` at ``src``; the command's output is discarded."""
+    code = (
+        "import io, sys, hyperinc.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = hyperinc.cli.main(sys.argv[1:])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, *sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    code, *loaded = proc.stdout.split()
+    assert code == "0", (argv, proc.stdout, proc.stderr)
+    return set(loaded)
+
+
+DEFERRED = {"hyperinc.spectra", "hyperinc.cyclotomic", "hyperinc.generators", "typing"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["rank", CYCLE], id="rank"),
+        pytest.param(["contract", CYCLE, "--json"], id="contract"),
+        pytest.param(["units", CYCLE], id="units"),
+        pytest.param(
+            ["verify", CYCLE, "--certificate", str(GOLDEN / "cycle_12_8.edge_ratio_valid.cert.json")],
+            id="verify-set",
+        ),
+        *(pytest.param(["find", CYCLE, "--kind", kind], id=f"find-{kind}") for kind in sorted(SET_KINDS)),
+    ],
+)
+def test_commands_without_spectra_or_roots_load_neither(argv):
+    """rank, contract, units, find and a set certificate's verify compile
+    neither spectra, cyclotomic nor generators, and nothing loads typing."""
+    loaded = modules_after(argv)
+    assert "hyperinc.kernels" in loaded
+    assert loaded & DEFERRED == set()
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["spectra", CYCLE, "--weighting", "banerjee"], "hyperinc.spectra"),
+        (["verify", CYCLE, "--certificate", str(GOLDEN / "cycle_12_8.root_valid.cert.json")],
+         "hyperinc.cyclotomic"),
+        (["generate", "random", "6", "5", "--seed", "3"], "hyperinc.generators"),
+    ],
+    ids=["spectra", "verify-root", "generate-random"],
+)
+def test_a_command_loads_the_module_it_calls(argv, module):
+    loaded = modules_after(argv)
+    assert module in loaded
+    assert loaded & DEFERRED == {module}

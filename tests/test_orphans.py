@@ -5,13 +5,15 @@ Two rules over the AST of every module of ``hyperinc``:
 - every module-level private name (one leading underscore, not a dunder) is
   referenced somewhere in the package, by name, as an attribute, or imported;
 - every imported name is used in its module, re-exported by ``__init__`` from
-  that module, or carries the tracer-only mark of ``test_bench_hooks``.
+  that module (its export table, ``_EXPORTS``, maps each public name to its
+  module), or carries the tracer-only mark of ``test_bench_hooks``.
 """
 
 import ast
 import importlib.util
 from pathlib import Path
 
+import hyperinc
 from test_bench_hooks import TRACER_ONLY
 
 PACKAGE = Path(importlib.util.find_spec("hyperinc").origin).parent
@@ -55,16 +57,9 @@ def test_every_private_name_is_referenced():
 
 
 def test_every_import_is_used_re_exported_or_marked():
-    re_exported = {
-        (node.module, alias.asname or alias.name)
-        for node in TREES["__init__"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    re_exported = {(module, name) for name, module in hyperinc._EXPORTS.items()}
     unused = []
     for module, tree in TREES.items():
-        if module == "__init__":  # its imports are the re-exports
-            continue
         source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8").splitlines()
         loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
